@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare fuzz-script lint fmt-check vet serve serve-http serve-cluster reload-smoke soak slo-smoke profile clean
+.PHONY: all build test race bench bench-compare perfbench-smoke fuzz-script lint fmt-check vet serve serve-http serve-cluster reload-smoke soak slo-smoke profile clean
 
 all: build lint test
 
@@ -20,6 +20,14 @@ race:
 # runtime breakage in benchmark code without CI-length runs.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# The benchmark's correctness gates, on one second of each perfbench
+# workload with the traced per-layer pass. perfbench exits 1 if a
+# traced session's decisions differ from the untraced one's, a §6.4
+# attack lands, decisions per page change, a forum reply is lost or a
+# mashup verdict flips. Build output stays under .bench_build/.
+perfbench-smoke:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 1 --trace 1
 
 # Differential fuzz: the compiled VM must agree with the tree-walking
 # interpreter (the semantic spec) on every input — result values,
@@ -123,4 +131,4 @@ profile:
 clean:
 	$(GO) clean ./...
 	rm -f BENCH_engine.new.json BENCH_engine.soak.json BENCH_engine.control.json BENCH_engine.slo.json
-	rm -rf profiles
+	rm -rf profiles .bench_build

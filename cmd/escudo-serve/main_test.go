@@ -65,6 +65,24 @@ func TestServeEmitsBenchJSON(t *testing.T) {
 	if mx := byName["mixed"]; mx.Batch == nil || mx.Batch.DistinctDecisions >= mx.Batch.NodesAuthorized {
 		t.Errorf("mixed phase batch stats missing or undeduplicated: %+v", mx.Batch)
 	}
+	// The batch pins that are deterministic at this configuration:
+	// figure4's node and distinct counts (2 iterations × 835 nodes →
+	// 25 distinct), the phpbb and mixed distinct counts, and the attack
+	// replay's decisions. The phpbb and mixed node totals are not
+	// pinned: they depend on how the eight sessions' replies to the one
+	// shared topic interleave.
+	if f4 := byName["figure4"].Batch; f4 == nil || f4.NodesAuthorized != 1670 || f4.DistinctDecisions != 50 {
+		t.Errorf("figure4 batch %+v, want 1670 nodes → 50 distinct", f4)
+	}
+	if got := bb.Batch.DistinctDecisions; got != 416 {
+		t.Errorf("phpbb distinct decisions %d, want 416", got)
+	}
+	if mx := byName["mixed"].Batch; mx == nil || mx.DistinctDecisions != 512 {
+		t.Errorf("mixed batch %+v, want 512 distinct", mx)
+	}
+	if got := byName["attacks"].Decisions; got != 42 {
+		t.Errorf("attacks phase decisions %d, want 42", got)
+	}
 	atk := byName["attacks"].Attacks
 	if atk == nil {
 		t.Fatal("attacks phase has no attack stats")

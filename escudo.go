@@ -14,7 +14,7 @@
 //
 //   - the access-control core (rings, ACLs, contexts, the ERM and the
 //     baseline SOP monitor) and the composable monitor pipeline
-//     (Compose with cache/delegation/audit/trace layers),
+//     (Compose with cache/delegation/audit layers),
 //   - the unified Policy document (ring count, cookie/API assignments,
 //     §7 delegations) with validation, lossless JSON round-tripping,
 //     and wire delivery via the HTTP gateway,
@@ -103,9 +103,6 @@ func CacheLayer(c *DecisionCache) MonitorLayer { return core.WithCache(c) }
 // AuditLayer records every decision in the log; mount it outermost.
 func AuditLayer(log *AuditLog) MonitorLayer { return core.WithAudit(log) }
 
-// TraceLayer feeds every decision to fn.
-func TraceLayer(fn func(Decision)) MonitorLayer { return core.WithTrace(fn) }
-
 // DelegationLayer re-homes delegated cross-origin accesses (§7);
 // mount it outside CacheLayer.
 func DelegationLayer(src DelegationSource) MonitorLayer { return core.WithDelegations(src) }
@@ -170,17 +167,6 @@ const (
 	ModeSOP = browser.ModeSOP
 )
 
-// NewBrowser creates a browser on a transport (a *Network, or any
-// other Transport such as an HTTP gateway client).
-//
-// Deprecated: use New, which validates its inputs and wires unified
-// Policy documents and monitor pipelines in one place:
-//
-//	b, err := escudo.New(net, escudo.WithPolicy(pol))
-//
-// NewBrowser remains for callers that assemble BrowserOptions by hand.
-func NewBrowser(t Transport, opts BrowserOptions) *Browser { return browser.New(t, opts) }
-
 // PageRef identifies the page a MonitorFactory builds a monitor for.
 type PageRef = browser.PageRef
 
@@ -223,8 +209,9 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithMonitorFactory installs a custom per-page monitor stack. The
-// browser composes its audit layer around whatever the factory
-// returns. Mutually exclusive with WithPolicy.
+// browser composes its tap (audit, provenance, generation pinning,
+// stage timing) around whatever the factory returns. Mutually
+// exclusive with WithPolicy.
 func WithMonitorFactory(f MonitorFactory) Option {
 	return func(c *newConfig) error { c.opts.MonitorFactory = f; return nil }
 }
@@ -263,9 +250,9 @@ func WithMaxFrameDepth(d int) Option {
 
 // New builds a browsing session on the transport with functional
 // options over the monitor pipeline — the facade's one constructor.
-// With no options it is an ESCUDO-mode browser, exactly like
-// NewBrowser(t, BrowserOptions{}); WithPolicy mounts a unified policy
-// document (delegations included) into every page's monitor stack.
+// With no options it is an ESCUDO-mode browser with the default
+// BrowserOptions; WithPolicy mounts a unified policy document
+// (delegations included) into every page's monitor stack.
 func New(t Transport, options ...Option) (*Browser, error) {
 	if t == nil {
 		return nil, errors.New("escudo: New requires a transport")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/browser"
 	"repro/internal/core"
 )
 
@@ -37,7 +38,7 @@ func TestFacadeBrowserEndToEnd(t *testing.T) {
 		resp.Header.Set("X-Escudo-Maxring", "3")
 		return resp
 	}))
-	b := NewBrowser(net, BrowserOptions{Mode: ModeEscudo})
+	b := browser.New(net, browser.Options{})
 	p, err := b.Navigate("http://app.example/")
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestFacadeConstants(t *testing.T) {
 }
 
 // TestFacadeNewDefaultsMatchNewBrowser checks escudo.New with no
-// options behaves exactly like the legacy constructor.
+// options behaves exactly like a browser built on default options.
 func TestFacadeNewDefaultsMatchNewBrowser(t *testing.T) {
 	site := MustParseOrigin("http://app.example")
 	build := func() *Network {
@@ -141,28 +142,28 @@ func TestFacadeNewDefaultsMatchNewBrowser(t *testing.T) {
 		}))
 		return net
 	}
-	oldB := NewBrowser(build(), BrowserOptions{Mode: ModeEscudo})
+	refB := browser.New(build(), browser.Options{})
 	newB, err := New(build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []*Browser{oldB, newB} {
+	for _, b := range []*Browser{refB, newB} {
 		for i := 0; i < 2; i++ {
 			if _, err := b.Navigate("http://app.example/"); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	oldSeq, newSeq := oldB.Audit.All(), newB.Audit.All()
-	if len(oldSeq) == 0 || !reflect.DeepEqual(oldSeq, newSeq) {
-		t.Fatalf("audit sequences diverge (%d vs %d decisions)", len(oldSeq), len(newSeq))
+	refSeq, newSeq := refB.Audit.All(), newB.Audit.All()
+	if len(refSeq) == 0 || !reflect.DeepEqual(refSeq, newSeq) {
+		t.Fatalf("audit sequences diverge (%d vs %d decisions)", len(refSeq), len(newSeq))
 	}
 }
 
 // TestComposeReproducesHardwiredStack is the facade-level equivalence
 // matrix: for ERM and SOP, cached and uncached, the composed pipeline
-// must reproduce the exact audit decision sequence and verdicts of the
-// previous hard-wired Trace/TraceBatch stack.
+// must audit exactly the decision sequence and verdicts of the bare
+// monitor's per-node Authorize, with no cache and no batching.
 func TestComposeReproducesHardwiredStack(t *testing.T) {
 	site := MustParseOrigin("http://blog.example")
 	other := MustParseOrigin("http://other.example")
@@ -187,24 +188,23 @@ func TestComposeReproducesHardwiredStack(t *testing.T) {
 		}
 		core.AuthorizeBatch(m, p, OpRead, region)
 	}
+	reference := func(m Monitor) []Decision {
+		var out []Decision
+		for _, q := range singles {
+			out = append(out, m.Authorize(p, q.op, q.o))
+		}
+		for _, o := range region {
+			out = append(out, m.Authorize(p, OpRead, o))
+		}
+		return out
+	}
 	for _, tc := range []struct {
 		name   string
 		sop    bool
 		cached bool
 	}{{"erm-cached", false, true}, {"erm-uncached", false, false}, {"sop-cached", true, true}, {"sop-uncached", true, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			oldAudit, newAudit := &AuditLog{}, &AuditLog{}
-			var oldM Monitor
-			switch {
-			case tc.cached && tc.sop:
-				oldM = &core.CachedMonitor{Inner: &SOPMonitor{}, Cache: NewDecisionCache(), Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			case tc.cached:
-				oldM = &core.CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache(), Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			case tc.sop:
-				oldM = &SOPMonitor{Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			default:
-				oldM = &ERM{Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			}
+			newAudit := &AuditLog{}
 			var base Monitor = &ERM{}
 			if tc.sop {
 				base = &SOPMonitor{}
@@ -213,11 +213,10 @@ func TestComposeReproducesHardwiredStack(t *testing.T) {
 			if tc.cached {
 				cache = CacheLayer(NewDecisionCache())
 			}
-			drive(oldM)
 			drive(Compose(base, cache, AuditLayer(newAudit)))
-			oldSeq, newSeq := oldAudit.All(), newAudit.All()
-			if len(oldSeq) == 0 || !reflect.DeepEqual(oldSeq, newSeq) {
-				t.Fatalf("decision sequences diverge:\n old: %v\n new: %v", oldSeq, newSeq)
+			refSeq, newSeq := reference(base), newAudit.All()
+			if len(refSeq) == 0 || !reflect.DeepEqual(refSeq, newSeq) {
+				t.Fatalf("decision sequences diverge:\n ref: %v\n new: %v", refSeq, newSeq)
 			}
 		})
 	}

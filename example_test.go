@@ -40,10 +40,10 @@ func ExampleSOPMonitor() {
 	// true
 }
 
-// ExampleNewBrowser loads an ESCUDO-configured page end to end: the
+// ExampleNew loads an ESCUDO-configured page end to end: the
 // response's AC tags and X-Escudo headers label the DOM, and a
 // hostile ring-3 script is denied by the ring rule.
-func ExampleNewBrowser() {
+func ExampleNew() {
 	site := escudo.MustParseOrigin("http://app.example")
 	net := escudo.NewNetwork()
 	net.Register(site, escudo.HandlerFunc(func(req *escudo.Request) *escudo.Response {
@@ -56,7 +56,10 @@ func ExampleNewBrowser() {
 		return resp
 	}))
 
-	b := escudo.NewBrowser(net, escudo.BrowserOptions{Mode: escudo.ModeEscudo})
+	b, err := escudo.New(net)
+	if err != nil {
+		panic(err)
+	}
 	page, err := b.Navigate("http://app.example/")
 	if err != nil {
 		panic(err)

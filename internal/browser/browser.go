@@ -83,7 +83,8 @@ type Options struct {
 	Cache *core.DecisionCache
 	// MonitorFactory, when non-nil, builds the policy stack mediating
 	// each page instead of the default (the Mode's base monitor under
-	// the shared Cache). The browser composes its audit layer around
+	// the shared Cache). The browser composes its tap (core.WithTap:
+	// audit, provenance, generation pinning, stage timing) around
 	// whatever the factory returns, so complete mediation stays
 	// recorded whatever the stack — a factory returning a delegation-
 	// aware pipeline (core.Compose with core.WithDelegations, or a
@@ -93,9 +94,10 @@ type Options struct {
 	// still governs configuration parsing and cookie attachment
 	// semantics.
 	MonitorFactory MonitorFactory
-	// DecisionRing, when non-nil, mirrors every audited decision into
-	// the last-N provenance ring the gateway serves at /tracez. Like
-	// Cache it is typically shared by every session of an engine pool.
+	// DecisionRing, when non-nil, is the browser tap's ring: every
+	// audited decision is mirrored into the last-N provenance ring the
+	// gateway serves at /tracez. Like Cache it is typically shared by
+	// every session of an engine pool.
 	DecisionRing *obs.DecisionRing
 	// PolicyGen, when non-nil, is the control-plane generation source
 	// (typically ctlplane.Watcher.Generation, or Store.Generation for
@@ -104,8 +106,8 @@ type Options struct {
 	// whole load — frames, subresource fetches, cookie attachments, and
 	// every later operation through the page's monitor — so a policy
 	// flip mid-flight never mixes generations within one load (standing
-	// invariant 8; audited by core.AuditLog.GenerationMix). Nil leaves
-	// the monitor stack exactly as before — no stamping layer at all.
+	// invariant 8; audited by core.AuditLog.GenerationMix). The page's
+	// tap stamps the pinned value; nil stamps no generation at all.
 	PolicyGen func() uint64
 }
 
@@ -144,10 +146,12 @@ type Browser struct {
 	// (nil when stage timing is off). Like trace it is swapped per
 	// task by the engine; the monitor pipeline, script runner, and
 	// render path accrue their spans on whatever clock is installed at
-	// the moment they run. A nil clock costs nothing: the timing layer
-	// is only composed while a clock is installed, and StageClock.Add
-	// is a nil-safe no-op.
+	// the moment they run. A nil clock costs the tap one nil check.
 	stageClock atomic.Pointer[obs.StageClock]
+	// tap holds the session's observation sinks (Audit, the trace and
+	// clock above, Options.DecisionRing); monitorFor copies it and pins
+	// the generation and page of the monitor it builds.
+	tap core.Tap
 	// curGen and curPage pin the policy generation and page identity of
 	// the top-level load in flight (zero between loads). They are plain
 	// fields: a browser is a single session driven by one goroutine at
@@ -178,7 +182,7 @@ func New(t web.Transport, opts Options) *Browser {
 	if opts.MaxFrameDepth == 0 {
 		opts.MaxFrameDepth = 3
 	}
-	return &Browser{
+	b := &Browser{
 		transport: t,
 		jar:       &cookie.Jar{},
 		history:   &History{},
@@ -186,6 +190,8 @@ func New(t web.Transport, opts Options) *Browser {
 		Console:   &script.Console{},
 		Audit:     &core.AuditLog{},
 	}
+	b.tap = core.Tap{Log: b.Audit, Trace: b.trace.Load, Ring: opts.DecisionRing, Clock: b.stageClock.Load}
+	return b
 }
 
 // Mode returns the browser's protection mode.
@@ -270,31 +276,16 @@ type Frame struct {
 // monitorFor builds the reference monitor for a page (or a
 // request-scoped mediation): the policy stack — from Options.
 // MonitorFactory when set, else the Mode's base monitor under the
-// shared decision cache — composed under the provenance layer and the
-// browser's audit layer, so every decision is recorded exactly once
-// whatever the stack. With a decision cache configured, the hot path
-// is a sharded cache lookup and the rule evaluation only runs on
-// misses. The provenance layer sits outside the cache (cached verdict
-// rebuilds must stamp with the asking task's trace, not the warming
-// task's) and inside audit (so audit records carry the stamps).
-// The generation layer sits inside the provenance layer: ring events
-// and audit records both carry the pinned generation.
+// shared decision cache — under the browser's tap, so every decision
+// is stamped, mirrored, recorded exactly once and timed, whatever the
+// stack. The tap sits outside the cache, so cached verdict rebuilds
+// stamp with the asking task's trace, not the warming task's; it
+// resolves the trace and clock per call, so a monitor built under an
+// earlier task observes for the task actually asking.
 func (b *Browser) monitorFor(ref PageRef) core.Monitor {
-	gen, page := b.genStamp()
-	m := core.Compose(b.policyMonitor(ref),
-		core.WithGen(gen, page),
-		core.WithObs(b.trace.Load, b.opts.DecisionRing),
-		core.WithAudit(b.Audit))
-	// Latency attribution is composed outermost, and only while a
-	// clock is installed — an untimed session's monitors carry no
-	// timing layer at all, so the hot path is byte-for-byte the stack
-	// above. The clock is still resolved per call (b.stageClock.Load),
-	// so a monitor built mid-task accrues onto whatever task is
-	// actually asking.
-	if b.stageClock.Load() != nil {
-		m = core.WithStageTiming(b.stageClock.Load)(m)
-	}
-	return m
+	t := b.tap
+	t.Gen, t.Page = b.genStamp()
+	return core.WithTap(t)(b.policyMonitor(ref))
 }
 
 // genStamp resolves the generation and page identity a monitor built
@@ -302,7 +293,7 @@ func (b *Browser) monitorFor(ref PageRef) core.Monitor {
 // outside one (a post-load XHR's cookie attachment, say) the current
 // generation is read fresh with no page identity — such decisions
 // belong to no load and are skipped by the mixing audit. Without a
-// PolicyGen source everything is zero and WithGen composes to nothing.
+// PolicyGen source both are zero and the tap stamps no generation.
 func (b *Browser) genStamp() (gen, page uint64) {
 	if b.curPage != 0 {
 		return b.curGen, b.curPage
@@ -313,7 +304,7 @@ func (b *Browser) genStamp() (gen, page uint64) {
 	return 0, 0
 }
 
-// policyMonitor is the stack below the audit layer.
+// policyMonitor is the stack below the tap.
 func (b *Browser) policyMonitor(ref PageRef) core.Monitor {
 	if b.opts.MonitorFactory != nil {
 		return b.opts.MonitorFactory(ref)

@@ -13,7 +13,7 @@ import (
 // (origin, ring, ACL) equivalence classes: a phpBB topic page with 200
 // ring-3 posts asks the same ⟨P ⊳ O⟩ question 200 times. The batched
 // path below computes each distinct class once — a single rule
-// evaluation (or a single cache probe under CachedMonitor) per class —
+// evaluation (or a single cache probe under WithCache) per class —
 // while still emitting one audited Decision per node, so §4.2 complete
 // mediation is unchanged: only the decision computation is
 // deduplicated.
@@ -25,7 +25,7 @@ type BatchAuthorizer interface {
 	Monitor
 	// AuthorizeBatch decides op for principal p on every object,
 	// returning one Decision per object in input order. Each decision
-	// is traced/audited individually. The returned slice may be
+	// is audited individually. The returned slice may be
 	// retained by the audit stream (AuditLog.RecordAll stores it
 	// as-is); callers must not mutate it.
 	AuthorizeBatch(p Context, op Op, objects []Context) []Decision
@@ -97,28 +97,20 @@ func (c *batchClasses) put(k batchClassKey, d Decision) {
 func (c *batchClasses) len() int { return len(c.keys) + len(c.spill) }
 
 // batchDecide is the shared batching core: group objects by class,
-// call decide once per distinct class, then emit a per-node Decision
+// ask m once per distinct class, then emit a per-node Decision
 // (echoing the node's own context, so audit trails keep the real
-// labels). The audit stream goes through traceBatch as one call when
-// set (one lock for the whole region), else through trace per node.
-// It returns the decisions in input order.
-func batchDecide(decide func(o Context) Decision, trace func(Decision), traceBatch func([]Decision), p Context, op Op, objects []Context) []Decision {
+// labels). It returns the decisions in input order.
+func batchDecide(m Monitor, p Context, op Op, objects []Context) []Decision {
 	out := make([]Decision, len(objects))
 	var classes batchClasses
 	for i, o := range objects {
 		k := batchClassKey{origin: o.Origin, ring: o.Ring, acl: o.ACL}
 		cd, ok := classes.get(k)
 		if !ok {
-			cd = decide(o)
+			cd = m.Authorize(p, op, o)
 			classes.put(k, cd)
 		}
 		out[i] = Decision{Allowed: cd.Allowed, Rule: cd.Rule, Principal: p, Op: op, Object: o}
-		if traceBatch == nil && trace != nil {
-			trace(out[i])
-		}
-	}
-	if traceBatch != nil {
-		traceBatch(out)
 	}
 	recordBatch(len(objects), classes.len())
 	return out
@@ -127,38 +119,26 @@ func batchDecide(decide func(o Context) Decision, trace func(Decision), traceBat
 var _ BatchAuthorizer = (*ERM)(nil)
 
 // AuthorizeBatch implements BatchAuthorizer: one rule evaluation per
-// distinct (origin, ring, ACL) class, one traced decision per object.
+// distinct (origin, ring, ACL) class, one decision per object.
 func (m *ERM) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	return batchDecide(func(o Context) Decision { return m.decide(p, op, o) }, m.Trace, m.TraceBatch, p, op, objects)
+	return batchDecide(m, p, op, objects)
 }
 
 var _ BatchAuthorizer = (*SOPMonitor)(nil)
 
 // AuthorizeBatch implements BatchAuthorizer for the SOP baseline.
 func (m *SOPMonitor) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	return batchDecide(func(o Context) Decision { return m.decide(p, op, o) }, m.Trace, m.TraceBatch, p, op, objects)
+	return batchDecide(m, p, op, objects)
 }
 
-var _ BatchAuthorizer = (*CachedMonitor)(nil)
+var _ BatchAuthorizer = (*cacheLayer)(nil)
 
 // AuthorizeBatch implements BatchAuthorizer with the cache fast path:
 // each distinct class costs a single cache probe (lookup, and on a
 // miss one inner evaluation plus the store); repeated classes within
 // the batch don't touch the cache at all.
-func (m *CachedMonitor) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	if m.Cache == nil {
-		return batchDecide(func(o Context) Decision { return m.Inner.Authorize(p, op, o) }, m.Trace, m.TraceBatch, p, op, objects)
-	}
-	return batchDecide(func(o Context) Decision {
-		k := key(p, op, o)
-		v, gen, ok := m.Cache.lookup(k)
-		if ok {
-			return Decision{Allowed: v.allowed, Rule: v.rule, Principal: p, Op: op, Object: o}
-		}
-		d := m.Inner.Authorize(p, op, o)
-		m.Cache.store(k, d, gen)
-		return d
-	}, m.Trace, m.TraceBatch, p, op, objects)
+func (m *cacheLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
+	return batchDecide(m, p, op, objects)
 }
 
 // Batch accounting: process-wide atomic counters of how many objects

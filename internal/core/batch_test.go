@@ -42,10 +42,10 @@ func TestAuthorizeBatchMatchesScalar(t *testing.T) {
 
 func TestAuthorizeBatchAuditsEveryNode(t *testing.T) {
 	log := &AuditLog{}
-	erm := &ERM{Trace: log.Record}
+	m := Compose(&ERM{}, WithAudit(log))
 	p := Principal(batchSite, 2, "script")
 	objs := batchObjects(30, 3)
-	erm.AuthorizeBatch(p, OpWrite, objs)
+	AuthorizeBatch(m, p, OpWrite, objs)
 	if log.Len() != len(objs) {
 		t.Fatalf("audit records = %d, want %d (complete mediation requires one per node)", log.Len(), len(objs))
 	}
@@ -77,10 +77,10 @@ func TestAuthorizeBatchDeduplicates(t *testing.T) {
 func TestAuthorizeBatchCachedSingleProbePerClass(t *testing.T) {
 	cache := NewDecisionCache()
 	log := &AuditLog{}
-	cm := &CachedMonitor{Inner: &ERM{}, Cache: cache, Trace: log.Record}
+	cm := Compose(&ERM{}, WithCache(cache), WithAudit(log))
 	p := Principal(batchSite, 1, "script")
 	objs := batchObjects(60, 3)
-	cm.AuthorizeBatch(p, OpRead, objs)
+	AuthorizeBatch(cm, p, OpRead, objs)
 	st := cache.Stats()
 	if got := st.Hits + st.Misses; got != 3 {
 		t.Errorf("cache probes = %d, want 3 (one per class)", got)
@@ -92,7 +92,7 @@ func TestAuthorizeBatchCachedSingleProbePerClass(t *testing.T) {
 		t.Errorf("audit records = %d, want %d", log.Len(), len(objs))
 	}
 	// Second batch: every class is now a hit.
-	cm.AuthorizeBatch(p, OpRead, objs)
+	AuthorizeBatch(cm, p, OpRead, objs)
 	st = cache.Stats()
 	if st.Hits != 3 {
 		t.Errorf("hits = %d, want 3 after warm batch", st.Hits)
@@ -136,9 +136,9 @@ func TestAuthorizeBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cm := &CachedMonitor{Inner: &ERM{}, Cache: cache, Trace: log.Record}
+			cm := Compose(&ERM{}, WithCache(cache), WithAudit(log))
 			for i := 0; i < 20; i++ {
-				cm.AuthorizeBatch(p, OpRead, objs)
+				AuthorizeBatch(cm, p, OpRead, objs)
 			}
 		}()
 	}

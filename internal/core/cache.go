@@ -217,57 +217,36 @@ func (c *DecisionCache) Stats() CacheStats {
 	return st
 }
 
-// CachedMonitor wraps an inner monitor with a DecisionCache. On a hit
-// it rebuilds the Decision from the cached verdict and the live query
-// contexts (so audit trails still carry the real labels); on a miss it
-// delegates to the inner monitor and stores the outcome.
-//
-// Leave the inner monitor's Trace nil and set it here instead:
-// CachedMonitor fires Trace for every decision, hit or miss, so audit
-// logs see the same stream they would without the cache.
-//
-// Deprecated: building monitor stacks out of CachedMonitor literals
-// (with the Trace/TraceBatch hooks wired by hand) is superseded by the
-// pipeline: Compose(inner, WithCache(cache), WithAudit(log)) builds
-// the same stack with the same decision stream, and composes with the
-// delegation and trace layers. The type remains as the caching layer's
-// implementation and for existing callers.
-type CachedMonitor struct {
-	// Inner computes decisions on cache misses.
-	Inner Monitor
-	// Cache memoizes verdicts; nil disables caching.
-	Cache *DecisionCache
-	// Trace, when non-nil, receives every decision made.
-	Trace func(Decision)
-	// TraceBatch, when non-nil, receives whole batched regions in one
-	// call instead of per-node Trace firings.
-	TraceBatch func([]Decision)
+// WithCache returns the caching layer: verdict lookups hit the shared
+// DecisionCache and only misses reach the inner monitor. On a hit the
+// Decision is rebuilt from the cached verdict and the live query
+// contexts, so audit trails still carry the real labels. A nil cache
+// yields a pass-through layer.
+func WithCache(c *DecisionCache) Layer {
+	return func(inner Monitor) Monitor {
+		if c == nil {
+			return inner
+		}
+		return &cacheLayer{inner: inner, cache: c}
+	}
 }
 
-var _ Monitor = (*CachedMonitor)(nil)
+// cacheLayer memoizes the inner monitor's verdicts.
+type cacheLayer struct {
+	inner Monitor
+	cache *DecisionCache
+}
+
+var _ Monitor = (*cacheLayer)(nil)
 
 // Authorize implements Monitor with the cache fast path.
-func (m *CachedMonitor) Authorize(p Context, op Op, o Context) Decision {
-	if m.Cache == nil {
-		d := m.Inner.Authorize(p, op, o)
-		if m.Trace != nil {
-			m.Trace(d)
-		}
-		return d
-	}
+func (m *cacheLayer) Authorize(p Context, op Op, o Context) Decision {
 	k := key(p, op, o)
-	v, gen, ok := m.Cache.lookup(k)
+	v, gen, ok := m.cache.lookup(k)
 	if ok {
-		d := Decision{Allowed: v.allowed, Rule: v.rule, Principal: p, Op: op, Object: o}
-		if m.Trace != nil {
-			m.Trace(d)
-		}
-		return d
+		return Decision{Allowed: v.allowed, Rule: v.rule, Principal: p, Op: op, Object: o}
 	}
-	d := m.Inner.Authorize(p, op, o)
-	m.Cache.store(k, d, gen)
-	if m.Trace != nil {
-		m.Trace(d)
-	}
+	d := m.inner.Authorize(p, op, o)
+	m.cache.store(k, d, gen)
 	return d
 }

@@ -15,6 +15,9 @@ func cacheContexts() (Context, Context) {
 	return p, o
 }
 
+// TestCachedMonitorMatchesInner checks the caching layer against its
+// inner monitor: same verdicts and rules on the filling miss and the
+// hit, query labels echoed, one miss and one hit per query.
 func TestCachedMonitorMatchesInner(t *testing.T) {
 	app := origin.MustParse("http://forum.example")
 	other := origin.MustParse("http://evil.example")
@@ -31,7 +34,8 @@ func TestCachedMonitorMatchesInner(t *testing.T) {
 		{"invalid-op", Principal(app, 1, "a"), Op(99), Object(app, 2, UniformACL(2), "b")},
 	}
 	inner := &ERM{}
-	cached := &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache()}
+	cache := NewDecisionCache()
+	cached := Compose(&ERM{}, WithCache(cache))
 	for _, tc := range cases {
 		want := inner.Authorize(tc.p, tc.op, tc.o)
 		// Twice: once to fill, once from cache.
@@ -46,7 +50,7 @@ func TestCachedMonitorMatchesInner(t *testing.T) {
 			}
 		}
 	}
-	st := cached.Cache.Stats()
+	st := cache.Stats()
 	if st.Hits != uint64(len(cases)) || st.Misses != uint64(len(cases)) {
 		t.Errorf("stats = %d hits / %d misses, want %d/%d", st.Hits, st.Misses, len(cases), len(cases))
 	}
@@ -57,21 +61,23 @@ func TestCachedMonitorMatchesInner(t *testing.T) {
 // metadata, not policy inputs.
 func TestCacheKeyIgnoresLabels(t *testing.T) {
 	p, o := cacheContexts()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache()}
+	c := NewDecisionCache()
+	m := Compose(&ERM{}, WithCache(c))
 	m.Authorize(p, OpRead, o)
 	p.Label, o.Label = "script#other", "dom div#y"
 	m.Authorize(p, OpRead, o)
-	if st := m.Cache.Stats(); st.Hits != 1 {
+	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("relabeled query missed the cache: %+v", st)
 	}
 }
 
 // TestCacheHitsTraceLikeMisses checks the audit stream is identical
-// with and without the cache: every decision fires Trace.
+// with and without the cache: the audit tap records every decision,
+// hit or miss.
 func TestCacheHitsTraceLikeMisses(t *testing.T) {
 	p, o := cacheContexts()
 	log := &AuditLog{}
-	m := &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache(), Trace: log.Record}
+	m := Compose(&ERM{}, WithCache(NewDecisionCache()), WithAudit(log))
 	for i := 0; i < 5; i++ {
 		m.Authorize(p, OpRead, o)
 	}
@@ -86,7 +92,7 @@ func TestCacheHitsTraceLikeMisses(t *testing.T) {
 func TestInvalidateEvictsVerdicts(t *testing.T) {
 	p, o := cacheContexts()
 	c := NewDecisionCache()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: c}
+	m := Compose(&ERM{}, WithCache(c))
 
 	m.Authorize(p, OpRead, o)
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 1 {
@@ -126,13 +132,11 @@ func TestInvalidateSwapsPolicy(t *testing.T) {
 	o := Object(app, 1, UniformACL(1), "dom")
 
 	c := NewDecisionCache()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: c}
-	if d := m.Authorize(p, OpWrite, o); d.Allowed {
+	if d := Compose(&ERM{}, WithCache(c)).Authorize(p, OpWrite, o); d.Allowed {
 		t.Fatal("ERM should deny")
 	}
-	m.Inner = &SOPMonitor{}
 	c.Invalidate()
-	if d := m.Authorize(p, OpWrite, o); !d.Allowed {
+	if d := Compose(&SOPMonitor{}, WithCache(c)).Authorize(p, OpWrite, o); !d.Allowed {
 		t.Fatal("stale ERM verdict served after policy swap + Invalidate")
 	}
 }
@@ -165,7 +169,7 @@ func TestStoreDuringInvalidateStaysStale(t *testing.T) {
 // wrong verdict) while bounding its population.
 func TestCacheShardOverflow(t *testing.T) {
 	c := NewDecisionCache()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: c}
+	m := Compose(&ERM{}, WithCache(c))
 	app := origin.MustParse("http://forum.example")
 	// Vary the ACL to generate maxShardEntries*3 distinct keys.
 	for i := 0; i < maxShardEntries*3; i++ {
@@ -199,7 +203,7 @@ func TestCacheConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			m := &CachedMonitor{Inner: &ERM{}, Cache: c}
+			m := Compose(&ERM{}, WithCache(c))
 			oracle := &ERM{}
 			for i := 0; i < iters; i++ {
 				p := Principal(apps[(g+i)%len(apps)], Ring(i%4), "p")
@@ -232,7 +236,7 @@ func TestAuditLogConcurrentHammer(t *testing.T) {
 	const perG = 1000
 	log := &AuditLog{}
 	app := origin.MustParse("http://forum.example")
-	m := &ERM{Trace: log.Record}
+	m := Compose(&ERM{}, WithAudit(log))
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -272,9 +276,9 @@ func BenchmarkERMUncached(b *testing.B) {
 	}
 }
 
-func BenchmarkCachedMonitorHit(b *testing.B) {
+func BenchmarkCacheLayerHit(b *testing.B) {
 	p, o := cacheContexts()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache()}
+	m := Compose(&ERM{}, WithCache(NewDecisionCache()))
 	m.Authorize(p, OpRead, o)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -282,9 +286,9 @@ func BenchmarkCachedMonitorHit(b *testing.B) {
 	}
 }
 
-func BenchmarkCachedMonitorHitParallel(b *testing.B) {
+func BenchmarkCacheLayerHitParallel(b *testing.B) {
 	p, o := cacheContexts()
-	m := &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache()}
+	m := Compose(&ERM{}, WithCache(NewDecisionCache()))
 	m.Authorize(p, OpRead, o)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

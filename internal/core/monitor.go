@@ -51,15 +51,15 @@ type Decision struct {
 	Object    Context
 	// TraceID and Span place the decision in the causal trace of the
 	// task that triggered it (see internal/obs). Both are zero when the
-	// decision was made outside any traced task or without a WithObs
-	// layer mounted. They carry provenance only: equality of the policy
-	// outcome is judged on the fields above.
+	// decision was made outside any traced task or under no tap with a
+	// Trace source (see Tap). They carry provenance only: equality of
+	// the policy outcome is judged on the fields above.
 	TraceID string
 	Span    uint64
 	// PolicyGen and PageID pin the decision to the fleet policy
 	// generation its page load captured (see internal/ctlplane) and to
-	// that load's identity. Both are zero without a WithGen layer
-	// mounted. Like TraceID/Span they are provenance only — but the
+	// that load's identity. Both are zero under a tap with no Gen or
+	// Page pinned. Like TraceID/Span they are provenance only — but the
 	// control plane's standing invariant ("a page load observes exactly
 	// one policy generation") is audited on them: every decision of one
 	// PageID must carry the same PolicyGen.
@@ -88,23 +88,16 @@ type Monitor interface {
 
 // ERM is the ESCUDO Reference Monitor (§6.1). An access ⟨P ⊳ O⟩ is
 // permitted iff the Origin rule, the Ring rule, and the ACL rule all
-// permit it (§4.2). The zero value is ready to use.
-type ERM struct {
-	// Trace, when non-nil, receives every decision made. It is used
-	// by the attack harness and the inspect tool; nil disables
-	// tracing with no overhead beyond the nil check.
-	Trace func(Decision)
-	// TraceBatch, when non-nil, receives whole batched-authorization
-	// regions in one call (typically AuditLog.RecordAll) instead of
-	// Trace firing per node — same stream, one lock per region.
-	TraceBatch func([]Decision)
-}
+// permit it (§4.2). The zero value is ready to use; mount WithAudit
+// (or WithTap) around it to observe its decisions.
+type ERM struct{}
 
 var _ Monitor = (*ERM)(nil)
 
-// decide evaluates the three ESCUDO rules without tracing; Authorize
-// and the batched path share it.
-func (m *ERM) decide(p Context, op Op, o Context) Decision {
+// Authorize implements Monitor with the three ESCUDO rules, evaluated
+// in the paper's order: Origin, Ring, ACL. The first failing rule is
+// reported in the decision.
+func (m *ERM) Authorize(p Context, op Op, o Context) Decision {
 	d := Decision{Principal: p, Op: op, Object: o}
 	switch {
 	case !op.Valid():
@@ -122,35 +115,17 @@ func (m *ERM) decide(p Context, op Op, o Context) Decision {
 	return d
 }
 
-// Authorize implements Monitor with the three ESCUDO rules, evaluated
-// in the paper's order: Origin, Ring, ACL. The first failing rule is
-// reported in the decision.
-func (m *ERM) Authorize(p Context, op Op, o Context) Decision {
-	d := m.decide(p, op, o)
-	if m.Trace != nil {
-		m.Trace(d)
-	}
-	return d
-}
-
 // SOPMonitor is the baseline same-origin policy: the only check is the
 // Origin rule. Under it, "all principals inside the web application
 // are associated with a single principal identified by the origin and
 // are associated with all the privileges irrespective of their
 // trustworthiness" (§2.3). The zero value is ready to use.
-type SOPMonitor struct {
-	// Trace, when non-nil, receives every decision made.
-	Trace func(Decision)
-	// TraceBatch, when non-nil, receives whole batched regions in one
-	// call instead of per-node Trace firings.
-	TraceBatch func([]Decision)
-}
+type SOPMonitor struct{}
 
 var _ Monitor = (*SOPMonitor)(nil)
 
-// decide evaluates the origin test without tracing; Authorize and the
-// batched path share it.
-func (m *SOPMonitor) decide(p Context, op Op, o Context) Decision {
+// Authorize implements Monitor with only the origin test.
+func (m *SOPMonitor) Authorize(p Context, op Op, o Context) Decision {
 	d := Decision{Principal: p, Op: op, Object: o}
 	switch {
 	case !op.Valid():
@@ -160,15 +135,6 @@ func (m *SOPMonitor) decide(p Context, op Op, o Context) Decision {
 	default:
 		d.Rule = RuleAllowed
 		d.Allowed = true
-	}
-	return d
-}
-
-// Authorize implements Monitor with only the origin test.
-func (m *SOPMonitor) Authorize(p Context, op Op, o Context) Decision {
-	d := m.decide(p, op, o)
-	if m.Trace != nil {
-		m.Trace(d)
 	}
 	return d
 }
@@ -201,9 +167,9 @@ type auditShard struct {
 	batches []auditBatch
 }
 
-// AuditLog is a concurrency-safe decision recorder that can be plugged
-// into a monitor's Trace hook. The attack harness uses it to explain
-// which rule neutralized each attack.
+// AuditLog is a concurrency-safe decision recorder, fed by the
+// pipeline's tap (WithAudit, or WithTap with Log set). The attack
+// harness uses it to explain which rule neutralized each attack.
 //
 // Every decision on the hot path flows through Record, so the log is
 // sharded: writers take a global atomic ticket and append under one of
@@ -214,8 +180,7 @@ type AuditLog struct {
 	shards [auditShardCount]auditShard
 }
 
-// Record appends a decision; it is safe for concurrent use and has the
-// signature required by the Trace hooks.
+// Record appends a decision; it is safe for concurrent use.
 func (l *AuditLog) Record(d Decision) {
 	seq := l.seq.Add(1)
 	s := &l.shards[seq&(auditShardCount-1)]
@@ -231,7 +196,7 @@ func (l *AuditLog) Record(d Decision) {
 // not be mutated after the call. Ordering is unaffected — readers
 // merge singles and batches by ticket — and concurrent batches land in
 // different shards (the range start rotates), so sessions still don't
-// serialize. It has the signature required by the TraceBatch hooks.
+// serialize.
 func (l *AuditLog) RecordAll(ds []Decision) {
 	n := uint64(len(ds))
 	if n == 0 {

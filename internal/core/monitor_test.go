@@ -237,7 +237,7 @@ func TestERMStricterThanSOP(t *testing.T) {
 
 func TestAuditLog(t *testing.T) {
 	log := &AuditLog{}
-	erm := &ERM{Trace: log.Record}
+	erm := Compose(&ERM{}, WithAudit(log))
 	erm.Authorize(Principal(siteA, 0, "p"), OpRead, Object(siteA, 3, PermissiveACL(3), "o"))
 	erm.Authorize(Principal(siteB, 0, "p"), OpRead, Object(siteA, 3, PermissiveACL(3), "o"))
 	if got := log.Len(); got != 2 {

@@ -10,11 +10,12 @@ import (
 // could not be mounted in a real session. The pipeline below makes the
 // monitor an open composition instead: a base monitor (ERM, SOPMonitor,
 // or anything else implementing Monitor) is wrapped by Layers —
-// caching, delegation rewriting, audit recording, tracing — each of
-// which implements both Monitor and BatchAuthorizer. Batching passes
-// through every layer, so the PR 2 complete-mediation invariant holds
-// end to end: one audited decision per node, one decision computation
-// per (origin, ring, ACL) equivalence class, whatever the stack.
+// caching, delegation rewriting, and the observation tap (tap.go) —
+// each of which implements both Monitor and BatchAuthorizer. Batching
+// passes through every layer, so the PR 2 complete-mediation invariant
+// holds end to end: one audited decision per node, one decision
+// computation per (origin, ring, ACL) equivalence class, whatever the
+// stack.
 
 // Layer is one composable stage of a monitor pipeline: it wraps an
 // inner monitor and returns the wrapped one. Every layer returned by
@@ -31,7 +32,7 @@ type Layer func(Monitor) Monitor
 //
 // — cache probes innermost (memoizing pure rule verdicts), delegation
 // rewriting outside the cache (so cached verdicts stay plain ERM
-// verdicts shareable across monitors), and audit recording outermost
+// verdicts shareable across monitors), and the audit tap outermost
 // (so every decision the stack emits is recorded exactly once).
 // Nil layers are skipped.
 func Compose(base Monitor, layers ...Layer) Monitor {
@@ -42,100 +43,6 @@ func Compose(base Monitor, layers ...Layer) Monitor {
 		}
 	}
 	return m
-}
-
-// WithCache returns the caching layer: verdict lookups hit the shared
-// DecisionCache and only misses reach the inner monitor. A nil cache
-// yields a pass-through layer.
-func WithCache(c *DecisionCache) Layer {
-	return func(inner Monitor) Monitor {
-		if c == nil {
-			return inner
-		}
-		return &CachedMonitor{Inner: inner, Cache: c}
-	}
-}
-
-// WithAudit returns the audit layer: every decision the inner stack
-// emits is recorded in the log — singles via Record, batched regions
-// zero-copy via RecordAll. Mount it outermost so the log sees the
-// final decisions (delegation layers restore the original principal
-// before the record is written). A nil log yields a pass-through
-// layer.
-func WithAudit(log *AuditLog) Layer {
-	return func(inner Monitor) Monitor {
-		if log == nil {
-			return inner
-		}
-		return &auditLayer{inner: inner, log: log}
-	}
-}
-
-// auditLayer records every decision flowing out of the inner stack.
-type auditLayer struct {
-	inner Monitor
-	log   *AuditLog
-}
-
-var (
-	_ Monitor         = (*auditLayer)(nil)
-	_ BatchAuthorizer = (*auditLayer)(nil)
-)
-
-// Authorize implements Monitor.
-func (m *auditLayer) Authorize(p Context, op Op, o Context) Decision {
-	d := m.inner.Authorize(p, op, o)
-	m.log.Record(d)
-	return d
-}
-
-// AuthorizeBatch implements BatchAuthorizer: the whole region is
-// recorded in one RecordAll call (one ticket-range reservation, one
-// shard lock), matching the TraceBatch path of the old hard-wired
-// stack decision for decision.
-func (m *auditLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	out := AuthorizeBatch(m.inner, p, op, objects)
-	m.log.RecordAll(out)
-	return out
-}
-
-// WithTrace returns a tracing layer: fn observes every decision the
-// inner stack emits (batched regions are unrolled). A nil fn yields a
-// pass-through layer.
-func WithTrace(fn func(Decision)) Layer {
-	return func(inner Monitor) Monitor {
-		if fn == nil {
-			return inner
-		}
-		return &traceLayer{inner: inner, fn: fn}
-	}
-}
-
-// traceLayer feeds decisions to a callback.
-type traceLayer struct {
-	inner Monitor
-	fn    func(Decision)
-}
-
-var (
-	_ Monitor         = (*traceLayer)(nil)
-	_ BatchAuthorizer = (*traceLayer)(nil)
-)
-
-// Authorize implements Monitor.
-func (m *traceLayer) Authorize(p Context, op Op, o Context) Decision {
-	d := m.inner.Authorize(p, op, o)
-	m.fn(d)
-	return d
-}
-
-// AuthorizeBatch implements BatchAuthorizer.
-func (m *traceLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	out := AuthorizeBatch(m.inner, p, op, objects)
-	for _, d := range out {
-		m.fn(d)
-	}
-	return out
 }
 
 // DelegationSource resolves §7 mashup delegations: it reports the

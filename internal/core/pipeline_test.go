@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/origin"
 )
 
@@ -49,9 +50,27 @@ func driveMonitor(m Monitor) {
 	}
 }
 
-// TestComposeMatchesHardwiredStack proves the pipeline reproduces the
-// exact audit decision sequence of the previous hard-wired stack, for
-// ERM and SOP, cached and uncached.
+// referenceDecisions is what the stream must audit under any stack:
+// the bare monitor's per-node Authorize, with no cache and no batching
+// — the rules the pipeline's layers only re-wire.
+func referenceDecisions(base Monitor) []Decision {
+	p, singles, batchOp, region := pipeQueries()
+	var out []Decision
+	for _, q := range singles {
+		out = append(out, base.Authorize(p, q.op, q.o))
+	}
+	for _, o := range region {
+		out = append(out, base.Authorize(p, batchOp, o))
+	}
+	for _, q := range singles {
+		out = append(out, base.Authorize(p, q.op, q.o))
+	}
+	return out
+}
+
+// TestComposeMatchesHardwiredStack proves the pipeline audits exactly
+// the reference decision sequence, for ERM and SOP, cached and
+// uncached.
 func TestComposeMatchesHardwiredStack(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -65,22 +84,6 @@ func TestComposeMatchesHardwiredStack(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Old style: trace hooks wired by hand.
-			oldAudit := &AuditLog{}
-			var oldM Monitor
-			switch {
-			case tc.cached && tc.sop:
-				oldM = &CachedMonitor{Inner: &SOPMonitor{}, Cache: NewDecisionCache(), Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			case tc.cached:
-				oldM = &CachedMonitor{Inner: &ERM{}, Cache: NewDecisionCache(), Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			case tc.sop:
-				oldM = &SOPMonitor{Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			default:
-				oldM = &ERM{Trace: oldAudit.Record, TraceBatch: oldAudit.RecordAll}
-			}
-
-			// New style: composed pipeline.
-			newAudit := &AuditLog{}
 			var base Monitor = &ERM{}
 			if tc.sop {
 				base = &SOPMonitor{}
@@ -89,17 +92,16 @@ func TestComposeMatchesHardwiredStack(t *testing.T) {
 			if tc.cached {
 				cacheLayer = WithCache(NewDecisionCache())
 			}
+			newAudit := &AuditLog{}
 			newM := Compose(base, cacheLayer, WithAudit(newAudit))
-
-			driveMonitor(oldM)
 			driveMonitor(newM)
 
-			oldSeq, newSeq := oldAudit.All(), newAudit.All()
-			if len(oldSeq) == 0 {
-				t.Fatal("hard-wired stack recorded nothing; stream broken")
+			refSeq, newSeq := referenceDecisions(base), newAudit.All()
+			if len(refSeq) == 0 {
+				t.Fatal("reference recorded nothing; stream broken")
 			}
-			if !reflect.DeepEqual(oldSeq, newSeq) {
-				t.Fatalf("decision sequences diverge:\n old: %v\n new: %v", oldSeq, newSeq)
+			if !reflect.DeepEqual(refSeq, newSeq) {
+				t.Fatalf("decision sequences diverge:\n ref: %v\n new: %v", refSeq, newSeq)
 			}
 		})
 	}
@@ -109,24 +111,29 @@ func TestComposeMatchesHardwiredStack(t *testing.T) {
 // are pass-throughs.
 func TestComposeNilLayers(t *testing.T) {
 	base := &ERM{}
-	m := Compose(base, nil, WithCache(nil), WithAudit(nil), WithTrace(nil), WithDelegations(nil), WithObs(nil, nil))
+	m := Compose(base, nil, WithCache(nil), WithAudit(nil), WithDelegations(nil), WithTap(Tap{}))
 	if m != Monitor(base) {
 		t.Fatalf("nil layers must compose to the base monitor, got %T", m)
 	}
 }
 
-// TestWithTraceUnrollsBatches checks the trace layer sees one decision
-// per node for batched regions.
+// TestWithTraceUnrollsBatches checks the tap's ring sees one decision
+// per node for batched regions, in input order.
 func TestWithTraceUnrollsBatches(t *testing.T) {
-	var seen []Decision
-	m := Compose(&ERM{}, WithTrace(func(d Decision) { seen = append(seen, d) }))
+	ring := obs.NewDecisionRing(0)
+	m := Compose(&ERM{}, WithTap(Tap{Ring: ring}))
 	p, _, batchOp, region := pipeQueries()
 	out := AuthorizeBatch(m, p, batchOp, region)
+	seen := ring.Snapshot(obs.RingFilter{Ring: -1})
 	if len(out) != len(region) || len(seen) != len(region) {
-		t.Fatalf("batch returned %d decisions, trace saw %d, want %d", len(out), len(seen), len(region))
+		t.Fatalf("batch returned %d decisions, ring saw %d, want %d", len(out), len(seen), len(region))
 	}
-	if !reflect.DeepEqual(out, seen) {
-		t.Fatal("trace stream diverges from returned decisions")
+	for i, e := range seen {
+		want := event(out[i])
+		want.Seq = e.Seq
+		if e != want {
+			t.Fatalf("ring stream diverges from returned decisions at %d: %+v vs %v", i, e, out[i])
+		}
 	}
 }
 

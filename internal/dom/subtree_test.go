@@ -115,7 +115,7 @@ func TestRemoveChildDeniedByRemovedSubtree(t *testing.T) {
 func TestAuthorizeSubtreeAuditsEveryNode(t *testing.T) {
 	d := regionDoc()
 	log := &core.AuditLog{}
-	a := NewAPI(d, core.Principal(site, 2, "script"), &core.ERM{Trace: log.Record})
+	a := NewAPI(d, core.Principal(site, 2, "script"), core.Compose(&core.ERM{}, core.WithAudit(log)))
 	box := d.ByID("box")
 	want := html.CountNodes(box)
 	if _, err := a.AuthorizeSubtree(box, core.OpRead); err != nil {

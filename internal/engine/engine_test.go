@@ -9,6 +9,7 @@ import (
 	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/mashup"
+	"repro/internal/obs"
 	"repro/internal/origin"
 	"repro/internal/scenarios"
 	"repro/internal/web"
@@ -344,4 +345,101 @@ func TestPoolRunsDelegatedSessions(t *testing.T) {
 	if cs := cache.Stats(); cs.Hits == 0 {
 		t.Fatalf("shared cache unused under delegation: %+v", cs)
 	}
+}
+
+// TestPoolTapSinksReconcile runs the eight Figure-4 pages through a
+// pool with every sink of the browser's tap wired — the decision ring,
+// stage timing, and a policy-generation source — and reconciles the
+// sinks against the audit logs they were fed alongside: the ring saw
+// every audited decision and nothing else, each task's spans run 1..n
+// without gaps in audit order, every page-pinned decision carries the
+// source's generation, and batch_auth recorded time.
+func TestPoolTapSinksReconcile(t *testing.T) {
+	net, o := benchNet(t)
+	ring := obs.NewDecisionRing(1 << 13)
+	stages := obs.NewStageSet(obs.NewRegistry())
+	const gen = 7
+	pool, err := NewPool(Config{
+		Sessions: 2,
+		Network:  net,
+		Stages:   stages,
+		Options:  browser.Options{DecisionRing: ring, PolicyGen: func() uint64 { return gen }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	for round := 0; round < 2; round++ {
+		pool.Each(func(s *Session) error {
+			for _, path := range scenarios.Paths() {
+				if _, err := s.Browser.Navigate(o.URL(path)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	st := pool.Stats()
+	if len(st.Errors) > 0 {
+		t.Fatalf("errors: %v", st.Errors)
+	}
+	if st.Decisions == 0 {
+		t.Fatal("no decisions audited")
+	}
+	if got := ring.Total(); got != st.Decisions {
+		t.Fatalf("ring recorded %d events, audit logs %d decisions", got, st.Decisions)
+	}
+
+	type key struct {
+		trace string
+		span  uint64
+	}
+	audited := map[key]core.Decision{}
+	pinned := 0
+	for _, s := range pool.Sessions() {
+		next := map[string]uint64{}
+		for i, d := range s.Browser.Audit.All() {
+			if d.TraceID == "" {
+				t.Fatalf("session %d decision %d carries no trace: %v", s.ID, i, d)
+			}
+			next[d.TraceID]++
+			if d.Span != next[d.TraceID] {
+				t.Fatalf("session %d decision %d: trace %s span %d, want %d (gap or reorder)",
+					s.ID, i, d.TraceID, d.Span, next[d.TraceID])
+			}
+			if d.PageID != 0 {
+				pinned++
+				if d.PolicyGen != gen {
+					t.Fatalf("session %d decision %d pinned generation %d, want %d", s.ID, i, d.PolicyGen, gen)
+				}
+			}
+			audited[key{d.TraceID, d.Span}] = d
+		}
+		if len(next) != 2 {
+			t.Fatalf("session %d decisions span %d traces, want one per task (2)", s.ID, len(next))
+		}
+	}
+	// Every decision of this workload happens inside a page load
+	// (navigation, its scripts, its cookie attachments), so every one
+	// must be pinned.
+	if uint64(pinned) != st.Decisions {
+		t.Fatalf("%d of %d decisions pinned to a page load, want all", pinned, st.Decisions)
+	}
+	for _, e := range ring.Snapshot(obs.RingFilter{Ring: -1}) {
+		d, ok := audited[key{e.TraceID, e.Span}]
+		if !ok {
+			t.Fatalf("ring event %s#%d has no audited decision", e.TraceID, e.Span)
+		}
+		if e.Allowed != d.Allowed || e.Rule != d.Rule.String() || e.Gen != d.PolicyGen || e.Object != d.Object.String() {
+			t.Fatalf("ring event %+v diverges from its audit record %v", e, d)
+		}
+	}
+	if st.GenMix.Mixed != 0 || st.GenMix.Generations != 1 {
+		t.Fatalf("generation mix %+v, want one generation and no mixed pages", st.GenMix)
+	}
+	if stages.Hist(obs.StageBatchAuth).Snapshot().Total() == 0 {
+		t.Fatal("batch_auth histogram is empty")
+	}
+	t.Logf("%d ring events = %d audited decisions, %d page-pinned", ring.Total(), st.Decisions, pinned)
 }

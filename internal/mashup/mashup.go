@@ -99,21 +99,19 @@ func (p *Policy) All() []Delegation {
 // Monitor is the delegation-aware reference monitor. Same-origin
 // accesses follow the plain ESCUDO rules; cross-origin accesses are
 // admitted only under a declared delegation, with the guest's ring
-// floored. It is now a pre-composed pipeline —
-// core.Compose(&core.ERM{}, core.WithDelegations(policy),
-// core.WithTrace(trace)) — kept as a named type so it can be handed to
-// browser.Options.MonitorFactory (and existing callers) directly.
-// Like every pipeline layer it implements core.BatchAuthorizer, so
-// region reads inside a real browser session keep their per-class
-// dedup and per-node audit semantics.
+// floored. It is a pre-composed pipeline —
+// core.Compose(&core.ERM{}, core.WithDelegations(policy)) — kept as a
+// named type so it can be handed to browser.Options.MonitorFactory
+// directly; the browser mounts its tap around it, and other callers
+// observe it with core.Compose(m, core.WithAudit(log)). Like every
+// pipeline layer it implements core.BatchAuthorizer, so region reads
+// inside a real browser session keep their per-class dedup and
+// per-node audit semantics.
 type Monitor struct {
 	// Policy holds the delegations; nil behaves like an empty
 	// policy (plain ERM). Read on every call, so it may be assigned
 	// between calls.
 	Policy *Policy
-	// Trace, when non-nil, receives every decision. Read on every
-	// call, like Policy.
-	Trace func(core.Decision)
 }
 
 var (
@@ -122,14 +120,14 @@ var (
 )
 
 // monitor builds the underlying pipeline. It is rebuilt per call —
-// the layers are two small structs — so the fields keep their
-// historical read-on-every-call semantics.
+// the layer is one small struct — so Policy keeps its historical
+// read-on-every-call semantics.
 func (m *Monitor) monitor() core.Monitor {
 	var src core.DelegationSource
 	if m.Policy != nil {
 		src = m.Policy
 	}
-	return core.Compose(&core.ERM{}, core.WithDelegations(src), core.WithTrace(m.Trace))
+	return core.Compose(&core.ERM{}, core.WithDelegations(src))
 }
 
 // Authorize implements core.Monitor.

@@ -144,7 +144,7 @@ func TestTraceHook(t *testing.T) {
 	log := &core.AuditLog{}
 	pol := NewPolicy()
 	pol.Delegate(Delegation{Host: portal, Guest: widget, Floor: 2})
-	m := &Monitor{Policy: pol, Trace: log.Record}
+	m := core.Compose(&Monitor{Policy: pol}, core.WithAudit(log))
 	m.Authorize(core.Principal(widget, 0, "w"), core.OpRead, core.Object(portal, 3, core.PermissiveACL(3), "o"))
 	m.Authorize(core.Principal(portal, 0, "p"), core.OpRead, core.Object(portal, 0, core.UniformACL(0), "o"))
 	m.Authorize(core.Principal(other, 0, "x"), core.OpRead, core.Object(portal, 3, core.PermissiveACL(3), "o"))
@@ -157,9 +157,10 @@ func TestTraceHook(t *testing.T) {
 	}
 }
 
-// TestMonitorFieldsReadPerCall pins the historical semantics: Policy
-// and Trace assigned after a first Authorize are honored by later
-// calls (the pipeline is rebuilt per call, not latched).
+// TestMonitorFieldsReadPerCall pins the historical semantics: a Policy
+// assigned after a first Authorize is honored by later calls (the
+// pipeline is rebuilt per call, not latched), including calls through
+// a tap composed around the monitor before the assignment.
 func TestMonitorFieldsReadPerCall(t *testing.T) {
 	host := origin.MustParse("http://portal.example")
 	guest := origin.MustParse("http://widget.example")
@@ -167,18 +168,18 @@ func TestMonitorFieldsReadPerCall(t *testing.T) {
 	gp := core.Principal(guest, 0, "widget")
 
 	m := &Monitor{}
+	log := &core.AuditLog{}
+	tapped := core.Compose(m, core.WithAudit(log))
 	if d := m.Authorize(gp, core.OpWrite, slot); d.Allowed {
 		t.Fatalf("empty monitor allowed a cross-origin write: %v", d)
 	}
 	pol := NewPolicy()
 	pol.Delegate(Delegation{Host: host, Guest: guest, Floor: 2})
-	var traced int
 	m.Policy = pol
-	m.Trace = func(core.Decision) { traced++ }
-	if d := m.Authorize(gp, core.OpWrite, slot); !d.Allowed {
+	if d := tapped.Authorize(gp, core.OpWrite, slot); !d.Allowed {
 		t.Fatalf("late-assigned policy ignored: %v", d)
 	}
-	if traced != 1 {
-		t.Fatalf("late-assigned trace ignored: %d calls", traced)
+	if traced := log.Len(); traced != 1 {
+		t.Fatalf("tap around the monitor recorded %d calls, want 1", traced)
 	}
 }

@@ -4,7 +4,8 @@ import "sync"
 
 // DecisionEvent is one audited decision flattened into plain fields —
 // no core types, so the ring can live below core in the import graph.
-// The WithObs pipeline layer builds these from core.Decisions.
+// The monitor pipeline's tap (core.WithTap) builds these from
+// core.Decisions.
 type DecisionEvent struct {
 	// TraceID/Span place the decision in its causal trace; empty/zero
 	// when the decision happened outside any traced task.
