@@ -238,3 +238,103 @@ func TestServeHTTPSection(t *testing.T) {
 		t.Fatalf("gateway served nothing: %+v", h.Gateway)
 	}
 }
+
+// TestServeControlSection runs the control-plane section at test
+// scale: four stamped tenants plus the hot origin, one live policy flip
+// mid-load. No page may mix generations, the storm must straddle the
+// flip, /policyz must serve the whole fleet at the flip's generation,
+// and the §6.4 corpus must stay 18/18 on both sides of the flip.
+func TestServeControlSection(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
+	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "1", "-mixed-iters", "1",
+		"-script-iters", "0", "-control", "-tenants", "4", "-out", out})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchJSON
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	c := report.Control
+	if c == nil {
+		t.Fatal("report has no control section")
+	}
+	if c.GenerationsMixed != 0 || c.GenerationsSeen != 2 {
+		t.Fatalf("generations: %d mixed, %d seen; want 0 mixed, 2 seen", c.GenerationsMixed, c.GenerationsSeen)
+	}
+	if c.PolicyzOrigins != c.TenantsMounted+1 {
+		t.Fatalf("policyz served %d documents, want %d tenants + the hot origin", c.PolicyzOrigins, c.TenantsMounted)
+	}
+	s := c.Storm
+	if s == nil {
+		t.Fatal("control section has no storm")
+	}
+	if s.FlipGeneration != c.Generation {
+		t.Fatalf("flip generation %d, fleet generation %d", s.FlipGeneration, c.Generation)
+	}
+	for name, a := range map[string]*attacksJSON{"pre-flip": s.AttacksPreFlip, "post-flip": s.AttacksPostFlip} {
+		if a == nil || a.Total != 18 || a.Neutralized != 18 {
+			t.Fatalf("%s attacks %+v, want 18/18 neutralized", name, a)
+		}
+	}
+}
+
+// TestServeOpenLoopSection runs the soak and the open-loop SLO section
+// at test scale through the loopback gateway: the soak phase must run
+// clean, the open-loop run must record no task errors, the churn
+// bookkeeping must balance, and every slow exemplar must carry the
+// trace ID that joins it to /tracez.
+func TestServeOpenLoopSection(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
+	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "1", "-mixed-iters", "1",
+		"-script-iters", "0", "-attacks=false", "-http", "127.0.0.1:0", "-soak", "1s",
+		"-openloop", "rate=100,duration=2s,churn=10", "-out", out})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchJSON
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	if report.HTTP == nil {
+		t.Fatal("report has no http section")
+	}
+	soaked := false
+	for _, ph := range report.HTTP.Phases {
+		if ph.Name == "http-soak" {
+			soaked = true
+			if ph.Tasks == 0 || ph.Errors != 0 {
+				t.Fatalf("http-soak phase: %d tasks, %d errors", ph.Tasks, ph.Errors)
+			}
+		}
+	}
+	if !soaked {
+		t.Fatalf("no http-soak phase in %+v", report.HTTP.Phases)
+	}
+	s := report.SLO
+	if s == nil {
+		t.Fatal("report has no slo section")
+	}
+	if s.Errors != 0 || s.Completed == 0 {
+		t.Fatalf("slo: %d errors, %d completed", s.Errors, s.Completed)
+	}
+	if s.Logins != s.Logouts+s.LiveSessions {
+		t.Fatalf("churn: %d logins != %d logouts + %d live", s.Logins, s.Logouts, s.LiveSessions)
+	}
+	if len(s.Exemplars) == 0 {
+		t.Fatal("slo section retained no exemplars")
+	}
+	for _, ex := range s.Exemplars {
+		if ex.TraceID == "" {
+			t.Fatalf("exemplar without a trace ID: %+v", ex)
+		}
+	}
+}
