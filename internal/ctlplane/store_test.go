@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,18 +129,23 @@ func TestStoreWaitWakesOnSwap(t *testing.T) {
 
 // TestStoreConcurrentSwapsAndReads hammers the COW swap under the race
 // detector: readers must always observe internally consistent
-// snapshots whose generation never goes backwards.
+// snapshots, and each reader's successive snapshots must never go back
+// a generation.
 func TestStoreConcurrentSwapsAndReads(t *testing.T) {
 	s := NewStore()
 	mustSet(t, s, testPolicy("http://a.example", 3))
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	var maxSeen atomic.Uint64
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			// Monotonicity is a per-reader property: an atomic swap
+			// promises that one goroutine's later load never sees an
+			// older snapshot. Across readers there is no such order — one
+			// reader may load generation 10 after another has loaded 12.
+			var last uint64
 			for {
 				select {
 				case <-stop:
@@ -149,14 +153,11 @@ func TestStoreConcurrentSwapsAndReads(t *testing.T) {
 				default:
 				}
 				snap := s.Snapshot()
-				if snap.Gen < maxSeen.Load() {
-					// Best-effort monotonicity probe (load/load, so only
-					// flags gross regressions; the swap itself is what
-					// the race detector audits).
-					t.Error("snapshot generation went backwards")
+				if snap.Gen < last {
+					t.Errorf("snapshot generation went backwards: %d after %d", snap.Gen, last)
 					return
 				}
-				maxSeen.Store(snap.Gen)
+				last = snap.Gen
 				snap.Each(func(o string, e Entry) {
 					if e.Policy.Origin != o {
 						t.Errorf("entry key %q holds document for %q", o, e.Policy.Origin)
