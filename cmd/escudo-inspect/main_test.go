@@ -11,6 +11,7 @@ import (
 	"time"
 
 	escudo "repro"
+	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/httpd"
 	"repro/internal/obs"
@@ -56,16 +57,18 @@ func TestRunErrors(t *testing.T) {
 // decision ring from a running gateway's admin endpoint, and -trace
 // narrows it to one trace ID.
 func TestRunTracez(t *testing.T) {
-	ring := obs.NewDecisionRing(16)
-	ring.Record(obs.DecisionEvent{
-		TraceID: "aaaa-01", Span: 1, Origin: "http://site.example", Ring: 2,
-		Allowed: true, Rule: "same-origin ring access",
-		Principal: "⟨http://site.example, ring 2⟩", Op: "read", Object: "div#post",
+	ring := core.NewDecisionRing(16)
+	site := origin.MustParse("http://site.example")
+	evil := origin.MustParse("http://evil.example")
+	ring.Record(core.Decision{
+		TraceID: "aaaa-01", Span: 1, Allowed: true, Rule: core.RuleAllowed,
+		Principal: core.Principal(site, 2, "script#app"), Op: core.OpRead,
+		Object: core.Object(site, 2, core.UniformACL(2), "div#post"),
 	})
-	ring.Record(obs.DecisionEvent{
-		TraceID: "bbbb-02", Span: 1, Origin: "http://site.example", Ring: 1,
-		Allowed: false, Rule: "ring too low",
-		Principal: "⟨http://evil.example, ring 3⟩", Op: "write", Object: "div#chrome",
+	ring.Record(core.Decision{
+		TraceID: "bbbb-02", Span: 1, Allowed: false, Rule: core.RuleRing,
+		Principal: core.Principal(evil, 3, "script#evil"), Op: core.OpWrite,
+		Object: core.Object(site, 1, core.UniformACL(1), "div#chrome"),
 	})
 	gw, _, cleanup, err := httpd.WrapNetwork(web.NewNetwork(), httpd.Config{Ring: ring}, "127.0.0.1:0")
 	if err != nil {

@@ -159,7 +159,7 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	// ring stays empty — the endpoint existing uniformly across modes
 	// is the point), and a runtime sampler for the server process.
 	reg := obs.NewRegistry()
-	ring := obs.NewDecisionRing(0)
+	ring := core.NewDecisionRing(0)
 	smp := obs.NewSampler(reg, 200*time.Millisecond)
 	smp.Start()
 	gwCfg := httpd.Config{
@@ -357,7 +357,7 @@ func runConnect(cfg connectConfig) error {
 	if cfg.openloop.rate > 0 {
 		ringSize = 65536
 	}
-	ring := obs.NewDecisionRing(ringSize)
+	ring := core.NewDecisionRing(ringSize)
 	smp := obs.NewSampler(reg, 200*time.Millisecond)
 	smp.Start()
 

@@ -440,7 +440,7 @@ type httpSectionConfig struct {
 	// gateway exports reg on /varz and ring on /tracez, and the loadgen
 	// sessions record every mediated decision into ring.
 	reg  *obs.Registry
-	ring *obs.DecisionRing
+	ring *core.DecisionRing
 	// stages and slow are the latency-attribution plane: per-stage
 	// histograms (escudo_stage_seconds) and the slowest-N exemplar ring
 	// (/slowz), shared by the gateway and the loadgen pool.
@@ -928,7 +928,7 @@ func run(args []string) error {
 	if *openloopFlag != "" {
 		ringSize = 65536
 	}
-	ring := obs.NewDecisionRing(ringSize)
+	ring := core.NewDecisionRing(ringSize)
 	smp := obs.NewSampler(reg, 200*time.Millisecond)
 	smp.Start()
 

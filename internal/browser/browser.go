@@ -98,7 +98,7 @@ type Options struct {
 	// audited decision is mirrored into the last-N provenance ring the
 	// gateway serves at /tracez. Like Cache it is typically shared by
 	// every session of an engine pool.
-	DecisionRing *obs.DecisionRing
+	DecisionRing *core.DecisionRing
 	// PolicyGen, when non-nil, is the control-plane generation source
 	// (typically ctlplane.Watcher.Generation, or Store.Generation for
 	// in-memory deployments). The browser reads it exactly once at the

@@ -120,7 +120,7 @@ func TestComposeNilLayers(t *testing.T) {
 // TestWithTraceUnrollsBatches checks the tap's ring sees one decision
 // per node for batched regions, in input order.
 func TestWithTraceUnrollsBatches(t *testing.T) {
-	ring := obs.NewDecisionRing(0)
+	ring := NewDecisionRing(0)
 	m := Compose(&ERM{}, WithTap(Tap{Ring: ring}))
 	p, _, batchOp, region := pipeQueries()
 	out := AuthorizeBatch(m, p, batchOp, region)

@@ -20,7 +20,7 @@ type Tap struct {
 	// func or a nil result leaves decisions unstamped.
 	Trace func() *obs.Trace
 	// Ring mirrors every decision for the gateway's /tracez.
-	Ring *obs.DecisionRing
+	Ring *DecisionRing
 	// Gen and Page pin the policy generation and page identity the
 	// monitor was built for (captured once, at page-load entry), so the
 	// audit log can prove no load mixed generations. Both zero leaves
@@ -94,7 +94,7 @@ func (m *tapLayer) stamp(ds []Decision) {
 			d.TraceID, d.Span = id, t.NextSpan()
 		}
 		if m.Ring != nil {
-			m.Ring.Record(event(*d))
+			m.Ring.Record(*d)
 		}
 	}
 }
@@ -127,20 +127,4 @@ func (m *tapLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decisio
 		c.Add(obs.StageBatchAuth, time.Since(start))
 	}
 	return out
-}
-
-// event flattens a stamped decision for the ring.
-func event(d Decision) obs.DecisionEvent {
-	return obs.DecisionEvent{
-		TraceID:   d.TraceID,
-		Span:      d.Span,
-		Gen:       d.PolicyGen,
-		Origin:    d.Object.Origin.String(),
-		Ring:      int(d.Object.Ring),
-		Allowed:   d.Allowed,
-		Rule:      d.Rule.String(),
-		Principal: d.Principal.String(),
-		Op:        d.Op.String(),
-		Object:    d.Object.String(),
-	}
 }

@@ -147,7 +147,7 @@ func TestWithObsBatchProvenance(t *testing.T) {
 	plainOut, plainStats := run(plain)
 
 	tr := obs.NewTrace()
-	ring := obs.NewDecisionRing(0)
+	ring := NewDecisionRing(0)
 	tracedAudit := &AuditLog{}
 	traced := Compose(&ERM{}, WithCache(NewDecisionCache()),
 		WithTap(Tap{Log: tracedAudit, Trace: func() *obs.Trace { return tr }, Ring: ring}))
@@ -215,7 +215,7 @@ func TestWithObsSingles(t *testing.T) {
 	p := Principal(site, 1, "app-script")
 
 	tr := obs.NewTrace()
-	ring := obs.NewDecisionRing(8)
+	ring := NewDecisionRing(8)
 	m := Compose(&ERM{}, WithTap(Tap{Trace: func() *obs.Trace { return tr }, Ring: ring}))
 
 	allow := m.Authorize(p, OpRead, Object(site, 2, UniformACL(2), "post"))
@@ -242,7 +242,7 @@ func TestWithObsNilTrace(t *testing.T) {
 
 	site := origin.MustParse("http://site.example")
 	p := Principal(site, 1, "s")
-	ring := obs.NewDecisionRing(4)
+	ring := NewDecisionRing(4)
 	m := Compose(base, WithTap(Tap{Trace: func() *obs.Trace { return nil }, Ring: ring}))
 	d := m.Authorize(p, OpRead, Object(site, 2, UniformACL(2), "o"))
 	if d.TraceID != "" || d.Span != 0 {

@@ -356,7 +356,7 @@ func TestPoolRunsDelegatedSessions(t *testing.T) {
 // source's generation, and batch_auth recorded time.
 func TestPoolTapSinksReconcile(t *testing.T) {
 	net, o := benchNet(t)
-	ring := obs.NewDecisionRing(1 << 13)
+	ring := core.NewDecisionRing(1 << 13)
 	stages := obs.NewStageSet(obs.NewRegistry())
 	const gen = 7
 	pool, err := NewPool(Config{

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/obs"
 	"repro/internal/origin"
@@ -162,7 +163,7 @@ type Config struct {
 	// Ring, when non-nil, is the decision-provenance ring served at the
 	// admin /tracez endpoint. The driver shares it with the browser
 	// sessions (browser.Options.DecisionRing); a nil ring 404s /tracez.
-	Ring *obs.DecisionRing
+	Ring *core.DecisionRing
 	// Stages, when non-nil, enables gateway-side latency attribution:
 	// per-request queue-wait, handler, and transport-translation spans
 	// fold into the set's escudo_stage_seconds histograms. Share the

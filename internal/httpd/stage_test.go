@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/browser"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/origin"
 	"repro/internal/web"
@@ -19,7 +20,7 @@ import (
 // the set and the slow ring after — the exact wiring engine.Pool uses
 // when Config.Stages is set.
 func timedFixedSession(t *testing.T, transport web.Transport, bench, forumO origin.Origin, topic int,
-	ring *obs.DecisionRing, stages *obs.StageSet, slow *obs.SlowRing, phase string) (*browser.Browser, *obs.Trace) {
+	ring *core.DecisionRing, stages *obs.StageSet, slow *obs.SlowRing, phase string) (*browser.Browser, *obs.Trace) {
 	t.Helper()
 	b := browser.New(transport, browser.Options{Mode: browser.ModeEscudo, DecisionRing: ring})
 	tr := obs.NewTrace()
@@ -90,7 +91,7 @@ func TestStageTimingEquivalence(t *testing.T) {
 	memStages := obs.NewStageSet(obs.NewRegistry())
 	memSlow := obs.NewSlowRing(0)
 	memB, _ := timedFixedSession(t, memNet, mBench, mForumO, mTopic,
-		obs.NewDecisionRing(0), memStages, memSlow, "mem")
+		core.NewDecisionRing(0), memStages, memSlow, "mem")
 	if got := memB.Audit.Len(); got != baseLen {
 		t.Fatalf("in-memory timed decision count %d, untimed %d", got, baseLen)
 	}
@@ -107,7 +108,7 @@ func TestStageTimingEquivalence(t *testing.T) {
 	// Leg 2: timed over a plain HTTP gateway sharing the stage set and
 	// slow ring, exemplar recovered from /slowz and joined via /tracez.
 	httpNet, hBench, hForumO, hTopic := buildSubstrate()
-	httpRing := obs.NewDecisionRing(0)
+	httpRing := core.NewDecisionRing(0)
 	httpReg := obs.NewRegistry()
 	httpStages := obs.NewStageSet(httpReg)
 	httpSlow := obs.NewSlowRing(0)
@@ -149,7 +150,7 @@ func TestStageTimingEquivalence(t *testing.T) {
 
 	// Leg 3: timed over a TLS gateway negotiating h2.
 	tlsNet, tBench, tForumO, tTopic := buildSubstrate()
-	tlsRing := obs.NewDecisionRing(0)
+	tlsRing := core.NewDecisionRing(0)
 	tlsReg := obs.NewRegistry()
 	tlsStages := obs.NewStageSet(tlsReg)
 	tlsSlow := obs.NewSlowRing(0)

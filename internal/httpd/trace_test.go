@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/browser"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/origin"
 	"repro/internal/web"
@@ -16,7 +17,7 @@ import (
 // tracedFixedSession is runFixedSession with provenance wired the way
 // the engine wires it: a decision ring shared with the deployment and
 // one task trace installed for the run.
-func tracedFixedSession(t *testing.T, transport web.Transport, bench, forumO origin.Origin, topic int, ring *obs.DecisionRing) (*browser.Browser, *obs.Trace) {
+func tracedFixedSession(t *testing.T, transport web.Transport, bench, forumO origin.Origin, topic int, ring *core.DecisionRing) (*browser.Browser, *obs.Trace) {
 	t.Helper()
 	b := browser.New(transport, browser.Options{Mode: browser.ModeEscudo, DecisionRing: ring})
 	tr := obs.NewTrace()
@@ -91,7 +92,7 @@ func TestTraceProvenanceEquivalence(t *testing.T) {
 
 	// Leg 1: traced over the in-memory web.Network.
 	memNet, mBench, mForumO, mTopic := buildSubstrate()
-	memRing := obs.NewDecisionRing(0)
+	memRing := core.NewDecisionRing(0)
 	memB, memTr := tracedFixedSession(t, memNet, mBench, mForumO, mTopic, memRing)
 	if got := memB.Audit.Len(); got != baseLen {
 		t.Fatalf("in-memory traced decision count %d, untraced %d", got, baseLen)
@@ -107,7 +108,7 @@ func TestTraceProvenanceEquivalence(t *testing.T) {
 	// Leg 2: traced over a plain HTTP gateway, trace recovered from
 	// /tracez on the admin host.
 	httpNet, hBench, hForumO, hTopic := buildSubstrate()
-	httpRing := obs.NewDecisionRing(0)
+	httpRing := core.NewDecisionRing(0)
 	hg := startGateway(t, httpNet, Config{Ring: httpRing})
 	hct := NewClientTransport(hg.Addr())
 	defer hct.Close()
@@ -131,7 +132,7 @@ func TestTraceProvenanceEquivalence(t *testing.T) {
 
 	// Leg 3: traced over a TLS gateway negotiating h2.
 	tlsNet, tBench, tForumO, tTopic := buildSubstrate()
-	tlsRing := obs.NewDecisionRing(0)
+	tlsRing := core.NewDecisionRing(0)
 	tg, ca := startGatewayTLS(t, tlsNet, Config{Ring: tlsRing})
 	tct := NewClientTransportTLS(tg.Addr(), ca.Pool())
 	defer tct.Close()
@@ -171,9 +172,9 @@ func TestTracezFiltersAndGating(t *testing.T) {
 		t.Fatalf("/tracez without a ring: status %d, want 404", resp.StatusCode)
 	}
 
-	ring := obs.NewDecisionRing(16)
-	ring.Record(obs.DecisionEvent{TraceID: "t-1", Origin: o.String(), Ring: 1, Allowed: true, Rule: "allowed"})
-	ring.Record(obs.DecisionEvent{TraceID: "t-2", Origin: o.String(), Ring: 3, Allowed: false, Rule: "ring-rule"})
+	ring := core.NewDecisionRing(16)
+	ring.Record(core.Decision{TraceID: "t-1", Object: core.Context{Origin: o, Ring: 1}, Allowed: true, Rule: core.RuleAllowed})
+	ring.Record(core.Decision{TraceID: "t-2", Object: core.Context{Origin: o, Ring: 3}, Allowed: false, Rule: core.RuleRing})
 	g := startGateway(t, n, Config{Ring: ring})
 
 	doc := fetchTracez(t, http.DefaultClient, "http", g.Addr(), "")

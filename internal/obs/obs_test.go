@@ -158,41 +158,6 @@ func TestRecordingAllocFree(t *testing.T) {
 	}
 }
 
-func TestDecisionRingOverwriteAndFilter(t *testing.T) {
-	r := NewDecisionRing(4)
-	for i := 0; i < 6; i++ {
-		e := DecisionEvent{TraceID: "t1", Origin: "a.test", Ring: i % 3, Allowed: i%2 == 0}
-		if i >= 3 {
-			e.TraceID = "t2"
-		}
-		r.Record(e)
-	}
-	if r.Len() != 4 || r.Total() != 6 {
-		t.Fatalf("Len=%d Total=%d, want 4/6", r.Len(), r.Total())
-	}
-	all := r.Snapshot(MatchAny)
-	if len(all) != 4 {
-		t.Fatalf("snapshot len = %d", len(all))
-	}
-	// Oldest retained event is #3 (seq 3); newest is #6 (seq 6).
-	if all[0].Seq != 3 || all[3].Seq != 6 {
-		t.Fatalf("snapshot order: first seq %d, last seq %d", all[0].Seq, all[3].Seq)
-	}
-	if got := len(r.Snapshot(RingFilter{TraceID: "t2", Ring: -1})); got != 3 {
-		t.Fatalf("trace filter matched %d, want 3", got)
-	}
-	if got := len(r.Snapshot(RingFilter{Verdict: "allow", Ring: -1})); got != 2 {
-		t.Fatalf("allow filter matched %d, want 2", got)
-	}
-	if got := len(r.Snapshot(RingFilter{Verdict: "deny", Ring: -1})); got != 2 {
-		t.Fatalf("deny filter matched %d, want 2", got)
-	}
-	// Retained events carry rings 2,0,1,2 (i = 2..5 of i%3).
-	if got := len(r.Snapshot(RingFilter{Ring: 2})); got != 2 {
-		t.Fatalf("ring filter matched %d, want 2", got)
-	}
-}
-
 func TestSampler(t *testing.T) {
 	reg := NewRegistry()
 	s := NewSampler(reg, 10*time.Millisecond)
