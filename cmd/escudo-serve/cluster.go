@@ -19,119 +19,15 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/apps/phpbb"
-	"repro/internal/apps/phpcal"
-	"repro/internal/attack"
 	"repro/internal/browser"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/httpd"
 	"repro/internal/metrics"
-	"repro/internal/nonce"
 	"repro/internal/obs"
-	"repro/internal/origin"
-	"repro/internal/policy"
-	"repro/internal/scenarios"
 	"repro/internal/web"
 )
-
-// parseMode maps the -mode flag onto a browser mode.
-func parseMode(s string) (browser.Mode, error) {
-	switch s {
-	case "escudo":
-		return browser.ModeEscudo, nil
-	case "sop":
-		return browser.ModeSOP, nil
-	default:
-		return 0, fmt.Errorf("unknown -mode %q", s)
-	}
-}
-
-// substrate is the shared benchmark world: the Figure-4 scenario
-// server, phpBB, PHP-Calendar, the mashup portal and its widget, and
-// the origins' unified policy documents. Server and worker processes
-// agree on it by construction — the origins are fixed names, and the
-// worker only ever talks to them through the gateway.
-type substrate struct {
-	net                               *web.Network
-	bench, forum, cal, portal, widget origin.Origin
-	topicID                           int
-	portalPolicy                      policy.Policy
-	policies                          map[string]policy.Policy
-}
-
-// substrateOrigins and substratePolicies are the counts the cluster
-// supervisor cross-checks against /metricsz and /policyz.
-const (
-	substrateOrigins  = 5
-	substratePolicies = 4
-)
-
-// buildSubstrate assembles the substrate with one phpBB/PHP-Calendar
-// account per session.
-func buildSubstrate(users int) *substrate {
-	s := &substrate{
-		net:    web.NewNetwork(),
-		bench:  origin.MustParse("http://bench.example"),
-		forum:  origin.MustParse("http://forum.example"),
-		cal:    origin.MustParse("http://cal.example"),
-		portal: origin.MustParse("http://portal.example"),
-		widget: origin.MustParse("http://widget.example"),
-	}
-	s.net.Register(s.bench, scenarios.Handler())
-
-	forum := phpbb.New(phpbb.Config{
-		Origin: s.forum, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
-	})
-	for i := 0; i < users; i++ {
-		forum.AddUser(fmt.Sprintf("user%d", i), "pw")
-	}
-	s.topicID = forum.SeedTopic("user0", "Welcome", "first post")
-	s.net.Register(s.forum, forum)
-
-	cal := phpcal.New(phpcal.Config{
-		Origin: s.cal, Hardened: false, Escudo: true, Nonces: nonce.CryptoSource{},
-	})
-	for i := 0; i < users; i++ {
-		cal.AddUser(fmt.Sprintf("user%d", i), "pw")
-	}
-	cal.SeedEvent("user0", 1, "kickoff")
-	s.net.Register(s.cal, cal)
-
-	s.net.Register(s.portal, portalHandler())
-	s.net.Register(s.widget, web.HandlerFunc(func(req *web.Request) *web.Response {
-		return web.HTML(`<html><body><p id=w>widget content</p></body></html>`)
-	}))
-
-	// The unified policy documents: derived from the apps' Table 3/
-	// Table 5 configurations and the scenario server, plus the
-	// portal's §7 delegation of ring 2 to the widget origin.
-	s.portalPolicy = policy.New(s.portal, core.DefaultMaxRing)
-	s.portalPolicy.Delegate(s.widget, 2)
-	s.policies = map[string]policy.Policy{
-		s.bench.String():  scenarios.Policy(s.bench),
-		s.forum.String():  forum.Policy(),
-		s.cal.String():    cal.Policy(),
-		s.portal.String(): s.portalPolicy,
-	}
-	return s
-}
-
-// serveOnlyConfig parameterizes the server process.
-type serveOnlyConfig struct {
-	addr           string
-	sessions       int
-	accounts       int
-	workers, queue int
-	tls            bool
-	tlsCAOut       string
-	addrFile       string
-	statsFile      string
-}
 
 // runServeOnly mounts the substrate on a gateway and serves until the
 // stop channel closes (SIGTERM in production), then shuts down
@@ -140,57 +36,28 @@ type serveOnlyConfig struct {
 // as the listener is bound (so a supervisor can begin polling), and
 // /healthz flips from "starting" to ok only after a warm self-check
 // round-trips a scenario page through the full stack.
-func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
+func runServeOnly(cfg config, stop <-chan struct{}) error {
 	// A cluster supervisor passes -accounts workers×sessions so every
 	// worker process gets a private, non-overlapping phpBB account
 	// range; a bare serve-only run registers one account per session.
-	users := cfg.sessions
-	if cfg.accounts > users {
-		users = cfg.accounts
-	}
-	sub := buildSubstrate(users)
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range sub.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
-	}
-	// The server's observability plane: registry on /varz, a decision
-	// ring on /tracez (enforcement runs in the workers, so the server's
-	// ring stays empty — the endpoint existing uniformly across modes
-	// is the point), and a runtime sampler for the server process.
-	reg := obs.NewRegistry()
-	ring := core.NewDecisionRing(0)
-	smp := obs.NewSampler(reg, 200*time.Millisecond)
-	smp.Start()
-	gwCfg := httpd.Config{
-		Inner:             sub.net,
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		HoldReady:         true,
-		Obs:               reg,
-		Ring:              ring,
-	}
-	var ca *httpd.CA
-	if cfg.tls {
-		c, err := httpd.NewCA()
-		if err != nil {
-			return err
-		}
-		ca = c
-		gwCfg.TLS = ca
-	}
-	gw, err := httpd.New(gwCfg)
+	sub := buildSubstrate(max(cfg.sessions, cfg.accounts))
+	// Enforcement runs in the workers, so the server's decision ring
+	// stays empty — the endpoint existing uniformly across modes is the
+	// point.
+	pl := newPlane(false)
+	ca, err := newCA(cfg.tls)
 	if err != nil {
 		return err
 	}
-	if err := gw.MountNetwork(sub.net); err != nil {
+	addr := cfg.httpAddr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	gw, ct, cleanup, err := gateway(pl, sub.net, addr, sub.policies, httpd.Config{TLS: ca, HoldReady: true})
+	if err != nil {
 		return err
 	}
-	if err := gw.Start(cfg.addr); err != nil {
-		return err
-	}
-	defer gw.Close() //nolint:errcheck // second Shutdown is a no-op
+	defer cleanup()
 
 	// Publish the trust anchor before the address: a worker that can
 	// read the address must already be able to read the CA.
@@ -211,14 +78,7 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	// Warm self-check: one scenario page through the real stack
 	// (socket, vhosting, worker queue, and TLS when on) before
 	// declaring readiness.
-	var ct *httpd.ClientTransport
-	if ca != nil {
-		ct = httpd.NewClientTransportTLS(gw.Addr(), ca.Pool())
-	} else {
-		ct = httpd.NewClientTransport(gw.Addr())
-	}
-	resp, err := ct.RoundTrip(web.NewRequest("GET", sub.bench.URL(scenarios.Paths()[0])))
-	ct.Close()
+	resp, err := ct.RoundTrip(web.NewRequest("GET", benchO.URL(scenarioPaths()[0])))
 	if err != nil {
 		return fmt.Errorf("self-check: %w", err)
 	}
@@ -226,9 +86,8 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 		return fmt.Errorf("self-check: scenario page answered %d", resp.Status)
 	}
 	gw.SetReady(true)
-	smp.Mark()
-	fmt.Printf("escudo-serve: serving %d origins at %s (tls=%v), ready\n",
-		substrateOrigins, gw.Addr(), cfg.tls)
+	pl.smp.Mark()
+	fmt.Printf("escudo-serve: serving %d origins at %s (tls=%v), ready\n", substrateOrigins, gw.Addr(), cfg.tls)
 
 	<-stop
 	fmt.Println("escudo-serve: SIGTERM, draining")
@@ -238,20 +97,15 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
 	if cfg.statsFile != "" {
-		sampStats := smp.Stop()
-		st := cluster.ServerStats{
+		sampStats := pl.smp.Stop()
+		if err := writeJSON(cfg.statsFile, cluster.ServerStats{
 			Addr:    gw.Addr(),
 			TLS:     cfg.tls,
 			Origins: substrateOrigins,
 			Gateway: gw.Stats(),
 			Version: obs.Version(),
 			Obs:     &sampStats,
-		}
-		data, err := json.MarshalIndent(st, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.statsFile, append(data, '\n'), 0o644); err != nil {
+		}); err != nil {
 			return err
 		}
 	}
@@ -259,126 +113,47 @@ func runServeOnly(cfg serveOnlyConfig, stop <-chan struct{}) error {
 	return nil
 }
 
-// connectConfig parameterizes a loadgen worker process.
-type connectConfig struct {
-	addr            string
-	sessions, iters int
-	phpbbIters      int
-	mode            browser.Mode
-	uncached        bool
-	attacksOn       bool
-	tls             bool
-	tlsCAFile       string
-	workerID        int
-	httpWorkers     int
-	httpQueue       int
-	// openloop, when rate > 0, appends an open-loop SLO phase against
-	// the remote gateway and writes its mergeable fragment to the
-	// shard.
-	openloop openLoopSpec
-	out      string
-}
-
-// clusterTopicID is the seeded phpBB topic every worker browses.
-// buildSubstrate seeds exactly one topic into a fresh forum, and phpBB
-// IDs are assigned sequentially from 1, so the ID is fixed by
-// construction — workers can rely on it without a discovery round-trip.
-const clusterTopicID = 1
-
-// clusterAccount names the phpBB/PHP-Calendar account a session owns:
-// worker w's sessions take the contiguous block [w×sessions,
-// (w+1)×sessions). The ranges are disjoint across workers, so no two
-// processes ever share a login — each account's cookie jar, posts, and
-// decision stream belong to exactly one session fleet-wide.
-func clusterAccount(workerID, sessions, sessionID int) string {
-	return fmt.Sprintf("user%d", workerID*sessions+sessionID)
-}
-
-// runShardPhase measures one worker phase: per-task latency across
-// the pool (point percentiles AND the mergeable histogram) plus the
-// client transport's request delta for throughput.
-func runShardPhase(pool *engine.Pool, ct *httpd.ClientTransport, name string, fn func()) (cluster.ShardPhase, []error) {
-	pool.ResetStats()
-	before := ct.Stats()
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	st := pool.Stats()
-	wire := ct.Stats().Sub(before)
-	ph := cluster.ShardPhase{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-		Requests:  wire.Requests,
-		Hist:      st.Hist,
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		ph.ReqsPerSec = float64(wire.Requests) / secs
-	}
-	return ph, st.Errors
-}
-
 // runConnect is the worker process: it trusts the remote gateway (via
-// the CA bundle when TLS), replays the figure-4 workload over the
-// process boundary, replays the §6.4 attack corpus over per-
-// environment local gateways (TLS when -tls), cross-checks every
-// socket verdict against an in-memory run of the same attack, and
-// writes its BENCH shard.
-func runConnect(cfg connectConfig) error {
+// the CA bundle when TLS), runs the figure-4 and phpBB phases over the
+// process boundary, replays the §6.4 corpus over per-environment local
+// gateways (TLS when -tls) with every socket verdict checked against
+// the in-memory one, optionally offers its share of the open-loop
+// load, and writes its BENCH shard.
+func runConnect(cfg config) error {
 	start := time.Now()
-	if cfg.tls && cfg.tlsCAFile == "" {
+	if cfg.tls && cfg.tlsCA == "" {
 		return fmt.Errorf("-connect with -tls needs -tls-ca (the server's CA bundle)")
 	}
 	// One source of truth: the CA bundle decides TLS for the main
 	// transport, the shard label, and the attack-env gateways alike.
-	cfg.tls = cfg.tlsCAFile != ""
+	cfg.tls = cfg.tlsCA != ""
 	var ct *httpd.ClientTransport
 	if cfg.tls {
-		pool, err := httpd.LoadCAPool(cfg.tlsCAFile)
+		roots, err := httpd.LoadCAPool(cfg.tlsCA)
 		if err != nil {
 			return err
 		}
-		ct = httpd.NewClientTransportTLS(cfg.addr, pool)
+		ct = httpd.NewClientTransportTLS(cfg.connect, roots)
 	} else {
-		ct = httpd.NewClientTransport(cfg.addr)
+		ct = httpd.NewClientTransport(cfg.connect)
 	}
 	defer ct.Close()
 
-	// Worker-side observability: decisions ring into the worker's own
-	// trace buffer (the monitors run here, not in the server), and the
-	// runtime sampler feeds the shard's obs section for the supervisor
-	// to merge fleet-wide.
-	reg := obs.NewRegistry()
-	ringSize := 0
-	if cfg.openloop.rate > 0 {
-		ringSize = 65536
-	}
-	ring := core.NewDecisionRing(ringSize)
-	smp := obs.NewSampler(reg, 200*time.Millisecond)
-	smp.Start()
-
-	// Worker-local latency attribution: the stage histograms and slow
-	// ring feed the shard's slo fragment (the supervisor merges the
-	// fleet's).
-	stages := obs.NewStageSet(reg)
-	slowRing := obs.NewSlowRing(0)
-
-	pool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
-		Transport: ct,
-		Options:   browser.Options{Mode: cfg.mode, DecisionRing: ring},
-		Uncached:  cfg.uncached,
-		Stages:    stages,
-		Slow:      slowRing,
-	})
+	// Worker-side observability: the monitors run here, not in the
+	// server, so decisions, stages and exemplars land in the worker's
+	// own plane, and the sampler feeds the shard for the supervisor to
+	// merge fleet-wide.
+	pl := newPlane(cfg.openloop.rate > 0)
+	s, err := newSection(cfg, pl, ct, nil, browser.Options{})
 	if err != nil {
 		return err
 	}
-	defer pool.Close()
+	defer s.close()
+	ca, err := newCA(cfg.tls)
+	if err != nil {
+		return err
+	}
+	s.env = &attackWire{ca: ca}
 
 	shard := cluster.Shard{
 		Worker:   cfg.workerID,
@@ -388,240 +163,52 @@ func runConnect(cfg connectConfig) error {
 		TLS:      cfg.tls,
 		Version:  obs.Version(),
 	}
-	bench := origin.MustParse("http://bench.example")
-	paths := scenarios.Paths()
-
-	// Unmeasured warm round: session cookies exist before measurement.
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(bench.URL(paths[0]))
-		return err
-	})
-	if st := pool.Stats(); len(st.Errors) > 0 {
-		return fmt.Errorf("worker %d warmup: %w", cfg.workerID, st.Errors[0])
+	if err := s.warm(visit(benchO.URL(scenarioPaths()[0]))); err != nil {
+		return fmt.Errorf("worker %d %w", cfg.workerID, err)
 	}
-	smp.Mark()
+	pl.smp.Mark()
 
-	ph, errs := runShardPhase(pool, ct, "figure4", func() {
-		for r := 0; r < cfg.iters; r++ {
-			for _, path := range paths {
-				p := path
-				pool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(bench.URL(p))
-					return err
-				})
-			}
-		}
-		pool.Wait()
-	})
-	for _, err := range errs {
-		fmt.Fprintf(os.Stderr, "escudo-serve: worker %d figure4: %v\n", cfg.workerID, err)
-	}
-	shard.Phases = append(shard.Phases, ph)
-	if ph.Errors > 0 {
-		return fmt.Errorf("worker %d: figure4 had %d task errors", cfg.workerID, ph.Errors)
-	}
-
-	// phpBB over the wire: each session logs into its own account from
-	// this worker's private range, then alternates index and topic
-	// views with the occasional reply — the paper's "active session
-	// with a trusted site" workload, here crossing the process (and
-	// TLS) boundary. Login is inside the phase on purpose: stateful
-	// authenticated traffic is part of what the cluster measures.
+	shard.Phases = append(shard.Phases, s.phase("figure4", func() { figure4Rounds(s.pool, benchO, cfg.iters) }).shard())
+	// Login is inside the phpbb phase on purpose: stateful
+	// authenticated traffic is part of what the cluster measures, here
+	// through this worker's private account range.
 	if cfg.phpbbIters > 0 {
-		forum := origin.MustParse("http://forum.example")
-		ph, errs := runShardPhase(pool, ct, "phpbb", func() {
-			pool.Each(func(s *engine.Session) error {
-				p, err := s.Browser.Navigate(forum.URL("/"))
-				if err != nil {
-					return err
-				}
-				form := p.Doc.ByID("loginform")
-				if form == nil {
-					return fmt.Errorf("no loginform")
-				}
-				account := clusterAccount(cfg.workerID, cfg.sessions, s.ID)
-				if _, err := p.SubmitForm(form, map[string][]string{
-					"username": {account}, "password": {"pw"},
-				}); err != nil {
-					return err
-				}
-				for i := 0; i < cfg.phpbbIters; i++ {
-					if _, err := s.Browser.Navigate(forum.URL("/")); err != nil {
-						return err
-					}
-					tp, err := s.Browser.Navigate(forum.URL(fmt.Sprintf("/viewtopic?t=%d", clusterTopicID)))
-					if err != nil {
-						return err
-					}
-					if i%5 == 4 {
-						reply := tp.Doc.ByID("replyform")
-						if reply == nil {
-							return fmt.Errorf("no replyform")
-						}
-						if _, err := tp.SubmitForm(reply, map[string][]string{
-							"message": {fmt.Sprintf("reply from %s round %d", account, i)},
-						}); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-		})
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "escudo-serve: worker %d phpbb: %v\n", cfg.workerID, err)
-		}
-		shard.Phases = append(shard.Phases, ph)
-		if ph.Errors > 0 {
-			return fmt.Errorf("worker %d: phpbb had %d task errors", cfg.workerID, ph.Errors)
-		}
+		shard.Phases = append(shard.Phases, s.phase("phpbb", func() { s.pool.Each(phpbbTask(cfg.account, cfg.phpbbIters)) }).shard())
 	}
-
-	// Attack replay: each environment is a private substrate, so it
-	// runs behind its own local gateway — still real sockets (and TLS
-	// when -tls), inside this worker process. The verdict of every
-	// socket run must equal the in-memory run's: the transport-
-	// independence invariant, asserted per worker.
-	var attackWire httpd.ClientStats
-	if cfg.attacksOn {
-		envCfg := httpd.Config{
-			DefaultWorkers:    cfg.httpWorkers,
-			DefaultQueueDepth: cfg.httpQueue,
-		}
-		if cfg.tls {
-			envCA, err := httpd.NewCA()
-			if err != nil {
-				return err
-			}
-			envCfg.TLS = envCA
-		}
-		// The attack environments use their own transports; fold their
-		// wire traffic into the phase and shard accounting so the
-		// numbers cover everything this worker put on sockets.
-		var envWire struct {
-			mu sync.Mutex
-			st httpd.ClientStats
-		}
-		wrapper := func(n *web.Network) (web.Transport, func(), error) {
-			_, c, cleanup, err := httpd.WrapNetwork(n, envCfg, "127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, func() {
-				envWire.mu.Lock()
-				envWire.st = envWire.st.Add(c.Stats())
-				envWire.mu.Unlock()
-				cleanup()
-			}, nil
-		}
-		corpus := attack.Corpus()
-		memResults := make([]attack.Result, len(corpus))
-		sockResults := make([]attack.Result, len(corpus))
-		ph, errs := runShardPhase(pool, ct, "attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				pool.Submit(func(*engine.Session) error {
-					memResults[i] = attack.RunOneCached(atk, cfg.mode, pool.Cache())
-					if memResults[i].Err != nil {
-						return memResults[i].Err
-					}
-					sockResults[i] = attack.RunOneOver(atk, cfg.mode, pool.Cache(), wrapper)
-					return sockResults[i].Err
-				})
-			}
-			pool.Wait()
-		})
-		for _, err := range errs {
-			fmt.Fprintf(os.Stderr, "escudo-serve: worker %d attacks: %v\n", cfg.workerID, err)
-		}
-		envWire.mu.Lock()
-		envSt := envWire.st
-		envWire.mu.Unlock()
-		ph.Requests += envSt.Requests
-		if secs := ph.ElapsedMs / 1000; secs > 0 {
-			ph.ReqsPerSec = float64(ph.Requests) / secs
-		}
-		attackWire = envSt
-		shard.Phases = append(shard.Phases, ph)
-		if ph.Errors > 0 {
-			return fmt.Errorf("worker %d: attacks had %d task errors", cfg.workerID, ph.Errors)
-		}
-		tally := &cluster.ShardAttacks{Total: len(corpus), MatchMemory: true}
-		for i, r := range sockResults {
-			if r.Neutralized() {
-				tally.Neutralized++
-			} else {
-				tally.Succeeded++
-			}
-			if memResults[i].Succeeded != r.Succeeded {
-				tally.MatchMemory = false
-				fmt.Fprintf(os.Stderr,
-					"escudo-serve: worker %d VERDICT DIVERGENCE %s: in-memory succeeded=%v, sockets succeeded=%v\n",
-					cfg.workerID, corpus[i].Name, memResults[i].Succeeded, r.Succeeded)
-			}
-		}
+	if cfg.attacks {
+		tally := &cluster.ShardAttacks{}
+		shard.Phases = append(shard.Phases, s.phase("attacks", func() {
+			a, match, _ := s.replay(cfg.mode)
+			tally.Total, tally.Neutralized, tally.Succeeded, tally.MatchMemory = a.Total, a.Neutralized, a.Succeeded, match
+		}).shard())
 		shard.Attacks = tally
-		if !tally.MatchMemory {
-			return fmt.Errorf("worker %d: attack verdicts diverge between in-memory and socket transports", cfg.workerID)
-		}
-	}
-
-	// Open-loop SLO phase: this worker offers its share of the fleet's
-	// Poisson load against the remote gateway and ships the mergeable
-	// fragment in its shard. Sessions churn through this worker's
-	// private account range.
-	if cfg.openloop.rate > 0 {
-		forum := origin.MustParse("http://forum.example")
-		res, err := driveOpenLoop(pool, cfg.openloop, bench, forum, stages, slowRing,
-			func(id int) string { return clusterAccount(cfg.workerID, cfg.sessions, id) }, nil)
-		if err != nil {
-			return fmt.Errorf("worker %d openloop: %w", cfg.workerID, err)
-		}
-		shard.SLO = res
-		if res.Errors > 0 {
-			return fmt.Errorf("worker %d: openloop had %d task errors", cfg.workerID, res.Errors)
-		}
-	}
-
-	// Main-gateway transport and attack wire are reported apart: the
-	// gateway path is the long-lived pool whose reuse rate the cluster
-	// CI gate asserts, while the attack environments are per-attack
-	// throwaway gateways whose connections are new by construction.
-	shard.Client = cluster.FromClientStats(ct.Stats())
-	if cfg.attacksOn {
-		ac := cluster.FromClientStats(attackWire)
+		// The attack environments are per-attack throwaway gateways
+		// whose connections are new by construction; their wire is
+		// reported apart from the long-lived gateway path.
+		_, envClient := s.env.totals()
+		ac := cluster.FromClientStats(envClient)
 		shard.AttackClient = &ac
 	}
-	sampStats := smp.Stop()
+	if cfg.openloop.rate > 0 {
+		if shard.SLO, err = driveOpenLoop(s.pool, cfg.openloop, pl, cfg.account, nil); err != nil {
+			return fmt.Errorf("worker %d openloop: %w", cfg.workerID, err)
+		}
+	}
+	shard.Client = cluster.FromClientStats(ct.Stats())
+	sampStats := pl.smp.Stop()
 	shard.Obs = &sampStats
 	shard.ElapsedMs = ms(time.Since(start))
 	if err := shard.WriteFile(cfg.out); err != nil {
 		return err
 	}
-	wireReqs := shard.Client.Requests + attackWire.Requests
-	fmt.Printf("escudo-serve: worker %d done — %d phases, %d wire requests, shard %s\n",
-		cfg.workerID, len(shard.Phases), wireReqs, cfg.out)
-	return nil
-}
-
-// clusterConfig parameterizes the supervisor mode.
-type clusterConfig struct {
-	workers     int
-	bin         string
-	sessions    int
-	iters       int
-	phpbbIters  int
-	mode        string
-	attacksOn   bool
-	uncached    bool
-	tls         bool
-	httpWorkers int
-	httpQueue   int
-	// openloop is the -openloop spec passed through to every worker
-	// ("" disables); each worker offers the spec's rate, so the fleet's
-	// target is workers × rate and the merged section reflects that.
-	openloop string
-	out      string
+	fmt.Printf("escudo-serve: worker %d done — %d phases, shard %s\n", cfg.workerID, len(shard.Phases), cfg.out)
+	// A worker holds itself to the invariants of its own shard, so a
+	// standalone -connect run fails the same way a cluster run does.
+	rep, err := cluster.MergeShards([]cluster.Shard{shard})
+	if err != nil {
+		return err
+	}
+	return verify(&benchJSON{Mode: shard.Mode, Cluster: rep})
 }
 
 // runCluster fork/execs one -serve-only server and N -connect workers
@@ -629,8 +216,8 @@ type clusterConfig struct {
 // the `cluster` section of the BENCH report at -out (other sections
 // of an existing report are preserved, so a cluster run composes with
 // `make serve-http` output).
-func runCluster(cfg clusterConfig) error {
-	bin := cfg.bin
+func runCluster(cfg config) error {
+	bin := cfg.clusterBin
 	if bin == "" {
 		exe, err := os.Executable()
 		if err != nil {
@@ -651,9 +238,7 @@ func runCluster(cfg clusterConfig) error {
 		"-serve-only",
 		"-http", "127.0.0.1:0",
 		"-sessions", strconv.Itoa(cfg.sessions),
-		"-accounts", strconv.Itoa(cfg.workers * cfg.sessions),
-		"-http-workers", strconv.Itoa(cfg.httpWorkers),
-		"-http-queue", strconv.Itoa(cfg.httpQueue),
+		"-accounts", strconv.Itoa(cfg.cluster * cfg.sessions),
 		"-addr-file", addrFile,
 		"-stats-file", statsFile,
 	}
@@ -661,14 +246,14 @@ func runCluster(cfg clusterConfig) error {
 		caFile = filepath.Join(dir, "ca.pem")
 		serverArgs = append(serverArgs, "-tls", "-tls-ca-out", caFile)
 	}
-	shardFiles := make([]string, cfg.workers)
+	shardFiles := make([]string, cfg.cluster)
 	for i := range shardFiles {
 		shardFiles[i] = filepath.Join(dir, fmt.Sprintf("shard_%d.json", i))
 	}
 
 	sup, err := cluster.NewSupervisor(cluster.Config{
 		Server:          cluster.Spec{Name: "server", Path: bin, Args: serverArgs},
-		NumWorkers:      cfg.workers,
+		NumWorkers:      cfg.cluster,
 		AddrFile:        addrFile,
 		CAFile:          caFile,
 		ShardFiles:      shardFiles,
@@ -685,18 +270,18 @@ func runCluster(cfg clusterConfig) error {
 				"-sessions", strconv.Itoa(cfg.sessions),
 				"-iters", strconv.Itoa(cfg.iters),
 				"-phpbb-iters", strconv.Itoa(cfg.phpbbIters),
-				"-mode", cfg.mode,
-				fmt.Sprintf("-attacks=%v", cfg.attacksOn),
+				"-mode", cfg.mode.String(),
+				fmt.Sprintf("-attacks=%v", cfg.attacks),
 				fmt.Sprintf("-uncached=%v", cfg.uncached),
-				"-http-workers", strconv.Itoa(cfg.httpWorkers),
-				"-http-queue", strconv.Itoa(cfg.httpQueue),
 				"-out", shardFiles[i],
 			}
 			if cfg.tls {
 				args = append(args, "-tls", "-tls-ca", caFile)
 			}
-			if cfg.openloop != "" {
-				args = append(args, "-openloop", cfg.openloop)
+			// Each worker offers the spec's rate, so the fleet's target
+			// is workers × rate and the merged section reflects that.
+			if cfg.openloop.rate > 0 {
+				args = append(args, "-openloop", cfg.openloop.raw)
 			}
 			return cluster.Spec{Name: fmt.Sprintf("worker-%d", i), Path: bin, Args: args}
 		},
@@ -718,40 +303,34 @@ func runCluster(cfg clusterConfig) error {
 			return fmt.Errorf("existing %s is not a BENCH report (move it aside): %w", cfg.out, err)
 		}
 	} else {
-		report.Sessions = cfg.workers * cfg.sessions
-		report.Mode = cfg.mode
-		report.GoMaxProcs = 0
+		report.Sessions = cfg.cluster * cfg.sessions
+		report.Mode = cfg.mode.String()
 	}
 	report.Cluster = rep
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
+	if err := writeJSON(cfg.out, report); err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfg.out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
+	printCluster(rep)
+	fmt.Printf("\nWrote cluster section to %s (%.0f ms total)\n", cfg.out, rep.ElapsedMs)
+	return verify(&benchJSON{Mode: cfg.mode.String(), Cluster: rep})
+}
 
+// printCluster renders the merged cluster section on stdout.
+func printCluster(rep *cluster.Report) {
 	fmt.Printf("ESCUDO cluster — 1 server + %d workers × %d sessions, tls=%v, server %s\n",
 		rep.Workers, rep.SessionsPerWorker, rep.TLS, rep.Addr)
 	fmt.Printf("ready in %.0f ms (%d starting polls)\n\n", rep.ReadyMs, rep.StartingPolls)
 	t := metrics.NewTable("Phase", "Tasks", "Reqs", "Aggregate reqs/s", "p50 (ms)", "p99 (ms)")
 	for _, ph := range rep.Phases {
-		t.AddRow(ph.Name,
-			fmt.Sprintf("%d", ph.Tasks),
-			fmt.Sprintf("%d", ph.Requests),
-			fmt.Sprintf("%.0f", ph.ReqsPerSec),
-			fmt.Sprintf("%.3f", ph.P50Ms),
-			fmt.Sprintf("%.3f", ph.P99Ms))
+		t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%d", ph.Requests),
+			fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms))
 	}
 	fmt.Print(t.String())
 	fmt.Println()
 	wt := metrics.NewTable("Worker", "PID", "Tasks", "Reqs/s", "p99 (ms)", "Attacks neutralized")
 	for _, w := range rep.PerWorker {
-		wt.AddRow(fmt.Sprintf("worker-%d", w.Worker),
-			fmt.Sprintf("%d", w.PID),
-			fmt.Sprintf("%d", w.Tasks),
-			fmt.Sprintf("%.0f", w.ReqsPerSec),
-			fmt.Sprintf("%.3f", w.P99Ms),
+		wt.AddRow(fmt.Sprintf("worker-%d", w.Worker), fmt.Sprintf("%d", w.PID), fmt.Sprintf("%d", w.Tasks),
+			fmt.Sprintf("%.0f", w.ReqsPerSec), fmt.Sprintf("%.3f", w.P99Ms),
 			fmt.Sprintf("%d/%d", w.AttacksNeutralized, rep.AttacksTotal))
 	}
 	fmt.Print(wt.String())
@@ -759,25 +338,16 @@ func runCluster(cfg clusterConfig) error {
 		fmt.Printf("\nAttack corpus across %d processes: %d/%d neutralized (verdicts match in-memory: %v)\n",
 			rep.Workers, rep.AttacksNeutralized, rep.AttacksTotal, rep.AttacksMatchMemory)
 	}
-	proto := rep.Client.Proto
-	if proto == "" {
-		proto = "?"
-	}
 	fmt.Printf("Gateway transport across workers: proto %s, %d new, %d reused (%.1f%% reuse)\n",
-		proto, rep.Client.NewConns, rep.Client.ReusedConns, 100*rep.Client.ReuseRate)
+		rep.Client.Proto, rep.Client.NewConns, rep.Client.ReusedConns, 100*rep.Client.ReuseRate)
 	if ac := rep.AttackClient; ac != nil {
-		fmt.Printf("Attack-env wire (throwaway gateways): %d requests, %d new conns\n",
-			ac.Requests, ac.NewConns)
+		fmt.Printf("Attack-env wire (throwaway gateways): %d requests, %d new conns\n", ac.Requests, ac.NewConns)
 	}
 	if o := rep.Obs; o != nil {
 		fmt.Printf("Fleet obs (%s): %d samples, goroutines post-warmup/last %d/%d (summed), heap monotonic=%v, %d GC cycles\n",
 			rep.Version.Go, o.Samples, o.PostWarmupGoroutines, o.Goroutines.Last, o.HeapMonotonic, o.NumGC)
 	}
 	if s := rep.SLO; s != nil {
-		if err := printSLO(s); err != nil {
-			return err
-		}
+		printSLO(s)
 	}
-	fmt.Printf("\nWrote cluster section to %s (%.0f ms total)\n", cfg.out, rep.ElapsedMs)
-	return nil
 }

@@ -39,11 +39,9 @@ func TestServeOnlyConnectTLS(t *testing.T) {
 	stop := make(chan struct{})
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- runServeOnly(serveOnlyConfig{
-			addr:      "127.0.0.1:0",
+		serveDone <- runServeOnly(config{
+			httpAddr:  "127.0.0.1:0",
 			sessions:  2,
-			workers:   2,
-			queue:     16,
 			tls:       true,
 			tlsCAOut:  caFile,
 			addrFile:  addrFile,
@@ -54,18 +52,16 @@ func TestServeOnlyConnectTLS(t *testing.T) {
 	addr := waitForFile(t, addrFile, 10*time.Second)
 	waitForFile(t, caFile, 10*time.Second)
 
-	err := runConnect(connectConfig{
-		addr:        addr,
-		sessions:    2,
-		iters:       2,
-		mode:        0, // browser.ModeEscudo
-		attacksOn:   false,
-		tls:         true,
-		tlsCAFile:   caFile,
-		workerID:    3,
-		httpWorkers: 2,
-		httpQueue:   16,
-		out:         shardFile,
+	err := runConnect(config{
+		connect:  addr,
+		sessions: 2,
+		iters:    2,
+		mode:     0, // browser.ModeEscudo
+		attacks:  false,
+		tls:      true,
+		tlsCA:    caFile,
+		workerID: 3,
+		out:      shardFile,
 	})
 	if err != nil {
 		t.Fatalf("runConnect: %v", err)
@@ -138,7 +134,7 @@ func TestServeOnlyConnectTLS(t *testing.T) {
 // without a CA bundle must refuse to start rather than dial
 // unverified.
 func TestConnectTLSRequiresCA(t *testing.T) {
-	err := runConnect(connectConfig{addr: "127.0.0.1:1", tls: true, sessions: 1, iters: 1,
+	err := runConnect(config{connect: "127.0.0.1:1", tls: true, sessions: 1, iters: 1,
 		out: filepath.Join(t.TempDir(), "shard.json")})
 	if err == nil || !strings.Contains(err.Error(), "-tls-ca") {
 		t.Fatalf("runConnect = %v, want -tls-ca requirement", err)

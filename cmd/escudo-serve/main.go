@@ -8,14 +8,14 @@
 // hit rates, and batched-authorization dedup per phase.
 //
 // With -http it additionally mounts the same origins on a real
-// net/http gateway (internal/httpd) over loopback, re-runs the
+// net/http gateway (internal/httpd) over loopback and re-runs the
 // figure-4 and mixed workloads plus the attack replay through
 // httpd.ClientTransport — real sockets, Host-header virtual hosting,
-// per-origin worker queues, cross-request page cache — and extends
-// the report with an "http" section (reqs/sec, p50/p99, queue depth,
-// 503 count, cache hit rate). The attack verdicts over sockets are
-// cross-checked against the in-memory verdicts: any divergence fails
-// the run, because the protection model is transport-independent.
+// per-origin worker queues, cross-request page cache — into an "http"
+// section. -openloop and -control add the open-loop SLO and policy
+// control-plane sections. Every section is a short list of phases over
+// one session pool (harness.go); the sections differ only in the pool's
+// transport.
 //
 // The multi-process modes (see cluster.go) split the deployment
 // across real OS processes: -serve-only runs the gateway alone until
@@ -24,20 +24,27 @@
 // their BENCH shards into a `cluster` section. -tls terminates https
 // on the gateway with an ephemeral in-memory CA in any gateway mode.
 //
+// The run exits 1 when an invariant it measured breaks (see verify):
+// a task error, an attack that lands under ESCUDO, a socket verdict
+// that differs from the in-memory one, and the like.
+//
 // Usage:
 //
 //	escudo-serve [-sessions N] [-iters N] [-phpbb-iters N]
-//	             [-mixed-iters N] [-procs N] [-procs-bench N]
+//	             [-mixed-iters N] [-procs N]
 //	             [-mode escudo|sop] [-attacks] [-uncached]
-//	             [-http addr] [-http-workers N] [-http-queue N] [-tls]
+//	             [-http addr] [-tls] [-soak D] [-openloop spec]
+//	             [-control] [-tenants N]
 //	             [-pprof] [-cpuprofile f] [-memprofile f]
 //	             [-cluster N | -serve-only | -connect addr]
 //	             [-out BENCH_engine.json]
 package main
 
 import (
+	"context"
 	"crypto/tls"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -46,9 +53,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -56,17 +60,13 @@ import (
 	"repro/internal/browser"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/ctlplane"
 	"repro/internal/engine"
 	"repro/internal/httpd"
 	"repro/internal/metrics"
-	"repro/internal/nonce"
 	"repro/internal/obs"
-	"repro/internal/origin"
 	"repro/internal/policy"
-	"repro/internal/scenarios"
 	"repro/internal/slo"
-	"repro/internal/template"
-	"repro/internal/web"
 )
 
 func main() {
@@ -115,7 +115,10 @@ type obsJSON struct {
 	DecisionEventsRetained int    `json:"decision_events_retained"`
 }
 
-// phaseJSON is one benchmark phase in BENCH_engine.json.
+// phaseJSON is one measured phase in BENCH_engine.json, in any
+// section. Tasks and latency are measured at the client sessions;
+// decisions, cache and batch figures come from the pool. Phases that
+// ran over a wire carry its traffic in the embedded GatewayJSON.
 type phaseJSON struct {
 	Name  string `json:"name"`
 	Tasks uint64 `json:"tasks"`
@@ -133,21 +136,18 @@ type phaseJSON struct {
 	Cache           *cacheJSON   `json:"cache,omitempty"`
 	Batch           *batchJSON   `json:"batch,omitempty"`
 	Attacks         *attacksJSON `json:"attacks,omitempty"`
+	*GatewayJSON
+	// hist is the mergeable form of the task latencies, shipped in a
+	// cluster worker's shard.
+	hist metrics.Histogram
 }
 
-// httpPhaseJSON is one loopback loadgen phase of the http section.
-// Tasks/latency are measured at the client sessions; requests, 503s,
-// and cache traffic are the gateway's deltas for the phase, and
-// queue_depth_max is the phase's own high-water mark (the gauge is
-// reset at each phase start).
-type httpPhaseJSON struct {
-	Name          string  `json:"name"`
-	Tasks         uint64  `json:"tasks"`
-	Errors        int     `json:"errors"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
-	MeanMs        float64 `json:"mean_ms"`
-	ElapsedMs     float64 `json:"elapsed_ms"`
+// GatewayJSON is a phase's wire traffic: requests, 503s, queue
+// high-water and page-cache traffic are the local gateway's deltas for
+// the phase (a cluster worker, whose gateway is remote, counts its own
+// requests). It is exported because encoding/json only fills embedded
+// struct pointers of exported types.
+type GatewayJSON struct {
 	Requests      uint64  `json:"requests"`
 	ReqsPerSec    float64 `json:"reqs_per_sec"`
 	Rejected503   uint64  `json:"rejected_503"`
@@ -163,6 +163,15 @@ type httpPhaseJSON struct {
 	AllocsPerRequest float64 `json:"allocs_per_request,omitempty"`
 }
 
+// shard converts a worker's phase row to its shard form.
+func (p phaseJSON) shard() cluster.ShardPhase {
+	return cluster.ShardPhase{
+		Name: p.Name, Tasks: p.Tasks, Errors: p.Errors,
+		P50Ms: p.P50Ms, P99Ms: p.P99Ms, MeanMs: p.MeanMs, ElapsedMs: p.ElapsedMs,
+		Requests: p.Requests, ReqsPerSec: p.ReqsPerSec, Hist: p.hist,
+	}
+}
+
 // httpJSON is the http section of BENCH_engine.json: the same
 // workloads replayed over real sockets through the gateway.
 type httpJSON struct {
@@ -175,15 +184,15 @@ type httpJSON struct {
 	// keep-alive loopback.
 	Proto string `json:"proto"`
 	// AllocsPerRequest mirrors the http-figure4 phase's figure — the
-	// headline number the allocation-diet CI gate asserts.
-	AllocsPerRequest float64         `json:"allocs_per_request,omitempty"`
-	Phases           []httpPhaseJSON `json:"phases"`
-	Gateway          httpd.Stats     `json:"gateway"`
+	// headline number the allocation-diet gate asserts.
+	AllocsPerRequest float64     `json:"allocs_per_request,omitempty"`
+	Phases           []phaseJSON `json:"phases"`
+	Gateway          httpd.Stats `json:"gateway"`
 	// Client is the loadgen transport's connection accounting (new
 	// vs reused keep-alive connections).
 	Client *cluster.ClientJSON `json:"client,omitempty"`
-	// PolicyzOrigins counts the policy documents the admin /policyz
-	// endpoint served, cross-checked against the mounted set.
+	// PolicyzOrigins counts the mounted policy documents the admin
+	// /policyz endpoint served back unchanged.
 	PolicyzOrigins int          `json:"policyz_origins"`
 	Attacks        *attacksJSON `json:"attacks,omitempty"`
 	// AttacksMatchMemory reports that every attack's verdict over
@@ -218,11 +227,7 @@ type benchJSON struct {
 	ProcsRequested int         `json:"procs_requested,omitempty"`
 	GoMaxProcs     int         `json:"gomaxprocs"`
 	Phases         []phaseJSON `json:"phases"`
-	// ProcsVariant re-runs the figure4 phase at -procs-bench GOMAXPROCS
-	// after the 1-CPU phases, so the report carries serial and parallel
-	// numbers side by side.
-	ProcsVariant *procsVariantJSON `json:"procs_variant,omitempty"`
-	Policy       *policyJSON       `json:"policy,omitempty"`
+	Policy         *policyJSON `json:"policy,omitempty"`
 	// Script is the engine-vs-engine section: the tree-walking
 	// interpreter against the compiled VM on the shared corpus (see
 	// scriptbench.go). Measured after the workload phases so the
@@ -249,601 +254,117 @@ type benchJSON struct {
 	TotalMs float64     `json:"total_ms"`
 }
 
-// procsVariantJSON is the GOMAXPROCS>1 bench variant published
-// alongside the 1-CPU numbers (satellite of the perf PR): the figure4
-// phase re-run with the runtime widened to -procs-bench cores.
-type procsVariantJSON struct {
-	// Procs is the requested width; GoMaxProcs the effective one after
-	// clamping to the machine.
-	Procs      int         `json:"procs"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-	Phases     []phaseJSON `json:"phases"`
+// config is the run's configuration, parsed once from the flags; each
+// process role reads the fields it needs.
+type config struct {
+	sessions, iters, phpbbIters, mixedIters, scriptIters int
+	procs                                                int
+	mode                                                 browser.Mode
+	attacks, uncached                                    bool
+	httpAddr                                             string
+	tls, pprof                                           bool
+	cpuProfile, memProfile                               string
+	soak                                                 time.Duration
+	openloop                                             openLoopSpec
+	control                                              bool
+	tenants                                              int
+	serveOnly                                            bool
+	connect                                              string
+	cluster                                              int
+	clusterBin, tlsCAOut, tlsCA, addrFile, statsFile     string
+	workerID, accounts                                   int
+	out                                                  string
 }
 
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// portalHandler serves the mashup-portal host page: ring-1 chrome, a
-// row of ring-2 AC-tagged widget slots, a cross-origin widget iframe,
-// and a ring-1 script that snapshots the slot region via innerHTML —
-// the batched region-read path — on every load.
-//
-// The page is generated once at construction, same as
-// scenarios.Handler: its content is a fixed benchmark fixture with no
-// user-influenced markup, so reusing one nonce set across responses
-// does not weaken the §5 randomization defense (which matters only
-// when injected content could anticipate the nonces).
-func portalHandler() web.Handler {
-	bld := template.NewACBuilder(nonce.CryptoSource{})
-	var b strings.Builder
-	b.WriteString("<html><head><title>portal</title></head><body>")
-	b.WriteString(bld.Wrap(1, core.UniformACL(1), "id=chrome", "<h1>My Portal</h1>"))
-	var slots strings.Builder
-	for i := 0; i < 8; i++ {
-		slots.WriteString(bld.Wrap(2, core.UniformACL(2), fmt.Sprintf("id=slot%d", i),
-			fmt.Sprintf("<p>widget slot %d: forecasts markets mail feeds</p>", i)))
-	}
-	b.WriteString(bld.Wrap(1, core.UniformACL(2), "id=slots", slots.String()))
-	b.WriteString(`<iframe src="http://widget.example/widget"></iframe>`)
-	b.WriteString(bld.Wrap(1, core.UniformACL(1), "id=refresh",
-		`<script id=reader>var snapshot = document.getElementById("slots").innerHTML;</script>`))
-	b.WriteString("</body></html>")
-	page := b.String()
-	return web.HandlerFunc(func(req *web.Request) *web.Response {
-		resp := web.HTML(page)
-		resp.Header.Set(core.HeaderMaxRing, core.DefaultMaxRing.String())
-		// The body is a fixed fixture: the HTTP gateway may serve it
-		// from its cross-request page cache.
-		resp.Header.Set("Cache-Control", "public, immutable")
-		return resp
-	})
+// account names the phpBB/PHP-Calendar account a session owns: worker
+// w's sessions take the contiguous block [w×sessions, (w+1)×sessions),
+// so no two processes of a cluster ever share a login. A single-process
+// run is worker 0.
+func (c config) account(sessionID int) string {
+	return fmt.Sprintf("user%d", c.workerID*c.sessions+sessionID)
 }
 
-// mixedTask builds the mixed-workload session task: the sessions split
-// three ways across one substrate — phpBB browsing (sessions must
-// already be logged in), PHP-Calendar event tracking (logs in itself),
-// and a mashup portal with cross-origin widgets. The same task runs
-// over the in-memory network and over the HTTP gateway, which is what
-// makes the two phases comparable.
-func mixedTask(forumO, calO, portalO origin.Origin, topicID, iters int) engine.Task {
-	return func(s *engine.Session) error {
-		switch s.ID % 3 {
-		case 0: // phpBB browsing.
-			for i := 0; i < iters; i++ {
-				if _, err := s.Browser.Navigate(forumO.URL("/")); err != nil {
-					return err
-				}
-				if _, err := s.Browser.Navigate(forumO.URL(fmt.Sprintf("/viewtopic?t=%d", topicID))); err != nil {
-					return err
-				}
-			}
-		case 1: // PHP-Calendar: log in, add events, re-render the month.
-			p, err := s.Browser.Navigate(calO.URL("/"))
-			if err != nil {
-				return err
-			}
-			if form := p.Doc.ByID("loginform"); form != nil {
-				if _, err := p.SubmitForm(form, map[string][]string{
-					"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-				}); err != nil {
-					return err
-				}
-			}
-			for i := 0; i < iters; i++ {
-				mp, err := s.Browser.Navigate(calO.URL("/"))
-				if err != nil {
-					return err
-				}
-				if i%4 == 3 {
-					form := mp.Doc.ByID("newevent")
-					if form == nil {
-						return fmt.Errorf("no newevent form")
-					}
-					if _, err := mp.SubmitForm(form, map[string][]string{
-						"day": {fmt.Sprintf("%d", i%28+1)}, "text": {fmt.Sprintf("event s%d r%d", s.ID, i)},
-					}); err != nil {
-						return err
-					}
-				}
-			}
-		default: // mashup portal: host page + cross-origin widget frames.
-			for i := 0; i < iters; i++ {
-				p, err := s.Browser.Navigate(portalO.URL("/"))
-				if err != nil {
-					return err
-				}
-				if len(p.ScriptErrors) > 0 {
-					return fmt.Errorf("portal script: %v", p.ScriptErrors[0])
-				}
-			}
-		}
-		return nil
+// parseConfig parses and checks the flags.
+func parseConfig(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("escudo-serve", flag.ContinueOnError)
+	fs.IntVar(&c.sessions, "sessions", 8, "number of concurrent browser sessions")
+	fs.IntVar(&c.iters, "iters", 5, "rounds through all Figure-4 scenarios per session")
+	fs.IntVar(&c.phpbbIters, "phpbb-iters", 20, "phpBB page views per session")
+	fs.IntVar(&c.mixedIters, "mixed-iters", 10, "mixed-workload rounds per session (0 disables the phase)")
+	fs.IntVar(&c.scriptIters, "script-iters", 60, "script-engine corpus passes per round per engine (0 disables the script section)")
+	fs.IntVar(&c.procs, "procs", 0, "GOMAXPROCS override (0 keeps the runtime default)")
+	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof on the gateway's admin host under /debug/pprof (with -http)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile (after the run, post-GC) to this file")
+	modeFlag := fs.String("mode", "escudo", "protection mode: escudo or sop")
+	fs.BoolVar(&c.attacks, "attacks", true, "replay the §6.4 attack corpus")
+	fs.BoolVar(&c.uncached, "uncached", false, "disable the shared decision cache (baseline)")
+	fs.StringVar(&c.httpAddr, "http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
+	fs.DurationVar(&c.soak, "soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
+	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section; in -cluster mode each worker drives this spec and the shards merge")
+	fs.BoolVar(&c.tls, "tls", false, "terminate https on the gateway with an ephemeral in-memory CA (with -http, -serve-only, or -cluster; with -connect, trust -tls-ca)")
+	fs.BoolVar(&c.serveOnly, "serve-only", false, "server mode: mount the substrate on a gateway and serve until SIGTERM (no loadgen)")
+	fs.StringVar(&c.connect, "connect", "", "worker mode: generate load against a remote gateway at this address and write a BENCH shard to -out")
+	fs.IntVar(&c.cluster, "cluster", 0, "cluster mode: fork/exec one -serve-only server plus N -connect workers and merge their shards into a cluster section")
+	fs.StringVar(&c.clusterBin, "cluster-bin", "", "binary to fork/exec in -cluster mode (default: this executable)")
+	fs.StringVar(&c.tlsCAOut, "tls-ca-out", "", "serve-only: write the CA certificate (no key) to this PEM file for workers to trust")
+	fs.StringVar(&c.tlsCA, "tls-ca", "", "connect: CA certificate bundle to verify the gateway's TLS leafs against")
+	fs.StringVar(&c.addrFile, "addr-file", "", "serve-only: write the bound listener address to this file")
+	fs.StringVar(&c.statsFile, "stats-file", "", "serve-only: write gateway-side stats JSON here on graceful shutdown")
+	fs.IntVar(&c.workerID, "worker-id", 0, "connect: this worker's index in the cluster (labels the shard)")
+	fs.IntVar(&c.accounts, "accounts", 0, "serve-only: register this many phpBB/PHP-Calendar accounts (0 = one per session; a cluster supervisor passes workers×sessions so each worker gets a disjoint account range)")
+	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
+	fs.IntVar(&c.tenants, "tenants", 1024, "tenant origins to mount in the -control section")
+	fs.StringVar(&c.out, "out", "BENCH_engine.json", "output JSON path")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
-}
-
-// runPhase executes fn between stat resets and packages the phase
-// measurements. The phase name also labels the pool's slow-ring
-// exemplars for the duration.
-func runPhase(pool *engine.Pool, name string, fn func()) phaseJSON {
-	pool.SetPhase(name)
-	pool.ResetStats()
-	var before engine.Stats
-	if pool.Cache() != nil {
-		before.Cache = pool.Cache().Stats()
+	if c.sessions < 1 {
+		return c, fmt.Errorf("-sessions must be >= 1, got %d", c.sessions)
 	}
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-
-	st := pool.Stats()
-	ph := phaseJSON{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-		Decisions: st.Decisions,
+	if c.tls && c.httpAddr == "" && !c.serveOnly && c.connect == "" && c.cluster == 0 {
+		return c, fmt.Errorf("-tls needs a gateway: combine it with -http, -serve-only, -connect, or -cluster")
 	}
-	if pool.Cache() != nil {
-		delta := st.Cache.Sub(before.Cache)
-		ph.Cache = &cacheJSON{
-			Hits:    delta.Hits,
-			Misses:  delta.Misses,
-			HitRate: delta.HitRate(),
-			Entries: st.Cache.Entries,
-		}
-		if ph.Decisions == 0 {
-			// Attack environments keep their own audit logs; the
-			// shared cache still sees every mediated decision.
-			ph.Decisions = delta.Hits + delta.Misses
+	switch *modeFlag {
+	case "escudo":
+		c.mode = browser.ModeEscudo
+	case "sop":
+		c.mode = browser.ModeSOP
+	default:
+		return c, fmt.Errorf("unknown -mode %q", *modeFlag)
+	}
+	if *openloop != "" {
+		var err error
+		if c.openloop, err = parseOpenLoop(*openloop); err != nil {
+			return c, err
 		}
 	}
-	if st.Batch.Nodes > 0 {
-		ph.Batch = &batchJSON{
-			NodesAuthorized:   st.Batch.Nodes,
-			DistinctDecisions: st.Batch.Distinct,
-			DedupRatio:        st.Batch.DedupRatio(),
-		}
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		ph.DecisionsPerSec = float64(ph.Decisions) / secs
-	}
-	for _, err := range st.Errors {
-		fmt.Fprintf(os.Stderr, "escudo-serve: %s: %v\n", name, err)
-	}
-	return ph
-}
-
-// httpSectionConfig parameterizes the loopback replay.
-type httpSectionConfig struct {
-	addr           string
-	workers, queue int
-	sessions       int
-	iters          int
-	mixedIters     int
-	attacksOn      bool
-	tls            bool
-	pprofOn        bool
-	mode           browser.Mode
-	uncached       bool
-	cache          *core.DecisionCache
-	net            *web.Network
-	policies       map[string]policy.Policy
-	bench          origin.Origin
-	forum          origin.Origin
-	cal            origin.Origin
-	portal         origin.Origin
-	topicID        int
-	memAttacks     []attack.Result
-	// reg and ring are the run's shared observability plane: the
-	// gateway exports reg on /varz and ring on /tracez, and the loadgen
-	// sessions record every mediated decision into ring.
-	reg  *obs.Registry
-	ring *core.DecisionRing
-	// stages and slow are the latency-attribution plane: per-stage
-	// histograms (escudo_stage_seconds) and the slowest-N exemplar ring
-	// (/slowz), shared by the gateway and the loadgen pool.
-	stages *obs.StageSet
-	slow   *obs.SlowRing
-	// soak, when positive, appends an http-soak phase: mixed load
-	// looped until the deadline, long enough for the runtime sampler to
-	// establish whether goroutines and heap return to baseline.
-	soak time.Duration
-}
-
-// fillGatewayStats writes the gateway-side fields of a phase row from
-// one stats delta — the single mapping both the loadgen phases (main
-// gateway) and the attack phase (aggregated per-env gateways) use.
-func fillGatewayStats(ph *httpPhaseJSON, st httpd.Stats) {
-	ph.Requests = st.Served
-	ph.Rejected503 = st.Rejected503
-	ph.QueueDepthMax = st.MaxQueueDepth
-	ph.CacheHits = st.Cache.Hits
-	ph.CacheMisses = st.Cache.Misses
-	ph.CacheHitRate = st.Cache.HitRate()
-	ph.CacheEvicted = st.Cache.Evictions
-	ph.ReqsPerSec = 0
-	if secs := ph.ElapsedMs / 1000; secs > 0 {
-		ph.ReqsPerSec = float64(st.Served) / secs
-	}
-}
-
-// runClientPhase measures the client side of one loopback phase:
-// per-task latency across the pool's sessions. Gateway-side fields
-// are filled separately, because different phases read different
-// gateways (the loadgen phases the shared one, the attack phase an
-// aggregate of per-environment ones).
-func runClientPhase(pool *engine.Pool, name string, fn func()) httpPhaseJSON {
-	pool.SetPhase(name)
-	pool.ResetStats()
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-
-	st := pool.Stats()
-	ph := httpPhaseJSON{
-		Name:      name,
-		Tasks:     st.Tasks,
-		Errors:    len(st.Errors),
-		P50Ms:     ms(st.P50),
-		P99Ms:     ms(st.P99),
-		MeanMs:    ms(st.Mean),
-		ElapsedMs: ms(elapsed),
-	}
-	for _, err := range st.Errors {
-		fmt.Fprintf(os.Stderr, "escudo-serve: %s: %v\n", name, err)
-	}
-	return ph
-}
-
-// runHTTPPhase is runClientPhase plus the shared gateway's
-// served/503/queue/cache deltas for the phase.
-func runHTTPPhase(pool *engine.Pool, gw *httpd.Gateway, name string, fn func()) httpPhaseJSON {
-	before := gw.Stats()
-	gw.ResetQueueHighWater()
-	ph := runClientPhase(pool, name, fn)
-	fillGatewayStats(&ph, gw.Stats().Sub(before))
-	return ph
-}
-
-// fetchPolicyz reads the admin /policyz endpoint, over https when the
-// gateway terminates TLS (ca non-nil).
-func fetchPolicyz(addr string, ca *httpd.CA) (map[string]policy.Policy, error) {
-	client := http.DefaultClient
-	scheme := "http"
-	if ca != nil {
-		scheme = "https"
-		client = &http.Client{
-			Transport: &http.Transport{TLSClientConfig: &tls.Config{RootCAs: ca.Pool(), MinVersion: tls.VersionTLS12}},
-			Timeout:   10 * time.Second,
-		}
-	}
-	resp, err := client.Get(scheme + "://" + addr + "/policyz")
-	if err != nil {
-		return nil, fmt.Errorf("fetching /policyz: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/policyz: status %d", resp.StatusCode)
-	}
-	var doc struct {
-		Generation uint64                   `json:"generation"`
-		Policies   map[string]policy.Policy `json:"policies"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("decoding /policyz: %w", err)
-	}
-	return doc.Policies, nil
-}
-
-// runHTTPSection mounts the substrate on a gateway, replays the
-// figure-4 and mixed workloads through fresh sessions speaking real
-// HTTP over loopback, replays the attack corpus against per-
-// environment gateways, and cross-checks every verdict against the
-// in-memory run.
-func runHTTPSection(cfg httpSectionConfig) (*httpJSON, error) {
-	// Every origin with a derived policy document gets it mounted, so
-	// the gateway serves it at the well-known path and lists it on
-	// /policyz — policy as data on the wire, enforcement staying
-	// browser-side.
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range cfg.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
-	}
-	// The loadgen transport is created by WrapNetwork below, but the
-	// gateway config needs the stats hook now — late-bind through an
-	// atomic pointer so /metricsz can surface connection reuse.
-	var clientRef atomic.Pointer[httpd.ClientTransport]
-	gwCfg := httpd.Config{
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		EnablePprof:       cfg.pprofOn,
-		Obs:               cfg.reg,
-		Ring:              cfg.ring,
-		Stages:            cfg.stages,
-		Slow:              cfg.slow,
-		ClientStatsFunc: func() any {
-			if c := clientRef.Load(); c != nil {
-				return c.Stats()
-			}
-			return nil
-		},
-	}
-	var ca *httpd.CA
-	if cfg.tls {
-		c, err := httpd.NewCA()
-		if err != nil {
-			return nil, err
-		}
-		ca = c
-		gwCfg.TLS = ca
-	}
-	gw, ct, gwCleanup, err := httpd.WrapNetwork(cfg.net, gwCfg, cfg.addr)
-	if err != nil {
-		return nil, err
-	}
-	defer gwCleanup()
-	clientRef.Store(ct)
-
-	httpPool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
-		Transport: ct,
-		Options:   browser.Options{Mode: cfg.mode, DecisionRing: cfg.ring},
-		Cache:     cfg.cache,
-		Uncached:  cfg.uncached,
-		Stages:    cfg.stages,
-		Slow:      cfg.slow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer httpPool.Close()
-
-	section := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls, Workers: cfg.workers, QueueDepth: cfg.queue}
-
-	// Wire-delivery cross-check: /policyz must serve every mounted
-	// document back equal to what was mounted.
-	served, err := fetchPolicyz(gw.Addr(), ca)
-	if err != nil {
-		return nil, err
-	}
-	if len(served) != len(cfg.policies) {
-		return nil, fmt.Errorf("policyz served %d documents, mounted %d", len(served), len(cfg.policies))
-	}
-	for o, doc := range cfg.policies {
-		got, ok := served[o]
-		if !ok || !got.Equal(doc) {
-			return nil, fmt.Errorf("policyz document for %s diverges from the mounted one", o)
-		}
-	}
-	section.PolicyzOrigins = len(served)
-
-	// Unmeasured warm round: establish the scenario session cookie and
-	// the phpBB logins the mixed workload's browsing arm assumes.
-	paths := scenarios.Paths()
-	httpPool.Each(func(s *engine.Session) error {
-		if _, err := s.Browser.Navigate(cfg.bench.URL(paths[0])); err != nil {
-			return err
-		}
-		p, err := s.Browser.Navigate(cfg.forum.URL("/"))
-		if err != nil {
-			return err
-		}
-		form := p.Doc.ByID("loginform")
-		if form == nil {
-			return fmt.Errorf("no loginform over http")
-		}
-		_, err = p.SubmitForm(form, map[string][]string{
-			"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-		})
-		return err
-	})
-	if st := httpPool.Stats(); len(st.Errors) > 0 {
-		return nil, fmt.Errorf("http warmup: %w", st.Errors[0])
-	}
-
-	// The figure4 replay doubles as the allocation gate: the phase's
-	// process-wide Mallocs delta over the gateway's served count is the
-	// allocs-per-request figure CI asserts. A GC cycle beforehand keeps
-	// the previous phases' garbage out of the window.
-	runtime.GC()
-	var memBefore, memAfter runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
-	fig4 := runHTTPPhase(httpPool, gw, "http-figure4", func() {
-		for r := 0; r < cfg.iters; r++ {
-			for _, path := range paths {
-				p := path
-				httpPool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(cfg.bench.URL(p))
-					return err
-				})
-			}
-		}
-		httpPool.Wait()
-	})
-	runtime.ReadMemStats(&memAfter)
-	if fig4.Requests > 0 {
-		fig4.AllocsPerRequest = float64(memAfter.Mallocs-memBefore.Mallocs) / float64(fig4.Requests)
-	}
-	section.AllocsPerRequest = fig4.AllocsPerRequest
-	section.Phases = append(section.Phases, fig4)
-
-	if cfg.mixedIters > 0 {
-		section.Phases = append(section.Phases, runHTTPPhase(httpPool, gw, "http-mixed", func() {
-			httpPool.Each(mixedTask(cfg.forum, cfg.cal, cfg.portal, cfg.topicID, cfg.mixedIters))
-		}))
-	}
-
-	// Soak: mixed load looped until the deadline. The phase exists for
-	// the runtime sampler — long enough wall-clock for goroutine and
-	// heap series to show whether the process returns to its idle shape
-	// (the CI soak gate asserts exactly that on the obs section).
-	if cfg.soak > 0 {
-		deadline := time.Now().Add(cfg.soak)
-		section.Phases = append(section.Phases, runHTTPPhase(httpPool, gw, "http-soak", func() {
-			for time.Now().Before(deadline) {
-				httpPool.Each(mixedTask(cfg.forum, cfg.cal, cfg.portal, cfg.topicID, 1))
-			}
-		}))
-	}
-
-	// Attack replay over sockets: each environment's private network
-	// gets its own loopback gateway, and each verdict must equal the
-	// in-memory one — transport independence, asserted. The phase's
-	// traffic counters aggregate the per-environment gateways (the
-	// main gateway sees none of this traffic).
-	if cfg.attacksOn {
-		var attackGW struct {
-			mu sync.Mutex
-			st httpd.Stats
-		}
-		wrapper := func(n *web.Network) (web.Transport, func(), error) {
-			g, c, envCleanup, err := httpd.WrapNetwork(n, gwCfg, "127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			cleanup := func() {
-				attackGW.mu.Lock()
-				attackGW.st = attackGW.st.Add(g.Stats())
-				attackGW.mu.Unlock()
-				envCleanup()
-			}
-			return c, cleanup, nil
-		}
-		corpus := attack.Corpus()
-		httpResults := make([]attack.Result, len(corpus))
-		ph := runClientPhase(httpPool, "http-attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				httpPool.Submit(func(*engine.Session) error {
-					httpResults[i] = attack.RunOneOver(atk, cfg.mode, cfg.cache, wrapper)
-					return httpResults[i].Err
-				})
-			}
-			httpPool.Wait()
-		})
-		attackGW.mu.Lock()
-		agg := attackGW.st
-		attackGW.mu.Unlock()
-		fillGatewayStats(&ph, agg)
-		section.Phases = append(section.Phases, ph)
-		aj := &attacksJSON{Total: len(corpus)}
-		matches := true
-		for i, r := range httpResults {
-			if r.Neutralized() {
-				aj.Neutralized++
-			} else {
-				aj.Succeeded++
-			}
-			if i < len(cfg.memAttacks) && cfg.memAttacks[i].Succeeded != r.Succeeded {
-				matches = false
-				fmt.Fprintf(os.Stderr,
-					"escudo-serve: VERDICT DIVERGENCE %s: in-memory succeeded=%v, sockets succeeded=%v\n",
-					corpus[i].Name, cfg.memAttacks[i].Succeeded, r.Succeeded)
-			}
-		}
-		section.Attacks = aj
-		section.AttacksMatchMemory = &matches
-		if !matches {
-			return nil, fmt.Errorf("attack verdicts diverge between in-memory and socket transports")
-		}
-	}
-
-	section.Gateway = gw.Stats()
-	clientStats := cluster.FromClientStats(ct.Stats())
-	section.Client = &clientStats
-	section.Proto = ct.Stats().Proto()
-	return section, nil
+	return c, nil
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("escudo-serve", flag.ContinueOnError)
-	sessionsN := fs.Int("sessions", 8, "number of concurrent browser sessions")
-	iters := fs.Int("iters", 5, "rounds through all Figure-4 scenarios per session")
-	phpbbIters := fs.Int("phpbb-iters", 20, "phpBB page views per session")
-	mixedIters := fs.Int("mixed-iters", 10, "mixed-workload rounds per session (0 disables the phase)")
-	scriptIters := fs.Int("script-iters", 60, "script-engine corpus passes per round per engine (0 disables the script section)")
-	procs := fs.Int("procs", 0, "GOMAXPROCS override (0 keeps the runtime default)")
-	procsBench := fs.Int("procs-bench", 0, "re-run the figure4 phase at this GOMAXPROCS after the main phases and record it as procs_variant (0 disables)")
-	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof on the gateway's admin host under /debug/pprof (with -http)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memProfile := fs.String("memprofile", "", "write a heap profile (after the run, post-GC) to this file")
-	modeFlag := fs.String("mode", "escudo", "protection mode: escudo or sop")
-	attacksOn := fs.Bool("attacks", true, "replay the §6.4 attack corpus")
-	uncached := fs.Bool("uncached", false, "disable the shared decision cache (baseline)")
-	httpAddr := fs.String("http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
-	httpWorkers := fs.Int("http-workers", 4, "gateway per-origin worker count")
-	httpQueue := fs.Int("http-queue", 64, "gateway per-origin queue depth (overflow → 503)")
-	soak := fs.Duration("soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
-	openloopFlag := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section; in -cluster mode each worker drives this spec and the shards merge")
-	tlsOn := fs.Bool("tls", false, "terminate https on the gateway with an ephemeral in-memory CA (with -http, -serve-only, or -cluster; with -connect, trust -tls-ca)")
-	serveOnly := fs.Bool("serve-only", false, "server mode: mount the substrate on a gateway and serve until SIGTERM (no loadgen)")
-	connectAddr := fs.String("connect", "", "worker mode: generate load against a remote gateway at this address and write a BENCH shard to -out")
-	clusterN := fs.Int("cluster", 0, "cluster mode: fork/exec one -serve-only server plus N -connect workers and merge their shards into a cluster section")
-	clusterBin := fs.String("cluster-bin", "", "binary to fork/exec in -cluster mode (default: this executable)")
-	tlsCAOut := fs.String("tls-ca-out", "", "serve-only: write the CA certificate (no key) to this PEM file for workers to trust")
-	tlsCAFile := fs.String("tls-ca", "", "connect: CA certificate bundle to verify the gateway's TLS leafs against")
-	addrFile := fs.String("addr-file", "", "serve-only: write the bound listener address to this file")
-	statsFile := fs.String("stats-file", "", "serve-only: write gateway-side stats JSON here on graceful shutdown")
-	workerID := fs.Int("worker-id", 0, "connect: this worker's index in the cluster (labels the shard)")
-	accountsN := fs.Int("accounts", 0, "serve-only: register this many phpBB/PHP-Calendar accounts (0 = one per session; a cluster supervisor passes workers×sessions so each worker gets a disjoint account range)")
-	controlOn := fs.Bool("control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
-	tenantsN := fs.Int("tenants", 1024, "tenant origins to mount in the -control section")
-	out := fs.String("out", "BENCH_engine.json", "output JSON path")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseConfig(args)
+	if err != nil {
 		return err
 	}
-	if *sessionsN < 1 {
-		return fmt.Errorf("-sessions must be >= 1, got %d", *sessionsN)
-	}
-	if *tlsOn && *httpAddr == "" && !*serveOnly && *connectAddr == "" && *clusterN == 0 {
-		return fmt.Errorf("-tls needs a gateway: combine it with -http, -serve-only, -connect, or -cluster")
-	}
-	if *procs > 0 {
+	if cfg.procs > 0 {
 		// Clamp to the physical CPU count: GOMAXPROCS above it buys no
 		// parallelism, only OS-thread thrash that wrecks tail latency.
-		effective := *procs
+		effective := cfg.procs
 		if n := runtime.NumCPU(); effective > n {
-			fmt.Fprintf(os.Stderr, "escudo-serve: -procs %d clamped to %d (machine CPU count)\n", *procs, n)
+			fmt.Fprintf(os.Stderr, "escudo-serve: -procs %d clamped to %d (machine CPU count)\n", cfg.procs, n)
 			effective = n
 		}
 		runtime.GOMAXPROCS(effective)
 	}
-	mode, err := parseMode(*modeFlag)
-	if err != nil {
-		return err
-	}
-	var olSpec openLoopSpec
-	if *openloopFlag != "" {
-		if olSpec, err = parseOpenLoop(*openloopFlag); err != nil {
-			return err
-		}
-	}
 
-	// The multi-process modes: a cluster supervisor, a server-only
-	// gateway process, or a loadgen worker. Each is a complete program
-	// of its own; the classic single-process driver continues below.
+	// The multi-process roles: a cluster supervisor, a server-only
+	// gateway process, or a loadgen worker.
 	switch {
-	case *clusterN > 0:
-		return runCluster(clusterConfig{
-			workers:     *clusterN,
-			bin:         *clusterBin,
-			sessions:    *sessionsN,
-			iters:       *iters,
-			phpbbIters:  *phpbbIters,
-			mode:        *modeFlag,
-			attacksOn:   *attacksOn,
-			uncached:    *uncached,
-			tls:         *tlsOn,
-			httpWorkers: *httpWorkers,
-			httpQueue:   *httpQueue,
-			openloop:    *openloopFlag,
-			out:         *out,
-		})
-	case *serveOnly:
+	case cfg.cluster > 0:
+		return runCluster(cfg)
+	case cfg.serveOnly:
 		// Register the handler before anything else runs so a SIGTERM
 		// arriving during startup still takes the graceful path.
 		stop := make(chan struct{})
@@ -853,47 +374,22 @@ func run(args []string) error {
 			<-ch
 			close(stop)
 		}()
-		addr := *httpAddr
-		if addr == "" {
-			addr = "127.0.0.1:0"
-		}
-		return runServeOnly(serveOnlyConfig{
-			addr:      addr,
-			sessions:  *sessionsN,
-			accounts:  *accountsN,
-			workers:   *httpWorkers,
-			queue:     *httpQueue,
-			tls:       *tlsOn,
-			tlsCAOut:  *tlsCAOut,
-			addrFile:  *addrFile,
-			statsFile: *statsFile,
-		}, stop)
-	case *connectAddr != "":
-		return runConnect(connectConfig{
-			addr:        *connectAddr,
-			sessions:    *sessionsN,
-			iters:       *iters,
-			phpbbIters:  *phpbbIters,
-			mode:        mode,
-			uncached:    *uncached,
-			attacksOn:   *attacksOn,
-			tls:         *tlsOn,
-			tlsCAFile:   *tlsCAFile,
-			workerID:    *workerID,
-			httpWorkers: *httpWorkers,
-			httpQueue:   *httpQueue,
-			openloop:    olSpec,
-			out:         *out,
-		})
+		return runServeOnly(cfg, stop)
+	case cfg.connect != "":
+		return runConnect(cfg)
 	}
+	return runLocal(cfg)
+}
 
+// runLocal is the single-process driver: the in-memory phases, the
+// policy section, and whichever of the http, slo, control and script
+// sections the flags ask for, written to one report and verified.
+func runLocal(cfg config) error {
 	// Profiling covers the whole single-process run: all in-memory
 	// phases plus the http section, which is where the hot request
-	// path lives. (The multi-process modes returned above; profile
-	// their children by passing the flags through -connect/-serve-only
-	// invocations directly.)
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	// path lives.
+	if cfg.cpuProfile != "" {
+		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
 			return fmt.Errorf("creating -cpuprofile: %w", err)
 		}
@@ -903,9 +399,9 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if cfg.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(cfg.memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "escudo-serve: creating -memprofile: %v\n", err)
 				return
@@ -918,408 +414,382 @@ func run(args []string) error {
 		}()
 	}
 
-	// The run's observability plane: one registry (exported on /varz
-	// when a gateway is mounted), one decision-trace ring shared by all
-	// sessions, and a runtime sampler covering the whole run. Open-loop
-	// runs widen the ring so the slow exemplars' trace IDs stay
-	// resolvable on /tracez after the storm.
-	reg := obs.NewRegistry()
-	ringSize := 0
-	if *openloopFlag != "" {
-		ringSize = 65536
-	}
-	ring := core.NewDecisionRing(ringSize)
-	smp := obs.NewSampler(reg, 200*time.Millisecond)
-	smp.Start()
-
-	// The latency-attribution plane: per-stage histograms and the
-	// slowest-N exemplar ring, threaded through every pool and gateway
-	// this run builds. Stage timing is always on — invariant 9 (timing
-	// observation never changes a verdict or a batch count) is enforced
-	// by construction and cross-checked in the httpd equivalence tests.
-	stages := obs.NewStageSet(reg)
-	slowRing := obs.NewSlowRing(0)
-
-	// Shared substrate: the Figure-4 scenario server, a phpBB instance
-	// with one account per session and a seeded topic, the
-	// mixed-workload apps, and their unified policy documents.
-	sub := buildSubstrate(*sessionsN)
-	net := sub.net
-	benchOrigin, forumOrigin := sub.bench, sub.forum
-	calOrigin, portalOrigin, widgetOrigin := sub.cal, sub.portal, sub.widget
-	topicID := sub.topicID
-	portalPolicy := sub.portalPolicy
-	policies := sub.policies
-
-	pool, err := engine.NewPool(engine.Config{
-		Sessions: *sessionsN,
-		Network:  net,
-		Options:  browser.Options{Mode: mode, DecisionRing: ring},
-		Uncached: *uncached,
-		Stages:   stages,
-		Slow:     slowRing,
-	})
+	pl := newPlane(cfg.openloop.rate > 0)
+	sub := buildSubstrate(cfg.sessions)
+	mem, err := newSection(cfg, pl, sub.net, nil, browser.Options{})
 	if err != nil {
 		return err
 	}
-	defer pool.Close()
+	defer mem.close()
+	cache := mem.pool.Cache()
 
 	report := benchJSON{
-		Sessions:       *sessionsN,
-		Mode:           mode.String(),
-		Uncached:       *uncached,
-		ProcsRequested: *procs,
+		Sessions:       cfg.sessions,
+		Mode:           cfg.mode.String(),
+		Uncached:       cfg.uncached,
+		ProcsRequested: cfg.procs,
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 	}
 	total := time.Now()
 
-	// Phase 1 — Figure-4 scenarios: every session walks all eight
-	// pages, repeatedly. One unmeasured warm navigation per session
-	// first, so the session cookie exists and every measured load
-	// exercises cookie use (runPhase resets the stats it leaves).
-	paths := scenarios.Paths()
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(benchOrigin.URL(paths[0]))
-		return err
-	})
-	// Post-warmup mark: the pool's steady-state goroutine count, the
+	// One unmeasured navigation per session first, so the session
+	// cookie exists and every measured load exercises cookie use. The
+	// post-warmup mark is the pool's steady-state goroutine count, the
 	// baseline the soak gate compares the end-of-run count against.
-	smp.Mark()
-	report.Phases = append(report.Phases, runPhase(pool, "figure4", func() {
-		for r := 0; r < *iters; r++ {
-			for _, path := range paths {
-				p := path
-				pool.Submit(func(s *engine.Session) error {
-					_, err := s.Browser.Navigate(benchOrigin.URL(p))
-					return err
-				})
-			}
-		}
-		pool.Wait()
-	}))
+	if err := mem.warm(visit(benchO.URL(scenarioPaths()[0]))); err != nil {
+		return err
+	}
+	pl.smp.Mark()
+	report.Phases = append(report.Phases, mem.phase("figure4", func() { figure4Rounds(mem.pool, benchO, cfg.iters) }))
+	report.Phases = append(report.Phases, mem.phase("phpbb", func() { mem.pool.Each(phpbbTask(cfg.account, cfg.phpbbIters)) }))
+	if cfg.mixedIters > 0 {
+		report.Phases = append(report.Phases, mem.phase("mixed", func() { mem.pool.Each(mixedTask(cfg.mixedIters)) }))
+	}
+	if cfg.soak > 0 && cfg.httpAddr == "" {
+		report.Phases = append(report.Phases, mem.phase("soak", func() { soak(mem.pool, cfg.soak) }))
+	}
+	if cfg.attacks {
+		var tally *attacksJSON
+		ph := mem.phase("attacks", func() { tally, _, _ = mem.replay(cfg.mode) })
+		ph.Attacks = tally
+		report.Phases = append(report.Phases, ph)
+	}
 
-	// Phase 2 — phpBB browsing: each session logs into its own
-	// account, then alternates between the index and the seeded topic,
-	// posting the occasional reply. This is the workload whose
-	// decision stream is maximally repetitive — the cache's best case
-	// and the paper's "active session with a trusted site" setting.
-	report.Phases = append(report.Phases, runPhase(pool, "phpbb", func() {
-		pool.Each(func(s *engine.Session) error {
-			p, err := s.Browser.Navigate(forumOrigin.URL("/"))
-			if err != nil {
-				return err
-			}
-			form := p.Doc.ByID("loginform")
-			if form == nil {
-				return fmt.Errorf("no loginform")
-			}
-			if _, err := p.SubmitForm(form, map[string][]string{
-				"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
-			}); err != nil {
-				return err
-			}
-			for i := 0; i < *phpbbIters; i++ {
-				if _, err := s.Browser.Navigate(forumOrigin.URL("/")); err != nil {
-					return err
-				}
-				tp, err := s.Browser.Navigate(forumOrigin.URL(fmt.Sprintf("/viewtopic?t=%d", topicID)))
+	if report.Policy, err = policySection(cfg, pl, sub, cache); err != nil {
+		return err
+	}
+	if cfg.httpAddr != "" {
+		if report.HTTP, err = httpSection(cfg, pl, sub, cache); err != nil {
+			return err
+		}
+	}
+	if cfg.openloop.rate > 0 {
+		if report.SLO, err = sloSection(cfg, pl, sub, cache); err != nil {
+			return err
+		}
+	}
+	if cfg.control {
+		if report.Control, err = runControlSection(cfg, pl); err != nil {
+			return err
+		}
+	}
+	// Script section — interpreter vs compiled VM on the shared corpus,
+	// after every workload phase so the compile-cache counters cover
+	// the run's full <script> traffic.
+	if cfg.scriptIters > 0 {
+		if report.Script, err = runScriptSection(cfg.scriptIters); err != nil {
+			return err
+		}
+	}
+
+	report.Obs = &obsJSON{
+		Version:                obs.Version(),
+		Sampler:                pl.smp.Stop(),
+		DecisionEventsRecorded: pl.ring.Total(),
+		DecisionEventsRetained: pl.ring.Len(),
+	}
+	report.TotalMs = ms(time.Since(total))
+	if err := writeJSON(cfg.out, report); err != nil {
+		return err
+	}
+	printReport(&report)
+	fmt.Printf("\nWrote %s (%.0f ms total)\n", cfg.out, report.TotalMs)
+	return verify(&report)
+}
+
+// policySection round-trips the unified documents and runs the
+// delegated-session phase: a pool whose sessions mount the §7
+// delegation monitor through browser.Options.MonitorFactory (sharing
+// the run's decision cache), so the delegated widget renders into its
+// portal slot across real concurrent sessions while its overreach is
+// denied. ESCUDO mode only: delegation is meaningless under the flat
+// SOP baseline.
+func policySection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache) (*policyJSON, error) {
+	sec := &policyJSON{RoundTripOK: true}
+	for o, doc := range sub.policies {
+		sec.Origins = append(sec.Origins, o)
+		sec.Delegations += len(doc.Delegations)
+		data, err := doc.Marshal()
+		if err != nil {
+			return nil, err
+		}
+		back, err := policy.Parse(data)
+		if err != nil || !back.Equal(doc) {
+			sec.RoundTripOK = false
+		}
+	}
+	sort.Strings(sec.Origins)
+	if cfg.mode != browser.ModeEscudo {
+		return sec, nil
+	}
+	delPol, err := sub.portalPolicy.DelegationPolicy()
+	if err != nil {
+		return nil, err
+	}
+	del, err := newSection(cfg, pl, sub.net, cache, browser.Options{
+		MonitorFactory: func(browser.PageRef) core.Monitor {
+			return core.Compose(&core.ERM{}, core.WithCache(cache), core.WithDelegations(delPol))
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer del.close()
+	iters := max(cfg.mixedIters, 1)
+	widget := core.Principal(widgetO, 0, "widget")
+	sec.Phases = append(sec.Phases, del.phase("delegated-session", func() {
+		del.pool.Each(func(s *engine.Session) error {
+			for i := 0; i < iters; i++ {
+				p, err := s.Browser.Navigate(portalO.URL("/"))
 				if err != nil {
 					return err
 				}
-				if i%5 == 4 {
-					reply := tp.Doc.ByID("replyform")
-					if reply == nil {
-						return fmt.Errorf("no replyform")
-					}
-					if _, err := tp.SubmitForm(reply, map[string][]string{
-						"message": {fmt.Sprintf("reply from session %d round %d", s.ID, i)},
-					}); err != nil {
-						return err
-					}
+				if err := p.RunScriptAs(widget, fmt.Sprintf(
+					`document.getElementById("slot%d").innerHTML = "forecast s%d r%d";`,
+					i%8, s.ID, i)); err != nil {
+					return fmt.Errorf("delegated slot write denied: %w", err)
+				}
+				if err := p.RunScriptAs(widget,
+					`document.getElementById("chrome").innerHTML = "pwned";`); err == nil {
+					return fmt.Errorf("delegation failed to confine the widget to its floor")
 				}
 			}
 			return nil
 		})
 	}))
+	return sec, nil
+}
 
-	// Phase 3 — mixed workload: the sessions split three ways across
-	// one network — phpBB browsing, PHP-Calendar event tracking, and a
-	// mashup portal with cross-origin widgets — so the sharded network
-	// and shared cache face heterogeneous traffic instead of one app's
-	// repetitive decision stream.
-	if *mixedIters > 0 {
-		report.Phases = append(report.Phases, runPhase(pool, "mixed", func() {
-			pool.Each(mixedTask(forumOrigin, calOrigin, portalOrigin, topicID, *mixedIters))
-		}))
+// httpSection is the client/server split: the substrate served from a
+// real net/http gateway, the workloads replayed by fresh sessions over
+// loopback sockets through the shared decision cache, and the attack
+// corpus cross-checked transport for transport.
+func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache) (*httpJSON, error) {
+	ca, err := newCA(cfg.tls)
+	if err != nil {
+		return nil, err
 	}
-
-	// In-memory soak: when no gateway is mounted, the soak loop runs
-	// the mixed workload directly (with -http it runs through the
-	// gateway in the http section instead).
-	if *soak > 0 && *httpAddr == "" {
-		deadline := time.Now().Add(*soak)
-		report.Phases = append(report.Phases, runPhase(pool, "soak", func() {
-			for time.Now().Before(deadline) {
-				pool.Each(mixedTask(forumOrigin, calOrigin, portalOrigin, topicID, 1))
-			}
-		}))
+	gw, ct, cleanup, err := gateway(pl, sub.net, cfg.httpAddr, sub.policies, httpd.Config{TLS: ca, EnablePprof: cfg.pprof})
+	if err != nil {
+		return nil, err
 	}
+	defer cleanup()
+	s, err := newSection(cfg, pl, ct, cache, browser.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer s.close()
+	s.gw, s.env = gw, &attackWire{ca: ca}
+	// Every gateway runs httpd's default per-origin shape.
+	sec := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls, Workers: 4, QueueDepth: 64}
 
-	// Phase 4 — §6.4 attack corpus: every attack runs in a fresh
-	// environment, scheduled across the pool's sessions, with the
-	// shared cache plugged into each victim browser.
-	var memAttacks []attack.Result
-	if *attacksOn {
-		corpus := attack.Corpus()
-		memAttacks = make([]attack.Result, len(corpus))
-		ph := runPhase(pool, "attacks", func() {
-			for i, atk := range corpus {
-				i, atk := i, atk
-				pool.Submit(func(*engine.Session) error {
-					memAttacks[i] = attack.RunOneCached(atk, mode, pool.Cache())
-					return memAttacks[i].Err
-				})
-			}
-			pool.Wait()
-		})
-		aj := &attacksJSON{Total: len(corpus)}
-		for _, r := range memAttacks {
-			if r.Neutralized() {
-				aj.Neutralized++
-			} else {
-				aj.Succeeded++
-			}
+	// Wire delivery: count the mounted documents /policyz serves back
+	// unchanged (verify holds the count to the mounted set).
+	scheme, client := "http", (*http.Client)(nil)
+	if ca != nil {
+		scheme = "https"
+		client = &http.Client{
+			Transport: &http.Transport{TLSClientConfig: &tls.Config{RootCAs: ca.Pool(), MinVersion: tls.VersionTLS12}},
+			Timeout:   10 * time.Second,
 		}
-		ph.Attacks = aj
-		report.Phases = append(report.Phases, ph)
 	}
-
-	// GOMAXPROCS>1 variant: re-run the figure4 phase with the runtime
-	// widened to -procs-bench cores, then restore it, so the report
-	// carries the serial and parallel numbers side by side.
-	if *procsBench > 0 {
-		want := *procsBench
-		if n := runtime.NumCPU(); want > n {
-			fmt.Fprintf(os.Stderr, "escudo-serve: -procs-bench %d clamped to %d (machine CPU count)\n", *procsBench, n)
-			want = n
+	served, err := ctlplane.FetchPolicyz(context.Background(), client, scheme, gw.Addr())
+	if err != nil {
+		return nil, err
+	}
+	for o, raw := range served.Policies {
+		if got, err := policy.Parse(raw); err == nil && got.Equal(sub.policies[o]) {
+			sec.PolicyzOrigins++
 		}
-		prev := runtime.GOMAXPROCS(want)
-		variant := &procsVariantJSON{Procs: *procsBench, GoMaxProcs: runtime.GOMAXPROCS(0)}
-		variant.Phases = append(variant.Phases, runPhase(pool, "figure4-procs", func() {
-			for r := 0; r < *iters; r++ {
-				for _, path := range paths {
-					p := path
-					pool.Submit(func(s *engine.Session) error {
-						_, err := s.Browser.Navigate(benchOrigin.URL(p))
-						return err
-					})
-				}
-			}
-			pool.Wait()
-		}))
-		runtime.GOMAXPROCS(prev)
-		report.ProcsVariant = variant
 	}
 
-	// Policy section — the unified documents round-trip-checked, and
-	// the delegated-session phase: a second pool whose sessions mount
-	// the §7 delegation monitor through browser.Options.MonitorFactory
-	// (sharing the main pool's decision cache), so the delegated widget
-	// renders into its portal slot across real concurrent sessions
-	// while its overreach is denied. ESCUDO mode only: delegation is
-	// meaningless under the flat SOP baseline.
-	polSection := &policyJSON{RoundTripOK: true}
-	for o, doc := range policies {
-		polSection.Origins = append(polSection.Origins, o)
-		polSection.Delegations += len(doc.Delegations)
-		data, err := doc.Marshal()
-		if err != nil {
+	// Unmeasured warm round: the scenario session cookie and the phpBB
+	// logins the mixed workload's browsing arm assumes.
+	if err := s.warm(func(se *engine.Session) error {
+		if err := visit(benchO.URL(scenarioPaths()[0]))(se); err != nil {
 			return err
 		}
-		back, err := policy.Parse(data)
-		if err != nil || !back.Equal(doc) {
-			polSection.RoundTripOK = false
-		}
-	}
-	sort.Strings(polSection.Origins)
-	if mode == browser.ModeEscudo {
-		delPol, err := portalPolicy.DelegationPolicy()
-		if err != nil {
-			return err
-		}
-		sharedCache := pool.Cache()
-		delPool, err := engine.NewPool(engine.Config{
-			Sessions: *sessionsN,
-			Network:  net,
-			Cache:    sharedCache,
-			Uncached: *uncached,
-			Options: browser.Options{
-				Mode:         mode,
-				DecisionRing: ring,
-				MonitorFactory: func(browser.PageRef) core.Monitor {
-					return core.Compose(&core.ERM{}, core.WithCache(sharedCache), core.WithDelegations(delPol))
-				},
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer delPool.Close()
-		delIters := *mixedIters
-		if delIters <= 0 {
-			delIters = 1
-		}
-		polSection.Phases = append(polSection.Phases, runPhase(delPool, "delegated-session", func() {
-			delPool.Each(func(s *engine.Session) error {
-				widgetP := core.Principal(widgetOrigin, 0, "widget")
-				for i := 0; i < delIters; i++ {
-					p, err := s.Browser.Navigate(portalOrigin.URL("/"))
-					if err != nil {
-						return err
-					}
-					if err := p.RunScriptAs(widgetP, fmt.Sprintf(
-						`document.getElementById("slot%d").innerHTML = "forecast s%d r%d";`,
-						i%8, s.ID, i)); err != nil {
-						return fmt.Errorf("delegated slot write denied: %w", err)
-					}
-					if err := p.RunScriptAs(widgetP,
-						`document.getElementById("chrome").innerHTML = "pwned";`); err == nil {
-						return fmt.Errorf("delegation failed to confine the widget to its floor")
-					}
-				}
-				return nil
-			})
-		}))
-	}
-	report.Policy = polSection
-
-	// HTTP section — the client/server split: the same origins served
-	// from a real net/http gateway, the same workloads replayed by
-	// fresh sessions over loopback sockets through the shared decision
-	// cache, and the attack corpus cross-checked transport-for-
-	// transport.
-	if *httpAddr != "" {
-		h, err := runHTTPSection(httpSectionConfig{
-			addr:       *httpAddr,
-			workers:    *httpWorkers,
-			queue:      *httpQueue,
-			sessions:   *sessionsN,
-			iters:      *iters,
-			mixedIters: *mixedIters,
-			attacksOn:  *attacksOn,
-			tls:        *tlsOn,
-			pprofOn:    *pprofOn,
-			mode:       mode,
-			uncached:   *uncached,
-			cache:      pool.Cache(),
-			net:        net,
-			policies:   policies,
-			bench:      benchOrigin,
-			forum:      forumOrigin,
-			cal:        calOrigin,
-			portal:     portalOrigin,
-			topicID:    topicID,
-			memAttacks: memAttacks,
-			reg:        reg,
-			ring:       ring,
-			stages:     stages,
-			slow:       slowRing,
-			soak:       *soak,
-		})
-		if err != nil {
-			return err
-		}
-		report.HTTP = h
+		return login(se, cfg.account(se.ID))
+	}); err != nil {
+		return nil, fmt.Errorf("http %w", err)
 	}
 
-	// SLO section — open-loop Poisson arrivals against a dedicated
-	// loopback gateway sharing the substrate, cache, and observability
-	// plane: offered vs achieved rate, per-stage tails, churn
-	// bookkeeping, exemplar traces, and the window's leak verdict.
-	if *openloopFlag != "" {
-		res, err := runOpenLoopSection(openLoopSectionConfig{
-			spec:     olSpec,
-			sessions: *sessionsN,
-			workers:  *httpWorkers,
-			queue:    *httpQueue,
-			httpCfg: httpSectionConfig{
-				mode:     mode,
-				uncached: *uncached,
-				cache:    pool.Cache(),
-				net:      net,
-				policies: policies,
-				bench:    benchOrigin,
-				forum:    forumOrigin,
-				reg:      reg,
-				ring:     ring,
-			},
-			stages: stages,
-			slow:   slowRing,
-		})
-		if err != nil {
-			return err
-		}
-		report.SLO = res
+	// The figure4 replay doubles as the allocation gate: the phase's
+	// process-wide Mallocs delta over the gateway's served count. A GC
+	// cycle beforehand keeps the previous phases' garbage out of the
+	// window.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fig4 := s.phase("http-figure4", func() { figure4Rounds(s.pool, benchO, cfg.iters) })
+	runtime.ReadMemStats(&after)
+	if fig4.Requests > 0 {
+		fig4.AllocsPerRequest = float64(after.Mallocs-before.Mallocs) / float64(fig4.Requests)
+	}
+	sec.AllocsPerRequest = fig4.AllocsPerRequest
+	sec.Phases = append(sec.Phases, fig4)
+	if cfg.mixedIters > 0 {
+		sec.Phases = append(sec.Phases, s.phase("http-mixed", func() { s.pool.Each(mixedTask(cfg.mixedIters)) }))
+	}
+	if cfg.soak > 0 {
+		sec.Phases = append(sec.Phases, s.phase("http-soak", func() { soak(s.pool, cfg.soak) }))
+	}
+	if cfg.attacks {
+		var match bool
+		sec.Phases = append(sec.Phases, s.phase("http-attacks", func() { sec.Attacks, match, _ = s.replay(cfg.mode) }))
+		sec.AttacksMatchMemory = &match
 	}
 
-	// Control-plane section — a dedicated multi-tenant gateway, a live
-	// policy flip pushed mid-load, and the noisy-neighbor harness. Runs
-	// on its own gateway and pool so its storm (which invalidates its
-	// decision cache) cannot perturb the equivalence-checked phases.
-	if *controlOn {
-		c, err := runControlSection(controlSectionConfig{
-			tenants:   *tenantsN,
-			sessions:  *sessionsN,
-			iters:     *iters,
-			workers:   *httpWorkers,
-			queue:     *httpQueue,
-			mode:      mode,
-			uncached:  *uncached,
-			attacksOn: *attacksOn,
-		})
-		if err != nil {
-			return err
-		}
-		report.Control = c
+	sec.Gateway = gw.Stats()
+	cs := cluster.FromClientStats(ct.Stats())
+	sec.Client, sec.Proto = &cs, cs.Proto
+	return sec, nil
+}
+
+// sloSection offers open-loop Poisson arrivals to a dedicated loopback
+// gateway sharing the substrate, cache, and observability plane, so
+// the storm cannot perturb the equivalence-checked phases.
+func sloSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache) (*slo.Result, error) {
+	_, ct, cleanup, err := gateway(pl, sub.net, "127.0.0.1:0", sub.policies, httpd.Config{})
+	if err != nil {
+		return nil, err
 	}
-
-	// Script section — interpreter vs compiled VM on the shared corpus,
-	// after every workload phase so the compile-cache counters cover
-	// the run's full <script> traffic.
-	if *scriptIters > 0 {
-		s, err := runScriptSection(*scriptIters)
-		if err != nil {
-			return err
-		}
-		report.Script = s
+	defer cleanup()
+	s, err := newSection(cfg, pl, ct, cache, browser.Options{})
+	if err != nil {
+		return nil, err
 	}
-
-	// Close the observability window: a final sample, then the obs
-	// section with the run's build stamp, sampler series, and
-	// decision-trace ring traffic.
-	sampStats := smp.Stop()
-	report.Obs = &obsJSON{
-		Version:                obs.Version(),
-		Sampler:                sampStats,
-		DecisionEventsRecorded: ring.Total(),
-		DecisionEventsRetained: ring.Len(),
+	defer s.close()
+	if err := s.warm(visit(benchO.URL(scenarioPaths()[0]))); err != nil {
+		return nil, fmt.Errorf("openloop %w", err)
 	}
+	// The in-memory substrate's request log is the other append-only
+	// accumulator in this process; drop it on the trim cadence.
+	return driveOpenLoop(s.pool, cfg.openloop, pl, cfg.account, sub.net.ResetLog)
+}
 
-	report.TotalMs = ms(time.Since(total))
-
-	data, err := json.MarshalIndent(report, "", "  ")
+// writeJSON writes v, indented, to path.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// verify checks every invariant the report measured and returns the
+// broken ones; a non-nil result makes the run exit 1. Thresholds that
+// depend on run length or host speed (connection reuse, allocation
+// ceilings, the noisy-neighbor tail) are not invariants; the make
+// targets assert those.
+func verify(r *benchJSON) error {
+	var errs []error
+	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
+	escudo := r.Mode == browser.ModeEscudo.String()
+	corpus := len(attack.Corpus())
+	clean := func(where string, rows []phaseJSON) {
+		for _, ph := range rows {
+			if ph.Errors > 0 {
+				fail("%sphase %s had %d task errors", where, ph.Name, ph.Errors)
+			}
+		}
+	}
+	// Under SOP attacks succeeding is the baseline working.
+	tally := func(where string, a *attacksJSON) {
+		if escudo && a != nil && (a.Total != corpus || a.Neutralized != a.Total) {
+			fail("%s: %d/%d attacks neutralized, want %d/%d", where, a.Neutralized, a.Total, corpus, corpus)
+		}
+	}
+	h2 := func(where string, tls bool, proto string) {
+		if tls && proto != "h2" {
+			fail("%s: the TLS loadgen negotiated %q, want h2", where, proto)
+		}
+	}
+	sloOK := func(s *slo.Result) {
+		if s == nil {
+			return
+		}
+		if s.Errors > 0 {
+			fail("open-loop run had %d task errors", s.Errors)
+		}
+		if s.Leak != nil && s.Leak.Suspected {
+			fail("open-loop leak watch suspects a leak (%.0f B/s)", s.Leak.SlopeBytesPerSec)
+		}
+		if s.P99BudgetMs > 0 && !s.P99WithinBudget {
+			fail("open-loop p99 %.1f ms misses its %.1f ms budget", s.P99Ms, s.P99BudgetMs)
+		}
+		if s.Logins != s.Logouts+s.LiveSessions {
+			fail("churn: %d logins != %d logouts + %d live sessions", s.Logins, s.Logouts, s.LiveSessions)
+		}
 	}
 
+	clean("", r.Phases)
+	for _, ph := range r.Phases {
+		tally("in memory", ph.Attacks)
+	}
+	if p := r.Policy; p != nil {
+		clean("policy ", p.Phases)
+		if !p.RoundTripOK {
+			fail("policy documents failed the serialization round trip")
+		}
+	}
+	if h := r.HTTP; h != nil {
+		clean("http ", h.Phases)
+		tally("over sockets", h.Attacks)
+		if h.AttacksMatchMemory != nil && !*h.AttacksMatchMemory {
+			fail("attack verdicts diverge between in-memory and socket transports")
+		}
+		if r.Policy != nil && h.PolicyzOrigins != len(r.Policy.Origins) {
+			fail("/policyz served back %d of %d mounted documents unchanged", h.PolicyzOrigins, len(r.Policy.Origins))
+		}
+		h2("http", h.TLS, h.Proto)
+	}
+	if c := r.Control; c != nil {
+		clean("control ", c.Phases)
+		if c.GenerationsMixed != 0 {
+			fail("control: %d pages observed more than one policy generation", c.GenerationsMixed)
+		}
+		if c.GenerationsSeen < 2 {
+			fail("control: storm pages saw %d generation(s); the flip did not land mid-load", c.GenerationsSeen)
+		}
+		if c.PolicyzOrigins != c.TenantsMounted+1 {
+			fail("control: /policyz served %d documents, mounted %d", c.PolicyzOrigins, c.TenantsMounted+1)
+		}
+		if s := c.Storm; s != nil {
+			if s.FlipGeneration != c.Generation {
+				fail("control: fleet generation %d, want the flip's %d", c.Generation, s.FlipGeneration)
+			}
+			tally("control before the flip", s.AttacksPreFlip)
+			tally("control after the flip", s.AttacksPostFlip)
+		}
+	}
+	sloOK(r.SLO)
+	if c := r.Cluster; c != nil {
+		for _, ph := range c.Phases {
+			if ph.Errors > 0 {
+				fail("cluster phase %s had %d task errors", ph.Name, ph.Errors)
+			}
+		}
+		if c.AttacksTotal > 0 {
+			tally("cluster", &attacksJSON{Total: c.AttacksTotal, Neutralized: c.AttacksNeutralized})
+			if !c.AttacksMatchMemory {
+				fail("cluster: attack verdicts diverge between in-memory and socket transports")
+			}
+		}
+		if c.Client.Requests > 0 {
+			h2("cluster", c.TLS, c.Client.Proto)
+		}
+		sloOK(c.SLO)
+	}
+	return errors.Join(errs...)
+}
+
+// printReport renders the single-process report on stdout.
+func printReport(r *benchJSON) {
 	fmt.Printf("ESCUDO engine load driver — %d sessions, mode %s (GOMAXPROCS %d)\n\n",
-		report.Sessions, report.Mode, report.GoMaxProcs)
+		r.Sessions, r.Mode, r.GoMaxProcs)
 	t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Decisions", "Dec/s", "Cache hit rate", "Batch n→k")
-	for _, ph := range report.Phases {
+	for _, ph := range r.Phases {
 		hitRate := "-"
 		if ph.Cache != nil {
 			hitRate = fmt.Sprintf("%.1f%%", 100*ph.Cache.HitRate)
@@ -1328,110 +798,63 @@ func run(args []string) error {
 		if ph.Batch != nil {
 			batch = fmt.Sprintf("%d→%d", ph.Batch.NodesAuthorized, ph.Batch.DistinctDecisions)
 		}
-		t.AddRow(ph.Name,
-			fmt.Sprintf("%d", ph.Tasks),
-			fmt.Sprintf("%.3f", ph.P50Ms),
-			fmt.Sprintf("%.3f", ph.P99Ms),
-			fmt.Sprintf("%d", ph.Decisions),
-			fmt.Sprintf("%.0f", ph.DecisionsPerSec),
-			hitRate,
-			batch)
+		t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
+			fmt.Sprintf("%d", ph.Decisions), fmt.Sprintf("%.0f", ph.DecisionsPerSec), hitRate, batch)
 	}
 	fmt.Print(t.String())
-	for _, ph := range report.Phases {
+	for _, ph := range r.Phases {
 		if ph.Attacks != nil {
-			fmt.Printf("\nAttack corpus: %d/%d neutralized under %s\n",
-				ph.Attacks.Neutralized, ph.Attacks.Total, report.Mode)
-		}
-		if ph.Errors > 0 {
-			return fmt.Errorf("phase %s had %d task errors", ph.Name, ph.Errors)
+			fmt.Printf("\nAttack corpus: %d/%d neutralized under %s\n", ph.Attacks.Neutralized, ph.Attacks.Total, r.Mode)
 		}
 	}
-	if v := report.ProcsVariant; v != nil {
-		fmt.Printf("\nGOMAXPROCS=%d variant (requested %d):\n", v.GoMaxProcs, v.Procs)
-		for _, ph := range v.Phases {
-			fmt.Printf("  %s: %d tasks, p50 %.3f ms, p99 %.3f ms\n",
-				ph.Name, ph.Tasks, ph.P50Ms, ph.P99Ms)
-			if ph.Errors > 0 {
-				return fmt.Errorf("phase %s had %d task errors", ph.Name, ph.Errors)
-			}
-		}
-	}
-	if pol := report.Policy; pol != nil {
+	if pol := r.Policy; pol != nil {
 		fmt.Printf("\nPolicy: %d origin documents (%d delegations), round-trip ok=%v\n",
 			len(pol.Origins), pol.Delegations, pol.RoundTripOK)
-		if !pol.RoundTripOK {
-			return fmt.Errorf("policy documents failed the serialization round trip")
-		}
 		for _, ph := range pol.Phases {
-			fmt.Printf("  %s: %d tasks, p50 %.3f ms, %d decisions\n",
-				ph.Name, ph.Tasks, ph.P50Ms, ph.Decisions)
-			if ph.Errors > 0 {
-				return fmt.Errorf("phase %s had %d task errors", ph.Name, ph.Errors)
-			}
+			fmt.Printf("  %s: %d tasks, p50 %.3f ms, %d decisions\n", ph.Name, ph.Tasks, ph.P50Ms, ph.Decisions)
 		}
 	}
-	if s := report.Script; s != nil {
-		fmt.Printf("\nScript engines (%d-script corpus, %d passes × %d rounds):\n",
-			s.CorpusScripts, s.Passes, s.Rounds)
-		fmt.Printf("  eval: %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n",
-			s.Eval.OpsPerSec, s.Eval.NsPerOp, s.Eval.AllocsPerOp)
-		fmt.Printf("  vm:   %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n",
-			s.VM.OpsPerSec, s.VM.NsPerOp, s.VM.AllocsPerOp)
+	if s := r.Script; s != nil {
+		fmt.Printf("\nScript engines (%d-script corpus, %d passes × %d rounds):\n", s.CorpusScripts, s.Passes, s.Rounds)
+		fmt.Printf("  eval: %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n", s.Eval.OpsPerSec, s.Eval.NsPerOp, s.Eval.AllocsPerOp)
+		fmt.Printf("  vm:   %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n", s.VM.OpsPerSec, s.VM.NsPerOp, s.VM.AllocsPerOp)
 		fmt.Printf("  speedup %.2fx, alloc ratio %.3fx, compile cache %d hits / %d misses\n",
 			s.Speedup, s.AllocRatio, s.CompileCacheHits, s.CompileCacheMisses)
 	}
-	if h := report.HTTP; h != nil {
-		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n",
-			h.Addr, h.Workers, h.QueueDepth)
-		ht := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max", "Cache hit rate")
-		for _, ph := range h.Phases {
-			ht.AddRow(ph.Name,
-				fmt.Sprintf("%d", ph.Tasks),
-				fmt.Sprintf("%.3f", ph.P50Ms),
-				fmt.Sprintf("%.3f", ph.P99Ms),
-				fmt.Sprintf("%d", ph.Requests),
-				fmt.Sprintf("%.0f", ph.ReqsPerSec),
-				fmt.Sprintf("%d", ph.Rejected503),
-				fmt.Sprintf("%d", ph.QueueDepthMax),
-				fmt.Sprintf("%.1f%%", 100*ph.CacheHitRate))
-		}
-		fmt.Print(ht.String())
-		if h.Client != nil {
-			proto := h.Proto
-			if proto == "" {
-				proto = "?"
-			}
+	if h := r.HTTP; h != nil {
+		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n", h.Addr, h.Workers, h.QueueDepth)
+		printWirePhases(h.Phases)
+		if c := h.Client; c != nil {
 			fmt.Printf("\nTransport: proto %s, conn reuse %.2f (%d new / %d reused), %.0f allocs/request\n",
-				proto, h.Client.ReuseRate, h.Client.NewConns, h.Client.ReusedConns, h.AllocsPerRequest)
+				c.Proto, c.ReuseRate, c.NewConns, c.ReusedConns, h.AllocsPerRequest)
 		}
 		if h.Attacks != nil {
 			fmt.Printf("\nAttack corpus over sockets: %d/%d neutralized under %s (verdicts match in-memory: %v)\n",
-				h.Attacks.Neutralized, h.Attacks.Total, report.Mode, *h.AttacksMatchMemory)
-		}
-		for _, ph := range h.Phases {
-			if ph.Errors > 0 {
-				return fmt.Errorf("phase %s had %d task errors", ph.Name, ph.Errors)
-			}
+				h.Attacks.Neutralized, h.Attacks.Total, r.Mode, *h.AttacksMatchMemory)
 		}
 	}
-	if c := report.Control; c != nil {
-		if err := printControl(c); err != nil {
-			return err
-		}
+	if c := r.Control; c != nil {
+		printControl(c)
 	}
-	if s := report.SLO; s != nil {
-		if err := printSLO(s); err != nil {
-			return err
-		}
+	if s := r.SLO; s != nil {
+		printSLO(s)
 	}
-	if o := report.Obs; o != nil {
+	if o := r.Obs; o != nil {
 		fmt.Printf("\nObs: %s, %d samples every %.0f ms — goroutines first/post-warmup/last %d/%d/%d, heap monotonic=%v, %d GC cycles, %d decision events (%d retained)\n",
 			o.Version.Go, o.Sampler.Samples, o.Sampler.IntervalMs,
 			o.Sampler.Goroutines.First, o.Sampler.PostWarmupGoroutines, o.Sampler.Goroutines.Last,
 			o.Sampler.HeapMonotonic, o.Sampler.NumGC,
 			o.DecisionEventsRecorded, o.DecisionEventsRetained)
 	}
-	fmt.Printf("\nWrote %s (%.0f ms total)\n", *out, report.TotalMs)
-	return nil
+}
+
+// printWirePhases renders phase rows that ran over a gateway.
+func printWirePhases(rows []phaseJSON) {
+	t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max", "Cache hit rate")
+	for _, ph := range rows {
+		t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
+			fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%d", ph.Rejected503),
+			fmt.Sprintf("%d", ph.QueueDepthMax), fmt.Sprintf("%.1f%%", 100*ph.CacheHitRate))
+	}
+	fmt.Print(t.String())
 }

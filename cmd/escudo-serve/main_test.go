@@ -201,7 +201,7 @@ func TestServeHTTPSection(t *testing.T) {
 	if h.Addr == "" {
 		t.Fatal("http section has no gateway address")
 	}
-	byName := map[string]httpPhaseJSON{}
+	byName := map[string]phaseJSON{}
 	for _, ph := range h.Phases {
 		byName[ph.Name] = ph
 		if ph.Errors != 0 {

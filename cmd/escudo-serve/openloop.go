@@ -17,19 +17,16 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/browser"
 	"repro/internal/engine"
-	"repro/internal/httpd"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/origin"
-	"repro/internal/scenarios"
 	"repro/internal/slo"
 )
 
 // openLoopSpec is the parsed -openloop flag:
 // rate=R,duration=D[,churn=C][,p99=MS][,seed=N].
 type openLoopSpec struct {
+	raw      string        // the flag as given, passed on to cluster workers
 	rate     float64       // target arrivals/sec
 	duration time.Duration // how long to offer load
 	churn    float64       // login/logout events/sec woven into the arrivals
@@ -40,7 +37,7 @@ type openLoopSpec struct {
 // parseOpenLoop parses the -openloop spec. rate and duration are
 // required; churn, p99, and seed are optional.
 func parseOpenLoop(s string) (openLoopSpec, error) {
-	spec := openLoopSpec{seed: 1}
+	spec := openLoopSpec{raw: s, seed: 1}
 	for _, kv := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -107,9 +104,9 @@ func leakWarmup(d time.Duration) time.Duration {
 
 // driveOpenLoop offers spec.duration of Poisson load to an
 // already-warm pool and packages the slo section. The pool must be
-// configured with the given StageSet and SlowRing (that is how
-// per-stage spans and exemplars reach the result); account names the
-// phpBB login a session uses for churn.
+// wired to the plane pl (that is how per-stage spans and exemplars
+// reach the result); account names the phpBB login a session uses for
+// churn.
 //
 // trim, when non-nil, is called once per trimInterval alongside the
 // driver's own retention work: the session audit logs accrue one
@@ -118,11 +115,10 @@ func leakWarmup(d time.Duration) time.Duration {
 // driver itself) — so they are dropped on the same cadence. The
 // decision ring and the slow ring are bounded and keep serving
 // /tracez and /slowz joins across trims.
-func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Origin,
-	stages *obs.StageSet, slow *obs.SlowRing, account func(sessionID int) string,
+func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, pl *plane, account func(sessionID int) string,
 	trim func()) (*slo.Result, error) {
 
-	paths := scenarios.Paths()
+	paths := scenarioPaths()
 
 	// Churn bookkeeping: per-session login state is only ever touched
 	// by that session's own goroutine, so plain bools suffice; the
@@ -131,25 +127,15 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 	loggedIn := make([]bool, len(pool.Sessions()))
 	churnTask := func(s *engine.Session) error {
 		if loggedIn[s.ID] {
-			if _, err := s.Browser.Navigate(forum.URL("/logout")); err != nil {
+			if _, err := s.Browser.Navigate(forumO.URL("/logout")); err != nil {
 				return err
 			}
 			loggedIn[s.ID] = false
 			churn.Logout()
 			return nil
 		}
-		p, err := s.Browser.Navigate(forum.URL("/"))
-		if err != nil {
-			return err
-		}
-		form := p.Doc.ByID("loginform")
-		if form == nil {
-			return fmt.Errorf("openloop churn: no loginform")
-		}
-		if _, err := p.SubmitForm(form, map[string][]string{
-			"username": {account(s.ID)}, "password": {"pw"},
-		}); err != nil {
-			return err
+		if err := login(s, account(s.ID)); err != nil {
+			return fmt.Errorf("openloop churn: %w", err)
 		}
 		loggedIn[s.ID] = true
 		churn.Login()
@@ -168,7 +154,7 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 	// section reports the delta across the open-loop window.
 	var stageBefore [obs.NumStages]metrics.Histogram
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if h := stages.Hist(st); h != nil {
+		if h := pl.stages.Hist(st); h != nil {
 			stageBefore[st] = h.Snapshot()
 		}
 	}
@@ -221,12 +207,8 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 		if churnP > 0 && coin.Float64() < churnP {
 			task = churnTask
 		} else {
-			p := paths[pathIdx%len(paths)]
+			task = visit(benchO.URL(paths[pathIdx%len(paths)]))
 			pathIdx++
-			task = func(s *engine.Session) error {
-				_, err := s.Browser.Navigate(bench.URL(p))
-				return err
-			}
 		}
 		ok, err := pool.TrySubmit(task)
 		if err != nil {
@@ -256,7 +238,7 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 
 	res.Stages = map[string]slo.StageStats{}
 	for stg := obs.Stage(0); stg < obs.NumStages; stg++ {
-		h := stages.Hist(stg)
+		h := pl.stages.Hist(stg)
 		if h == nil {
 			continue
 		}
@@ -267,7 +249,7 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 		res.Stages[stg.String()] = slo.StageStats{Hist: delta}
 	}
 
-	res.Exemplars = slow.Snapshot(openLoopPhase)
+	res.Exemplars = pl.slow.Snapshot(openLoopPhase)
 
 	samp := smp.Stop()
 	res.Leak = samp.Drift
@@ -276,80 +258,8 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, bench, forum origin.Ori
 	return res, nil
 }
 
-// openLoopSectionConfig parameterizes the single-process slo section:
-// its own gateway and pool over the shared substrate, so the open-loop
-// storm cannot perturb the equivalence-checked phases.
-type openLoopSectionConfig struct {
-	spec           openLoopSpec
-	sessions       int
-	workers, queue int
-	httpCfg        httpSectionConfig // substrate + obs plane reused verbatim
-	stages         *obs.StageSet
-	slow           *obs.SlowRing
-}
-
-// runOpenLoopSection mounts the substrate on a loopback gateway,
-// warms a dedicated pool, and runs the open-loop driver against it.
-func runOpenLoopSection(cfg openLoopSectionConfig) (*slo.Result, error) {
-	h := cfg.httpCfg
-	originCfgs := map[string]httpd.OriginConfig{}
-	for o, doc := range h.policies {
-		doc := doc
-		originCfgs[o] = httpd.OriginConfig{Policy: &doc}
-	}
-	gwCfg := httpd.Config{
-		DefaultWorkers:    cfg.workers,
-		DefaultQueueDepth: cfg.queue,
-		Origins:           originCfgs,
-		Obs:               h.reg,
-		Ring:              h.ring,
-		Stages:            cfg.stages,
-		Slow:              cfg.slow,
-	}
-	gw, ct, cleanup, err := httpd.WrapNetwork(h.net, gwCfg, "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
-	_ = gw
-
-	pool, err := engine.NewPool(engine.Config{
-		Sessions:  cfg.sessions,
-		Transport: ct,
-		Options:   browser.Options{Mode: h.mode, DecisionRing: h.ring},
-		Cache:     h.cache,
-		Uncached:  h.uncached,
-		Stages:    cfg.stages,
-		Slow:      cfg.slow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer pool.Close()
-
-	// Unmeasured warm round: session cookies exist, connections are
-	// established, so the measured window starts from a steady state.
-	paths := scenarios.Paths()
-	pool.Each(func(s *engine.Session) error {
-		_, err := s.Browser.Navigate(h.bench.URL(paths[0]))
-		return err
-	})
-	if st := pool.Stats(); len(st.Errors) > 0 {
-		return nil, fmt.Errorf("openloop warmup: %w", st.Errors[0])
-	}
-
-	// The in-memory substrate's request log is the other append-only
-	// accumulator in this process; drop it on the same cadence. (In
-	// cluster mode the substrate lives in the server process and the
-	// worker's verdict doesn't sample it.)
-	return driveOpenLoop(pool, cfg.spec, h.bench, h.forum, cfg.stages, cfg.slow,
-		func(id int) string { return fmt.Sprintf("user%d", id) },
-		func() { h.net.ResetLog() })
-}
-
-// printSLO renders the slo section to stdout; it returns an error
-// when the section carries task errors so the driver exits nonzero.
-func printSLO(s *slo.Result) error {
+// printSLO renders the slo section on stdout.
+func printSLO(s *slo.Result) {
 	fmt.Printf("\nOpen-loop SLO — target %.0f req/s for %.1fs (seed %d): offered %.1f, achieved %.1f, %d dropped, %d errors (%.2f%% budget spent)\n",
 		s.TargetRate, s.DurationSec, s.Seed, s.OfferedRate, s.AchievedRate,
 		s.Dropped, s.Errors, 100*s.ErrorFraction)
@@ -385,8 +295,4 @@ func printSLO(s *slo.Result) error {
 		fmt.Printf("  exemplar %s: %.3f ms total (phase %s)\n",
 			ex.TraceID, float64(ex.TotalNs)/1e6, ex.Phase)
 	}
-	if s.Errors > 0 {
-		return fmt.Errorf("open-loop run had %d task errors", s.Errors)
-	}
-	return nil
 }
