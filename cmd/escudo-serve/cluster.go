@@ -148,7 +148,7 @@ func runConnect(cfg config) error {
 	if err != nil {
 		return err
 	}
-	defer s.close()
+	defer s.pool.Close()
 	ca, err := newCA(cfg.tls)
 	if err != nil {
 		return err

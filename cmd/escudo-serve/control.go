@@ -185,7 +185,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.pool.Close()
 	s.gw = gw
 	pool := s.pool
 	cacheRef.Store(pool.Cache())

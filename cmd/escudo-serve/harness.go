@@ -388,9 +388,6 @@ func (s *section) warm(task engine.Task) error {
 	return nil
 }
 
-// close stops the pool.
-func (s *section) close() { s.pool.Close() }
-
 // visit is the task that loads one page.
 func visit(u string) engine.Task {
 	return func(s *engine.Session) error {

@@ -420,7 +420,7 @@ func runLocal(cfg config) error {
 	if err != nil {
 		return err
 	}
-	defer mem.close()
+	defer mem.pool.Close()
 	cache := mem.pool.Cache()
 
 	report := benchJSON{
@@ -534,7 +534,7 @@ func policySection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCa
 	if err != nil {
 		return nil, err
 	}
-	defer del.close()
+	defer del.pool.Close()
 	iters := max(cfg.mixedIters, 1)
 	widget := core.Principal(widgetO, 0, "widget")
 	sec.Phases = append(sec.Phases, del.phase("delegated-session", func() {
@@ -578,7 +578,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.pool.Close()
 	s.gw, s.env = gw, &attackWire{ca: ca}
 	// Every gateway runs httpd's default per-origin shape.
 	sec := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls, Workers: 4, QueueDepth: 64}
@@ -659,7 +659,7 @@ func sloSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
+	defer s.pool.Close()
 	if err := s.warm(visit(benchO.URL(scenarioPaths()[0]))); err != nil {
 		return nil, fmt.Errorf("openloop %w", err)
 	}
@@ -823,7 +823,13 @@ func printReport(r *benchJSON) {
 	}
 	if h := r.HTTP; h != nil {
 		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n", h.Addr, h.Workers, h.QueueDepth)
-		printWirePhases(h.Phases)
+		t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max", "Cache hit rate")
+		for _, ph := range h.Phases {
+			t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
+				fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%d", ph.Rejected503),
+				fmt.Sprintf("%d", ph.QueueDepthMax), fmt.Sprintf("%.1f%%", 100*ph.CacheHitRate))
+		}
+		fmt.Print(t.String())
 		if c := h.Client; c != nil {
 			fmt.Printf("\nTransport: proto %s, conn reuse %.2f (%d new / %d reused), %.0f allocs/request\n",
 				c.Proto, c.ReuseRate, c.NewConns, c.ReusedConns, h.AllocsPerRequest)
@@ -846,15 +852,4 @@ func printReport(r *benchJSON) {
 			o.Sampler.HeapMonotonic, o.Sampler.NumGC,
 			o.DecisionEventsRecorded, o.DecisionEventsRetained)
 	}
-}
-
-// printWirePhases renders phase rows that ran over a gateway.
-func printWirePhases(rows []phaseJSON) {
-	t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max", "Cache hit rate")
-	for _, ph := range rows {
-		t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
-			fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%d", ph.Rejected503),
-			fmt.Sprintf("%d", ph.QueueDepthMax), fmt.Sprintf("%.1f%%", 100*ph.CacheHitRate))
-	}
-	fmt.Print(t.String())
 }
