@@ -531,7 +531,7 @@ func soak(pool *engine.Pool, d time.Duration) {
 // wire each attack runs twice, in memory and through its own gateway,
 // and the tally counts the wire verdicts; match reports that every
 // wire verdict equaled the in-memory one. err joins the attacks' own
-// failures.
+// failures, which a measured phase also counts as its task errors.
 func (s *section) replay(mode browser.Mode) (tally *attacksJSON, match bool, err error) {
 	corpus := attack.Corpus()
 	mem := make([]attack.Result, len(corpus))

@@ -53,16 +53,21 @@ func (r *DecisionRing) Total() uint64 {
 
 // Snapshot renders the retained decisions passing the filter, oldest
 // first. Each event's Seq is its 1-based position in the recording
-// order.
+// order. The lock covers only the copy out of the ring, so a reader
+// never holds up the audit path for the rendering.
 func (r *DecisionRing) Snapshot(f obs.RingFilter) []obs.DecisionEvent {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	size := uint64(len(r.buf))
-	start := r.next - min(r.next, size)
+	first := r.next - min(r.next, size)
+	held := make([]Decision, 0, r.next-first)
+	for seq := first; seq < r.next; seq++ {
+		held = append(held, r.buf[seq%size])
+	}
+	r.mu.Unlock()
 	var out []obs.DecisionEvent
-	for seq := start; seq < r.next; seq++ {
-		e := event(r.buf[seq%size])
-		e.Seq = seq + 1
+	for i, d := range held {
+		e := event(d)
+		e.Seq = first + uint64(i) + 1
 		if f.Matches(e) {
 			out = append(out, e)
 		}

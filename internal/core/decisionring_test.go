@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -86,5 +87,45 @@ func TestDecisionRingRecordAllocs(t *testing.T) {
 	r := NewDecisionRing(64)
 	if n := testing.AllocsPerRun(1000, func() { r.Record(d) }); n != 0 {
 		t.Fatalf("Record allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestDecisionRingConcurrent records from several goroutines while a
+// reader snapshots: every record is counted, and every snapshot is
+// oldest-first with consecutive sequence numbers.
+func TestDecisionRingConcurrent(t *testing.T) {
+	const writers, each, size = 4, 500, 64
+	r := NewDecisionRing(size)
+	site := origin.MustParse("http://site.example")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.Record(Decision{Allowed: true, Object: Context{Origin: site, Ring: Ring(w)}})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		events := r.Snapshot(obs.MatchAny)
+		for i := 1; i < len(events); i++ {
+			if events[i].Seq != events[i-1].Seq+1 {
+				t.Fatalf("snapshot seq %d follows %d", events[i].Seq, events[i-1].Seq)
+			}
+		}
+	}
+	if r.Total() != writers*each || r.Len() != size || len(r.Snapshot(obs.MatchAny)) != size {
+		t.Fatalf("Total=%d Len=%d, want %d/%d", r.Total(), r.Len(), writers*each, size)
 	}
 }
