@@ -5,6 +5,7 @@ import (
 	"crypto/tls"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -320,5 +321,79 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	// And the listener really is closed.
 	if _, err := ct.RoundTrip(web.NewRequest("GET", o.URL("/"))); err == nil {
 		t.Fatal("round trip succeeded after Shutdown")
+	}
+}
+
+// waitRefused polls until a fresh dial to addr is refused: the
+// listener has closed, so Shutdown is under way.
+func waitRefused(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after Shutdown began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGracefulShutdownLateH2Conn pins the drain against a connection
+// that turns h2 after Shutdown began: accepted before the listener
+// closed, its TLS handshake and h2 preface arrive only afterwards, and
+// it opens no stream. net/http's h2 shutdown hook has already run by
+// then, so the connection is never told to go away; Shutdown must
+// still reach it and return long before its deadline.
+func TestGracefulShutdownLateH2Conn(t *testing.T) {
+	n, o := tlsTestNetwork(t, "<html><body>late</body></html>")
+	g, ca := startGatewayTLS(t, n, Config{})
+	addr := g.Addr()
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer raw.Close()
+	// The listener accepts in order, so once a later connection has
+	// been served the raw one has been accepted too.
+	ct := NewClientTransportTLS(addr, ca.Pool())
+	if _, err := ct.RoundTrip(web.NewRequest("GET", o.URL("/"))); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	ct.Close()
+
+	const deadline = 6 * time.Second
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		done <- g.Shutdown(ctx)
+	}()
+	waitRefused(t, addr)
+
+	conn := tls.Client(raw, &tls.Config{RootCAs: ca.Pool(), ServerName: o.Host, NextProtos: []string{"h2"}})
+	if err := conn.Handshake(); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	if p := conn.ConnectionState().NegotiatedProtocol; p != "h2" {
+		t.Fatalf("negotiated %q, want h2", p)
+	}
+	// The client preface and an empty SETTINGS frame: a live h2
+	// connection with no stream on it.
+	preface := append([]byte("PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n"), 0, 0, 0, 0x4, 0, 0, 0, 0, 0)
+	if _, err := conn.Write(preface); err != nil {
+		t.Fatalf("preface: %v", err)
+	}
+
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown after %v: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d > deadline/2 {
+		t.Fatalf("Shutdown took %v of its %v deadline", d, deadline)
 	}
 }
