@@ -543,12 +543,31 @@ func (g *Gateway) Addr() string {
 	return g.ln.Addr().String()
 }
 
+// shutdownRound bounds one net/http Shutdown call inside Gateway.Shutdown.
+const shutdownRound = 100 * time.Millisecond
+
 // Shutdown gracefully stops the gateway: the listener closes, in-flight
 // requests finish, then the origin workers exit.
+//
+// net/http runs the h2 server's graceful-shutdown hook once per
+// Server.Shutdown call, and the hook reaches only the h2 connections
+// registered at that moment. A connection whose TLS handshake finishes
+// later never gets a GOAWAY, and with no stream open it never closes.
+// So Shutdown drains in short rounds until the server is quiescent or
+// ctx ends: each round re-runs the hook, a late connection gets its
+// GOAWAY and closes on h2's one-second timer, and streams in flight
+// still run to completion.
 func (g *Gateway) Shutdown(ctx context.Context) error {
 	var err error
 	if g.srv != nil {
-		err = g.srv.Shutdown(ctx)
+		for {
+			round, cancel := context.WithTimeout(ctx, shutdownRound)
+			err = g.srv.Shutdown(round)
+			cancel()
+			if err != context.DeadlineExceeded || ctx.Err() != nil {
+				break
+			}
+		}
 	}
 	g.stopOnce.Do(func() { close(g.quit) })
 	g.workers.Wait()

@@ -273,12 +273,19 @@ func TestClientConnReuse(t *testing.T) {
 func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	n := web.NewNetwork()
 	o := origin.MustParse("http://slow.example")
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
 	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
 		return web.HTML("<html><body>done</body></html>")
 	}))
-	// One worker and a deep queue: most requests are queued, not
-	// running, when Shutdown starts — the drain must cover them too.
+	// One worker and a deep queue: while the handler holds the first
+	// request the rest wait in the origin queue — the drain must cover
+	// them too.
 	g, ca := startGatewayTLS(t, n, Config{DefaultWorkers: 1, DefaultQueueDepth: 32})
 	ct := NewClientTransportTLS(g.Addr(), ca.Pool())
 	defer ct.Close()
@@ -297,11 +304,26 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 			results[i] = err
 		}(i)
 	}
-	// Let the requests reach the gateway before shutting down.
-	time.Sleep(20 * time.Millisecond)
+	// Shut down only once the gateway holds all eight: one in the
+	// handler, the other seven queued behind it. The queue cannot drain
+	// while the handler blocks, so its length only grows.
+	<-entered
+	queue := g.table.Load().byOrigin[o].jobs
+	for deadline := time.Now().Add(5 * time.Second); len(queue) < inflight-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway holds %d queued requests, want %d", len(queue), inflight-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := g.Shutdown(ctx); err != nil {
+	shut := make(chan error, 1)
+	go func() { shut <- g.Shutdown(ctx) }()
+	// Release the handler once the listener has closed, so all eight
+	// requests are served across the drain.
+	waitRefused(t, g.Addr())
+	close(release)
+	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	wg.Wait()
