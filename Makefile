@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare perfbench-smoke fuzz-script lint fmt-check vet serve serve-smoke serve-http serve-cluster reload-smoke soak slo-smoke profile clean
+.PHONY: all build test race flake-hunt bench bench-compare perfbench-smoke fuzz-script lint fmt-check vet serve serve-smoke serve-http reload-smoke soak slo-smoke profile clean
 
 all: build lint test
 
@@ -15,6 +15,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Flake hunt: the tests that once failed intermittently, repeated under
+# the race detector. A drain that hangs on a late h2 connection, a
+# request refused mid-drain, or a store reader seeing the generation go
+# backwards fails one of the FLAKE_COUNT runs.
+FLAKE_COUNT ?= 20
+flake-hunt:
+	$(GO) test -race -count=$(FLAKE_COUNT) \
+		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestStoreConcurrentSwapsAndReads)$$' \
+		./internal/httpd ./internal/ctlplane
 
 # One iteration per benchmark: a smoke pass that catches compile and
 # runtime breakage in benchmark code without CI-length runs.
@@ -75,10 +85,9 @@ serve-smoke:
 # gateway over loopback (TLS + ALPN, so the wire speaks h2), workloads
 # and the §6.4 attack corpus replayed over sockets. The h2 transport
 # must reuse its connections (one multiplexed conn per origin host
-# serves the whole short run, so the gate is 0.90; the longer cluster
-# run gates at 0.95), and the figure4 allocs-per-request figure
-# (process-wide Mallocs per gateway-served request, ~1500) must stay
-# under the allocation diet's ceiling.
+# serves the whole short run, so the gate is 0.90), and the figure4
+# allocs-per-request figure (process-wide Mallocs per gateway-served
+# request, ~1500) must stay under the allocation diet's ceiling.
 serve-http:
 	$(GO) run ./cmd/escudo-serve -sessions 8 -iters 2 -phpbb-iters 5 -mixed-iters 4 -http 127.0.0.1:0 -tls -out BENCH_engine.http.json
 	jq -e '.http.phases | map(select(.name == "http-figure4" or .name == "http-mixed")) | (length == 2) and all(.requests > 0)' BENCH_engine.http.json
@@ -86,23 +95,6 @@ serve-http:
 	jq -e '.http.allocs_per_request > 0 and .http.allocs_per_request < 2000' BENCH_engine.http.json
 	jq -e '(.policy.origins | length) == 4 and .policy.delegations >= 1 and ([.phases[] | select(.name == "attacks")] | length == 1)' BENCH_engine.http.json
 	jq -e '.policy.phases | map(select(.name == "delegated-session")) | (length == 1) and all(.tasks > 0 and .decisions > 0)' BENCH_engine.http.json
-
-# Multi-process deployment: fork/exec one serve-only gateway process
-# (TLS-terminating, ephemeral in-memory CA) plus CLUSTER_WORKERS
-# loadgen worker processes, replay figure-4, authenticated phpBB
-# browsing and the §6.4 corpus over https across the process boundary,
-# and merge the shards into the cluster section. -iters 4 gives the h2
-# transport enough requests that the >=0.95 reuse gate has margin; the
-# attack-env wire (per-attack throwaway gateways) is accounted apart.
-CLUSTER_WORKERS ?= 2
-serve-cluster:
-	$(GO) run ./cmd/escudo-serve -cluster $(CLUSTER_WORKERS) -tls -sessions 2 -iters 4 -phpbb-iters 5 -out BENCH_engine.cluster.json
-	jq -e '.cluster.workers == $(CLUSTER_WORKERS) and .cluster.tls == true' BENCH_engine.cluster.json
-	jq -e '.cluster.phases | map(select(.name == "figure4" or .name == "phpbb" or .name == "attacks")) | (length == 3) and all(.requests > 0)' BENCH_engine.cluster.json
-	jq -e '.cluster.per_worker | (length == $(CLUSTER_WORKERS)) and all(.attacks_neutralized == 18)' BENCH_engine.cluster.json
-	jq -e '.cluster.server.origins == 5 and .cluster.server.tls == true' BENCH_engine.cluster.json
-	jq -e '.cluster.client.h2_requests > 0 and .cluster.client.reuse_rate >= 0.95' BENCH_engine.cluster.json
-	jq -e '.cluster.attack_client.requests > 0' BENCH_engine.cluster.json
 
 # Policy hot-reload smoke: mount TENANTS stamped tenant origins plus a
 # hot origin on a dedicated gateway, push a live policy flip mid-load
@@ -186,5 +178,5 @@ profile:
 clean:
 	$(GO) clean ./...
 	rm -f BENCH_engine.new.json BENCH_engine.smoke.json BENCH_engine.procs4.json BENCH_engine.http.json \
-		BENCH_engine.cluster.json BENCH_engine.soak.json BENCH_engine.slo.json
+		BENCH_engine.soak.json BENCH_engine.slo.json
 	rm -rf profiles .bench_build

@@ -38,25 +38,8 @@ type phase struct {
 	Decisions uint64  `json:"decisions"`
 }
 
-// clusterPhase mirrors one merged phase of the cluster section.
-type clusterPhase struct {
-	Name       string  `json:"name"`
-	Tasks      uint64  `json:"tasks"`
-	ReqsPerSec float64 `json:"reqs_per_sec"`
-	P50Ms      float64 `json:"p50_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-}
-
-// clusterWorker mirrors one row of the per-process breakdown.
-type clusterWorker struct {
-	Worker     int     `json:"worker"`
-	ReqsPerSec float64 `json:"reqs_per_sec"`
-	P99Ms      float64 `json:"p99_ms"`
-}
-
-// clientSection mirrors a transport's connection accounting (the
-// cluster client and the http section's client share the shape).
-// Proto is absent in pre-h2 reports — rendered as "?" so old-vs-new
+// clientSection mirrors the http section's transport connection
+// accounting. Proto is absent in pre-h2 reports — rendered as "?" so old-vs-new
 // comparisons against them stay one-sided instead of failing.
 type clientSection struct {
 	Requests    uint64  `json:"requests"`
@@ -90,18 +73,6 @@ func (h *httpSection) proto() string {
 		return "?"
 	}
 	return h.Proto
-}
-
-// clusterSection mirrors the subset of the cluster section compared.
-type clusterSection struct {
-	Workers            int             `json:"workers"`
-	TLS                bool            `json:"tls"`
-	Phases             []clusterPhase  `json:"phases"`
-	PerWorker          []clusterWorker `json:"per_worker"`
-	AttacksTotal       int             `json:"attacks_total"`
-	AttacksNeutralized int             `json:"attacks_neutralized"`
-	Client             *clientSection  `json:"client"`
-	SLO                *sloSection     `json:"slo"`
 }
 
 // httpPhase mirrors one phase of the http section.
@@ -248,7 +219,6 @@ type report struct {
 	Phases     []phase         `json:"phases"`
 	Script     *scriptSection  `json:"script"`
 	HTTP       *httpSection    `json:"http"`
-	Cluster    *clusterSection `json:"cluster"`
 	Control    *controlSection `json:"control"`
 	Obs        *obsSection     `json:"obs"`
 	SLO        *sloSection     `json:"slo"`
@@ -337,22 +307,9 @@ func run(args []string, out *os.File) error {
 	fmt.Fprint(out, t.String())
 	compareScript(out, oldR.Script, newR.Script)
 	compareHTTP(out, oldR.HTTP, newR.HTTP)
-	compareCluster(out, oldR.Cluster, newR.Cluster)
 	compareControl(out, oldR.Control, newR.Control)
 	compareObs(out, oldR.Obs, newR.Obs)
-	return compareSLO(out, sloOf(oldR), sloOf(newR))
-}
-
-// sloOf picks a report's effective slo section: the single-process one
-// at the top level, or the merged fleet view at cluster.slo.
-func sloOf(r report) *sloSection {
-	if r.SLO != nil {
-		return r.SLO
-	}
-	if r.Cluster != nil {
-		return r.Cluster.SLO
-	}
-	return nil
+	return compareSLO(out, oldR.SLO, newR.SLO)
 }
 
 // SLO regression envelope: the new p99 must exceed BOTH bounds before
@@ -621,83 +578,4 @@ func compareScript(out *os.File, oldS, newS *scriptSection) {
 		delta(oldV.NsPerOp, newS.VM.NsPerOp),
 		delta(oldV.AllocsPerOp, newS.VM.AllocsPerOp))
 	fmt.Fprint(out, t.String())
-}
-
-// compareCluster diffs the multi-process sections: aggregate
-// throughput and merged percentiles per phase, then per-worker p99 —
-// the per-process breakdown is where a single slow worker hides.
-func compareCluster(out *os.File, oldC, newC *clusterSection) {
-	if oldC == nil && newC == nil {
-		return
-	}
-	fmt.Fprintf(out, "\ncluster: ")
-	switch {
-	case oldC == nil:
-		fmt.Fprintf(out, "old report has none; new runs %d workers (tls=%v)\n", newC.Workers, newC.TLS)
-	case newC == nil:
-		fmt.Fprintf(out, "new report has none; old ran %d workers (tls=%v)\n", oldC.Workers, oldC.TLS)
-	default:
-		fmt.Fprintf(out, "%d → %d workers, tls %v → %v, attacks %d/%d → %d/%d\n",
-			oldC.Workers, newC.Workers, oldC.TLS, newC.TLS,
-			oldC.AttacksNeutralized, oldC.AttacksTotal, newC.AttacksNeutralized, newC.AttacksTotal)
-	}
-	if newC == nil {
-		return
-	}
-	if newC.Client != nil {
-		if oldC != nil && oldC.Client != nil {
-			fmt.Fprintf(out, "gateway transport: proto %s → %s, conn reuse %s\n",
-				oldC.Client.proto(), newC.Client.proto(),
-				delta(oldC.Client.reuseRate(), newC.Client.reuseRate()))
-		} else {
-			fmt.Fprintf(out, "gateway transport: proto %s, conn reuse %.2f\n",
-				newC.Client.proto(), newC.Client.reuseRate())
-		}
-	}
-
-	oldPhases := map[string]clusterPhase{}
-	if oldC != nil {
-		for _, p := range oldC.Phases {
-			oldPhases[p.Name] = p
-		}
-	}
-	t := metrics.NewTable("Cluster phase", "Tasks", "Aggregate reqs/s", "p50 (ms)", "p99 (ms)")
-	for _, np := range newC.Phases {
-		op, ok := oldPhases[np.Name]
-		if !ok {
-			t.AddRow(np.Name+" (new)",
-				fmt.Sprintf("%d", np.Tasks),
-				fmt.Sprintf("%.0f", np.ReqsPerSec),
-				fmt.Sprintf("%.3f", np.P50Ms),
-				fmt.Sprintf("%.3f", np.P99Ms))
-			continue
-		}
-		t.AddRow(np.Name,
-			fmt.Sprintf("%d", np.Tasks),
-			delta(op.ReqsPerSec, np.ReqsPerSec),
-			delta(op.P50Ms, np.P50Ms),
-			delta(op.P99Ms, np.P99Ms))
-	}
-	fmt.Fprint(out, t.String())
-
-	oldWorkers := map[int]clusterWorker{}
-	if oldC != nil {
-		for _, w := range oldC.PerWorker {
-			oldWorkers[w.Worker] = w
-		}
-	}
-	wt := metrics.NewTable("Worker", "Reqs/s", "p99 (ms)")
-	for _, nw := range newC.PerWorker {
-		ow, ok := oldWorkers[nw.Worker]
-		if !ok {
-			wt.AddRow(fmt.Sprintf("worker-%d (new)", nw.Worker),
-				fmt.Sprintf("%.0f", nw.ReqsPerSec),
-				fmt.Sprintf("%.3f", nw.P99Ms))
-			continue
-		}
-		wt.AddRow(fmt.Sprintf("worker-%d", nw.Worker),
-			delta(ow.ReqsPerSec, nw.ReqsPerSec),
-			delta(ow.P99Ms, nw.P99Ms))
-	}
-	fmt.Fprint(out, wt.String())
 }

@@ -63,111 +63,6 @@ func TestCompareReportsDeltas(t *testing.T) {
 	}
 }
 
-const oldClusterJSON = `{
-  "sessions": 2, "mode": "escudo", "gomaxprocs": 1, "total_ms": 900,
-  "phases": [],
-  "cluster": {
-    "workers": 2, "tls": true, "attacks_total": 18, "attacks_neutralized": 18,
-    "phases": [
-      {"name": "figure4", "tasks": 16, "reqs_per_sec": 1000, "p50_ms": 1.0, "p99_ms": 5.0}
-    ],
-    "per_worker": [
-      {"worker": 0, "reqs_per_sec": 500, "p99_ms": 5.0},
-      {"worker": 1, "reqs_per_sec": 500, "p99_ms": 4.0}
-    ]
-  }
-}`
-
-const newClusterJSON = `{
-  "sessions": 2, "mode": "escudo", "gomaxprocs": 1, "total_ms": 800,
-  "phases": [],
-  "cluster": {
-    "workers": 2, "tls": true, "attacks_total": 18, "attacks_neutralized": 18,
-    "phases": [
-      {"name": "figure4", "tasks": 16, "reqs_per_sec": 1500, "p50_ms": 0.8, "p99_ms": 4.0},
-      {"name": "attacks", "tasks": 36, "reqs_per_sec": 300, "p50_ms": 8.0, "p99_ms": 16.0}
-    ],
-    "per_worker": [
-      {"worker": 0, "reqs_per_sec": 700, "p99_ms": 4.0},
-      {"worker": 1, "reqs_per_sec": 800, "p99_ms": 3.0}
-    ]
-  }
-}`
-
-// TestCompareClusterSection pins the cluster diff: aggregate
-// throughput and merged p99 get signed deltas, new phases are
-// labeled, and the per-worker breakdown is compared row by row.
-func TestCompareClusterSection(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldClusterJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(newClusterJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "out.txt")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, newPath}, f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
-	if !strings.Contains(out, "attacks 18/18 → 18/18") {
-		t.Errorf("missing cluster attack tally in:\n%s", out)
-	}
-	if !strings.Contains(out, "1000.000 → 1500.000 (+50.0%)") {
-		t.Errorf("missing aggregate throughput delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "5.000 → 4.000 (-20.0%)") {
-		t.Errorf("missing merged p99 delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "attacks (new)") {
-		t.Errorf("missing new cluster phase marker in:\n%s", out)
-	}
-	if !strings.Contains(out, "worker-1") || !strings.Contains(out, "4.000 → 3.000 (-25.0%)") {
-		t.Errorf("missing per-worker p99 delta in:\n%s", out)
-	}
-}
-
-// TestCompareClusterOnlyOneSide: a report pair where only one side
-// has a cluster section still diffs cleanly.
-func TestCompareClusterOnlyOneSide(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(newClusterJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "out.txt")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, newPath}, f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "old report has none") {
-		t.Errorf("one-sided cluster diff not reported in:\n%s", data)
-	}
-}
-
 const oldScriptJSON = `{
   "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 60,
   "phases": [],
@@ -478,50 +373,6 @@ func TestCompareSLOSection(t *testing.T) {
 	}
 	if !strings.Contains(out, "slo: old report has none") {
 		t.Errorf("one-sided slo diff not reported in:\n%s", out)
-	}
-}
-
-// TestCompareSLOFromCluster: in -cluster mode the merged slo section
-// lives at cluster.slo; the gate must find it there.
-func TestCompareSLOFromCluster(t *testing.T) {
-	clusterSLO := strings.Replace(newClusterJSON,
-		`"per_worker": [`,
-		`"slo": {
-      "target_rate": 400, "offered_rate": 390, "achieved_rate": 380,
-      "duration_sec": 30, "dropped": 0, "errors": 0, "error_fraction": 0,
-      "p50_ms": 1.0, "p99_ms": 10.0, "p999_ms": 20.0,
-      "p99_budget_ms": 50, "p99_within_budget": false,
-      "leak": null
-    },
-    "per_worker": [`, 1)
-	if clusterSLO == newClusterJSON {
-		t.Fatal("cluster slo splice failed")
-	}
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldClusterJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(clusterSLO), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "out.txt")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runErr := run([]string{oldPath, newPath}, f)
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runErr == nil {
-		t.Errorf("cluster slo over budget passed the gate:\n%s", data)
-	}
-	if !strings.Contains(string(data), "misses the declared 50.0 ms budget") {
-		t.Errorf("cluster slo budget failure not named in:\n%s", data)
 	}
 }
 

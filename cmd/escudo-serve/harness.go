@@ -1,9 +1,9 @@
 // The shared harness of escudo-serve. Every section of the report —
-// in memory, over the loopback gateway, open loop, control plane, and
-// each cluster worker — is a short list of phases over one session
-// pool, and the sections differ only in the pool's transport. This
-// file holds the pieces they share: the substrate, the observability
-// plane, the gateway helper, the phase recorder, and the task library.
+// in memory, over the loopback gateway, open loop, and control plane —
+// is a short list of phases over one session pool, and the sections
+// differ only in the pool's transport. This file holds the pieces they
+// share: the substrate, the observability plane, the gateway helper,
+// the phase recorder, and the task library.
 package main
 
 import (
@@ -31,9 +31,7 @@ import (
 	"repro/internal/web"
 )
 
-// The substrate's origins. Server and worker processes agree on them by
-// construction: the names are fixed, and a worker only ever reaches
-// them through the gateway.
+// The substrate's origins.
 var (
 	benchO  = origin.MustParse("http://bench.example")
 	forumO  = origin.MustParse("http://forum.example")
@@ -42,16 +40,9 @@ var (
 	widgetO = origin.MustParse("http://widget.example")
 )
 
-// substrateOrigins and substratePolicies are the counts the cluster
-// supervisor cross-checks against /metricsz and /policyz.
-const (
-	substrateOrigins  = 5
-	substratePolicies = 4
-)
-
 // topicID is the seeded phpBB topic every session browses. The
 // substrate seeds exactly one topic into a fresh forum and phpBB
-// numbers topics from 1, so workers know it without asking.
+// numbers topics from 1.
 const topicID = 1
 
 // scenarioPaths is the Figure-4 page list. scenarios.Paths renders all
@@ -221,13 +212,12 @@ func newCA(on bool) (*httpd.CA, error) {
 
 // attackWire is the §6.4 replay's transport over a wire: each attack
 // environment's private network gets its own throwaway loopback
-// gateway (TLS when the section is), and the environments' gateway and
-// client traffic accumulates here for the phase's accounting.
+// gateway (TLS when the section is), and the environments' gateway
+// traffic accumulates here for the phase's accounting.
 type attackWire struct {
 	ca     *httpd.CA
 	mu     sync.Mutex
 	served httpd.Stats
-	client httpd.ClientStats
 }
 
 // wrap implements attack.TransportWrapper.
@@ -239,30 +229,27 @@ func (a *attackWire) wrap(n *web.Network) (web.Transport, func(), error) {
 	return ct, func() {
 		a.mu.Lock()
 		a.served = a.served.Add(gw.Stats())
-		a.client = a.client.Add(ct.Stats())
 		a.mu.Unlock()
 		cleanup()
 	}, nil
 }
 
 // totals returns the accumulated environment traffic.
-func (a *attackWire) totals() (httpd.Stats, httpd.ClientStats) {
+func (a *attackWire) totals() httpd.Stats {
 	if a == nil {
-		return httpd.Stats{}, httpd.ClientStats{}
+		return httpd.Stats{}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.served, a.client
+	return a.served
 }
 
-// section is one session pool and the wire it runs over. In memory gw,
-// ct and env are nil. Over a loopback gateway all three are set; a
-// cluster worker's gateway is remote, so gw stays nil. env, when set,
+// section is one session pool and the wire it runs over. In memory gw
+// and env are nil. Over a loopback gateway gw is set; env, when set,
 // replays the §6.4 corpus over the wire too.
 type section struct {
 	pool *engine.Pool
 	gw   *httpd.Gateway
-	ct   *httpd.ClientTransport
 	env  *attackWire
 }
 
@@ -283,29 +270,19 @@ func newSection(cfg config, pl *plane, t web.Transport, cache *core.DecisionCach
 	if err != nil {
 		return nil, err
 	}
-	ct, _ := t.(*httpd.ClientTransport)
-	return &section{pool: pool, ct: ct}, nil
+	return &section{pool: pool}, nil
 }
 
-// wire reads the section's cumulative wire counters: the local
-// gateway's plus the attack environments' gateways, and the pool's
-// transport plus the environments' transports.
-func (s *section) wire() (httpd.Stats, httpd.ClientStats) {
-	served, client := s.env.totals()
-	if s.gw != nil {
-		served = served.Add(s.gw.Stats())
-	}
-	if s.ct != nil {
-		client = client.Add(s.ct.Stats())
-	}
-	return served, client
+// served reads the section's cumulative gateway counters: the local
+// gateway's plus the attack environments' gateways'. gw must be set.
+func (s *section) served() httpd.Stats {
+	return s.gw.Stats().Add(s.env.totals())
 }
 
 // phase runs fn as one measured phase on the section's pool and
 // returns its row: task latency, decisions, cache and batch deltas,
-// and over a wire the phase's traffic — the local gateway's counters,
-// or the client's request count when the gateway is remote. The name
-// also labels the pool's slow-ring exemplars for the duration.
+// and over a gateway the phase's traffic. The name also labels the
+// pool's slow-ring exemplars for the duration.
 func (s *section) phase(name string, fn func()) phaseJSON {
 	pool := s.pool
 	pool.SetPhase(name)
@@ -314,10 +291,11 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 	if c := pool.Cache(); c != nil {
 		cacheBefore = c.Stats()
 	}
+	var servedBefore httpd.Stats
 	if s.gw != nil {
 		s.gw.ResetQueueHighWater()
+		servedBefore = s.served()
 	}
-	servedBefore, clientBefore := s.wire()
 	start := time.Now()
 	fn()
 	elapsed := time.Since(start)
@@ -332,7 +310,6 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 		MeanMs:    ms(st.Mean),
 		ElapsedMs: ms(elapsed),
 		Decisions: st.Decisions,
-		hist:      st.Hist,
 	}
 	if c := pool.Cache(); c != nil {
 		delta := st.Cache.Sub(cacheBefore)
@@ -354,18 +331,16 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 	if secs > 0 {
 		ph.DecisionsPerSec = float64(ph.Decisions) / secs
 	}
-	if s.ct != nil {
-		servedAfter, clientAfter := s.wire()
-		served := servedAfter.Sub(servedBefore)
-		g := &GatewayJSON{Requests: clientAfter.Sub(clientBefore).Requests}
-		if s.gw != nil {
-			g.Requests = served.Served
-			g.Rejected503 = served.Rejected503
-			g.QueueDepthMax = served.MaxQueueDepth
-			g.CacheHits = served.Cache.Hits
-			g.CacheMisses = served.Cache.Misses
-			g.CacheHitRate = served.Cache.HitRate()
-			g.CacheEvicted = served.Cache.Evictions
+	if s.gw != nil {
+		served := s.served().Sub(servedBefore)
+		g := &GatewayJSON{
+			Requests:      served.Served,
+			Rejected503:   served.Rejected503,
+			QueueDepthMax: served.MaxQueueDepth,
+			CacheHits:     served.Cache.Hits,
+			CacheMisses:   served.Cache.Misses,
+			CacheHitRate:  served.Cache.HitRate(),
+			CacheEvicted:  served.Cache.Evictions,
 		}
 		if secs > 0 {
 			g.ReqsPerSec = float64(g.Requests) / secs
@@ -426,7 +401,7 @@ func login(s *engine.Session, account string) error {
 // the forum index and the seeded topic iters times, posting a reply
 // every fifth round — the paper's "active session with a trusted site"
 // workload, whose decision stream is the cache's best case.
-func phpbbTask(account func(int) string, iters int) engine.Task {
+func phpbbTask(iters int) engine.Task {
 	return func(s *engine.Session) error {
 		who := account(s.ID)
 		if err := login(s, who); err != nil {
@@ -480,7 +455,7 @@ func mixedTask(iters int) engine.Task {
 			}
 			if form := p.Doc.ByID("loginform"); form != nil {
 				if _, err := p.SubmitForm(form, map[string][]string{
-					"username": {fmt.Sprintf("user%d", s.ID)}, "password": {"pw"},
+					"username": {account(s.ID)}, "password": {"pw"},
 				}); err != nil {
 					return err
 				}
@@ -538,10 +513,10 @@ func (s *section) replay(mode browser.Mode) (tally *attacksJSON, match bool, err
 	wire := make([]attack.Result, len(corpus))
 	for i, atk := range corpus {
 		s.pool.Submit(func(*engine.Session) error {
-			mem[i] = attack.RunOneCached(atk, mode, s.pool.Cache())
+			mem[i] = attack.RunOne(atk, mode, attack.WithCache(s.pool.Cache()))
 			wire[i] = mem[i]
 			if s.env != nil && mem[i].Err == nil {
-				wire[i] = attack.RunOneOver(atk, mode, s.pool.Cache(), s.env.wrap)
+				wire[i] = attack.RunOne(atk, mode, attack.WithCache(s.pool.Cache()), attack.Over(s.env.wrap))
 			}
 			return wire[i].Err
 		})

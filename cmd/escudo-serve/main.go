@@ -12,17 +12,11 @@
 // figure-4 and mixed workloads plus the attack replay through
 // httpd.ClientTransport — real sockets, Host-header virtual hosting,
 // per-origin worker queues, cross-request page cache — into an "http"
-// section. -openloop and -control add the open-loop SLO and policy
+// section; -tls terminates https on that gateway with an ephemeral
+// in-memory CA. -openloop and -control add the open-loop SLO and policy
 // control-plane sections. Every section is a short list of phases over
 // one session pool (harness.go); the sections differ only in the pool's
 // transport.
-//
-// The multi-process modes (see cluster.go) split the deployment
-// across real OS processes: -serve-only runs the gateway alone until
-// SIGTERM, -connect runs a loadgen worker against a remote gateway,
-// and -cluster N fork/execs one server plus N workers and merges
-// their BENCH shards into a `cluster` section. -tls terminates https
-// on the gateway with an ephemeral in-memory CA in any gateway mode.
 //
 // The run exits 1 when an invariant it measured breaks (see verify):
 // a task error, an attack that lands under ESCUDO, a socket verdict
@@ -36,7 +30,6 @@
 //	             [-http addr] [-tls] [-soak D] [-openloop spec]
 //	             [-control] [-tenants N]
 //	             [-pprof] [-cpuprofile f] [-memprofile f]
-//	             [-cluster N | -serve-only | -connect addr]
 //	             [-out BENCH_engine.json]
 package main
 
@@ -49,16 +42,13 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"syscall"
 	"time"
 
 	"repro/internal/attack"
 	"repro/internal/browser"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ctlplane"
 	"repro/internal/engine"
@@ -103,8 +93,6 @@ type batchJSON struct {
 // obsJSON is the observability section of BENCH_engine.json: the
 // process's build stamp, the runtime sampler's summary over the whole
 // run (goroutines, heap, GC), and the decision-trace ring's traffic.
-// In cluster runs the workers' equivalents are merged into
-// cluster.obs; this section always describes the driving process.
 type obsJSON struct {
 	Version obs.Stamp        `json:"version"`
 	Sampler obs.SamplerStats `json:"sampler"`
@@ -137,15 +125,11 @@ type phaseJSON struct {
 	Batch           *batchJSON   `json:"batch,omitempty"`
 	Attacks         *attacksJSON `json:"attacks,omitempty"`
 	*GatewayJSON
-	// hist is the mergeable form of the task latencies, shipped in a
-	// cluster worker's shard.
-	hist metrics.Histogram
 }
 
 // GatewayJSON is a phase's wire traffic: requests, 503s, queue
-// high-water and page-cache traffic are the local gateway's deltas for
-// the phase (a cluster worker, whose gateway is remote, counts its own
-// requests). It is exported because encoding/json only fills embedded
+// high-water and page-cache traffic are the gateway's deltas for the
+// phase. It is exported because encoding/json only fills embedded
 // struct pointers of exported types.
 type GatewayJSON struct {
 	Requests      uint64  `json:"requests"`
@@ -163,12 +147,28 @@ type GatewayJSON struct {
 	AllocsPerRequest float64 `json:"allocs_per_request,omitempty"`
 }
 
-// shard converts a worker's phase row to its shard form.
-func (p phaseJSON) shard() cluster.ShardPhase {
-	return cluster.ShardPhase{
-		Name: p.Name, Tasks: p.Tasks, Errors: p.Errors,
-		P50Ms: p.P50Ms, P99Ms: p.P99Ms, MeanMs: p.MeanMs, ElapsedMs: p.ElapsedMs,
-		Requests: p.Requests, ReqsPerSec: p.ReqsPerSec, Hist: p.hist,
+// clientJSON is the http section's client row: the loadgen
+// transport's connection accounting. Proto names the negotiated wire
+// protocol of the counted traffic ("h2"/"h1", "" when nothing was
+// counted); H2Requests is the raw count behind it.
+type clientJSON struct {
+	Requests    uint64  `json:"requests"`
+	NewConns    uint64  `json:"new_conns"`
+	ReusedConns uint64  `json:"reused_conns"`
+	ReuseRate   float64 `json:"reuse_rate"`
+	H2Requests  uint64  `json:"h2_requests"`
+	Proto       string  `json:"proto,omitempty"`
+}
+
+// fromClientStats converts transport counters to the client row.
+func fromClientStats(s httpd.ClientStats) clientJSON {
+	return clientJSON{
+		Requests:    s.Requests,
+		NewConns:    s.NewConns,
+		ReusedConns: s.ReusedConns,
+		ReuseRate:   s.ReuseRate(),
+		H2Requests:  s.H2Requests,
+		Proto:       s.Proto(),
 	}
 }
 
@@ -190,7 +190,7 @@ type httpJSON struct {
 	Gateway          httpd.Stats `json:"gateway"`
 	// Client is the loadgen transport's connection accounting (new
 	// vs reused keep-alive connections).
-	Client *cluster.ClientJSON `json:"client,omitempty"`
+	Client *clientJSON `json:"client,omitempty"`
 	// PolicyzOrigins counts the mounted policy documents the admin
 	// /policyz endpoint served back unchanged.
 	PolicyzOrigins int          `json:"policyz_origins"`
@@ -234,11 +234,6 @@ type benchJSON struct {
 	// compile-cache counters reflect real <script> traffic.
 	Script *scriptJSON `json:"script,omitempty"`
 	HTTP   *httpJSON   `json:"http,omitempty"`
-	// Cluster is the multi-process deployment's merged section: one
-	// serve-only gateway process, N loadgen workers, shards merged by
-	// the supervisor (written by -cluster runs; other sections of an
-	// existing report are preserved).
-	Cluster *cluster.Report `json:"cluster,omitempty"`
 	// Control is the policy control plane section (written by -control
 	// runs): the invalidation storm, the multi-tenant mount scale, and
 	// the noisy-neighbor isolation figures.
@@ -248,14 +243,12 @@ type benchJSON struct {
 	Obs *obsJSON `json:"obs,omitempty"`
 	// SLO is the open-loop section (written by -openloop runs): offered
 	// vs achieved rate, per-stage latency percentiles, error budget,
-	// exemplar traces, and the leak verdict for the window. In -cluster
-	// runs the merged fleet view lives at Cluster.SLO instead.
+	// exemplar traces, and the leak verdict for the window.
 	SLO     *slo.Result `json:"slo,omitempty"`
 	TotalMs float64     `json:"total_ms"`
 }
 
-// config is the run's configuration, parsed once from the flags; each
-// process role reads the fields it needs.
+// config is the run's configuration, parsed once from the flags.
 type config struct {
 	sessions, iters, phpbbIters, mixedIters, scriptIters int
 	procs                                                int
@@ -268,20 +261,12 @@ type config struct {
 	openloop                                             openLoopSpec
 	control                                              bool
 	tenants                                              int
-	serveOnly                                            bool
-	connect                                              string
-	cluster                                              int
-	clusterBin, tlsCAOut, tlsCA, addrFile, statsFile     string
-	workerID, accounts                                   int
 	out                                                  string
 }
 
-// account names the phpBB/PHP-Calendar account a session owns: worker
-// w's sessions take the contiguous block [w×sessions, (w+1)×sessions),
-// so no two processes of a cluster ever share a login. A single-process
-// run is worker 0.
-func (c config) account(sessionID int) string {
-	return fmt.Sprintf("user%d", c.workerID*c.sessions+sessionID)
+// account names the phpBB/PHP-Calendar account session sessionID owns.
+func account(sessionID int) string {
+	return fmt.Sprintf("user%d", sessionID)
 }
 
 // parseConfig parses and checks the flags.
@@ -302,18 +287,8 @@ func parseConfig(args []string) (config, error) {
 	fs.BoolVar(&c.uncached, "uncached", false, "disable the shared decision cache (baseline)")
 	fs.StringVar(&c.httpAddr, "http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
 	fs.DurationVar(&c.soak, "soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
-	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section; in -cluster mode each worker drives this spec and the shards merge")
-	fs.BoolVar(&c.tls, "tls", false, "terminate https on the gateway with an ephemeral in-memory CA (with -http, -serve-only, or -cluster; with -connect, trust -tls-ca)")
-	fs.BoolVar(&c.serveOnly, "serve-only", false, "server mode: mount the substrate on a gateway and serve until SIGTERM (no loadgen)")
-	fs.StringVar(&c.connect, "connect", "", "worker mode: generate load against a remote gateway at this address and write a BENCH shard to -out")
-	fs.IntVar(&c.cluster, "cluster", 0, "cluster mode: fork/exec one -serve-only server plus N -connect workers and merge their shards into a cluster section")
-	fs.StringVar(&c.clusterBin, "cluster-bin", "", "binary to fork/exec in -cluster mode (default: this executable)")
-	fs.StringVar(&c.tlsCAOut, "tls-ca-out", "", "serve-only: write the CA certificate (no key) to this PEM file for workers to trust")
-	fs.StringVar(&c.tlsCA, "tls-ca", "", "connect: CA certificate bundle to verify the gateway's TLS leafs against")
-	fs.StringVar(&c.addrFile, "addr-file", "", "serve-only: write the bound listener address to this file")
-	fs.StringVar(&c.statsFile, "stats-file", "", "serve-only: write gateway-side stats JSON here on graceful shutdown")
-	fs.IntVar(&c.workerID, "worker-id", 0, "connect: this worker's index in the cluster (labels the shard)")
-	fs.IntVar(&c.accounts, "accounts", 0, "serve-only: register this many phpBB/PHP-Calendar accounts (0 = one per session; a cluster supervisor passes workers×sessions so each worker gets a disjoint account range)")
+	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section")
+	fs.BoolVar(&c.tls, "tls", false, "terminate https on the -http gateway with an ephemeral in-memory CA")
 	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
 	fs.IntVar(&c.tenants, "tenants", 1024, "tenant origins to mount in the -control section")
 	fs.StringVar(&c.out, "out", "BENCH_engine.json", "output JSON path")
@@ -323,8 +298,8 @@ func parseConfig(args []string) (config, error) {
 	if c.sessions < 1 {
 		return c, fmt.Errorf("-sessions must be >= 1, got %d", c.sessions)
 	}
-	if c.tls && c.httpAddr == "" && !c.serveOnly && c.connect == "" && c.cluster == 0 {
-		return c, fmt.Errorf("-tls needs a gateway: combine it with -http, -serve-only, -connect, or -cluster")
+	if c.tls && c.httpAddr == "" {
+		return c, fmt.Errorf("-tls needs a gateway: combine it with -http")
 	}
 	switch *modeFlag {
 	case "escudo":
@@ -343,6 +318,9 @@ func parseConfig(args []string) (config, error) {
 	return c, nil
 }
 
+// run is the driver: the in-memory phases, the policy section, and
+// whichever of the http, slo, control and script sections the flags ask
+// for, written to one report and verified.
 func run(args []string) error {
 	cfg, err := parseConfig(args)
 	if err != nil {
@@ -359,35 +337,8 @@ func run(args []string) error {
 		runtime.GOMAXPROCS(effective)
 	}
 
-	// The multi-process roles: a cluster supervisor, a server-only
-	// gateway process, or a loadgen worker.
-	switch {
-	case cfg.cluster > 0:
-		return runCluster(cfg)
-	case cfg.serveOnly:
-		// Register the handler before anything else runs so a SIGTERM
-		// arriving during startup still takes the graceful path.
-		stop := make(chan struct{})
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
-		go func() {
-			<-ch
-			close(stop)
-		}()
-		return runServeOnly(cfg, stop)
-	case cfg.connect != "":
-		return runConnect(cfg)
-	}
-	return runLocal(cfg)
-}
-
-// runLocal is the single-process driver: the in-memory phases, the
-// policy section, and whichever of the http, slo, control and script
-// sections the flags ask for, written to one report and verified.
-func runLocal(cfg config) error {
-	// Profiling covers the whole single-process run: all in-memory
-	// phases plus the http section, which is where the hot request
-	// path lives.
+	// Profiling covers the whole run: all in-memory phases plus the
+	// http section, which is where the hot request path lives.
 	if cfg.cpuProfile != "" {
 		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
@@ -441,7 +392,7 @@ func runLocal(cfg config) error {
 	}
 	pl.smp.Mark()
 	report.Phases = append(report.Phases, mem.phase("figure4", func() { figure4Rounds(mem.pool, benchO, cfg.iters) }))
-	report.Phases = append(report.Phases, mem.phase("phpbb", func() { mem.pool.Each(phpbbTask(cfg.account, cfg.phpbbIters)) }))
+	report.Phases = append(report.Phases, mem.phase("phpbb", func() { mem.pool.Each(phpbbTask(cfg.phpbbIters)) }))
 	if cfg.mixedIters > 0 {
 		report.Phases = append(report.Phases, mem.phase("mixed", func() { mem.pool.Each(mixedTask(cfg.mixedIters)) }))
 	}
@@ -609,7 +560,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 		if err := visit(benchO.URL(scenarioPaths()[0]))(se); err != nil {
 			return err
 		}
-		return login(se, cfg.account(se.ID))
+		return login(se, account(se.ID))
 	}); err != nil {
 		return nil, fmt.Errorf("http %w", err)
 	}
@@ -641,7 +592,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	}
 
 	sec.Gateway = gw.Stats()
-	cs := cluster.FromClientStats(ct.Stats())
+	cs := fromClientStats(ct.Stats())
 	sec.Client, sec.Proto = &cs, cs.Proto
 	return sec, nil
 }
@@ -665,7 +616,7 @@ func sloSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache
 	}
 	// The in-memory substrate's request log is the other append-only
 	// accumulator in this process; drop it on the trim cadence.
-	return driveOpenLoop(s.pool, cfg.openloop, pl, cfg.account, sub.net.ResetLog)
+	return driveOpenLoop(s.pool, cfg.openloop, pl, sub.net.ResetLog)
 }
 
 // writeJSON writes v, indented, to path.
@@ -700,29 +651,6 @@ func verify(r *benchJSON) error {
 			fail("%s: %d/%d attacks neutralized, want %d/%d", where, a.Neutralized, a.Total, corpus, corpus)
 		}
 	}
-	h2 := func(where string, tls bool, proto string) {
-		if tls && proto != "h2" {
-			fail("%s: the TLS loadgen negotiated %q, want h2", where, proto)
-		}
-	}
-	sloOK := func(s *slo.Result) {
-		if s == nil {
-			return
-		}
-		if s.Errors > 0 {
-			fail("open-loop run had %d task errors", s.Errors)
-		}
-		if s.Leak != nil && s.Leak.Suspected {
-			fail("open-loop leak watch suspects a leak (%.0f B/s)", s.Leak.SlopeBytesPerSec)
-		}
-		if s.P99BudgetMs > 0 && !s.P99WithinBudget {
-			fail("open-loop p99 %.1f ms misses its %.1f ms budget", s.P99Ms, s.P99BudgetMs)
-		}
-		if s.Logins != s.Logouts+s.LiveSessions {
-			fail("churn: %d logins != %d logouts + %d live sessions", s.Logins, s.Logouts, s.LiveSessions)
-		}
-	}
-
 	clean("", r.Phases)
 	for _, ph := range r.Phases {
 		tally("in memory", ph.Attacks)
@@ -742,7 +670,9 @@ func verify(r *benchJSON) error {
 		if r.Policy != nil && h.PolicyzOrigins != len(r.Policy.Origins) {
 			fail("/policyz served back %d of %d mounted documents unchanged", h.PolicyzOrigins, len(r.Policy.Origins))
 		}
-		h2("http", h.TLS, h.Proto)
+		if h.TLS && h.Proto != "h2" {
+			fail("http: the TLS loadgen negotiated %q, want h2", h.Proto)
+		}
 	}
 	if c := r.Control; c != nil {
 		clean("control ", c.Phases)
@@ -763,28 +693,24 @@ func verify(r *benchJSON) error {
 			tally("control after the flip", s.AttacksPostFlip)
 		}
 	}
-	sloOK(r.SLO)
-	if c := r.Cluster; c != nil {
-		for _, ph := range c.Phases {
-			if ph.Errors > 0 {
-				fail("cluster phase %s had %d task errors", ph.Name, ph.Errors)
-			}
+	if s := r.SLO; s != nil {
+		if s.Errors > 0 {
+			fail("open-loop run had %d task errors", s.Errors)
 		}
-		if c.AttacksTotal > 0 {
-			tally("cluster", &attacksJSON{Total: c.AttacksTotal, Neutralized: c.AttacksNeutralized})
-			if !c.AttacksMatchMemory {
-				fail("cluster: attack verdicts diverge between in-memory and socket transports")
-			}
+		if s.Leak != nil && s.Leak.Suspected {
+			fail("open-loop leak watch suspects a leak (%.0f B/s)", s.Leak.SlopeBytesPerSec)
 		}
-		if c.Client.Requests > 0 {
-			h2("cluster", c.TLS, c.Client.Proto)
+		if s.P99BudgetMs > 0 && !s.P99WithinBudget {
+			fail("open-loop p99 %.1f ms misses its %.1f ms budget", s.P99Ms, s.P99BudgetMs)
 		}
-		sloOK(c.SLO)
+		if s.Logins != s.Logouts+s.LiveSessions {
+			fail("churn: %d logins != %d logouts + %d live sessions", s.Logins, s.Logouts, s.LiveSessions)
+		}
 	}
 	return errors.Join(errs...)
 }
 
-// printReport renders the single-process report on stdout.
+// printReport renders the report on stdout.
 func printReport(r *benchJSON) {
 	fmt.Printf("ESCUDO engine load driver — %d sessions, mode %s (GOMAXPROCS %d)\n\n",
 		r.Sessions, r.Mode, r.GoMaxProcs)

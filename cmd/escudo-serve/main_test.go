@@ -239,6 +239,45 @@ func TestServeHTTPSection(t *testing.T) {
 	}
 }
 
+// TestServeHTTPSectionTLS runs the single-process driver with the
+// gateway in TLS mode: the http section must record tls=true, socket
+// traffic over https, and the client connection accounting.
+func TestServeHTTPSectionTLS(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
+	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "1",
+		"-mixed-iters", "0", "-attacks=false", "-http", "127.0.0.1:0", "-tls", "-out", out})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchJSON
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	h := report.HTTP
+	if h == nil || !h.TLS {
+		t.Fatalf("http section missing or not TLS: %+v", h)
+	}
+	found := false
+	for _, ph := range h.Phases {
+		if ph.Name == "http-figure4" {
+			found = true
+			if ph.Requests == 0 || ph.Errors != 0 {
+				t.Fatalf("http-figure4 over TLS inert: %+v", ph)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no http-figure4 phase")
+	}
+	if h.Client == nil || h.Client.Requests == 0 || h.Client.ReusedConns == 0 {
+		t.Fatalf("client accounting missing: %+v", h.Client)
+	}
+}
+
 // TestServeControlSection runs the control-plane section at test
 // scale: four stamped tenants plus the hot origin, one live policy flip
 // mid-load. No page may mix generations, the storm must straddle the

@@ -26,7 +26,6 @@ import (
 // openLoopSpec is the parsed -openloop flag:
 // rate=R,duration=D[,churn=C][,p99=MS][,seed=N].
 type openLoopSpec struct {
-	raw      string        // the flag as given, passed on to cluster workers
 	rate     float64       // target arrivals/sec
 	duration time.Duration // how long to offer load
 	churn    float64       // login/logout events/sec woven into the arrivals
@@ -37,7 +36,7 @@ type openLoopSpec struct {
 // parseOpenLoop parses the -openloop spec. rate and duration are
 // required; churn, p99, and seed are optional.
 func parseOpenLoop(s string) (openLoopSpec, error) {
-	spec := openLoopSpec{raw: s, seed: 1}
+	spec := openLoopSpec{seed: 1}
 	for _, kv := range strings.Split(s, ",") {
 		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok {
@@ -105,8 +104,7 @@ func leakWarmup(d time.Duration) time.Duration {
 // driveOpenLoop offers spec.duration of Poisson load to an
 // already-warm pool and packages the slo section. The pool must be
 // wired to the plane pl (that is how per-stage spans and exemplars
-// reach the result); account names the phpBB login a session uses for
-// churn.
+// reach the result).
 //
 // trim, when non-nil, is called once per trimInterval alongside the
 // driver's own retention work: the session audit logs accrue one
@@ -115,8 +113,7 @@ func leakWarmup(d time.Duration) time.Duration {
 // driver itself) — so they are dropped on the same cadence. The
 // decision ring and the slow ring are bounded and keep serving
 // /tracez and /slowz joins across trims.
-func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, pl *plane, account func(sessionID int) string,
-	trim func()) (*slo.Result, error) {
+func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, pl *plane, trim func()) (*slo.Result, error) {
 
 	paths := scenarioPaths()
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/slo"
 )
@@ -13,10 +12,6 @@ import (
 // is present and every invariant verify checks holds.
 func cleanReport() *benchJSON {
 	all := func() *attacksJSON { return &attacksJSON{Total: 18, Neutralized: 18} }
-	open := func() *slo.Result {
-		return &slo.Result{Completed: 10, Logins: 3, Logouts: 2, LiveSessions: 1,
-			P99BudgetMs: 250, P99WithinBudget: true, Leak: &obs.DriftReport{Points: 10}}
-	}
 	match := true
 	return &benchJSON{
 		Mode:   "escudo",
@@ -28,10 +23,8 @@ func cleanReport() *benchJSON {
 		Control: &controlJSON{TenantsMounted: 4, PolicyzOrigins: 5, Generation: 6, GenerationsSeen: 2, PagesAudited: 80,
 			Storm:  &stormJSON{FlipGeneration: 6, AttacksPreFlip: all(), AttacksPostFlip: all()},
 			Phases: []phaseJSON{{Name: "control-storm", Tasks: 80}}},
-		SLO: open(),
-		Cluster: &cluster.Report{TLS: true, Phases: []cluster.MergedPhase{{Name: "figure4", Tasks: 8}},
-			AttacksTotal: 18, AttacksNeutralized: 18, AttacksMatchMemory: true,
-			Client: cluster.ClientJSON{Requests: 100, H2Requests: 100, Proto: "h2"}, SLO: open()},
+		SLO: &slo.Result{Completed: 10, Logins: 3, Logouts: 2, LiveSessions: 1,
+			P99BudgetMs: 250, P99WithinBudget: true, Leak: &obs.DriftReport{Points: 10}},
 	}
 }
 
@@ -50,19 +43,15 @@ func TestVerify(t *testing.T) {
 		{"policy task error", "policy phase delegated-session", func(r *benchJSON) { r.Policy.Phases[0].Errors = 1 }},
 		{"http task error", "http phase http-figure4", func(r *benchJSON) { r.HTTP.Phases[0].Errors = 1 }},
 		{"control task error", "control phase control-storm", func(r *benchJSON) { r.Control.Phases[0].Errors = 1 }},
-		{"cluster task error", "cluster phase figure4", func(r *benchJSON) { r.Cluster.Phases[0].Errors = 1 }},
 		{"in-memory attack lands", "in memory: 17/18", func(r *benchJSON) { r.Phases[1].Attacks.Neutralized = 17 }},
 		{"short corpus", "in memory: 17/17", func(r *benchJSON) { r.Phases[1].Attacks = &attacksJSON{Total: 17, Neutralized: 17} }},
 		{"socket attack lands", "over sockets: 17/18", func(r *benchJSON) { r.HTTP.Attacks.Neutralized = 17 }},
 		{"pre-flip attack lands", "before the flip", func(r *benchJSON) { r.Control.Storm.AttacksPreFlip.Neutralized = 17 }},
 		{"post-flip attack lands", "after the flip", func(r *benchJSON) { r.Control.Storm.AttacksPostFlip.Neutralized = 17 }},
-		{"cluster attack lands", "cluster: 17/18", func(r *benchJSON) { r.Cluster.AttacksNeutralized = 17 }},
 		{"socket verdict diverges", "diverge between in-memory and socket", func(r *benchJSON) { *r.HTTP.AttacksMatchMemory = false }},
-		{"worker verdict diverges", "cluster: attack verdicts diverge", func(r *benchJSON) { r.Cluster.AttacksMatchMemory = false }},
 		{"round trip fails", "round trip", func(r *benchJSON) { r.Policy.RoundTripOK = false }},
 		{"policyz changed", "/policyz served back 3 of 4", func(r *benchJSON) { r.HTTP.PolicyzOrigins = 3 }},
 		{"http TLS without h2", `http: the TLS loadgen negotiated "h1"`, func(r *benchJSON) { r.HTTP.Proto = "h1" }},
-		{"cluster TLS without h2", `cluster: the TLS loadgen negotiated "h1"`, func(r *benchJSON) { r.Cluster.Client.Proto = "h1" }},
 		{"mixed generations", "1 pages observed more than one", func(r *benchJSON) { r.Control.GenerationsMixed = 1 }},
 		{"one generation seen", "saw 1 generation", func(r *benchJSON) { r.Control.GenerationsSeen = 1 }},
 		{"control policyz count", "/policyz served 4 documents, mounted 5", func(r *benchJSON) { r.Control.PolicyzOrigins = 4 }},
@@ -71,7 +60,6 @@ func TestVerify(t *testing.T) {
 		{"slo leak", "suspects a leak", func(r *benchJSON) { r.SLO.Leak.Suspected = true }},
 		{"slo budget", "misses its 250.0 ms budget", func(r *benchJSON) { r.SLO.P99WithinBudget = false }},
 		{"slo churn", "churn: 3 logins != 1 logouts", func(r *benchJSON) { r.SLO.Logouts = 1 }},
-		{"cluster slo errors", "open-loop run had 1 task errors", func(r *benchJSON) { r.Cluster.SLO.Errors = 1 }},
 	} {
 		r := cleanReport()
 		tc.mutate(r)
@@ -89,7 +77,6 @@ func TestVerify(t *testing.T) {
 		sop.Control.Storm.AttacksPreFlip, sop.Control.Storm.AttacksPostFlip} {
 		a.Neutralized, a.Succeeded = 0, 18
 	}
-	sop.Cluster.AttacksNeutralized, sop.Cluster.AttacksSucceeded = 0, 18
 	if err := verify(sop); err != nil {
 		t.Fatalf("SOP report whose attacks succeed: %v", err)
 	}

@@ -57,8 +57,9 @@ const (
 	AttackerPass = "mallorypw"
 )
 
-// Env is one fresh attack scenario: both unhardened apps, a malicious
-// site, and the victim's browser (already logged into both apps).
+// Env is one fresh attack scenario: both apps (unhardened unless built
+// with Hardened), a malicious site, and the victim's browser (already
+// logged into both apps).
 type Env struct {
 	Net         *web.Network
 	Forum       *phpbb.App
@@ -91,38 +92,42 @@ func (e *Env) Close() {
 	}
 }
 
-// NewEnv builds a scenario for the given browser mode with unhardened
-// applications. The victim logs into both applications first
-// (establishing the ring-1 session cookies), exactly the §6.4 setting
-// of "a victim user's active session with a trusted site".
-func NewEnv(mode browser.Mode) (*Env, error) {
-	return newEnv(mode, false, nil, nil)
+// Option varies the environment NewEnv builds.
+type Option func(*envOptions)
+
+type envOptions struct {
+	hardened bool
+	cache    *core.DecisionCache
+	wrap     TransportWrapper
 }
 
-// NewEnvHardened builds the same scenario with the applications'
-// first-line defenses (input validation, CSRF tokens) re-enabled —
-// the state the paper started from before removing them "to
-// facilitate the attacks".
-func NewEnvHardened(mode browser.Mode) (*Env, error) {
-	return newEnv(mode, true, nil, nil)
+// Hardened re-enables the applications' first-line defenses (input
+// validation, CSRF tokens) — the state the paper started from before
+// removing them "to facilitate the attacks".
+func Hardened() Option { return func(o *envOptions) { o.hardened = true } }
+
+// WithCache plugs a shared decision cache into the victim's browser, so
+// load drivers replaying the corpus across many concurrent environments
+// share one verdict memo. All environments sharing a cache must use the
+// same mode.
+func WithCache(cache *core.DecisionCache) Option {
+	return func(o *envOptions) { o.cache = cache }
 }
 
-// NewEnvCached is NewEnv with a shared decision cache plugged into the
-// victim's browser, so load drivers replaying the corpus across many
-// concurrent environments share one verdict memo. All environments
-// sharing a cache must use the same mode.
-func NewEnvCached(mode browser.Mode, cache *core.DecisionCache) (*Env, error) {
-	return newEnv(mode, false, cache, nil)
-}
+// Over has the victim's browser fetch through the wrapped transport
+// instead of the in-memory network. Call Env.Close when done.
+func Over(wrap TransportWrapper) Option { return func(o *envOptions) { o.wrap = wrap } }
 
-// NewEnvOver is NewEnvCached with the victim's browser fetching
-// through the wrapped transport instead of the in-memory network.
-// Call Env.Close when done.
-func NewEnvOver(mode browser.Mode, cache *core.DecisionCache, wrap TransportWrapper) (*Env, error) {
-	return newEnv(mode, false, cache, wrap)
-}
-
-func newEnv(mode browser.Mode, hardened bool, cache *core.DecisionCache, wrap TransportWrapper) (*Env, error) {
+// NewEnv builds a scenario for the given browser mode, by default with
+// unhardened applications over the in-memory network. The victim logs
+// into both applications first (establishing the ring-1 session
+// cookies), exactly the §6.4 setting of "a victim user's active session
+// with a trusted site".
+func NewEnv(mode browser.Mode, opts ...Option) (*Env, error) {
+	var o envOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
 	e := &Env{
 		Net:         web.NewNetwork(),
 		ForumOrigin: origin.MustParse("http://forum.example"),
@@ -130,10 +135,10 @@ func newEnv(mode browser.Mode, hardened bool, cache *core.DecisionCache, wrap Tr
 		EvilOrigin:  origin.MustParse("http://evil.example"),
 	}
 	e.Forum = phpbb.New(phpbb.Config{
-		Origin: e.ForumOrigin, Hardened: hardened, Escudo: true, Nonces: nonce.NewSeqSource(1000),
+		Origin: e.ForumOrigin, Hardened: o.hardened, Escudo: true, Nonces: nonce.NewSeqSource(1000),
 	})
 	e.Cal = phpcal.New(phpcal.Config{
-		Origin: e.CalOrigin, Hardened: hardened, Escudo: true, Nonces: nonce.NewSeqSource(2000),
+		Origin: e.CalOrigin, Hardened: o.hardened, Escudo: true, Nonces: nonce.NewSeqSource(2000),
 	})
 	for _, app := range []interface{ AddUser(string, string) }{e.Forum, e.Cal} {
 		app.AddUser(VictimUser, VictimPass)
@@ -154,8 +159,8 @@ func newEnv(mode browser.Mode, hardened bool, cache *core.DecisionCache, wrap Tr
 	// request log records server-side either way, which is exactly the
 	// transport-independence the gateway must preserve.
 	var transport web.Transport = e.Net
-	if wrap != nil {
-		t, cleanup, err := wrap(e.Net)
+	if o.wrap != nil {
+		t, cleanup, err := o.wrap(e.Net)
 		if err != nil {
 			return nil, fmt.Errorf("attack: wrapping transport: %w", err)
 		}
@@ -166,7 +171,7 @@ func newEnv(mode browser.Mode, hardened bool, cache *core.DecisionCache, wrap Tr
 	// the request log — never by layout — so the victim browser skips
 	// the render pass: every mediated path an attack can exercise
 	// still runs, and the replay doesn't bill text layout to the p50.
-	e.Victim = browser.New(transport, browser.Options{Mode: mode, Cache: cache, DisableRender: true})
+	e.Victim = browser.New(transport, browser.Options{Mode: mode, Cache: o.cache, DisableRender: true})
 	if err := e.login(e.ForumOrigin, "loginform"); err != nil {
 		e.Close()
 		return nil, fmt.Errorf("attack: forum login: %w", err)
@@ -259,35 +264,12 @@ func RunAll(mode browser.Mode) []Result {
 	return out
 }
 
-// RunOne executes a single attack under the given mode.
-func RunOne(atk Attack, mode browser.Mode) Result {
-	env, err := NewEnv(mode)
-	if err != nil {
-		return Result{Attack: atk, Mode: mode, Err: err}
-	}
-	ok, err := atk.Run(env)
-	return Result{Attack: atk, Mode: mode, Succeeded: ok, Err: err}
-}
-
-// RunOneCached is RunOne against an environment sharing the given
-// decision cache — the engine's load driver uses it to replay the
-// corpus concurrently through one verdict memo.
-func RunOneCached(atk Attack, mode browser.Mode, cache *core.DecisionCache) Result {
-	env, err := NewEnvCached(mode, cache)
-	if err != nil {
-		return Result{Attack: atk, Mode: mode, Err: err}
-	}
-	ok, err := atk.Run(env)
-	return Result{Attack: atk, Mode: mode, Succeeded: ok, Err: err}
-}
-
-// RunOneOver is RunOneCached with the victim fetching through the
-// wrapped transport — how the §6.4 corpus replays over real sockets
-// against an HTTP gateway. The verdict contract is unchanged: the
-// protection model is transport-independent, so an attack neutralized
-// in memory must be neutralized over the wire.
-func RunOneOver(atk Attack, mode browser.Mode, cache *core.DecisionCache, wrap TransportWrapper) Result {
-	env, err := NewEnvOver(mode, cache, wrap)
+// RunOne executes a single attack under the given mode in a fresh
+// environment built with opts. Over a wrapped transport the verdict
+// contract is unchanged: the protection model is transport-independent,
+// so an attack neutralized in memory must be neutralized over the wire.
+func RunOne(atk Attack, mode browser.Mode, opts ...Option) Result {
+	env, err := NewEnv(mode, opts...)
 	if err != nil {
 		return Result{Attack: atk, Mode: mode, Err: err}
 	}

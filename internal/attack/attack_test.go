@@ -164,7 +164,7 @@ func TestHardenedAppsResistXSSUnderSOP(t *testing.T) {
 		if atk.Kind != KindXSS {
 			continue
 		}
-		env, err := NewEnvHardened(browser.ModeSOP)
+		env, err := NewEnv(browser.ModeSOP, Hardened())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestHardenedPhpBBResistsFormCSRF(t *testing.T) {
 		if atk.Name != "phpbb-csrf-form" {
 			continue
 		}
-		env, err := NewEnvHardened(browser.ModeSOP)
+		env, err := NewEnv(browser.ModeSOP, Hardened())
 		if err != nil {
 			t.Fatal(err)
 		}

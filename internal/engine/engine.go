@@ -66,9 +66,8 @@ type Session struct {
 	// running sum and max instead of an append-per-task sample slice:
 	// record is on the per-request hot path and must not allocate in
 	// steady state (the histogram's counts slice reaches full capacity
-	// once and stays there). Percentiles come from the histogram —
-	// which is also what the cluster plane merges across processes, so
-	// single- and multi-process numbers are computed the same way.
+	// once and stays there). Percentiles come from the histogram,
+	// merged across the pool's sessions in Stats.
 	hist   metrics.Histogram
 	latSum time.Duration
 	latMax time.Duration
@@ -299,14 +298,10 @@ type Stats struct {
 	Errors []error
 	// P50, P99, Mean, Max summarize per-task wall-clock latency. The
 	// percentiles are computed from Hist (bucket upper bounds, ≤12.5%
-	// relative error) — the same arithmetic the cluster supervisor
-	// applies to merged shards, so single- and multi-process reports
-	// are directly comparable. Mean and Max are exact.
+	// relative error). Mean and Max are exact.
 	P50, P99, Mean, Max time.Duration
-	// Hist is the bucketed form of the same latencies. Unlike point
-	// percentiles it can be merged across processes — the cluster
-	// supervisor sums per-worker histograms to compute fleet-wide
-	// p50/p99.
+	// Hist is the bucketed form of the same latencies, merged across
+	// the pool's sessions; the open-loop section reports it whole.
 	Hist metrics.Histogram
 	// Decisions counts reference-monitor decisions recorded by every
 	// session's audit log.

@@ -7,11 +7,9 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/pem"
 	"fmt"
 	"math/big"
 	"net"
-	"os"
 	"sync"
 	"time"
 )
@@ -20,9 +18,7 @@ import (
 // root generated at construction, minting per-origin leaf
 // certificates on demand. It exists so the gateway can terminate real
 // TLS for the mounted origins without any key material ever touching
-// disk — the only artifact that leaves the process is the root
-// CERTIFICATE (no key), which loadgen workers load as their trust
-// pool.
+// disk; clients in the same process trust it through Pool.
 //
 // Leafs are keyed by SNI server name: the first handshake naming an
 // origin host mints (and caches) that host's certificate, so every
@@ -30,9 +26,8 @@ import (
 // multi-tenant fronting proxy. Handshakes without SNI (admin probes
 // dialing the listener IP) get a default leaf carrying loopback SANs.
 type CA struct {
-	key     *ecdsa.PrivateKey
-	cert    *x509.Certificate
-	certPEM []byte
+	key  *ecdsa.PrivateKey
+	cert *x509.Certificate
 
 	mu     sync.Mutex
 	leaves map[string]*tls.Certificate
@@ -64,22 +59,11 @@ func NewCA() (*CA, error) {
 		return nil, fmt.Errorf("httpd: parsing CA cert: %w", err)
 	}
 	return &CA{
-		key:     key,
-		cert:    cert,
-		certPEM: pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der}),
-		leaves:  map[string]*tls.Certificate{},
-		serial:  1,
+		key:    key,
+		cert:   cert,
+		leaves: map[string]*tls.Certificate{},
+		serial: 1,
 	}, nil
-}
-
-// CertPEM returns the root certificate, PEM-encoded. This is the trust
-// anchor a client needs; the private key never leaves the CA.
-func (ca *CA) CertPEM() []byte { return append([]byte(nil), ca.certPEM...) }
-
-// WriteCertPEM writes the root certificate to path, the hand-off
-// artifact a supervisor passes to loadgen worker processes.
-func (ca *CA) WriteCertPEM(path string) error {
-	return os.WriteFile(path, ca.certPEM, 0o644)
 }
 
 // Pool returns a cert pool trusting exactly this CA.
@@ -87,21 +71,6 @@ func (ca *CA) Pool() *x509.CertPool {
 	pool := x509.NewCertPool()
 	pool.AddCert(ca.cert)
 	return pool
-}
-
-// LoadCAPool reads a PEM bundle written by WriteCertPEM and returns
-// the trust pool a TLS client transport verifies gateway leafs
-// against.
-func LoadCAPool(path string) (*x509.CertPool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("httpd: reading CA bundle: %w", err)
-	}
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(data) {
-		return nil, fmt.Errorf("httpd: %s holds no usable certificates", path)
-	}
-	return pool, nil
 }
 
 // defaultLeafName keys the SNI-less leaf in the cache.

@@ -102,17 +102,6 @@ func (s ClientStats) Sub(base ClientStats) ClientStats {
 	}
 }
 
-// Add sums two snapshots — the cluster supervisor aggregates worker
-// transports with it.
-func (s ClientStats) Add(o ClientStats) ClientStats {
-	return ClientStats{
-		Requests:    s.Requests + o.Requests,
-		NewConns:    s.NewConns + o.NewConns,
-		ReusedConns: s.ReusedConns + o.ReusedConns,
-		H2Requests:  s.H2Requests + o.H2Requests,
-	}
-}
-
 // newPooledClient builds the shared http.Client shape; tlsCfg nil
 // means plain HTTP. forceH2 opts the transport into HTTP/2 — it must
 // be explicit because a transport with a custom DialContext or
@@ -167,7 +156,7 @@ func NewClientTransport(addr string) *ClientTransport {
 // NewClientTransportTLS builds a pooled https client for a
 // TLS-terminating gateway at addr, verifying its per-origin leaf
 // certificates against roots (normally the gateway CA's pool, see
-// CA.Pool and LoadCAPool). The transport forces an HTTP/2 attempt:
+// CA.Pool). The transport forces an HTTP/2 attempt:
 // the gateway offers h2 via ALPN, so every session multiplexes its
 // request stream over one connection per origin instead of a
 // keep-alive pool per host.

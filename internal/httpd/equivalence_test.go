@@ -251,7 +251,7 @@ func TestAttackCorpusOverTLS(t *testing.T) {
 				if mem.Err != nil {
 					t.Fatalf("%s in-memory: %v", atk.Name, mem.Err)
 				}
-				overTLS := attack.RunOneOver(atk, browser.ModeEscudo, nil, wrap)
+				overTLS := attack.RunOne(atk, browser.ModeEscudo, attack.Over(wrap))
 				if overTLS.Err != nil {
 					t.Fatalf("%s over TLS: %v", atk.Name, overTLS.Err)
 				}
@@ -362,7 +362,7 @@ func TestAttackCorpusOverSockets(t *testing.T) {
 				if mem.Err != nil {
 					t.Fatalf("%s in-memory: %v", atk.Name, mem.Err)
 				}
-				overHTTP := attack.RunOneOver(atk, mode, nil, gatewayWrapper())
+				overHTTP := attack.RunOne(atk, mode, attack.Over(gatewayWrapper()))
 				if overHTTP.Err != nil {
 					t.Fatalf("%s over sockets: %v", atk.Name, overHTTP.Err)
 				}

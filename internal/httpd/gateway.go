@@ -143,11 +143,6 @@ type Config struct {
 	// audit semantics are unchanged, which the TLS equivalence test
 	// pins.
 	TLS *CA
-	// HoldReady keeps /healthz reporting "starting" (503) after Start
-	// until SetReady(true) — the serve-only driver holds readiness
-	// through its warm self-check so a supervisor's poll cannot race
-	// the mount loop.
-	HoldReady bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// admin host (the listener's own address, same isolation as
 	// /metricsz — a web-origin Host header can never reach it). Off by
@@ -324,7 +319,6 @@ type Gateway struct {
 	rejected  *obs.Counter
 	maxDepth  atomic.Int64
 	maxDepthG *obs.Gauge
-	ready     atomic.Bool
 }
 
 // New builds a gateway over the inner transport.
@@ -519,21 +513,12 @@ func (g *Gateway) Start(addr string) error {
 		g.spawnWorkers(vh)
 	}
 	g.mountMu.Unlock()
-	// Readiness flips only after every origin's worker pool is up; a
-	// HoldReady gateway additionally waits for SetReady (the driver's
-	// own warm-up gate).
-	if !g.cfg.HoldReady {
-		g.ready.Store(true)
-	}
 	go g.srv.Serve(serveLn) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown.
 	return nil
 }
 
 // TLS reports whether the gateway terminates https.
 func (g *Gateway) TLS() bool { return g.cfg.TLS != nil }
-
-// SetReady flips the /healthz readiness state — see Config.HoldReady.
-func (g *Gateway) SetReady(ready bool) { g.ready.Store(ready) }
 
 // Addr returns the listener address ("127.0.0.1:41234").
 func (g *Gateway) Addr() string {
@@ -1012,36 +997,27 @@ func (g *Gateway) routeError(w http.ResponseWriter, err error) {
 	g.gatewayError(w, gatewayBadRequest, http.StatusBadGateway, err.Error())
 }
 
-// healthzJSON is the /healthz (readiness) document. /livez answers
-// liveness separately: it is 200 from the instant the listener is up,
-// while /healthz stays "starting" (503) until every origin is mounted,
-// the worker pools are running, and any HoldReady warm-up has passed —
-// so a supervisor polling readiness can never race the mount loop.
+// healthzJSON is the /healthz (readiness) document. The gateway
+// serves nothing until Start has spawned every mounted origin's
+// workers, so a gateway that answers is ready; /livez answers liveness
+// alone.
 type healthzJSON struct {
 	Status  string `json:"status"`
 	Ready   bool   `json:"ready"`
 	TLS     bool   `json:"tls"`
 	Origins int    `json:"origins"`
 	Addr    string `json:"addr"`
-	// Version stamps which binary answered, so cluster shards record —
-	// and the supervisor cross-checks — the build behind every worker.
+	// Version stamps which binary answered.
 	Version obs.Stamp `json:"version"`
 }
 
 func (g *Gateway) serveHealthz(w http.ResponseWriter) {
 	origins := len(g.table.Load().byOrigin)
-	doc := healthzJSON{Status: "ok", Ready: true, TLS: g.TLS(), Origins: origins, Addr: g.Addr(), Version: obs.Version()}
-	if !g.ready.Load() {
-		doc.Status = "starting"
-		doc.Ready = false
-		writeJSONStatus(w, http.StatusServiceUnavailable, doc)
-		return
-	}
-	writeJSON(w, doc)
+	writeJSON(w, healthzJSON{Status: "ok", Ready: true, TLS: g.TLS(), Origins: origins, Addr: g.Addr(), Version: obs.Version()})
 }
 
 // livezJSON is the /livez document: the process is up and serving its
-// listener, whatever the readiness state.
+// listener.
 type livezJSON struct {
 	Live    bool      `json:"live"`
 	Addr    string    `json:"addr"`

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,8 +105,8 @@ func TestTLSPerOriginLeafs(t *testing.T) {
 		}
 	}
 
-	// No SNI: dialing the raw IP address must still verify (the
-	// supervisor's readiness probe does exactly this).
+	// No SNI: dialing the raw IP address must still verify (admin
+	// clients probing the listener do exactly this).
 	conn, err := tls.Dial("tcp", g.Addr(), &tls.Config{RootCAs: ca.Pool()})
 	if err != nil {
 		t.Fatalf("SNI-less handshake: %v", err)
@@ -130,63 +127,12 @@ func adminClient(ca *CA) *http.Client {
 	}
 }
 
-// TestCAFileRoundTrip pins the supervisor hand-off artifact: the CA
-// certificate written to disk loads into a pool that verifies the
-// gateway's leafs; the private key never travels.
-func TestCAFileRoundTrip(t *testing.T) {
-	n, o := tlsTestNetwork(t, "<html><body>pem</body></html>")
-	g, ca := startGatewayTLS(t, n, Config{})
-
-	path := filepath.Join(t.TempDir(), "ca.pem")
-	if err := ca.WriteCertPEM(path); err != nil {
-		t.Fatalf("WriteCertPEM: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if len(data) == 0 {
-		t.Fatal("empty CA file")
-	}
-	if strings.Contains(string(data), "PRIVATE KEY") {
-		t.Fatal("CA file carries key material")
-	}
-	pool, err := LoadCAPool(path)
-	if err != nil {
-		t.Fatalf("LoadCAPool: %v", err)
-	}
-	ct := NewClientTransportTLS(g.Addr(), pool)
-	defer ct.Close()
-	if _, err := ct.RoundTrip(web.NewRequest("GET", o.URL("/"))); err != nil {
-		t.Fatalf("round trip with file-loaded pool: %v", err)
-	}
-	if _, err := LoadCAPool(filepath.Join(t.TempDir(), "missing.pem")); err == nil {
-		t.Fatal("LoadCAPool on a missing file succeeded")
-	}
-}
-
-// TestHealthzReadiness pins the liveness/readiness split: a HoldReady
-// gateway answers /livez 200 immediately but /healthz stays 503
-// "starting" until SetReady — so a supervisor polling readiness can
-// never observe a half-mounted gateway.
+// TestHealthzReadiness pins the health contract of a started TLS
+// gateway: /livez answers 200, and /healthz answers 200 ready, with
+// tls set — a gateway that serves is ready.
 func TestHealthzReadiness(t *testing.T) {
 	n, _ := tlsTestNetwork(t, "<html><body>r</body></html>")
-	ca, err := NewCA()
-	if err != nil {
-		t.Fatalf("NewCA: %v", err)
-	}
-	g, err := New(Config{Inner: n, TLS: ca, HoldReady: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := g.MountNetwork(n); err != nil {
-		t.Fatalf("MountNetwork: %v", err)
-	}
-	if err := g.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer g.Close()
-
+	g, ca := startGatewayTLS(t, n, Config{})
 	client := adminClient(ca)
 	base := "https://" + g.Addr()
 
@@ -208,24 +154,8 @@ func TestHealthzReadiness(t *testing.T) {
 		t.Fatalf("healthz JSON: %v", err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "starting" || h.Ready {
-		t.Fatalf("pre-ready healthz = %d %+v, want 503 starting", resp.StatusCode, h)
-	}
-	if !h.TLS {
-		t.Fatalf("healthz does not report TLS: %+v", h)
-	}
-
-	g.SetReady(true)
-	resp, err = client.Get(base + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz after SetReady: %v", err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatalf("healthz JSON: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" || !h.Ready {
-		t.Fatalf("post-ready healthz = %d %+v, want 200 ok", resp.StatusCode, h)
+	if resp.StatusCode != http.StatusOK || h.Status != "ok" || !h.Ready || !h.TLS {
+		t.Fatalf("healthz = %d %+v, want 200 ok, ready, tls", resp.StatusCode, h)
 	}
 }
 

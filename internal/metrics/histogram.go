@@ -9,11 +9,10 @@ import (
 // Histogram is a mergeable latency histogram: log2-spaced major
 // buckets subdivided into 8 linear sub-buckets, over microseconds.
 // Relative bucket error is bounded at 12.5%, which is what makes
-// cross-process percentile merging honest: each loadgen worker ships
-// its phase histogram in its BENCH shard, the supervisor sums the
-// counts element-wise, and a quantile over the sum is the fleet-wide
-// percentile — something per-worker p50/p99 values can never be
-// recombined into.
+// percentile merging honest: the engine pool sums its sessions'
+// histograms element-wise, and a quantile over the sum is the
+// pool-wide percentile — something per-session p50/p99 values can
+// never be recombined into.
 //
 // The zero value is an empty histogram ready for Observe.
 type Histogram struct {

@@ -50,8 +50,8 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge is the property the cluster supervisor depends
-// on: merging per-worker histograms then taking a quantile equals
+// TestHistogramMerge is the property the engine pool depends on:
+// merging per-session histograms then taking a quantile equals
 // bucketing the union of the samples.
 func TestHistogramMerge(t *testing.T) {
 	var a, b, union Histogram

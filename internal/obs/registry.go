@@ -12,7 +12,7 @@ import (
 )
 
 // The registry replaces the hand-rolled counter structs scattered
-// across httpd, engine, and cluster with typed handles registered by
+// across httpd and engine with typed handles registered by
 // name and label set. Registration is setup-time work (it takes a
 // lock and allocates); recording through a handle is the hot path and
 // must stay allocation-free — Counter.Add and Gauge.Set are single

@@ -32,18 +32,8 @@ func (s *SeriesInt) observe(v int64, first bool) {
 	}
 }
 
-// merge folds another worker's series in: Max/Min span the fleet,
-// First/Last sum (each process contributes its own goroutines/heap).
-func (s *SeriesInt) merge(o SeriesInt) {
-	s.First += o.First
-	s.Last += o.Last
-	s.Min += o.Min
-	s.Max += o.Max
-}
-
 // SamplerStats is a run's runtime-health summary: the obs section of
-// BENCH_engine.json carries one per process, and the cluster
-// supervisor merges the workers' into a fleet view.
+// BENCH_engine.json carries one.
 type SamplerStats struct {
 	Samples    int     `json:"samples"`
 	IntervalMs float64 `json:"interval_ms"`
@@ -69,8 +59,7 @@ type SamplerStats struct {
 	// time series behind the summary: bounded to maxRetainedSamples
 	// points by stride-doubling downsampling, spaced SeriesStrideMs
 	// apart. They are what the leak verdict regresses over, and what a
-	// human plots when the verdict fires. Omitted after a fleet merge —
-	// per-process shapes don't sum pointwise.
+	// human plots when the verdict fires.
 	HeapSeries      []int64 `json:"heap_series,omitempty"`
 	GoroutineSeries []int64 `json:"goroutine_series,omitempty"`
 	HeapSysSeries   []int64 `json:"heap_sys_series,omitempty"`
@@ -154,41 +143,6 @@ func (s *SamplerStats) ComputeDrift() *DriftReport {
 	}
 	d.Suspected = growth > driftMinGrowthBytes && d.GrowthFraction > driftMinFraction
 	return d
-}
-
-// Merge folds another process's sampler stats in (cluster shard
-// merging): series sum process contributions, GC work adds up, and
-// HeapMonotonic stays true only when every worker grew monotonically.
-func (s *SamplerStats) Merge(o SamplerStats) {
-	s.Samples += o.Samples
-	if o.IntervalMs > s.IntervalMs {
-		s.IntervalMs = o.IntervalMs
-	}
-	s.Goroutines.merge(o.Goroutines)
-	s.PostWarmupGoroutines += o.PostWarmupGoroutines
-	s.HeapAllocBytes.merge(o.HeapAllocBytes)
-	s.HeapMonotonic = s.HeapMonotonic && o.HeapMonotonic
-	s.HeapSysBytes += o.HeapSysBytes
-	s.GCPauseTotalMs += o.GCPauseTotalMs
-	s.NumGC += o.NumGC
-	// Per-process series don't align pointwise across the fleet; the
-	// merged view keeps only the fitted drift (slopes sum — each worker
-	// leaks its own bytes/sec) and ORs the verdict, so one leaking
-	// worker fails the fleet gate.
-	if o.Drift != nil {
-		if s.Drift == nil {
-			s.Drift = &DriftReport{}
-		}
-		s.Drift.SlopeBytesPerSec += o.Drift.SlopeBytesPerSec
-		s.Drift.GrowthFraction += o.Drift.GrowthFraction
-		if o.Drift.WindowSec > s.Drift.WindowSec {
-			s.Drift.WindowSec = o.Drift.WindowSec
-		}
-		s.Drift.Points += o.Drift.Points
-		s.Drift.Suspected = s.Drift.Suspected || o.Drift.Suspected
-	}
-	s.HeapSeries, s.GoroutineSeries, s.HeapSysSeries = nil, nil, nil
-	s.SeriesStrideMs = 0
 }
 
 // Sampler periodically samples runtime health — goroutine count, heap

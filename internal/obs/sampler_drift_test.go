@@ -80,41 +80,6 @@ func TestDriftNilWhenSeriesTooShort(t *testing.T) {
 	}
 }
 
-func TestDriftMergeSumsSlopesAndORsVerdict(t *testing.T) {
-	clean := SamplerStats{
-		HeapMonotonic: true,
-		Drift:         &DriftReport{SlopeBytesPerSec: 100, WindowSec: 10, Points: 50},
-		HeapSeries:    []int64{1, 2, 3},
-	}
-	leaky := SamplerStats{
-		HeapMonotonic: true,
-		Drift: &DriftReport{
-			SlopeBytesPerSec: 5 << 20, GrowthFraction: 1.5,
-			WindowSec: 12, Points: 60, Suspected: true,
-		},
-	}
-	clean.Merge(leaky)
-	if clean.Drift == nil || !clean.Drift.Suspected {
-		t.Fatalf("merged verdict lost the leaking worker: %+v", clean.Drift)
-	}
-	if got, want := clean.Drift.SlopeBytesPerSec, float64(100+5<<20); got != want {
-		t.Fatalf("merged slope = %f, want %f", got, want)
-	}
-	if clean.Drift.WindowSec != 12 || clean.Drift.Points != 110 {
-		t.Fatalf("merged window/points = %f/%d", clean.Drift.WindowSec, clean.Drift.Points)
-	}
-	if clean.HeapSeries != nil || clean.SeriesStrideMs != 0 {
-		t.Fatal("merge must drop per-process series")
-	}
-
-	// A merge with no drift on either side stays nil.
-	a, b := SamplerStats{HeapMonotonic: true}, SamplerStats{HeapMonotonic: true}
-	a.Merge(b)
-	if a.Drift != nil {
-		t.Fatalf("driftless merge fabricated a report: %+v", a.Drift)
-	}
-}
-
 func TestSamplerRetainsBoundedSeries(t *testing.T) {
 	s := NewSampler(nil, time.Second)
 	// Drive Sample directly well past the retention cap: the series

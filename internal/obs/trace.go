@@ -2,7 +2,7 @@
 // trace propagation, a typed metrics registry, a decision-trace ring
 // buffer, and a runtime sampler. It depends only on the standard
 // library and internal/metrics, so every other layer — core, browser,
-// engine, httpd, cluster — can import it without cycles.
+// engine, httpd — can import it without cycles.
 //
 // The package exists to make the complete-mediation invariant
 // inspectable at runtime instead of only assertable in tests: a trace
@@ -19,7 +19,7 @@ import (
 )
 
 // traceHi/traceLo seed trace-ID uniqueness: a random per-process
-// prefix (so IDs from different workers in a cluster never collide)
+// prefix (so IDs from different processes never collide)
 // and an atomic counter (so IDs within a process are unique and
 // cheap — no per-trace entropy read).
 var (

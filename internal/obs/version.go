@@ -7,9 +7,7 @@ import (
 )
 
 // Stamp identifies the binary behind a health or metrics response:
-// module version, go toolchain, and the GOMAXPROCS it runs with. The
-// cluster supervisor cross-checks that every worker shard reports the
-// same Module+Go pair, catching a stale binary in a mixed fleet.
+// module version, go toolchain, and the GOMAXPROCS it runs with.
 type Stamp struct {
 	Module     string `json:"module"`
 	Go         string `json:"go"`
@@ -33,11 +31,4 @@ func Version() Stamp {
 		}
 	})
 	return stamp
-}
-
-// SameBinary reports whether two stamps came from the same build —
-// the supervisor's version cross-check. GOMAXPROCS is deliberately
-// excluded: workers may legitimately run with different parallelism.
-func SameBinary(a, b Stamp) bool {
-	return a.Module == b.Module && a.Go == b.Go
 }

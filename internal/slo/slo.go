@@ -10,14 +10,13 @@
 // creation and teardown, not just steady-state authorization.
 //
 // The package provides the arrival schedule, the churn bookkeeping,
-// and the mergeable `slo` BENCH section; the driver in escudo-serve
+// and the `slo` BENCH section; the driver in escudo-serve
 // owns the actual traffic.
 package slo
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -111,9 +110,7 @@ func (c *Churn) Counts() (int64, int64, int64) {
 }
 
 // StageStats is one stage's latency summary inside the slo section.
-// The histogram is the mergeable truth; the quantiles are derived
-// from it by Finalize so a fleet merge recomputes honest percentiles
-// from summed counts.
+// The histogram is the truth; Finalize derives the quantiles from it.
 type StageStats struct {
 	P50Ms  float64           `json:"p50_ms"`
 	P99Ms  float64           `json:"p99_ms"`
@@ -122,14 +119,12 @@ type StageStats struct {
 	Hist   metrics.Histogram `json:"hist"`
 }
 
-// Result is the `slo` BENCH section: one per process, merged across
-// cluster shards by summing counts and histogram buckets, with
-// quantiles recomputed from the merged histograms.
+// Result is the `slo` BENCH section: counts and histograms filled by
+// the open-loop run, quantiles and verdicts derived by Finalize.
 type Result struct {
-	// TargetRate is the configured arrival rate (sums across workers:
-	// the fleet offered the sum). OfferedRate is what the scheduler
-	// actually offered (arrivals / duration); AchievedRate is what the
-	// system completed.
+	// TargetRate is the configured arrival rate. OfferedRate is what
+	// the scheduler actually offered (arrivals / duration);
+	// AchievedRate is what the system completed.
 	TargetRate   float64 `json:"target_rate"`
 	OfferedRate  float64 `json:"offered_rate"`
 	AchievedRate float64 `json:"achieved_rate"`
@@ -175,17 +170,13 @@ type Result struct {
 	Exemplars []obs.SlowExemplar `json:"exemplars,omitempty"`
 }
 
-// maxMergedExemplars caps the exemplar list after a fleet merge.
-const maxMergedExemplars = 16
-
 // msQuantile converts a histogram quantile to milliseconds.
 func msQuantile(h metrics.Histogram, p float64) float64 {
 	return float64(h.Quantile(p)) / float64(time.Millisecond)
 }
 
 // Finalize derives the quantile fields, error fraction, and budget
-// verdict from the mergeable state. Call after filling histograms or
-// after Merge.
+// verdict from the counts and histograms. Call after filling them.
 func (r *Result) Finalize() {
 	r.P50Ms = msQuantile(r.Total, 50)
 	r.P99Ms = msQuantile(r.Total, 99)
@@ -205,54 +196,4 @@ func (r *Result) Finalize() {
 		r.AchievedRate = float64(r.Completed) / r.DurationSec
 	}
 	r.P99WithinBudget = r.P99BudgetMs <= 0 || r.P99Ms <= r.P99BudgetMs
-}
-
-// Merge folds another worker's result in: counts and histogram
-// buckets sum, rates sum (each worker offered its own share), the
-// duration is the longest worker's, the leak verdict ORs, and the
-// exemplar list keeps the fleet-wide slowest. Call Finalize after the
-// last Merge to recompute quantiles.
-func (r *Result) Merge(o Result) {
-	r.TargetRate += o.TargetRate
-	if o.DurationSec > r.DurationSec {
-		r.DurationSec = o.DurationSec
-	}
-	r.Arrivals += o.Arrivals
-	r.Completed += o.Completed
-	r.Dropped += o.Dropped
-	r.Errors += o.Errors
-	r.Logins += o.Logins
-	r.Logouts += o.Logouts
-	r.LiveSessions += o.LiveSessions
-	r.Total.Merge(o.Total)
-	if r.P99BudgetMs <= 0 {
-		r.P99BudgetMs = o.P99BudgetMs
-	}
-	for name, ost := range o.Stages {
-		if r.Stages == nil {
-			r.Stages = map[string]StageStats{}
-		}
-		st := r.Stages[name]
-		st.Hist.Merge(ost.Hist)
-		r.Stages[name] = st
-	}
-	if o.Leak != nil {
-		if r.Leak == nil {
-			r.Leak = &obs.DriftReport{}
-		}
-		r.Leak.SlopeBytesPerSec += o.Leak.SlopeBytesPerSec
-		r.Leak.GrowthFraction += o.Leak.GrowthFraction
-		if o.Leak.WindowSec > r.Leak.WindowSec {
-			r.Leak.WindowSec = o.Leak.WindowSec
-		}
-		r.Leak.Points += o.Leak.Points
-		r.Leak.Suspected = r.Leak.Suspected || o.Leak.Suspected
-	}
-	r.Exemplars = append(r.Exemplars, o.Exemplars...)
-	sort.Slice(r.Exemplars, func(i, j int) bool {
-		return r.Exemplars[i].TotalNs > r.Exemplars[j].TotalNs
-	})
-	if len(r.Exemplars) > maxMergedExemplars {
-		r.Exemplars = r.Exemplars[:maxMergedExemplars]
-	}
 }
