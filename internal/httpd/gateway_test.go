@@ -6,11 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/origin"
 	"repro/internal/web"
 )
@@ -271,6 +273,7 @@ func TestPageCacheAndETag(t *testing.T) {
 		builds.add(1)
 		resp := web.HTML("immutable body for " + req.Path())
 		resp.Header.Set("Cache-Control", "public, immutable")
+		resp.Header.Set(core.HeaderMaxRing, "3")
 		return resp
 	}))
 	mut := origin.MustParse("http://mutable.example")
@@ -291,6 +294,11 @@ func TestPageCacheAndETag(t *testing.T) {
 	etag := r2.Header.Get("Etag")
 	if etag == "" {
 		t.Fatal("cached response missing ETag")
+	}
+	// A hit carries the origin's ESCUDO configuration headers exactly
+	// as the miss did: the browser configures the page from them.
+	if got, want := r2.Header.Values(core.HeaderMaxRing), r1.Header.Values(core.HeaderMaxRing); !reflect.DeepEqual(got, want) || len(want) != 1 {
+		t.Fatalf("cached %s = %q, first response %q", core.HeaderMaxRing, got, want)
 	}
 
 	// Conditional revalidation: matching If-None-Match yields 304
