@@ -330,6 +330,35 @@ func TestPageCacheAndETag(t *testing.T) {
 	}
 }
 
+// TestPageCacheKeyedOnCookies pins that a page cached for a request
+// with cookies is never served to a request without them: a fixture
+// that sets the session cookie on a cookie-less request must still set
+// it for a new session after a cookied request cached the page.
+func TestPageCacheKeyedOnCookies(t *testing.T) {
+	n := web.NewNetwork()
+	n.Register(origin.MustParse("http://fixture.example"), web.HandlerFunc(func(req *web.Request) *web.Response {
+		resp := web.HTML("fixture")
+		resp.Header.Set("Cache-Control", "public, immutable")
+		if _, ok := req.Cookie("sid"); !ok {
+			resp.Header.Add("Set-Cookie", "sid=tok; Path=/")
+		}
+		return resp
+	}))
+	g := startGateway(t, n, Config{})
+	// The second cookied request is served from the cache.
+	for i := 0; i < 2; i++ {
+		readBody(t, rawGet(t, g, "fixture.example", "/", map[string]string{"Cookie": "sid=tok"}))
+	}
+	if hits := g.Stats().Cache.Hits; hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+	r := rawGet(t, g, "fixture.example", "/", nil)
+	readBody(t, r)
+	if r.Header.Get("Set-Cookie") == "" {
+		t.Fatal("a cookie-less request got the cookied page without its Set-Cookie")
+	}
+}
+
 func TestQueueOverflowReturns503(t *testing.T) {
 	n := web.NewNetwork()
 	slow := origin.MustParse("http://slow.example")
