@@ -205,6 +205,8 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	o := origin.MustParse("http://slow.example")
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
 		select {
 		case entered <- struct{}{}:
@@ -217,6 +219,9 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	// request the rest wait in the origin queue — the drain must cover
 	// them too.
 	g, ca := startGatewayTLS(t, n, Config{DefaultWorkers: 1, DefaultQueueDepth: 32})
+	// Cleanups run last-in first-out: a failing test releases the
+	// handler before the gateway's Close waits for its workers.
+	t.Cleanup(releaseAll)
 	ct := NewClientTransportTLS(g.Addr(), ca.Pool())
 	defer ct.Close()
 
@@ -237,7 +242,11 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	// Shut down only once the gateway holds all eight: one in the
 	// handler, the other seven queued behind it. The queue cannot drain
 	// while the handler blocks, so its length only grows.
-	<-entered
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no request reached the handler")
+	}
 	queue := g.table.Load().byOrigin[o].jobs
 	for deadline := time.Now().Add(5 * time.Second); len(queue) < inflight-1; {
 		if time.Now().After(deadline) {
@@ -252,7 +261,7 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	// Release the handler once the listener has closed, so all eight
 	// requests are served across the drain.
 	waitRefused(t, g.Addr())
-	close(release)
+	releaseAll()
 	if err := <-shut; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
