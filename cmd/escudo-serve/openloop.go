@@ -114,7 +114,6 @@ func leakWarmup(d time.Duration) time.Duration {
 // decision ring and the slow ring are bounded and keep serving
 // /tracez and /slowz joins across trims.
 func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, pl *plane, trim func()) (*slo.Result, error) {
-
 	paths := scenarioPaths()
 
 	// Churn bookkeeping: per-session login state is only ever touched

@@ -549,7 +549,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 			round, cancel := context.WithTimeout(ctx, shutdownRound)
 			err = g.srv.Shutdown(round)
 			cancel()
-			if err != context.DeadlineExceeded || ctx.Err() != nil {
+			if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
 				break
 			}
 		}
