@@ -19,10 +19,9 @@ race:
 # Flake hunt: the tests that once failed intermittently, repeated under
 # the race detector. A drain that hangs on a late h2 connection, a
 # request refused mid-drain, or a store reader seeing the generation go
-# backwards fails one of the FLAKE_COUNT runs.
-FLAKE_COUNT ?= 20
+# backwards fails one of the 20 runs.
 flake-hunt:
-	$(GO) test -race -count=$(FLAKE_COUNT) \
+	$(GO) test -race -count=20 \
 		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestStoreConcurrentSwapsAndReads)$$' \
 		./internal/httpd ./internal/ctlplane
 

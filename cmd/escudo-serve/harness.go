@@ -67,11 +67,11 @@ func buildSubstrate(users int) *substrate {
 	forum := phpbb.New(phpbb.Config{Origin: forumO, Escudo: true, Nonces: nonce.CryptoSource{}})
 	cal := phpcal.New(phpcal.Config{Origin: calO, Escudo: true, Nonces: nonce.CryptoSource{}})
 	for i := 0; i < users; i++ {
-		forum.AddUser(fmt.Sprintf("user%d", i), "pw")
-		cal.AddUser(fmt.Sprintf("user%d", i), "pw")
+		forum.AddUser(account(i), "pw")
+		cal.AddUser(account(i), "pw")
 	}
-	forum.SeedTopic("user0", "Welcome", "first post")
-	cal.SeedEvent("user0", 1, "kickoff")
+	forum.SeedTopic(account(0), "Welcome", "first post")
+	cal.SeedEvent(account(0), 1, "kickoff")
 	s.net.Register(forumO, forum)
 	s.net.Register(calO, cal)
 
