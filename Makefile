@@ -38,14 +38,13 @@ bench:
 perfbench-smoke:
 	bash perfbench/run.sh --workload all --seed 1 --seconds 1 --trace 1
 
-# Differential fuzz: the compiled VM must agree with the tree-walking
-# interpreter (the semantic spec) on every input — result values,
-# error classes, and step counts alike. CI runs this as a short smoke;
-# raise FUZZTIME locally when touching the compiler or VM.
-FUZZTIME ?= 10s
+# Script fuzz, seeded with the §6.4 attack scripts and the persisted
+# corpus under internal/script/testdata/fuzz: the parser never panics,
+# and on whatever parses the interpreter finishes or stops at its step
+# budget without panicking. For a longer hunt, run the same go test
+# line with a larger -fuzztime.
 fuzz-script:
-	$(GO) test ./internal/script -run '^FuzzCompileMatchesEval$$' \
-		-fuzz '^FuzzCompileMatchesEval$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/script -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 lint: fmt-check vet
 
@@ -67,15 +66,10 @@ serve:
 # what depends on run length or host speed, so they live next to the
 # flags that set the run length.
 
-# Driver smoke at CI scale: the in-memory phases plus the script
-# section (the compiled VM must hold >=3x the interpreter's throughput
-# at <=0.25x its allocations; paired-round medians, so runner load does
-# not flip the verdict), then the same load at GOMAXPROCS=4 diffed
-# against it by escudo-compare.
+# Driver smoke at CI scale: the in-memory phases, then the same load
+# at GOMAXPROCS=4 diffed against it by escudo-compare.
 serve-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 8 -iters 2 -phpbb-iters 5 -mixed-iters 4 -out BENCH_engine.smoke.json
-	jq -e '.script.speedup >= 3 and .script.alloc_ratio <= 0.25' BENCH_engine.smoke.json
-	jq -e '.script.eval.ops_per_sec > 0 and .script.vm.ops_per_sec > 0 and .script.compile_cache_hits > 0' BENCH_engine.smoke.json
 	$(GO) run ./cmd/escudo-serve -sessions 8 -iters 2 -phpbb-iters 5 -mixed-iters 4 -procs 4 -out BENCH_engine.procs4.json
 	jq -e '.procs_requested == 4 and ([.phases[] | select(.name == "figure4" and .tasks > 0)] | length == 1)' BENCH_engine.procs4.json
 	$(GO) run ./cmd/escudo-compare BENCH_engine.smoke.json BENCH_engine.procs4.json
@@ -107,7 +101,7 @@ serve-http:
 TENANTS ?= 1024
 reload-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 4 -iters 2 -phpbb-iters 2 -mixed-iters 2 \
-		-script-iters 0 -control -tenants $(TENANTS) -out BENCH_engine.control.json
+		-control -tenants $(TENANTS) -out BENCH_engine.control.json
 	jq -e '.control.tenants_mounted >= 1000 and .control.pages_audited > 0 and .control.generations_seen == 2' BENCH_engine.control.json
 	jq -e '.control.storm.push_ack_ms > 0 and .control.storm.propagation_ms > 0' BENCH_engine.control.json
 	jq -e '.control.storm.cache_entries_before > 0 and .control.storm.cache_refill_ms > 0' BENCH_engine.control.json
@@ -145,7 +139,7 @@ SLO_CHURN ?= 20
 SLO_P99_MS ?= 250
 slo-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 4 -iters 1 -phpbb-iters 1 -mixed-iters 1 \
-		-script-iters 0 -attacks=false -http 127.0.0.1:0 \
+		-attacks=false -http 127.0.0.1:0 \
 		-openloop rate=$(SLO_RATE),duration=$(SLO_DURATION),churn=$(SLO_CHURN),p99=$(SLO_P99_MS) \
 		-out BENCH_engine.slo.json
 	jq -e '.slo.target_rate == $(SLO_RATE) and .slo.offered_rate >= 0.9 * $(SLO_RATE) and .slo.arrivals > 0' BENCH_engine.slo.json

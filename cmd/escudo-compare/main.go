@@ -125,22 +125,6 @@ type controlSection struct {
 	Noisy            *controlNoisy `json:"noisy_neighbor"`
 }
 
-// scriptEngine mirrors one engine's half of the script section.
-type scriptEngine struct {
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// scriptSection mirrors the subset of the script section compared:
-// interpreter vs compiled VM on the shared corpus.
-type scriptSection struct {
-	Eval       scriptEngine `json:"eval"`
-	VM         scriptEngine `json:"vm"`
-	Speedup    float64      `json:"speedup"`
-	AllocRatio float64      `json:"alloc_ratio"`
-}
-
 // obsSeries mirrors one sampled runtime series of the obs section.
 type obsSeries struct {
 	First int64 `json:"first"`
@@ -217,7 +201,6 @@ type report struct {
 	Mode       string          `json:"mode"`
 	GoMaxProcs int             `json:"gomaxprocs"`
 	Phases     []phase         `json:"phases"`
-	Script     *scriptSection  `json:"script"`
 	HTTP       *httpSection    `json:"http"`
 	Control    *controlSection `json:"control"`
 	Obs        *obsSection     `json:"obs"`
@@ -305,7 +288,6 @@ func run(args []string, out *os.File) error {
 		}
 	}
 	fmt.Fprint(out, t.String())
-	compareScript(out, oldR.Script, newR.Script)
 	compareHTTP(out, oldR.HTTP, newR.HTTP)
 	compareControl(out, oldR.Control, newR.Control)
 	compareObs(out, oldR.Obs, newR.Obs)
@@ -540,42 +522,5 @@ func compareHTTP(out *os.File, oldH, newH *httpSection) {
 			delta(op.P50Ms, np.P50Ms),
 			delta(op.P99Ms, np.P99Ms))
 	}
-	fmt.Fprint(out, t.String())
-}
-
-// compareScript diffs the engine-vs-engine section: per-engine
-// throughput and allocations, then the paired speedup and alloc
-// ratio — the two numbers the script-engine acceptance gate pins.
-func compareScript(out *os.File, oldS, newS *scriptSection) {
-	if oldS == nil && newS == nil {
-		return
-	}
-	fmt.Fprintf(out, "\nscript: ")
-	switch {
-	case oldS == nil:
-		fmt.Fprintf(out, "old report has none; new: vm %.2fx faster than eval, %.3fx allocs\n",
-			newS.Speedup, newS.AllocRatio)
-	case newS == nil:
-		fmt.Fprintf(out, "new report has none; old: vm %.2fx faster than eval, %.3fx allocs\n",
-			oldS.Speedup, oldS.AllocRatio)
-		return
-	default:
-		fmt.Fprintf(out, "vm speedup %s, alloc ratio %s\n",
-			delta(oldS.Speedup, newS.Speedup), delta(oldS.AllocRatio, newS.AllocRatio))
-	}
-
-	oldE, oldV := scriptEngine{}, scriptEngine{}
-	if oldS != nil {
-		oldE, oldV = oldS.Eval, oldS.VM
-	}
-	t := metrics.NewTable("Engine", "Ops/s", "ns/op", "Allocs/op")
-	t.AddRow("eval",
-		delta(oldE.OpsPerSec, newS.Eval.OpsPerSec),
-		delta(oldE.NsPerOp, newS.Eval.NsPerOp),
-		delta(oldE.AllocsPerOp, newS.Eval.AllocsPerOp))
-	t.AddRow("vm",
-		delta(oldV.OpsPerSec, newS.VM.OpsPerSec),
-		delta(oldV.NsPerOp, newS.VM.NsPerOp),
-		delta(oldV.AllocsPerOp, newS.VM.AllocsPerOp))
 	fmt.Fprint(out, t.String())
 }

@@ -63,85 +63,6 @@ func TestCompareReportsDeltas(t *testing.T) {
 	}
 }
 
-const oldScriptJSON = `{
-  "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 60,
-  "phases": [],
-  "script": {
-    "eval": {"ops_per_sec": 4000, "ns_per_op": 250000, "allocs_per_op": 4200},
-    "vm": {"ops_per_sec": 12000, "ns_per_op": 83333, "allocs_per_op": 300},
-    "speedup": 3.0, "alloc_ratio": 0.071
-  }
-}`
-
-const newScriptJSON = `{
-  "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 55,
-  "phases": [],
-  "script": {
-    "eval": {"ops_per_sec": 4000, "ns_per_op": 250000, "allocs_per_op": 4200},
-    "vm": {"ops_per_sec": 13200, "ns_per_op": 75757, "allocs_per_op": 240},
-    "speedup": 3.3, "alloc_ratio": 0.057
-  }
-}`
-
-// TestCompareScriptSection pins the engine-vs-engine diff: speedup and
-// alloc ratio get signed deltas, and both engines are compared row by
-// row. A pair where only one side has a section still diffs cleanly.
-func TestCompareScriptSection(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldScriptJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(newScriptJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "out.txt")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, newPath}, f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
-	if !strings.Contains(out, "vm speedup 3.000 → 3.300 (+10.0%)") {
-		t.Errorf("missing speedup delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "12000.000 → 13200.000 (+10.0%)") {
-		t.Errorf("missing vm ops/s delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "4200.000 → 4200.000 (+0.0%)") {
-		t.Errorf("missing eval allocs delta in:\n%s", out)
-	}
-
-	// One-sided: old report without a script section.
-	plainPath := filepath.Join(dir, "plain.json")
-	if err := os.WriteFile(plainPath, []byte(oldJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{plainPath, newPath}, f2); err != nil {
-		t.Fatalf("run one-sided: %v", err)
-	}
-	f2.Close()
-	data, err = os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "script: old report has none") {
-		t.Errorf("one-sided script diff not reported in:\n%s", data)
-	}
-}
-
 const oldObsJSON = `{
   "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 60,
   "phases": [],

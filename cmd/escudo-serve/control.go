@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,6 +100,19 @@ type controlJSON struct {
 // coarse enough that single-CPU scheduler jitter does not produce
 // empty windows, fine enough to resolve a sub-second dip.
 const stormWindow = 50 * time.Millisecond
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
 
 // probeP99 issues n sequential GETs for pathQ against the origin
 // through ct and returns the p99 latency. Any non-200 answer is an

@@ -228,12 +228,7 @@ type benchJSON struct {
 	GoMaxProcs     int         `json:"gomaxprocs"`
 	Phases         []phaseJSON `json:"phases"`
 	Policy         *policyJSON `json:"policy,omitempty"`
-	// Script is the engine-vs-engine section: the tree-walking
-	// interpreter against the compiled VM on the shared corpus (see
-	// scriptbench.go). Measured after the workload phases so the
-	// compile-cache counters reflect real <script> traffic.
-	Script *scriptJSON `json:"script,omitempty"`
-	HTTP   *httpJSON   `json:"http,omitempty"`
+	HTTP           *httpJSON   `json:"http,omitempty"`
 	// Control is the policy control plane section (written by -control
 	// runs): the invalidation storm, the multi-tenant mount scale, and
 	// the noisy-neighbor isolation figures.
@@ -250,18 +245,18 @@ type benchJSON struct {
 
 // config is the run's configuration, parsed once from the flags.
 type config struct {
-	sessions, iters, phpbbIters, mixedIters, scriptIters int
-	procs                                                int
-	mode                                                 browser.Mode
-	attacks, uncached                                    bool
-	httpAddr                                             string
-	tls, pprof                                           bool
-	cpuProfile, memProfile                               string
-	soak                                                 time.Duration
-	openloop                                             openLoopSpec
-	control                                              bool
-	tenants                                              int
-	out                                                  string
+	sessions, iters, phpbbIters, mixedIters int
+	procs                                   int
+	mode                                    browser.Mode
+	attacks, uncached                       bool
+	httpAddr                                string
+	tls, pprof                              bool
+	cpuProfile, memProfile                  string
+	soak                                    time.Duration
+	openloop                                openLoopSpec
+	control                                 bool
+	tenants                                 int
+	out                                     string
 }
 
 // account names the phpBB/PHP-Calendar account session sessionID owns.
@@ -277,7 +272,6 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.iters, "iters", 5, "rounds through all Figure-4 scenarios per session")
 	fs.IntVar(&c.phpbbIters, "phpbb-iters", 20, "phpBB page views per session")
 	fs.IntVar(&c.mixedIters, "mixed-iters", 10, "mixed-workload rounds per session (0 disables the phase)")
-	fs.IntVar(&c.scriptIters, "script-iters", 60, "script-engine corpus passes per round per engine (0 disables the script section)")
 	fs.IntVar(&c.procs, "procs", 0, "GOMAXPROCS override (0 keeps the runtime default)")
 	fs.BoolVar(&c.pprof, "pprof", false, "expose net/http/pprof on the gateway's admin host under /debug/pprof (with -http)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -319,8 +313,8 @@ func parseConfig(args []string) (config, error) {
 }
 
 // run is the driver: the in-memory phases, the policy section, and
-// whichever of the http, slo, control and script sections the flags ask
-// for, written to one report and verified.
+// whichever of the http, slo and control sections the flags ask for,
+// written to one report and verified.
 func run(args []string) error {
 	cfg, err := parseConfig(args)
 	if err != nil {
@@ -424,15 +418,6 @@ func run(args []string) error {
 			return err
 		}
 	}
-	// Script section — interpreter vs compiled VM on the shared corpus,
-	// after every workload phase so the compile-cache counters cover
-	// the run's full <script> traffic.
-	if cfg.scriptIters > 0 {
-		if report.Script, err = runScriptSection(cfg.scriptIters); err != nil {
-			return err
-		}
-	}
-
 	report.Obs = &obsJSON{
 		Version:                obs.Version(),
 		Sampler:                pl.smp.Stop(),
@@ -739,13 +724,6 @@ func printReport(r *benchJSON) {
 		for _, ph := range pol.Phases {
 			fmt.Printf("  %s: %d tasks, p50 %.3f ms, %d decisions\n", ph.Name, ph.Tasks, ph.P50Ms, ph.Decisions)
 		}
-	}
-	if s := r.Script; s != nil {
-		fmt.Printf("\nScript engines (%d-script corpus, %d passes × %d rounds):\n", s.CorpusScripts, s.Passes, s.Rounds)
-		fmt.Printf("  eval: %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n", s.Eval.OpsPerSec, s.Eval.NsPerOp, s.Eval.AllocsPerOp)
-		fmt.Printf("  vm:   %.0f ops/s (%.0f ns/op, %.0f allocs/op)\n", s.VM.OpsPerSec, s.VM.NsPerOp, s.VM.AllocsPerOp)
-		fmt.Printf("  speedup %.2fx, alloc ratio %.3fx, compile cache %d hits / %d misses\n",
-			s.Speedup, s.AllocRatio, s.CompileCacheHits, s.CompileCacheMisses)
 	}
 	if h := r.HTTP; h != nil {
 		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n", h.Addr, h.Workers, h.QueueDepth)

@@ -688,23 +688,22 @@ func scriptLabel(n *html.Node) string {
 
 // RunScriptAs executes source with the given principal's bindings:
 // document, window, and XMLHttpRequest, all mediated by the page's
-// monitor. Scripts run on the compiled engine: the body is lowered
-// once through the process-wide compile cache (repeat executions of a
-// hot <script> across pages and sessions skip parse and lowering) and
-// executed by a fresh VM whose fuel budget is MaxScriptSteps.
+// monitor. The body is parsed once through the process-wide parse
+// cache (repeat executions of a hot <script> across pages and sessions
+// skip the parse) and run by a fresh interpreter whose fuel budget is
+// MaxScriptSteps.
 func (p *Page) RunScriptAs(principal core.Context, src string) error {
 	start := time.Now()
-	c, err := script.CompileCached(src)
+	prog, err := script.CompileCached(src)
 	if err != nil {
 		p.browser.stageClock.Load().Add(obs.StageScriptVM, time.Since(start))
 		return err
 	}
-	env := p.scriptEnv(principal)
-	vm := &script.VM{MaxSteps: p.browser.opts.MaxScriptSteps}
-	_, err = vm.Run(c, env)
-	// The span covers compile-cache probe and VM execution. Monitor
-	// calls the script makes accrue on batch_auth as well, so script
-	// and batch spans can nest — attribution, not a partition.
+	ip := &script.Interp{MaxSteps: p.browser.opts.MaxScriptSteps}
+	_, err = ip.Run(prog, p.scriptEnv(principal))
+	// The span covers the parse-cache probe and script execution.
+	// Monitor calls the script makes accrue on batch_auth as well, so
+	// script and batch spans can nest — attribution, not a partition.
 	p.browser.stageClock.Load().Add(obs.StageScriptVM, time.Since(start))
 	return err
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/html"
 	"repro/internal/origin"
+	"repro/internal/script"
 	"repro/internal/web"
 )
 
@@ -340,6 +341,35 @@ func TestPageScriptsRunAtTheirRing(t *testing.T) {
 	}
 	if len(psop.ScriptErrors) != 0 {
 		t.Errorf("SOP ScriptErrors = %v", psop.ScriptErrors)
+	}
+}
+
+// TestPageScriptsUseParseCache pins that page scripts are parsed
+// through script.CompileCached: loading a page twice whose script body
+// no other test uses must count a cache hit on the second load. Not
+// parallel, so no other test moves the process-wide counters meanwhile.
+func TestPageScriptsUseParseCache(t *testing.T) {
+	net := web.NewNetwork()
+	net.Register(site, web.HandlerFunc(func(req *web.Request) *web.Response {
+		return web.HTML(`<p>cache</p><script>log("parse cache probe " + 41 + 1);</script>`)
+	}))
+	b := New(net, Options{Mode: ModeEscudo})
+	for load := 1; load <= 2; load++ {
+		h0, _ := script.CompileCacheStats()
+		p, err := b.Navigate(site.URL("/"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.ScriptErrors) != 0 {
+			t.Fatalf("load %d: ScriptErrors = %v", load, p.ScriptErrors)
+		}
+		h1, _ := script.CompileCacheStats()
+		if load == 2 && h1 <= h0 {
+			t.Errorf("second load: parse-cache hits %d → %d, want an increase", h0, h1)
+		}
+	}
+	if lines := b.Console.Lines(); len(lines) != 2 || lines[1] != "parse cache probe 411" {
+		t.Errorf("console = %q, want the script to run on both loads", lines)
 	}
 }
 

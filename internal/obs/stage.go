@@ -1,13 +1,13 @@
 // Stage timing: latency attribution for the request path. A
 // StageClock rides along with one task (a page load, an open-loop
 // arrival) and accumulates wall time per pipeline stage — queue wait,
-// origin handler, batch authorization, script VM, render, transport
-// translation — so a slow request can say *where* it was slow, not
-// just that it was. A StageSet folds finished clocks into per-stage
-// registry histograms (`escudo_stage_seconds{stage=...}` on /varz),
-// and a SlowRing retains the slowest N tasks per phase as exemplars
-// keyed by trace ID, so every reported tail percentile is one /tracez
-// query away from a causal explanation.
+// origin handler, batch authorization, script execution, render,
+// transport translation — so a slow request can say *where* it was
+// slow, not just that it was. A StageSet folds finished clocks into
+// per-stage registry histograms (`escudo_stage_seconds{stage=...}` on
+// /varz), and a SlowRing retains the slowest N tasks per phase as
+// exemplars keyed by trace ID, so every reported tail percentile is
+// one /tracez query away from a causal explanation.
 //
 // Invariant 9 lives here by construction: nothing in this file sees a
 // Decision. Timing observes durations around the pipeline; it can
@@ -36,7 +36,8 @@ const (
 	// AuthorizeBatch through the composed pipeline, cache probes and
 	// audit recording included.
 	StageBatchAuth
-	// StageScriptVM is compiled-script execution time.
+	// StageScriptVM is script execution time: the parse-cache probe
+	// and the interpreter's run.
 	StageScriptVM
 	// StageRender is layout/render time (hidden layout during load and
 	// explicit RenderText).

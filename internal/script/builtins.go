@@ -12,8 +12,7 @@ import (
 // The standard library is organised as Modules (module.go): console,
 // math, string, and util. Hosts install them with Install, or use the
 // StdEnv convenience that installs the full set. All natives here are
-// built with Func, the CtxFunc constructor — see the deprecation note
-// on NativeFunc.
+// built with Func, the CtxFunc constructor.
 
 // Console collects script log output (console.log / log builtin). It
 // is safe for concurrent use.
@@ -106,13 +105,13 @@ var (
 		}
 		switch v := args[0].(type) {
 		case float64:
-			return numValue(v), nil
+			return v, nil
 		case string:
 			n, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 			if err != nil {
 				return math.NaN(), nil
 			}
-			return numValue(n), nil
+			return n, nil
 		case bool:
 			if v {
 				return float64(1), nil
@@ -136,7 +135,7 @@ var (
 		if err != nil {
 			return math.NaN(), nil
 		}
-		return numValue(float64(n)), nil
+		return float64(n), nil
 	})
 
 	isNaNFn = Func("isNaN", func(_ *Ctx, args []Value) (Value, error) {
@@ -171,7 +170,7 @@ var (
 		}
 		_, err := ctx.Call(args[0], args[1:]...)
 		if err != nil && errors.Is(err, ErrTooManySteps) {
-			// Fuel exhaustion is the engine's verdict, not the
+			// Fuel exhaustion is the interpreter's verdict, not the
 			// probe's: attempt must not swallow it.
 			return nil, err
 		}
@@ -211,7 +210,7 @@ func StringModule() Module {
 // returning whether it succeeded. Attack scripts use it to probe
 // multiple vectors in one run even when the monitor denies the earlier
 // ones. The callback runs through Ctx.Call, so its body charges the
-// calling engine's step budget — a looping callback cannot escape
+// calling interpreter's step budget — a looping callback cannot escape
 // MaxSteps by hiding inside a native call.
 func UtilModule() Module {
 	return Module{Name: "util", Install: func(env *Env) error {
@@ -247,7 +246,7 @@ func num1(name string, f func(float64) float64) CtxFunc {
 		if !ok {
 			return math.NaN(), nil
 		}
-		return numValue(f(n)), nil
+		return f(n), nil
 	})
 }
 
@@ -261,6 +260,6 @@ func numFold(name string, init float64, f func(a, b float64) float64) CtxFunc {
 			}
 			acc = f(acc, n)
 		}
-		return numValue(acc), nil
+		return acc, nil
 	})
 }

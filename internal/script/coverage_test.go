@@ -12,7 +12,7 @@ func TestToStringSpecialValues(t *testing.T) {
 	if got := ToString(&Closure{}); got != "[function]" {
 		t.Errorf("closure = %q", got)
 	}
-	if got := ToString(NativeFunc(func([]Value) (Value, error) { return nil, nil })); got != "[native function]" {
+	if got := ToString(CtxFunc(func(*Ctx, []Value) (Value, error) { return nil, nil })); got != "[native function]" {
 		t.Errorf("native = %q", got)
 	}
 	if got := ToString(&testHost{}); got != "[object TestHost]" {

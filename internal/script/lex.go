@@ -66,10 +66,10 @@ type lexer struct {
 }
 
 // intern returns a canonical copy of s. Identifier text flows into the
-// AST (and from there into cached compiled programs), so it must not
-// remain a substring of the source — a cached program pinning a whole
-// page body would defeat the compile cache. Interning also collapses
-// repeated identifiers to one allocation.
+// AST (and from there into the parse cache), so it must not remain a
+// substring of the source — a cached program pinning a whole page body
+// would defeat the parse cache. Interning also collapses repeated
+// identifiers to one allocation.
 func (l *lexer) intern(s string) string {
 	if v, ok := l.interned[s]; ok {
 		return v

@@ -7,9 +7,8 @@ import (
 
 // Module is the unit of builtin and FFI registration. A module bundles
 // a named group of host bindings (console, math, the browser's DOM
-// surface) behind a single Install hook, replacing the older pattern
-// of sprinkling env.Define(name, NativeFunc(...)) calls at every call
-// site. Hosts compose environments by installing modules:
+// surface) behind a single Install hook. Hosts compose environments by
+// installing modules:
 //
 //	env := script.NewEnv()
 //	if err := script.Install(env, script.StdModules(console)...); err != nil { ... }
@@ -34,19 +33,11 @@ func Install(env *Env, mods ...Module) error {
 	return nil
 }
 
-// engine is the part of a running evaluator a native function may use:
-// both the tree-walking Interp and the compiled VM implement it, so a
-// native callback charges whichever engine invoked it.
-type engine interface {
-	tick(line int) error
-	callValue(fn Value, args []Value, line int) (Value, error)
-}
-
 // Ctx is the call context handed to a CtxFunc. It carries the invoking
-// engine, so callbacks into script (Call) share the caller's step
+// interpreter, so callbacks into script (Call) share the caller's step
 // budget instead of running unmetered.
 type Ctx struct {
-	eng  engine
+	ip   *Interp
 	line int
 }
 
@@ -54,14 +45,14 @@ type Ctx struct {
 func (c *Ctx) Line() int { return c.line }
 
 // Call invokes a script value (closure or native) from inside a native
-// function. The callee's execution charges the calling engine's fuel,
-// which is what makes MaxSteps a real bound even across native
+// function. The callee's execution charges the calling interpreter's
+// fuel, which is what makes MaxSteps a real bound even across native
 // re-entry.
 func (c *Ctx) Call(fn Value, args ...Value) (Value, error) {
-	if err := c.eng.tick(c.line); err != nil {
+	if err := c.ip.tick(c.line); err != nil {
 		return nil, err
 	}
-	return c.eng.callValue(fn, args, c.line)
+	return c.ip.callValue(fn, args, c.line)
 }
 
 // Errorf builds a script exception (a *RuntimeError) at the call site.
@@ -69,10 +60,9 @@ func (c *Ctx) Errorf(format string, a ...any) error {
 	return &RuntimeError{Line: c.line, Msg: fmt.Sprintf(format, a...)}
 }
 
-// CtxFunc is a context-aware native function: the preferred form for
-// new host bindings. Unlike NativeFunc it receives a *Ctx, so calling
-// back into script shares the engine's fuel and errors carry the call
-// site.
+// CtxFunc is a native function exposed to scripts. It receives a
+// *Ctx, so calling back into script shares the interpreter's fuel and
+// errors carry the call site.
 type CtxFunc func(ctx *Ctx, args []Value) (Value, error)
 
 // Func wraps a Go function as a named script value with error-as-value

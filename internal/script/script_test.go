@@ -7,43 +7,15 @@ import (
 	"testing/quick"
 )
 
-// run executes source on BOTH engines — the tree-walking interpreter
-// and the compiled VM — asserts they agree on the result, console
-// output, and step count, and returns the interpreter's value. Every
-// table-driven semantics test in this package is therefore a
-// differential test for free.
+// run executes source on the interpreter, fails the test on any
+// error, and returns the result value.
 func run(t *testing.T, src string) Value {
 	t.Helper()
-	prog, err := Parse(src)
+	v, err := (&Interp{}).RunSource(src, StdEnv(&Console{}))
 	if err != nil {
 		t.Fatalf("run(%q): %v", src, err)
 	}
-	folded := Fold(prog)
-
-	ic := &Console{}
-	ip := &Interp{}
-	iv, ierr := ip.Run(folded, StdEnv(ic))
-	if ierr != nil {
-		t.Fatalf("run(%q): %v", src, ierr)
-	}
-
-	vc := &Console{}
-	vm := &VM{}
-	vv, verr := vm.Run(Compile(folded), StdEnv(vc))
-	if verr != nil {
-		t.Fatalf("run(%q): vm: %v (interp succeeded)", src, verr)
-	}
-	if ToString(iv) != ToString(vv) || TypeOf(iv) != TypeOf(vv) {
-		t.Fatalf("run(%q): engines disagree: interp %v (%s), vm %v (%s)",
-			src, iv, TypeOf(iv), vv, TypeOf(vv))
-	}
-	if il, vl := ic.Lines(), vc.Lines(); strings.Join(il, "\n") != strings.Join(vl, "\n") {
-		t.Fatalf("run(%q): console diverges: interp %v, vm %v", src, il, vl)
-	}
-	if ip.Steps() != vm.Steps() {
-		t.Fatalf("run(%q): step counts diverge: interp %d, vm %d", src, ip.Steps(), vm.Steps())
-	}
-	return iv
+	return v
 }
 
 func TestArithmetic(t *testing.T) {
@@ -311,7 +283,7 @@ x + y;`
 
 func TestNewExpr(t *testing.T) {
 	env := StdEnv(&Console{})
-	env.Define("Thing", NativeFunc(func(args []Value) (Value, error) {
+	env.Define("Thing", CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 		o := NewObject()
 		if len(args) > 0 {
 			o.Props["x"] = args[0]
@@ -459,7 +431,7 @@ func (h *testHost) HostName() string { return "TestHost" }
 
 func (h *testHost) HostGet(name string) (Value, error) {
 	if name == "up" {
-		return NativeFunc(func(args []Value) (Value, error) {
+		return CtxFunc(func(_ *Ctx, args []Value) (Value, error) {
 			return strings.ToUpper(ToString(args[0])), nil
 		}), nil
 	}
