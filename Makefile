@@ -16,13 +16,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Flake hunt: the tests that once failed intermittently, repeated under
-# the race detector. A drain that hangs on a late h2 connection, a
-# request refused mid-drain, or a store reader seeing the generation go
-# backwards fails one of the 20 runs.
+# Flake hunt: the tests that once failed intermittently, and the tests
+# that pin the gateway's admission (run slots, the bounded wait, its
+# rescue on Unmount), repeated under the race detector. A drain that
+# hangs on a late h2 connection, a request refused mid-drain, an
+# admission race that lets a request past a full origin or strands a
+# waiting one, or a store reader seeing the generation go backwards
+# fails one of the 20 runs.
 flake-hunt:
 	$(GO) test -race -count=20 \
-		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestStoreConcurrentSwapsAndReads)$$' \
+		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestQueueOverflowReturns503|TestUnmountLive|TestOverflowFairnessAcrossWeights|TestStoreConcurrentSwapsAndReads)$$' \
 		./internal/httpd ./internal/ctlplane
 
 # One iteration per benchmark: a smoke pass that catches compile and
@@ -89,7 +92,7 @@ serve-http:
 	jq -e '(.policy.origins | length) == 4 and .policy.delegations >= 1 and ([.phases[] | select(.name == "attacks")] | length == 1)' BENCH_engine.http.json
 	jq -e '.policy.phases | map(select(.name == "delegated-session")) | (length == 1) and all(.tasks > 0 and .decisions > 0)' BENCH_engine.http.json
 
-# Policy hot-reload smoke: mount TENANTS stamped tenant origins plus a
+# Policy hot-reload smoke: mount 1024 stamped tenant origins plus a
 # hot origin on a dedicated gateway, push a live policy flip mid-load
 # (the invalidation storm), and measure push ack, watcher propagation,
 # cache refill, and the throughput dip — then the noisy-neighbor
@@ -98,34 +101,32 @@ serve-http:
 # a fleet of >=1000 tenants, pages on both sides of the flip, the
 # refill recorded, and the victim's p99 under 100ms on a shared-CPU
 # runner while the flood is shed with 503s.
-TENANTS ?= 1024
 reload-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 4 -iters 2 -phpbb-iters 2 -mixed-iters 2 \
-		-control -tenants $(TENANTS) -out BENCH_engine.control.json
+		-control -tenants 1024 -out BENCH_engine.control.json
 	jq -e '.control.tenants_mounted >= 1000 and .control.pages_audited > 0 and .control.generations_seen == 2' BENCH_engine.control.json
 	jq -e '.control.storm.push_ack_ms > 0 and .control.storm.propagation_ms > 0' BENCH_engine.control.json
 	jq -e '.control.storm.cache_entries_before > 0 and .control.storm.cache_refill_ms > 0' BENCH_engine.control.json
 	jq -e '.control.storm | has("attacks_pre_flip") and has("attacks_post_flip")' BENCH_engine.control.json
 	jq -e '.control.noisy_neighbor.flood_rejected_503 > 0 and .control.noisy_neighbor.victim_p99_noisy_ms < 100' BENCH_engine.control.json
 
-# Leak-hunting soak: SOAK seconds of mixed load through the loopback
+# Leak-hunting soak: 30 seconds of mixed load through the loopback
 # gateway under the race detector, with the runtime sampler recording
 # goroutine/heap shape every 200ms into the report's obs section. The
 # final goroutine count must land within 8 of the post-warmup count
 # (sessions peak above 60 goroutines mid-run, so this asserts that
 # every pool and connection drained) and the heap must not grow
 # monotonically across samples.
-SOAK ?= 30s
 soak:
 	$(GO) run -race ./cmd/escudo-serve -sessions 4 -iters 1 -phpbb-iters 2 -mixed-iters 2 \
-		-attacks=false -http 127.0.0.1:0 -soak $(SOAK) -out BENCH_engine.soak.json
+		-attacks=false -http 127.0.0.1:0 -soak 30s -out BENCH_engine.soak.json
 	jq -e '.obs.sampler.samples > 0 and .obs.sampler.post_warmup_goroutines > 0' BENCH_engine.soak.json
 	jq -e '(.obs.sampler.goroutines.last - .obs.sampler.post_warmup_goroutines) | (if . < 0 then -. else . end) <= 8' BENCH_engine.soak.json
 	jq -e '.obs.sampler.heap_monotonic == false' BENCH_engine.soak.json
 	jq -e '.obs.decision_events_recorded > 0 and .obs.version.go != ""' BENCH_engine.soak.json
 
-# Open-loop SLO smoke: SLO_DURATION of seeded Poisson arrivals with
-# login/logout churn against the loopback gateway, no coordinated
+# Open-loop SLO smoke: 30 seconds of seeded Poisson arrivals (200/s)
+# with login/logout churn against the loopback gateway, no coordinated
 # omission. Deliberately NOT under -race — the race detector inflates
 # latency ~10x, which would make the p99 budget and the leak window
 # meaningless. The driver holds the clean leak verdict, the declared
@@ -133,17 +134,13 @@ soak:
 # rate within 10% of the target (a starved runner shows up here), a
 # leak window of >=8 points, per-stage attribution, and traced
 # exemplars.
-SLO_RATE ?= 200
-SLO_DURATION ?= 30s
-SLO_CHURN ?= 20
-SLO_P99_MS ?= 250
 slo-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 4 -iters 1 -phpbb-iters 1 -mixed-iters 1 \
 		-attacks=false -http 127.0.0.1:0 \
-		-openloop rate=$(SLO_RATE),duration=$(SLO_DURATION),churn=$(SLO_CHURN),p99=$(SLO_P99_MS) \
+		-openloop rate=200,duration=30s,churn=20,p99=250 \
 		-out BENCH_engine.slo.json
-	jq -e '.slo.target_rate == $(SLO_RATE) and .slo.offered_rate >= 0.9 * $(SLO_RATE) and .slo.arrivals > 0' BENCH_engine.slo.json
-	jq -e '.slo.completed > 0 and .slo.logins > 0 and .slo.leak.points >= 8 and .slo.p99_budget_ms == $(SLO_P99_MS)' BENCH_engine.slo.json
+	jq -e '.slo.target_rate == 200 and .slo.offered_rate >= 0.9 * 200 and .slo.arrivals > 0' BENCH_engine.slo.json
+	jq -e '.slo.completed > 0 and .slo.logins > 0 and .slo.leak.points >= 8 and .slo.p99_budget_ms == 250' BENCH_engine.slo.json
 	jq -e '.slo.stages | has("batch_auth") and has("handler") and has("queue_wait")' BENCH_engine.slo.json
 	jq -e '.slo.exemplars | length > 0 and all(.trace_id != "")' BENCH_engine.slo.json
 

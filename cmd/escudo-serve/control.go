@@ -156,7 +156,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	for _, o := range tenants {
 		docs[o.String()] = scenarios.Policy(o)
 	}
-	// Tenants idle at one worker each: the point of the fleet is mount
+	// Tenants get one run slot each: the point of the fleet is mount
 	// scale and per-origin isolation, not aggregate tenant throughput.
 	// The hot origin keeps httpd's default shape.
 	gw, ct, cleanup, err := gateway(pl, n, "127.0.0.1:0", docs, httpd.Config{
@@ -383,10 +383,10 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 
 	// Noisy neighbor: flood tenant[1] into queue overflow through its
 	// own transport while probing tenant[0] through another. The
-	// per-origin bounded queues are the isolation mechanism under
-	// test: the flood saturates its origin's single worker and
+	// per-origin admission bounds are the isolation mechanism under
+	// test: the flood saturates its origin's single run slot and
 	// eight-deep queue, overflow answers 503 immediately, and the
-	// victim's worker never sees any of it.
+	// victim's run slot never sees any of it.
 	victim, noisy := tenants[0], tenants[1]
 	victimCT := httpd.NewClientTransport(gw.Addr())
 	defer victimCT.Close()
@@ -408,7 +408,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	floodStop := make(chan struct{})
 	var floodReqs atomic.Uint64
 	var floodWG sync.WaitGroup
-	// Enough concurrency to keep the noisy tenant's single worker busy
+	// Enough concurrency to keep the noisy tenant's single run slot busy
 	// and its eight-deep queue overflowing — the 503 shed path is part
 	// of what isolates the victim.
 	for i := 0; i < 32; i++ {

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apps/phpbb"
@@ -123,9 +122,6 @@ func portalHandler() web.Handler {
 	return web.HandlerFunc(func(req *web.Request) *web.Response {
 		resp := web.HTML(page)
 		resp.Header.Set(core.HeaderMaxRing, core.DefaultMaxRing.String())
-		// The body is a fixed fixture: the HTTP gateway may serve it
-		// from its cross-request page cache.
-		resp.Header.Set("Cache-Control", "public, immutable")
 		return resp
 	})
 }
@@ -185,21 +181,7 @@ func gateway(pl *plane, n *web.Network, addr string, docs map[string]policy.Poli
 	if pl != nil {
 		base.Obs, base.Ring, base.Stages, base.Slow = pl.reg, pl.ring, pl.stages, pl.slow
 	}
-	// The client transport only exists once the gateway does; late-bind
-	// it so /metricsz can surface its connection reuse.
-	var client atomic.Pointer[httpd.ClientTransport]
-	base.ClientStatsFunc = func() any {
-		if c := client.Load(); c != nil {
-			return c.Stats()
-		}
-		return nil
-	}
-	gw, ct, cleanup, err := httpd.WrapNetwork(n, base, addr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	client.Store(ct)
-	return gw, ct, cleanup, nil
+	return httpd.WrapNetwork(n, base, addr)
 }
 
 // newCA returns an ephemeral in-memory CA when on, nil otherwise.
@@ -337,10 +319,6 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 			Requests:      served.Served,
 			Rejected503:   served.Rejected503,
 			QueueDepthMax: served.MaxQueueDepth,
-			CacheHits:     served.Cache.Hits,
-			CacheMisses:   served.Cache.Misses,
-			CacheHitRate:  served.Cache.HitRate(),
-			CacheEvicted:  served.Cache.Evictions,
 		}
 		if secs > 0 {
 			g.ReqsPerSec = float64(g.Requests) / secs

@@ -11,9 +11,9 @@
 // net/http gateway (internal/httpd) over loopback and re-runs the
 // figure-4 and mixed workloads plus the attack replay through
 // httpd.ClientTransport — real sockets, Host-header virtual hosting,
-// per-origin worker queues, cross-request page cache — into an "http"
-// section; -tls terminates https on that gateway with an ephemeral
-// in-memory CA. -openloop and -control add the open-loop SLO and policy
+// per-origin admission bounds — into an "http" section; -tls
+// terminates https on that gateway with an ephemeral in-memory CA.
+// -openloop and -control add the open-loop SLO and policy
 // control-plane sections. Every section is a short list of phases over
 // one session pool (harness.go); the sections differ only in the pool's
 // transport.
@@ -127,19 +127,15 @@ type phaseJSON struct {
 	*GatewayJSON
 }
 
-// GatewayJSON is a phase's wire traffic: requests, 503s, queue
-// high-water and page-cache traffic are the gateway's deltas for the
-// phase. It is exported because encoding/json only fills embedded
-// struct pointers of exported types.
+// GatewayJSON is a phase's wire traffic: requests, 503s and the queue
+// high-water mark are the gateway's deltas for the phase. It is
+// exported because encoding/json only fills embedded struct pointers
+// of exported types.
 type GatewayJSON struct {
 	Requests      uint64  `json:"requests"`
 	ReqsPerSec    float64 `json:"reqs_per_sec"`
 	Rejected503   uint64  `json:"rejected_503"`
 	QueueDepthMax int64   `json:"queue_depth_max"`
-	CacheHits     uint64  `json:"page_cache_hits"`
-	CacheMisses   uint64  `json:"page_cache_misses"`
-	CacheHitRate  float64 `json:"page_cache_hit_rate"`
-	CacheEvicted  uint64  `json:"page_cache_evictions"`
 	// AllocsPerRequest is the process-wide heap-allocation count per
 	// gateway-served request during the phase (client sessions, wire,
 	// gateway, and handlers all included — the whole request path the
@@ -727,11 +723,11 @@ func printReport(r *benchJSON) {
 	}
 	if h := r.HTTP; h != nil {
 		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n", h.Addr, h.Workers, h.QueueDepth)
-		t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max", "Cache hit rate")
+		t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max")
 		for _, ph := range h.Phases {
 			t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
 				fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%d", ph.Rejected503),
-				fmt.Sprintf("%d", ph.QueueDepthMax), fmt.Sprintf("%.1f%%", 100*ph.CacheHitRate))
+				fmt.Sprintf("%d", ph.QueueDepthMax))
 		}
 		fmt.Print(t.String())
 		if c := h.Client; c != nil {

@@ -153,9 +153,9 @@ func TestServeRejectsBadMode(t *testing.T) {
 
 // TestServeHTTPSection runs the driver with the gateway enabled and
 // checks the http section of the report: the loopback phases really
-// went over sockets (requests counted, latency measured), the page
-// cache saw the immutable fixtures, and the attack corpus over
-// sockets is fully neutralized with verdicts identical to in-memory.
+// went over sockets (requests counted, latency measured), and the
+// attack corpus over sockets is fully neutralized with verdicts
+// identical to in-memory.
 func TestServeHTTPSection(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
 	err := run([]string{"-sessions", "4", "-iters", "2", "-phpbb-iters", "2",
@@ -191,9 +191,6 @@ func TestServeHTTPSection(t *testing.T) {
 	}
 	if fig.Requests == 0 || fig.ReqsPerSec <= 0 || fig.P50Ms <= 0 {
 		t.Fatalf("http-figure4 did not measure socket traffic: %+v", fig)
-	}
-	if fig.CacheHits == 0 {
-		t.Fatalf("scenario fixtures never hit the page cache: %+v", fig)
 	}
 	if mx, ok := byName["http-mixed"]; !ok || mx.Requests == 0 {
 		t.Fatalf("http-mixed missing or inert: %+v", mx)

@@ -10,55 +10,6 @@ import (
 	"repro/internal/web"
 )
 
-// nullResponseWriter is a ResponseWriter stub with a live header map,
-// so header installs behave like net/http's while Write goes nowhere.
-type nullResponseWriter struct {
-	h      http.Header
-	status int
-	n      int
-}
-
-func (w *nullResponseWriter) Header() http.Header         { return w.h }
-func (w *nullResponseWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b), nil }
-func (w *nullResponseWriter) WriteHeader(status int)      { w.status = status }
-
-// TestWriteCachedPageAllocs pins the page-cache hit path at zero
-// allocations outside net/http's own plumbing: the frozen header value
-// slices are installed by reference and the body is written straight
-// from the cached byte slice.
-func TestWriteCachedPageAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	g, err := New(Config{Inner: web.NewNetwork()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := &cachedPage{
-		status: 200,
-		header: web.Header{
-			"Content-Type":  {"text/html"},
-			"Cache-Control": {"immutable"},
-		},
-		body:       []byte("<html><body>cached fixture body</body></html>"),
-		etag:       `"00000000deadbeef"`,
-		origKeys:   "Content-Type,Cache-Control",
-		etagVal:    []string{`"00000000deadbeef"`},
-		origKeyVal: []string{"Content-Type,Cache-Control"},
-	}
-	w := &nullResponseWriter{h: http.Header{}}
-	// Warm run populates the header map's buckets; after that, the
-	// assignments overwrite existing keys and allocate nothing.
-	g.writeCachedPage(w, page)
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		g.writeCachedPage(w, page)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm cache-hit serving allocates %.1f times per request, want 0", allocs)
-	}
-}
-
 // TestTranslateResponseAllocs bounds the client-side header-set
 // reconstruction: the keep set is pooled, the X-Escudo-Orig-Keys list
 // is cut in place, and value slices are adopted from the net/http

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -93,6 +94,20 @@ func driveFixedWorkload(t *testing.T, b *browser.Browser, bench, forumO origin.O
 	}
 }
 
+// requestLog renders a network's server-side request log — the CSRF
+// verdict oracle — one line per entry in issue order: method, path,
+// target, status, and the sorted names of the cookies that arrived.
+func requestLog(n *web.Network) []string {
+	entries := n.Log()
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		cookies := append([]string(nil), e.CookieNames...)
+		sort.Strings(cookies)
+		out[i] = fmt.Sprintf("%s %s %s %d %v", e.Method, e.Path, e.Target, e.Status, cookies)
+	}
+	return out
+}
+
 // auditTally folds an audit log into a comparable multiset: decision
 // counts keyed by (op, allowed, rule).
 func auditTally(b *browser.Browser) map[string]int {
@@ -103,9 +118,10 @@ func auditTally(b *browser.Browser) map[string]int {
 	return tally
 }
 
-// TestTransportEquivalence is the PR's core invariant: the same
-// session over the in-memory network and over a real HTTP gateway
-// produces identical Escudo verdicts and audit-log decision counts.
+// TestTransportEquivalence is the transport-independence invariant:
+// the same session over the in-memory network and over a real HTTP
+// gateway produces identical Escudo verdicts, audit-log decision
+// counts, and jars, and the origins see the same requests.
 func TestTransportEquivalence(t *testing.T) {
 	memNet, bench, forumO, topic := buildSubstrate()
 	memBrowser := runFixedSession(t, memNet, bench, forumO, topic)
@@ -137,14 +153,21 @@ func TestTransportEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(memJar, httpJar) {
 		t.Fatalf("jars diverge:\n  in-memory: %+v\n  http:      %+v", memJar, httpJar)
 	}
+
+	// The gateway delivers every request to the origin: the server-side
+	// request log matches in-memory traffic entry for entry.
+	if memLog, httpLog := requestLog(memNet), requestLog(httpNet); !reflect.DeepEqual(memLog, httpLog) {
+		t.Fatalf("request logs diverge: in-memory %d entries, http %d\n  in-memory: %q\n  http:      %q",
+			len(memLog), len(httpLog), memLog, httpLog)
+	}
 }
 
-// TestTLSTransportEquivalence extends the PR 3 invariant to https:
-// the same fixed session over the in-memory network, over a plain
-// HTTP gateway, and over a TLS-terminating gateway yields identical
-// verdicts, audit decision counts and tallies, and cookie jars. TLS
-// is pure transport; if it ever changed a verdict, this test is the
-// tripwire.
+// TestTLSTransportEquivalence extends the transport invariant to
+// https: the same fixed session over the in-memory network, over a
+// plain HTTP gateway, and over a TLS-terminating gateway yields
+// identical verdicts, audit decision counts and tallies, cookie jars,
+// and server-side request logs. TLS is pure transport; if it ever
+// changed a verdict, this test is the tripwire.
 func TestTLSTransportEquivalence(t *testing.T) {
 	memNet, bench, forumO, topic := buildSubstrate()
 	memBrowser := runFixedSession(t, memNet, bench, forumO, topic)
@@ -183,14 +206,19 @@ func TestTLSTransportEquivalence(t *testing.T) {
 	if mem == 0 {
 		t.Fatal("in-memory session recorded no decisions; workload broken")
 	}
-	legs := map[string]*browser.Browser{
-		"plain http": plainBrowser,
-		"tls h2":     tlsBrowser,
-		"tls h1":     h1Browser,
+	legs := map[string]struct {
+		b   *browser.Browser
+		net *web.Network
+	}{
+		"plain http": {plainBrowser, plainNet},
+		"tls h2":     {tlsBrowser, tlsNet},
+		"tls h1":     {h1Browser, h1Net},
 	}
 	memTally := auditTally(memBrowser)
 	memJar := memBrowser.Jar().All()
-	for name, b := range legs {
+	memLog := requestLog(memNet)
+	for name, leg := range legs {
+		b := leg.b
 		if got := b.Audit.Len(); got != mem {
 			t.Fatalf("%s decision count diverges: in-memory %d, %s %d", name, mem, name, got)
 		}
@@ -202,6 +230,10 @@ func TestTLSTransportEquivalence(t *testing.T) {
 		}
 		if got := b.Jar().All(); !reflect.DeepEqual(memJar, got) {
 			t.Fatalf("%s jar diverges:\n  in-memory: %+v\n  %s: %+v", name, memJar, name, got)
+		}
+		if got := requestLog(leg.net); !reflect.DeepEqual(memLog, got) {
+			t.Fatalf("%s request log diverges: in-memory %d entries, %s %d\n  in-memory: %q\n  %s: %q",
+				name, len(memLog), name, len(got), memLog, name, got)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package httpd mounts the in-memory web substrate on real sockets:
 // a Gateway serves registered origins from one net/http listener with
-// Host-header virtual hosting, per-origin bounded worker queues, a
-// cross-request page cache for immutable fixture bodies, and admin
+// Host-header virtual hosting, per-origin admission bounds, and admin
 // endpoints; a ClientTransport implements web.Transport over loopback
 // so a mediating browser on one side of a socket drives the same
 // applications as the in-memory network.
@@ -78,23 +77,17 @@ const (
 	gatewayShuttingDown = "shutting-down"
 )
 
-// OriginConfig sizes one origin's worker queue and carries its policy
+// OriginConfig sizes one origin's admission and carries its policy
 // document.
 type OriginConfig struct {
 	// Workers is the origin's concurrency: how many requests the
-	// origin's handler serves at once (default Weight ×
-	// Config.DefaultWorkers).
+	// origin's handler serves at once (default Config.DefaultWorkers).
 	Workers int
-	// QueueDepth bounds the origin's wait queue; an arriving request
-	// that finds it full is rejected with 503 instead of starving
-	// other origins' workers (default Weight × Config.DefaultQueueDepth).
+	// QueueDepth bounds how many more requests may wait for one of
+	// those slots; an arriving request that finds the wait full is
+	// rejected with 503 instead of piling up behind a hot origin
+	// (default Config.DefaultQueueDepth).
 	QueueDepth int
-	// Weight is the origin's admission weight: a multiplier applied to
-	// the gateway defaults when Workers/QueueDepth are unset, so a hot
-	// origin can get a deeper queue and more workers than a cold one
-	// without every origin being sized by hand (default 1). Explicit
-	// Workers/QueueDepth values win over the weight.
-	Weight int
 	// Policy, when non-nil, is the origin's unified policy document.
 	// It is validated at mount time, served at PolicyPath on the
 	// origin, and listed by the admin /policyz endpoint.
@@ -104,38 +97,21 @@ type OriginConfig struct {
 // Config configures a Gateway.
 type Config struct {
 	// Inner serves the mounted origins — normally a *web.Network. The
-	// gateway adds transport, scheduling, and caching; routing
-	// semantics (including the request log and 502-for-unregistered)
-	// stay Inner's.
+	// gateway adds transport and admission; routing semantics
+	// (including the request log and 502-for-unregistered) stay
+	// Inner's, and every admitted request reaches it.
 	Inner web.Transport
-	// DefaultWorkers is the per-origin worker count when Mount is not
+	// DefaultWorkers is the per-origin concurrency when Mount is not
 	// given one (default 4).
 	DefaultWorkers int
-	// DefaultQueueDepth is the per-origin queue bound when Mount is
+	// DefaultQueueDepth is the per-origin wait bound when Mount is
 	// not given one (default 64).
 	DefaultQueueDepth int
-	// DisableCache turns the cross-request page cache off.
-	DisableCache bool
-	// CacheMaxEntries bounds the page cache's entry count (default
-	// 4096); past it the least recently used entries are evicted.
-	CacheMaxEntries int
-	// CacheMaxBytes bounds the page cache's approximate resident size
-	// (default 32 MiB), enforced the same way.
-	CacheMaxBytes int64
-	// Origins carries per-origin configuration (queue shape, weight,
+	// Origins carries per-origin configuration (admission shape,
 	// policy document) keyed by origin string ("http://forum.example"),
 	// applied when Mount/MountNetwork register that origin without an
 	// explicit OriginConfig.
 	Origins map[string]OriginConfig
-	// StatsFunc, when non-nil, is invoked by /metricsz and its result
-	// embedded in the JSON under "engine" — the load driver plugs
-	// engine.Pool.Stats in here.
-	StatsFunc func() any
-	// ClientStatsFunc, when non-nil, is embedded in /metricsz under
-	// "client" — a single-process load driver plugs its
-	// ClientTransport.Stats in here so connection-reuse counters show
-	// up next to the gateway's own.
-	ClientStatsFunc func() any
 	// TLS, when non-nil, terminates https on the listener: every
 	// handshake gets a leaf certificate minted by the CA, selected by
 	// SNI (per-origin identity) with a loopback default for SNI-less
@@ -145,7 +121,7 @@ type Config struct {
 	TLS *CA
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// admin host (the listener's own address, same isolation as
-	// /metricsz — a web-origin Host header can never reach it). Off by
+	// /varz — a web-origin Host header can never reach it). Off by
 	// default: profiling endpoints are a diagnostic surface, opted
 	// into per run (`escudo-serve -pprof`).
 	EnablePprof bool
@@ -181,16 +157,17 @@ type Config struct {
 	Policies *ctlplane.Store
 }
 
-// vhost is one mounted origin: its identity, its bounded queue, and
-// its per-origin traffic counters (registry handles labeled by
-// origin, so /varz breaks traffic down per origin for free). stop is
-// closed by Unmount, terminating this origin's workers — and rescuing
-// any requester still parked on a queued job — without touching the
-// rest of the fleet.
+// vhost is one mounted origin: its identity, its admission
+// semaphores, and its per-origin traffic counters (registry handles
+// labeled by origin, so /varz breaks traffic down per origin for
+// free). A request holds a run slot while the origin's handler serves
+// it and a queue slot while it waits for a run slot. stop is closed by
+// Unmount, rescuing every waiting request without touching the rest of
+// the fleet.
 type vhost struct {
 	origin  origin.Origin
-	cfg     OriginConfig
-	jobs    chan *job
+	run     chan struct{} // capacity OriginConfig.Workers
+	queue   chan struct{} // capacity OriginConfig.QueueDepth
 	stop    chan struct{}
 	served  *obs.Counter
 	dropped *obs.Counter
@@ -230,49 +207,27 @@ func (t *vhostTable) clone() *vhostTable {
 	return next
 }
 
-// job carries one translated request to an origin worker. enq stamps
-// the enqueue instant when stage timing is on (zero otherwise), so the
-// worker can attribute queue-wait.
-type job struct {
-	req  *web.Request
-	done chan jobResult
-	enq  time.Time
-}
-
-// jobResult carries the origin's answer back, plus the worker-side
-// stage spans (zero when stage timing is off) so the requester can
-// record the request's full breakdown.
-type jobResult struct {
-	resp    *web.Response
-	err     error
-	wait    time.Duration
-	handler time.Duration
-}
-
 // Stats counts gateway traffic.
 type Stats struct {
-	// Served counts origin responses written (cache hits included;
-	// 503 rejections and admin endpoints excluded).
+	// Served counts origin responses written (503 rejections and
+	// admin endpoints excluded).
 	Served uint64 `json:"served"`
 	// Rejected503 counts requests dropped because their origin's
 	// queue was full.
 	Rejected503 uint64 `json:"rejected_503"`
-	// MaxQueueDepth is the deepest any origin queue has been since
-	// Start or the last ResetQueueHighWater.
+	// MaxQueueDepth is the most requests any origin has had waiting
+	// for a run slot at once since Start or the last
+	// ResetQueueHighWater.
 	MaxQueueDepth int64 `json:"max_queue_depth"`
-	// Cache is the page-cache traffic.
-	Cache CacheStats `json:"page_cache"`
 }
 
-// Sub returns the counter delta s-base. MaxQueueDepth and
-// Cache.Entries are running high-water/absolute values and pass
-// through unchanged.
+// Sub returns the counter delta s-base. MaxQueueDepth is a running
+// high-water mark and passes through unchanged.
 func (s Stats) Sub(base Stats) Stats {
 	return Stats{
 		Served:        s.Served - base.Served,
 		Rejected503:   s.Rejected503 - base.Rejected503,
 		MaxQueueDepth: s.MaxQueueDepth,
-		Cache:         s.Cache.Sub(base.Cache),
 	}
 }
 
@@ -283,7 +238,6 @@ func (s Stats) Add(o Stats) Stats {
 		Served:        s.Served + o.Served,
 		Rejected503:   s.Rejected503 + o.Rejected503,
 		MaxQueueDepth: s.MaxQueueDepth,
-		Cache:         s.Cache.Add(o.Cache),
 	}
 	if o.MaxQueueDepth > out.MaxQueueDepth {
 		out.MaxQueueDepth = o.MaxQueueDepth
@@ -295,7 +249,6 @@ func (s Stats) Add(o Stats) Stats {
 type Gateway struct {
 	cfg      Config
 	inner    web.Transport
-	cache    *pageCache
 	policies *ctlplane.Store
 
 	// mountMu serializes mount-table mutations (Mount, Unmount, Start);
@@ -308,12 +261,10 @@ type Gateway struct {
 	ln       net.Listener
 	quit     chan struct{}
 	stopOnce sync.Once
-	workers  sync.WaitGroup
 
-	// The traffic counters are registry handles (one atomic each, same
-	// hot-path cost as the raw atomics they replaced), so /metricsz,
-	// Stats(), and /varz all read the same instances. maxDepth keeps a
-	// raw atomic for its CAS race and mirrors into a gauge.
+	// The traffic counters are registry handles (one atomic each), so
+	// Stats() and /varz read the same instances. maxDepth keeps a raw
+	// atomic for its CAS race and mirrors into a gauge.
 	reg       *obs.Registry
 	served    *obs.Counter
 	rejected  *obs.Counter
@@ -352,9 +303,6 @@ func New(cfg Config) (*Gateway, error) {
 	// The fleet policy-generation counter mirrors into /varz on every
 	// accepted swap.
 	g.policies.SetGauge(g.reg.Gauge("escudo_policy_generation"))
-	if !cfg.DisableCache {
-		g.cache = newPageCache(cfg.CacheMaxEntries, cfg.CacheMaxBytes)
-	}
 	return g, nil
 }
 
@@ -367,11 +315,10 @@ func hostKey(o origin.Origin) string {
 	return fmt.Sprintf("%s:%d", o.Host, o.Port)
 }
 
-// Mount registers an origin for virtual hosting with the queue shape
-// from Config.Origins (or the defaults). Mounting is live: before
-// Start it stages the origin; after Start the origin's workers spawn
-// immediately and the COW table swap makes it routable without
-// stalling a single in-flight request. Only http-scheme origins can
+// Mount registers an origin for virtual hosting with the admission
+// shape from Config.Origins (or the defaults). Mounting is live: the
+// COW table swap makes the origin routable without stalling a single
+// in-flight request, before or after Start. Only http-scheme origins can
 // be mounted: origins are logical http:// identities throughout the
 // substrate, and TLS (Config.TLS) is applied at the transport layer
 // without changing them — that is what keeps verdicts identical
@@ -383,21 +330,17 @@ func (g *Gateway) Mount(o origin.Origin) error {
 	return g.MountOpts(o, OriginConfig{})
 }
 
-// MountOpts is Mount with an explicit queue shape and policy. Unset
-// Workers/QueueDepth derive from the gateway defaults scaled by the
-// origin's admission weight.
+// MountOpts is Mount with an explicit admission shape and policy.
+// Unset Workers/QueueDepth take the gateway defaults.
 func (g *Gateway) MountOpts(o origin.Origin, cfg OriginConfig) error {
 	if o.Scheme != "http" {
 		return fmt.Errorf("httpd: cannot mount %s: only http origins are served", o)
 	}
-	if cfg.Weight <= 0 {
-		cfg.Weight = 1
-	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.Weight * g.cfg.DefaultWorkers
+		cfg.Workers = g.cfg.DefaultWorkers
 	}
 	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = cfg.Weight * g.cfg.DefaultQueueDepth
+		cfg.QueueDepth = g.cfg.DefaultQueueDepth
 	}
 	if cfg.Policy != nil {
 		if err := cfg.Policy.Validate(); err != nil {
@@ -414,8 +357,8 @@ func (g *Gateway) MountOpts(o origin.Origin, cfg OriginConfig) error {
 	}
 	vh := &vhost{
 		origin:  o,
-		cfg:     cfg,
-		jobs:    make(chan *job, cfg.QueueDepth),
+		run:     make(chan struct{}, cfg.Workers),
+		queue:   make(chan struct{}, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		served:  g.reg.Counter("escudo_origin_served_total", obs.L("origin", o.String())),
 		dropped: g.reg.Counter("escudo_origin_dropped_total", obs.L("origin", o.String())),
@@ -438,17 +381,15 @@ func (g *Gateway) MountOpts(o origin.Origin, cfg OriginConfig) error {
 			return fmt.Errorf("httpd: mounting %s: %w", o, err)
 		}
 	}
-	if g.started {
-		g.spawnWorkers(vh)
-	}
 	return nil
 }
 
 // Unmount removes an origin live: the COW table swap makes it
-// unroutable, its workers exit, any requester still parked on its
-// queue is rescued with a no-server answer (the in-memory semantics of
-// an unregistered origin), and its policy document leaves the store.
-// Unmounting an unknown origin is a no-op.
+// unroutable, every request still waiting for one of its run slots is
+// rescued with a no-server answer (the in-memory semantics of an
+// unregistered origin), and its policy document leaves the store.
+// Requests already in its handler finish normally. Unmounting an
+// unknown origin is a no-op.
 func (g *Gateway) Unmount(o origin.Origin) {
 	g.mountMu.Lock()
 	defer g.mountMu.Unlock()
@@ -469,16 +410,8 @@ func (g *Gateway) Unmount(o origin.Origin) {
 	g.policies.Remove(o.String())
 }
 
-// spawnWorkers starts one origin's worker pool (mountMu held).
-func (g *Gateway) spawnWorkers(vh *vhost) {
-	for i := 0; i < vh.cfg.Workers; i++ {
-		g.workers.Add(1)
-		go g.work(vh)
-	}
-}
-
 // MountNetwork mounts every origin currently registered on the
-// network with the default queue shape.
+// network with the default admission shape.
 func (g *Gateway) MountNetwork(n *web.Network) error {
 	for _, o := range n.Origins() {
 		if err := g.Mount(o); err != nil {
@@ -489,8 +422,7 @@ func (g *Gateway) MountNetwork(n *web.Network) error {
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral loopback
-// port), spawns every mounted origin's workers, and serves in the
-// background until Shutdown.
+// port) and serves in the background until Shutdown.
 func (g *Gateway) Start(addr string) error {
 	g.mountMu.Lock()
 	if g.started {
@@ -509,9 +441,6 @@ func (g *Gateway) Start(addr string) error {
 	}
 	g.srv = &http.Server{Handler: g, ReadHeaderTimeout: 10 * time.Second}
 	g.started = true
-	for _, vh := range g.table.Load().byOrigin {
-		g.spawnWorkers(vh)
-	}
 	g.mountMu.Unlock()
 	go g.srv.Serve(serveLn) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown.
 	return nil
@@ -531,8 +460,11 @@ func (g *Gateway) Addr() string {
 // shutdownRound bounds one net/http Shutdown call inside Gateway.Shutdown.
 const shutdownRound = 100 * time.Millisecond
 
-// Shutdown gracefully stops the gateway: the listener closes, in-flight
-// requests finish, then the origin workers exit.
+// Shutdown gracefully stops the gateway: the listener closes and
+// in-flight requests finish. If ctx ends first, every request still
+// waiting for a run slot is answered with a marked shutting-down 503;
+// requests already in a handler run to completion on their own
+// goroutines.
 //
 // net/http runs the h2 server's graceful-shutdown hook once per
 // Server.Shutdown call, and the hook reaches only the h2 connections
@@ -555,7 +487,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		}
 	}
 	g.stopOnce.Do(func() { close(g.quit) })
-	g.workers.Wait()
 	return err
 }
 
@@ -580,43 +511,10 @@ func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
 // Stats snapshots the gateway counters.
 func (g *Gateway) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Served:        g.served.Value(),
 		Rejected503:   g.rejected.Value(),
 		MaxQueueDepth: g.maxDepth.Load(),
-	}
-	if g.cache != nil {
-		st.Cache = g.cache.stats()
-	}
-	return st
-}
-
-// work is one origin worker: pull a translated request, round-trip it
-// on the inner transport, hand the result back. vh.stop ends the pool
-// when the origin is unmounted; g.quit ends every pool at shutdown.
-func (g *Gateway) work(vh *vhost) {
-	defer g.workers.Done()
-	timed := g.cfg.Stages != nil
-	for {
-		select {
-		case j := <-vh.jobs:
-			var res jobResult
-			if timed && !j.enq.IsZero() {
-				res.wait = time.Since(j.enq)
-				hStart := time.Now()
-				res.resp, res.err = g.inner.RoundTrip(j.req)
-				res.handler = time.Since(hStart)
-				g.cfg.Stages.Observe(obs.StageQueueWait, res.wait)
-				g.cfg.Stages.Observe(obs.StageHandler, res.handler)
-			} else {
-				res.resp, res.err = g.inner.RoundTrip(j.req)
-			}
-			j.done <- res
-		case <-vh.stop:
-			return
-		case <-g.quit:
-			return
-		}
 	}
 }
 
@@ -648,19 +546,13 @@ var requestHeaderSkip = map[string]bool{
 }
 
 // reqPool recycles the web.Request every incoming HTTP request is
-// translated into. A request is returned to the pool only after its
-// response is written (releaseRequest); the one path that abandons a
-// possibly-queued job — shutdown — leaks its request to the GC
-// instead, because a worker may still be reading it.
+// translated into. The request's own goroutine is the only one that
+// touches it, so it goes back to the pool (releaseRequest) once the
+// response is written or the request is turned away.
 var reqPool = sync.Pool{New: func() any { return &web.Request{} }}
 
 // releaseRequest hands a translated request back to the pool.
 func releaseRequest(req *web.Request) { reqPool.Put(req) }
-
-// jobPool recycles job envelopes; the buffered done channel is reused
-// across requests. Jobs abandoned at shutdown are never pooled again
-// (the worker may still deliver into done).
-var jobPool = sync.Pool{New: func() any { return &job{done: make(chan jobResult, 1)} }}
 
 // translate builds the web.Request an incoming HTTP request denotes
 // for the given target origin. The request comes from reqPool; the
@@ -711,20 +603,14 @@ func origKeysValue(h web.Header) string {
 
 // writeResponse writes a web.Response out as HTTP, advertising the
 // origin's own header-key set so the client side can reconstruct it
-// exactly. origKeys may be precomputed (cache hits); "" computes it.
-func (g *Gateway) writeResponse(w http.ResponseWriter, resp *web.Response, etag, origKeys string) {
+// exactly.
+func (g *Gateway) writeResponse(w http.ResponseWriter, resp *web.Response) {
 	for k, vs := range resp.Header {
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}
 	}
-	if origKeys == "" {
-		origKeys = origKeysValue(resp.Header)
-	}
-	w.Header().Set(HeaderOrigKeys, origKeys)
-	if etag != "" {
-		w.Header().Set("ETag", etag)
-	}
+	w.Header().Set(HeaderOrigKeys, origKeysValue(resp.Header))
 	w.WriteHeader(resp.Status)
 	if resp.Body != "" {
 		// io.WriteString, not fmt.Fprint: the latter boxes the body
@@ -745,12 +631,12 @@ func (g *Gateway) gatewayError(w http.ResponseWriter, kind string, status int, m
 }
 
 // ServeHTTP routes by Host header: mounted origins go through their
-// worker queue (with a page-cache probe first), the admin endpoints
-// answer only on the listener's own address (so a web-origin Host can
-// never reach them — an unregistered origin's /healthz must 502
-// exactly as it does in memory), and every other unmapped host falls
-// back to the inner transport inline (late-registered or unregistered
-// origins behave exactly as in memory, 502 log entry included).
+// admission bounds, the admin endpoints answer only on the listener's
+// own address (so a web-origin Host can never reach them — an
+// unregistered origin's /healthz must 502 exactly as it does in
+// memory), and every other unmapped host falls back to the inner
+// transport inline (late-registered or unregistered origins behave
+// exactly as in memory, 502 log entry included).
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if vh, ok := g.lookupVhost(r.Host); ok {
 		g.serveOrigin(w, r, vh)
@@ -762,8 +648,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			g.serveHealthz(w)
 		case "/livez":
 			g.serveLivez(w)
-		case "/metricsz":
-			g.serveMetricsz(w)
 		case "/varz":
 			g.serveVarz(w)
 		case "/tracez":
@@ -786,14 +670,15 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.serveFallback(w, r)
 }
 
-// serveOrigin is the mounted-origin path: policy delivery, cache
-// probe, bounded enqueue, worker round trip, response translation.
+// serveOrigin is the mounted-origin path: policy delivery, admission,
+// the origin's handler, response translation. Every admitted request
+// reaches the inner transport, so the origin's request log matches
+// in-memory traffic entry for entry.
 func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost) {
 	// arrival anchors the per-origin latency histogram (always on — the
 	// per-origin tail must be observable without a BENCH run) and, with
 	// stage timing configured, the request's slow-ring exemplar.
 	arrival := time.Now()
-	timed := g.cfg.Stages != nil
 	// Wire delivery of the origin's policy document — read from the
 	// control-plane store, so a live reload is what PolicyPath serves
 	// from the instant the swap lands. The document is data — the
@@ -810,60 +695,66 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 		}
 	}
 	req := translate(r, vh.origin)
-	var trans time.Duration
-	if timed {
-		trans = time.Since(arrival)
+	defer releaseRequest(req)
+	queued := time.Now()
+	if !g.admit(w, vh) {
+		return
 	}
-
-	// GET-form submissions (non-empty Form) bypass the cache entirely:
-	// they must reach the server and its request log like any other
-	// form, whatever was cached under the same path and query.
-	var key pageKey
-	if g.cache != nil && r.Method == "GET" && len(req.Form) == 0 {
-		key = pageKey{
-			host:    hostKey(vh.origin),
-			path:    req.Path(),
-			query:   r.URL.RawQuery,
-			cookies: cookieKey(req),
-		}
-		if page, ok := g.cache.get(key); ok {
-			if r.Header.Get("If-None-Match") == page.etag {
-				g.cache.notModified.Add(1)
-				w.Header()["Etag"] = page.etagVal
-				w.WriteHeader(http.StatusNotModified)
-				vh.served.Add(1)
-				g.served.Add(1)
-				vh.latency.Observe(time.Since(arrival))
-				releaseRequest(req)
-				return
-			}
-			vh.served.Add(1)
-			g.writeCachedPage(w, page)
-			vh.latency.Observe(time.Since(arrival))
-			releaseRequest(req)
-			return
-		}
+	running := time.Now()
+	resp, err := g.handle(vh, req)
+	handled := time.Now()
+	wait, handler := running.Sub(queued), handled.Sub(running)
+	stages := g.cfg.Stages
+	stages.Observe(obs.StageQueueWait, wait)
+	stages.Observe(obs.StageHandler, handler)
+	if err != nil {
+		g.routeError(w, err)
+		return
 	}
+	vh.served.Add(1)
+	g.writeResponse(w, resp)
+	end := time.Now()
+	total := end.Sub(arrival)
+	vh.latency.Observe(total)
+	if stages != nil {
+		// Translation is the gateway's own bookkeeping around the
+		// round trip: request translation on the way in plus response
+		// writing on the way out.
+		trans := queued.Sub(arrival) + end.Sub(handled)
+		stages.Observe(obs.StageTranslate, trans)
+		var spans [obs.NumStages]int64
+		spans[obs.StageQueueWait] = int64(wait)
+		spans[obs.StageHandler] = int64(handler)
+		spans[obs.StageTranslate] = int64(trans)
+		g.cfg.Slow.Record("gateway", req.TraceID, total, spans)
+	}
+}
 
-	j := jobPool.Get().(*job)
-	j.req = req
-	j.enq = time.Time{}
-	if timed {
-		j.enq = time.Now()
+// admit takes one of vh's run slots for the request, waiting in one
+// of its queue slots while none is free. When it reports false it has
+// answered the request itself: a marked 503 when the queue is full
+// too, a marked no-server 502 when Unmount retires the origin, or a
+// marked shutting-down 503 when Shutdown gives up on waiting requests.
+// A freed run slot goes straight to the longest-blocked waiter (Go
+// queues a channel's blocked senders in arrival order), so waiting
+// requests run in arrival order.
+func (g *Gateway) admit(w http.ResponseWriter, vh *vhost) bool {
+	select {
+	case vh.run <- struct{}{}:
+		return true
+	default:
 	}
 	select {
-	case vh.jobs <- j:
+	case vh.queue <- struct{}{}:
 	default:
 		vh.dropped.Add(1)
 		g.rejected.Add(1)
 		g.gatewayError(w, gatewayOverloaded, http.StatusServiceUnavailable,
 			fmt.Sprintf("origin %s queue full", vh.origin))
-		j.req = nil
-		jobPool.Put(j)
-		releaseRequest(req)
-		return
+		return false
 	}
-	for depth := int64(len(vh.jobs)); ; {
+	defer func() { <-vh.queue }()
+	for depth := int64(len(vh.queue)); ; {
 		cur := g.maxDepth.Load()
 		if depth <= cur {
 			break
@@ -873,82 +764,29 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 			break
 		}
 	}
-	// Also watch quit and the vhost's own stop: a deadline-expired
-	// Shutdown may stop the workers while this job is still queued, and
-	// a live Unmount retires this origin's pool the same way — in both
-	// cases an abandoned job must not strand its handler (done is
-	// buffered, so a worker that did pick the job up can still deliver
-	// and move on). An unmounted origin answers exactly like an
-	// unregistered one: a marked no-server 502, the in-memory contract.
-	// Abandoned jobs and their requests are NOT pooled again — the
-	// worker may still touch both.
-	var res jobResult
 	select {
-	case res = <-j.done:
+	case vh.run <- struct{}{}:
+		return true
 	case <-vh.stop:
 		g.gatewayError(w, gatewayNoServer, http.StatusBadGateway,
 			fmt.Sprintf("origin %s unmounted", vh.origin))
-		return
 	case <-g.quit:
 		g.gatewayError(w, gatewayShuttingDown, http.StatusServiceUnavailable, "gateway shutting down")
-		return
 	}
-	j.req = nil
-	jobPool.Put(j)
-	if res.err != nil {
-		g.routeError(w, res.err)
-		releaseRequest(req)
-		return
-	}
-	var etag string
-	if g.cache != nil && cacheable(req, res.resp) {
-		etag = g.cache.put(key, res.resp)
-		g.cache.misses.Add(1)
-	}
-	vh.served.Add(1)
-	wStart := time.Now()
-	g.writeResponse(w, res.resp, etag, "")
-	total := time.Since(arrival)
-	vh.latency.Observe(total)
-	if timed {
-		// Translation is the gateway's own bookkeeping around the
-		// round trip: request translation on the way in plus response
-		// writing on the way out.
-		trans += time.Since(wStart)
-		g.cfg.Stages.Observe(obs.StageTranslate, trans)
-		if req.TraceID != "" {
-			var stages [obs.NumStages]int64
-			stages[obs.StageQueueWait] = int64(res.wait)
-			stages[obs.StageHandler] = int64(res.handler)
-			stages[obs.StageTranslate] = int64(trans)
-			g.cfg.Slow.Record("gateway", req.TraceID, total, stages)
-		}
-	}
-	releaseRequest(req)
+	return false
 }
 
-// writeCachedPage serves a page-cache hit without copying: headers are
-// installed into the response header map by reference (the cached
-// slices are frozen — see cachedPage) and the body is written straight
-// from the cached byte slice. Apart from net/http's own plumbing the
-// hit path allocates nothing.
-func (g *Gateway) writeCachedPage(w http.ResponseWriter, page *cachedPage) {
-	wh := w.Header()
-	for k, vs := range page.header {
-		wh[k] = vs
-	}
-	wh[HeaderOrigKeys] = page.origKeyVal
-	wh["Etag"] = page.etagVal
-	w.WriteHeader(page.status)
-	if len(page.body) > 0 {
-		w.Write(page.body) //nolint:errcheck // client went away; nothing to do
-	}
-	g.served.Add(1)
+// handle round-trips an admitted request on the inner transport and
+// frees its run slot, even if the handler panics (net/http recovers
+// the panic, and a leaked slot would shrink the origin for good).
+func (g *Gateway) handle(vh *vhost, req *web.Request) (*web.Response, error) {
+	defer func() { <-vh.run }()
+	return g.inner.RoundTrip(req)
 }
 
 // servePprof dispatches the net/http/pprof handlers. It is reachable
 // only on the admin host and only with Config.EnablePprof — the
-// profiling surface shares /metricsz's isolation from web origins.
+// profiling surface shares /varz's isolation from web origins.
 func servePprof(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/debug/pprof/cmdline":
@@ -985,7 +823,7 @@ func (g *Gateway) serveFallback(w http.ResponseWriter, r *http.Request) {
 		g.routeError(w, err)
 		return
 	}
-	g.writeResponse(w, resp, "", "")
+	g.writeResponse(w, resp)
 }
 
 // routeError maps inner-transport errors onto marked HTTP statuses.
@@ -997,10 +835,9 @@ func (g *Gateway) routeError(w http.ResponseWriter, err error) {
 	g.gatewayError(w, gatewayBadRequest, http.StatusBadGateway, err.Error())
 }
 
-// healthzJSON is the /healthz (readiness) document. The gateway
-// serves nothing until Start has spawned every mounted origin's
-// workers, so a gateway that answers is ready; /livez answers liveness
-// alone.
+// healthzJSON is the /healthz (readiness) document. Every mounted
+// origin routes from the gateway's first request, so a gateway that
+// answers is ready; /livez answers liveness alone.
 type healthzJSON struct {
 	Status  string `json:"status"`
 	Ready   bool   `json:"ready"`
@@ -1026,80 +863,6 @@ type livezJSON struct {
 
 func (g *Gateway) serveLivez(w http.ResponseWriter) {
 	writeJSON(w, livezJSON{Live: true, Addr: g.Addr(), Version: obs.Version()})
-}
-
-// vhostJSON is one origin's row in /metricsz.
-type vhostJSON struct {
-	Origin   string `json:"origin"`
-	Workers  int    `json:"workers"`
-	Weight   int    `json:"weight"`
-	QueueLen int    `json:"queue_len"`
-	QueueCap int    `json:"queue_cap"`
-	Served   uint64 `json:"served"`
-	Dropped  uint64 `json:"dropped_503"`
-}
-
-// stageJSON is one stage's latency summary in /metricsz (the JSON
-// companion to the escudo_stage_seconds /varz family).
-type stageJSON struct {
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
-	Count uint64  `json:"count"`
-}
-
-// metricszJSON is the /metricsz document: gateway counters, per-origin
-// queue state, and whatever the configured StatsFunc reports (the load
-// driver wires engine.Pool.Stats here).
-type metricszJSON struct {
-	Gateway Stats       `json:"gateway"`
-	Origins []vhostJSON `json:"origins"`
-	// Stages carries per-stage latency summaries keyed by stage name
-	// when the deployment wired a StageSet.
-	Stages map[string]stageJSON `json:"stages,omitempty"`
-	Engine any                  `json:"engine,omitempty"`
-	// Client carries the co-resident ClientTransport's stats
-	// (connection reuse) when the driver wired ClientStatsFunc.
-	Client  any       `json:"client,omitempty"`
-	Version obs.Stamp `json:"version"`
-}
-
-func (g *Gateway) serveMetricsz(w http.ResponseWriter) {
-	doc := metricszJSON{Gateway: g.Stats(), Version: obs.Version()}
-	table := g.table.Load()
-	doc.Origins = make([]vhostJSON, 0, len(table.byOrigin))
-	for _, vh := range table.byOrigin {
-		doc.Origins = append(doc.Origins, vhostJSON{
-			Origin:   vh.origin.String(),
-			Workers:  vh.cfg.Workers,
-			Weight:   vh.cfg.Weight,
-			QueueLen: len(vh.jobs),
-			QueueCap: cap(vh.jobs),
-			Served:   vh.served.Value(),
-			Dropped:  vh.dropped.Value(),
-		})
-	}
-	sort.Slice(doc.Origins, func(a, b int) bool { return doc.Origins[a].Origin < doc.Origins[b].Origin })
-	if g.cfg.Stages != nil {
-		doc.Stages = make(map[string]stageJSON, int(obs.NumStages))
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			h := g.cfg.Stages.Hist(st).Snapshot()
-			if h.Total() == 0 {
-				continue
-			}
-			doc.Stages[st.String()] = stageJSON{
-				P50Ms: float64(h.Quantile(50).Nanoseconds()) / 1e6,
-				P99Ms: float64(h.Quantile(99).Nanoseconds()) / 1e6,
-				Count: h.Total(),
-			}
-		}
-	}
-	if g.cfg.StatsFunc != nil {
-		doc.Engine = g.cfg.StatsFunc()
-	}
-	if g.cfg.ClientStatsFunc != nil {
-		doc.Client = g.cfg.ClientStatsFunc()
-	}
-	writeJSON(w, doc)
 }
 
 // serveVarz writes the registry in Prometheus text exposition format.

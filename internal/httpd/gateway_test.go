@@ -1,18 +1,18 @@
 package httpd
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/origin"
 	"repro/internal/web"
 )
@@ -206,7 +206,7 @@ func TestAdminEndpoints(t *testing.T) {
 	n := web.NewNetwork()
 	o := origin.MustParse("http://app.example")
 	n.Register(o, echoHandler("app"))
-	g := startGateway(t, n, Config{StatsFunc: func() any { return map[string]int{"tasks": 42} }})
+	g := startGateway(t, n, Config{})
 
 	resp := rawGet(t, g, "", "/healthz", nil)
 	var health healthzJSON
@@ -217,22 +217,17 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	// Drive some traffic, then read it back from /metricsz.
+	// Drive some traffic, then read it back from /varz.
 	rawGet(t, g, "app.example", "/", nil).Body.Close()
-	resp = rawGet(t, g, "", "/metricsz", nil)
+	resp = rawGet(t, g, "", "/varz", nil)
 	body := readBody(t, resp)
-	var doc metricszJSON
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("metricsz JSON: %v (%s)", err, body)
-	}
-	if doc.Gateway.Served != 1 {
-		t.Fatalf("metricsz served = %d, want 1", doc.Gateway.Served)
-	}
-	if len(doc.Origins) != 1 || doc.Origins[0].Origin != "http://app.example" {
-		t.Fatalf("metricsz origins = %+v", doc.Origins)
-	}
-	if !strings.Contains(body, `"tasks":42`) {
-		t.Fatalf("metricsz missing engine stats: %s", body)
+	for _, want := range []string{
+		"escudo_gateway_served_total 1\n",
+		`escudo_origin_served_total{origin="http://app.example"} 1` + "\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/varz missing %q:\n%s", want, body)
+		}
 	}
 
 	// A mounted origin's own /healthz is NOT shadowed by the admin
@@ -265,100 +260,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-func TestPageCacheAndETag(t *testing.T) {
-	n := web.NewNetwork()
-	o := origin.MustParse("http://fixture.example")
-	var builds atomic64
-	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
-		builds.add(1)
-		resp := web.HTML("immutable body for " + req.Path())
-		resp.Header.Set("Cache-Control", "public, immutable")
-		resp.Header.Set(core.HeaderMaxRing, "3")
-		return resp
-	}))
-	mut := origin.MustParse("http://mutable.example")
-	n.Register(mut, echoHandler("mutable"))
-	g := startGateway(t, n, Config{})
-
-	// First GET builds; second is served from cache with an ETag.
-	r1 := rawGet(t, g, "fixture.example", "/p?a=1", nil)
-	readBody(t, r1)
-	r2 := rawGet(t, g, "fixture.example", "/p?a=1", nil)
-	body := readBody(t, r2)
-	if builds.load() != 1 {
-		t.Fatalf("handler built %d times, want 1 (second hit cached)", builds.load())
-	}
-	if body != "immutable body for /p" {
-		t.Fatalf("cached body = %q", body)
-	}
-	etag := r2.Header.Get("Etag")
-	if etag == "" {
-		t.Fatal("cached response missing ETag")
-	}
-	// A hit carries the origin's ESCUDO configuration headers exactly
-	// as the miss did: the browser configures the page from them.
-	if got, want := r2.Header.Values(core.HeaderMaxRing), r1.Header.Values(core.HeaderMaxRing); !reflect.DeepEqual(got, want) || len(want) != 1 {
-		t.Fatalf("cached %s = %q, first response %q", core.HeaderMaxRing, got, want)
-	}
-
-	// Conditional revalidation: matching If-None-Match yields 304
-	// with no body.
-	r3 := rawGet(t, g, "fixture.example", "/p?a=1", map[string]string{"If-None-Match": etag})
-	if b := readBody(t, r3); r3.StatusCode != 304 || b != "" {
-		t.Fatalf("If-None-Match: status %d body %q, want 304 empty", r3.StatusCode, b)
-	}
-
-	// Different query is a different key.
-	readBody(t, rawGet(t, g, "fixture.example", "/p?a=2", nil))
-	if builds.load() != 2 {
-		t.Fatalf("query variant not keyed separately: %d builds", builds.load())
-	}
-
-	// Unmarked handlers are never cached.
-	readBody(t, rawGet(t, g, "mutable.example", "/m", nil))
-	readBody(t, rawGet(t, g, "mutable.example", "/m", nil))
-	if got := len(n.FindRequests(mut, nil)); got != 2 {
-		t.Fatalf("mutable origin served %d from network, want 2 (no caching)", got)
-	}
-
-	st := g.Stats().Cache
-	if st.Hits < 2 || st.Entries != 2 || st.NotModified != 1 {
-		t.Fatalf("cache stats = %+v", st)
-	}
-	if st.HitRate() <= 0 {
-		t.Fatalf("hit rate = %f", st.HitRate())
-	}
-}
-
-// TestPageCacheKeyedOnCookies pins that a page cached for a request
-// with cookies is never served to a request without them: a fixture
-// that sets the session cookie on a cookie-less request must still set
-// it for a new session after a cookied request cached the page.
-func TestPageCacheKeyedOnCookies(t *testing.T) {
-	n := web.NewNetwork()
-	n.Register(origin.MustParse("http://fixture.example"), web.HandlerFunc(func(req *web.Request) *web.Response {
-		resp := web.HTML("fixture")
-		resp.Header.Set("Cache-Control", "public, immutable")
-		if _, ok := req.Cookie("sid"); !ok {
-			resp.Header.Add("Set-Cookie", "sid=tok; Path=/")
-		}
-		return resp
-	}))
-	g := startGateway(t, n, Config{})
-	// The second cookied request is served from the cache.
-	for i := 0; i < 2; i++ {
-		readBody(t, rawGet(t, g, "fixture.example", "/", map[string]string{"Cookie": "sid=tok"}))
-	}
-	if hits := g.Stats().Cache.Hits; hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
-	}
-	r := rawGet(t, g, "fixture.example", "/", nil)
-	readBody(t, r)
-	if r.Header.Get("Set-Cookie") == "" {
-		t.Fatal("a cookie-less request got the cookied page without its Set-Cookie")
-	}
-}
-
 func TestQueueOverflowReturns503(t *testing.T) {
 	n := web.NewNetwork()
 	slow := origin.MustParse("http://slow.example")
@@ -386,8 +287,8 @@ func TestQueueOverflowReturns503(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { g.Close() })
-	// Cleanups run LIFO: unwedge the handler before g.Close waits for
-	// the workers, even when the test fails early.
+	// Cleanups run LIFO: unwedge the handler before g.Close drains the
+	// requests in flight, even when the test fails early.
 	var releaseOnce sync.Once
 	releaseFn := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(releaseFn)
@@ -404,7 +305,7 @@ func TestQueueOverflowReturns503(t *testing.T) {
 		return resp.StatusCode
 	}
 
-	// Fill the single worker (request A), then the depth-1 queue
+	// Fill the single run slot (request A), then the depth-1 queue
 	// (request B), deterministically.
 	codes := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -419,20 +320,21 @@ func TestQueueOverflowReturns503(t *testing.T) {
 	go func() { defer wg.Done(); codes <- get() }()
 	vh := g.table.Load().byOrigin[slow]
 	deadline := time.Now().Add(5 * time.Second)
-	for len(vh.jobs) < 1 {
+	for len(vh.queue) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("request B never reached the queue")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// The worker is busy and the queue is full: request C must be
+	// The run slot is busy and the queue is full: request C must be
 	// rejected immediately with 503, not block.
 	if code := get(); code != 503 {
 		t.Fatalf("overflow request: status %d, want 503", code)
 	}
-	if st := g.Stats(); st.Rejected503 != 1 {
-		t.Fatalf("Rejected503 = %d, want 1", st.Rejected503)
+	// The high-water mark counts waiting requests only: B, not A.
+	if st := g.Stats(); st.Rejected503 != 1 || st.MaxQueueDepth != 1 {
+		t.Fatalf("Rejected503 = %d MaxQueueDepth = %d, want 1 and 1", st.Rejected503, st.MaxQueueDepth)
 	}
 
 	// Releasing the handler drains A and B successfully.
@@ -446,7 +348,7 @@ func TestQueueOverflowReturns503(t *testing.T) {
 	}
 
 	// One hot origin must not starve the rest: the fast origin still
-	// answers while slow.example's worker is wedged.
+	// answers while slow.example's handler is wedged.
 	resp := rawGet(t, g, "fast.example", "/", nil)
 	if body := readBody(t, resp); resp.StatusCode != 200 || !strings.Contains(body, "host=fast") {
 		t.Fatalf("fast origin starved: %d %q", resp.StatusCode, body)
@@ -469,11 +371,88 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// atomic64 is a tiny counter for handler-side assertions.
-type atomic64 struct {
-	mu sync.Mutex
-	n  int64
-}
+// TestShutdownDeadlineAnswersWaiting pins Shutdown past its deadline:
+// a request still waiting for a run slot gets the marked shutting-down
+// 503, Shutdown returns at its deadline although a handler is still
+// running, and that handler's request finishes normally.
+func TestShutdownDeadlineAnswersWaiting(t *testing.T) {
+	n := web.NewNetwork()
+	o := origin.MustParse("http://slow.example")
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
+		started <- struct{}{}
+		<-release
+		return web.HTML("done")
+	}))
+	g, err := New(Config{Inner: n})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := g.MountOpts(o, OriginConfig{Workers: 1, QueueDepth: 1}); err != nil {
+		t.Fatalf("MountOpts: %v", err)
+	}
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { g.Close() })
+	var releaseOnce sync.Once
+	releaseFn := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(releaseFn)
 
-func (a *atomic64) add(d int64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
-func (a *atomic64) load() int64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+	type answer struct {
+		code   int
+		marker string
+	}
+	answers := make(chan answer, 2)
+	get := func() {
+		req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/", nil)
+		req.Host = "slow.example"
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			answers <- answer{code: -1}
+			return
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		answers <- answer{resp.StatusCode, resp.Header.Get(HeaderGateway)}
+	}
+	// Request A takes the single run slot, request B waits for it.
+	go get()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slow handler never started")
+	}
+	go get()
+	vh := g.table.Load().byOrigin[o]
+	for deadline := time.Now().Add(5 * time.Second); len(vh.queue) < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("request B never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := g.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown with a wedged handler returned %v, want the deadline", err)
+	}
+	select {
+	case a := <-answers:
+		if a.code != 503 || a.marker != gatewayShuttingDown {
+			t.Fatalf("waiting request answered %d %q, want 503 %q", a.code, a.marker, gatewayShuttingDown)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting request stranded past the Shutdown deadline")
+	}
+	releaseFn()
+	select {
+	case a := <-answers:
+		if a.code != 200 {
+			t.Fatalf("request in the handler answered %d, want 200", a.code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("request in the handler never finished")
+	}
+}

@@ -2,10 +2,8 @@ package httpd
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -111,9 +109,8 @@ func TestMountRejectsBadPolicy(t *testing.T) {
 	}
 }
 
-// TestAdmissionWeightsShapeQueues pins the weight arithmetic: unset
-// workers/queue scale from the defaults by the origin's weight,
-// explicit values win.
+// TestAdmissionWeightsShapeQueues pins the admission shapes: unset
+// workers/queue take the gateway defaults, explicit values win.
 func TestAdmissionWeightsShapeQueues(t *testing.T) {
 	n := web.NewNetwork()
 	a := origin.MustParse("http://a.example")
@@ -129,26 +126,26 @@ func TestAdmissionWeightsShapeQueues(t *testing.T) {
 	if err := g.Mount(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MountOpts(b, OriginConfig{Weight: 3}); err != nil {
+	if err := g.MountOpts(b, OriginConfig{Workers: 6, QueueDepth: 24}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MountOpts(c, OriginConfig{Weight: 3, Workers: 1, QueueDepth: 2}); err != nil {
+	if err := g.MountOpts(c, OriginConfig{Workers: 1, QueueDepth: 2}); err != nil {
 		t.Fatal(err)
 	}
 	want := map[origin.Origin][2]int{a: {2, 8}, b: {6, 24}, c: {1, 2}}
 	for o, shape := range want {
 		vh := g.table.Load().byOrigin[o]
-		if vh.cfg.Workers != shape[0] || cap(vh.jobs) != shape[1] {
-			t.Errorf("%s: workers=%d queue=%d, want %v", o, vh.cfg.Workers, cap(vh.jobs), shape)
+		if cap(vh.run) != shape[0] || cap(vh.queue) != shape[1] {
+			t.Errorf("%s: workers=%d queue=%d, want %v", o, cap(vh.run), cap(vh.queue), shape)
 		}
 	}
 }
 
-// TestOverflowFairnessAcrossWeights wedges two origins — one default
-// weight, one weight-2 — and floods both to capacity: the light origin
-// overflows to 503 at its own bound while the heavy origin absorbs
-// twice the load, and neither origin's overflow shows up on the
-// other's counters.
+// TestOverflowFairnessAcrossWeights wedges two origins — one with the
+// default shape, one with twice its workers and queue — and floods
+// both to capacity: the light origin overflows to 503 at its own bound
+// while the heavy origin absorbs twice the load, and neither origin's
+// overflow shows up on the other's counters.
 func TestOverflowFairnessAcrossWeights(t *testing.T) {
 	n := web.NewNetwork()
 	light := origin.MustParse("http://light.example")
@@ -169,7 +166,7 @@ func TestOverflowFairnessAcrossWeights(t *testing.T) {
 		Inner:             n,
 		DefaultWorkers:    1,
 		DefaultQueueDepth: 1,
-		Origins:           map[string]OriginConfig{heavy.String(): {Weight: 2}},
+		Origins:           map[string]OriginConfig{heavy.String(): {Workers: 2, QueueDepth: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +193,10 @@ func TestOverflowFairnessAcrossWeights(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	// fill launches in-flight requests until the origin's workers are
-	// busy and its queue is full, deterministically: workers signal via
-	// started, queued jobs are observed through the queue length.
+	// fill launches in-flight requests until the origin's run slots are
+	// busy and its queue is full, deterministically: running requests
+	// signal via started, waiting ones are observed through the queue
+	// length.
 	var wg sync.WaitGroup
 	fill := func(o origin.Origin, workers, depth int) {
 		t.Helper()
@@ -208,7 +206,7 @@ func TestOverflowFairnessAcrossWeights(t *testing.T) {
 			select {
 			case <-started:
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%s worker %d never started", o, i)
+				t.Fatalf("%s request %d never reached the handler", o, i)
 			}
 		}
 		vh := g.table.Load().byOrigin[o]
@@ -217,9 +215,9 @@ func TestOverflowFairnessAcrossWeights(t *testing.T) {
 			go func() { defer wg.Done(); get(hostKey(o)) }()
 		}
 		deadline := time.Now().Add(5 * time.Second)
-		for len(vh.jobs) < depth {
+		for len(vh.queue) < depth {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s queue never filled (%d/%d)", o, len(vh.jobs), depth)
+				t.Fatalf("%s queue never filled (%d/%d)", o, len(vh.queue), depth)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -252,131 +250,4 @@ func TestOverflowFairnessAcrossWeights(t *testing.T) {
 	if st := g.Stats(); st.Rejected503 != 2 {
 		t.Fatalf("Rejected503 = %d, want 2", st.Rejected503)
 	}
-}
-
-// immutableHandler serves distinct immutable bodies per query.
-func immutableHandler() web.Handler {
-	return web.HandlerFunc(func(req *web.Request) *web.Response {
-		resp := web.HTML(fmt.Sprintf("<html><body>variant %s</body></html>", req.Query().Get("v")))
-		resp.Header.Set("Cache-Control", "public, immutable")
-		return resp
-	})
-}
-
-// TestPageCacheLRUEviction pins the bounded cache: past the entry
-// bound the coldest variant is evicted (recency refreshed by hits),
-// and the evictions counter reports it.
-func TestPageCacheLRUEviction(t *testing.T) {
-	n := web.NewNetwork()
-	o := origin.MustParse("http://fixtures.example")
-	n.Register(o, immutableHandler())
-	g := startGateway(t, n, Config{CacheMaxEntries: 2})
-
-	fetch := func(v string) string {
-		resp := rawGet(t, g, "fixtures.example", "/?v="+v, nil)
-		body := readBody(t, resp)
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET v=%s: %d", v, resp.StatusCode)
-		}
-		return body
-	}
-
-	fetch("1") // fill
-	fetch("2") // fill: cache at bound {1,2}
-	fetch("1") // hit: refreshes 1's recency
-	st := g.Stats().Cache
-	if st.Entries != 2 || st.Hits != 1 || st.Misses != 2 || st.Evictions != 0 {
-		t.Fatalf("pre-eviction stats: %+v", st)
-	}
-
-	fetch("3") // over bound: evicts variant 2 (the coldest), not 1
-	st = g.Stats().Cache
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Fatalf("post-eviction stats: %+v", st)
-	}
-	before := st
-	fetch("1") // still cached
-	fetch("2") // evicted: cold fill again
-	st = g.Stats().Cache
-	if d := st.Sub(before); d.Hits != 1 || d.Misses != 1 {
-		t.Fatalf("recency order wrong: delta %+v", d)
-	}
-	if st.Bytes <= 0 {
-		t.Fatalf("bytes gauge not tracked: %+v", st)
-	}
-}
-
-// TestPageCacheByteBound pins the size bound: a tiny byte budget evicts
-// by size, and an entry larger than the whole budget is declined
-// outright (no ETag advertised).
-func TestPageCacheByteBound(t *testing.T) {
-	n := web.NewNetwork()
-	o := origin.MustParse("http://fixtures.example")
-	big := strings.Repeat("x", 4096)
-	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
-		body := "small " + req.Query().Get("v")
-		if req.Query().Get("big") != "" {
-			body = big
-		}
-		resp := web.HTML(body)
-		resp.Header.Set("Cache-Control", "public, immutable")
-		return resp
-	}))
-	g := startGateway(t, n, Config{CacheMaxBytes: 256})
-
-	get := func(path string) *http.Response {
-		resp := rawGet(t, g, "fixtures.example", path, nil)
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp
-	}
-	// An entry alone exceeding the budget is declined: no validator.
-	if resp := get("/?big=1"); resp.Header.Get("ETag") != "" {
-		t.Fatal("oversized entry was cached")
-	}
-	if st := g.Stats().Cache; st.Entries != 0 {
-		t.Fatalf("oversized entry resident: %+v", st)
-	}
-	// Small variants cache; enough of them trip byte-bound eviction.
-	for i := 0; i < 8; i++ {
-		get(fmt.Sprintf("/?v=%d", i))
-	}
-	st := g.Stats().Cache
-	if st.Evictions == 0 || st.Bytes > 256 {
-		t.Fatalf("byte bound not enforced: %+v", st)
-	}
-	if !reflect.DeepEqual(st.Sub(st), CacheStats{Entries: st.Entries, Bytes: st.Bytes}) {
-		t.Fatalf("Sub must zero the counters and keep gauges: %+v", st.Sub(st))
-	}
-}
-
-// TestPageCacheGetPutRace hammers one key from concurrent readers and
-// writers; run under -race this pins that get reads the entry under
-// the lock while put mutates it in place.
-func TestPageCacheGetPutRace(t *testing.T) {
-	c := newPageCache(8, 1<<20)
-	key := pageKey{host: "x.example", path: "/"}
-	resp := web.HTML("<html><body>fixture</body></html>")
-	resp.Header.Set("Cache-Control", "public, immutable")
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				c.put(key, resp)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				if page, ok := c.get(key); ok && page.status != 200 {
-					t.Error("torn read")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

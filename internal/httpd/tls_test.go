@@ -197,7 +197,7 @@ func TestClientConnReuse(t *testing.T) {
 }
 
 // TestGracefulShutdownTLSInFlight pins the drain contract under TLS:
-// requests in flight (including ones sitting in origin queues) when
+// requests in flight (including ones waiting in an origin's queue) when
 // Shutdown begins all complete with full responses, and a second
 // Shutdown is a no-op.
 func TestGracefulShutdownTLSInFlight(t *testing.T) {
@@ -215,12 +215,12 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 		<-release
 		return web.HTML("<html><body>done</body></html>")
 	}))
-	// One worker and a deep queue: while the handler holds the first
+	// One run slot and a deep queue: while the handler holds the first
 	// request the rest wait in the origin queue — the drain must cover
 	// them too.
 	g, ca := startGatewayTLS(t, n, Config{DefaultWorkers: 1, DefaultQueueDepth: 32})
 	// Cleanups run last-in first-out: a failing test releases the
-	// handler before the gateway's Close waits for its workers.
+	// handler before the gateway's Close drains the requests in flight.
 	t.Cleanup(releaseAll)
 	ct := NewClientTransportTLS(g.Addr(), ca.Pool())
 	defer ct.Close()
@@ -247,7 +247,7 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no request reached the handler")
 	}
-	queue := g.table.Load().byOrigin[o].jobs
+	queue := g.table.Load().byOrigin[o].queue
 	for deadline := time.Now().Add(5 * time.Second); len(queue) < inflight-1; {
 		if time.Now().After(deadline) {
 			t.Fatalf("gateway holds %d queued requests, want %d", len(queue), inflight-1)

@@ -62,11 +62,6 @@ func Handler() web.Handler {
 		resp := web.HTML(body)
 		resp.Header.Set(core.HeaderMaxRing, core.DefaultMaxRing.String())
 		resp.Header.Add(core.HeaderCookie, cookieCfg)
-		// The bodies are immutable fixtures, so an HTTP gateway may
-		// cache them across requests. Responses that also establish
-		// the session cookie are excluded from caching by the gateway
-		// (Set-Cookie is a side effect, not a pure page).
-		resp.Header.Set("Cache-Control", "public, immutable")
 		if _, has := req.Cookie(SessionCookie); !has {
 			resp.Header.Add("Set-Cookie", SessionCookie+"=tok1; Path=/")
 		}

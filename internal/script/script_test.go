@@ -268,6 +268,9 @@ func TestStepBudget(t *testing.T) {
 	if !errors.Is(err, ErrTooManySteps) {
 		t.Errorf("err = %v, want ErrTooManySteps", err)
 	}
+	if ip.Steps() == 0 {
+		t.Error("Steps() = 0 after a budgeted run")
+	}
 }
 
 func TestComments(t *testing.T) {
