@@ -128,6 +128,30 @@ func TestCompiledReusableAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestVMStepBudget: the step budget holds on the page-script path, a
+// shared cached Program run by Interp.Run, and every Run starts from a
+// full budget. The name is from the compiled VM that used to run cached
+// programs; TestStepBudget covers RunSource.
+func TestVMStepBudget(t *testing.T) {
+	loop, err := CompileCached(`while (true) { }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := &Interp{MaxSteps: 1000}
+	for i := 0; i < 2; i++ {
+		if _, err := ip.Run(loop, StdEnv(&Console{})); !errors.Is(err, ErrTooManySteps) {
+			t.Fatalf("run %d: err = %v, want ErrTooManySteps", i, err)
+		}
+		if got := ip.Steps(); got != 1001 {
+			t.Errorf("run %d: Steps() = %d, want 1001 (the step past the budget)", i, got)
+		}
+	}
+	v, err := ip.RunSource(`1 + 1;`, StdEnv(&Console{}))
+	if err != nil || !Equals(v, float64(2)) {
+		t.Errorf("run after exhaustion = %v, %v; want 2 on a fresh budget", v, err)
+	}
+}
+
 func TestFunctionValues(t *testing.T) {
 	v, err := (&Interp{}).RunSource(`var f = function(a) { return a + 1; }; typeof f + ":" + ("" + f) + ":" + f(1);`, StdEnv(&Console{}))
 	if err != nil || !Equals(v, "function:[function]:2") {
