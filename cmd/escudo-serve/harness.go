@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -483,8 +484,11 @@ func soak(pool *engine.Pool, d time.Duration) {
 // in a fresh environment sharing the pool's decision cache. Over a
 // wire each attack runs twice, in memory and through its own gateway,
 // and the tally counts the wire verdicts; match reports that every
-// wire verdict equaled the in-memory one. err joins the attacks' own
-// failures, which a measured phase also counts as its task errors.
+// wire run equaled the in-memory one in its verdict and in the
+// origins' request log. Comparing verdicts alone cannot see a
+// transport that loses cookies: under ESCUDO a lost cookie looks like
+// a neutralized attack. err joins the attacks' own failures, which a
+// measured phase also counts as its task errors.
 func (s *section) replay(mode browser.Mode) (tally *attacksJSON, match bool, err error) {
 	corpus := attack.Corpus()
 	mem := make([]attack.Result, len(corpus))
@@ -515,6 +519,11 @@ func (s *section) replay(mode browser.Mode) (tally *attacksJSON, match bool, err
 			match = false
 			fmt.Fprintf(os.Stderr, "escudo-serve: VERDICT DIVERGENCE %s: in-memory succeeded=%v, wire succeeded=%v\n",
 				corpus[i].Name, mem[i].Succeeded, r.Succeeded)
+		}
+		if !slices.Equal(r.Requests, mem[i].Requests) {
+			match = false
+			fmt.Fprintf(os.Stderr, "escudo-serve: REQUEST LOG DIVERGENCE %s: in-memory %q, wire %q\n",
+				corpus[i].Name, mem[i].Requests, r.Requests)
 		}
 	}
 	return tally, match, errors.Join(errs...)

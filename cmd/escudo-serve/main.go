@@ -191,9 +191,9 @@ type httpJSON struct {
 	// /policyz endpoint served back unchanged.
 	PolicyzOrigins int          `json:"policyz_origins"`
 	Attacks        *attacksJSON `json:"attacks,omitempty"`
-	// AttacksMatchMemory reports that every attack's verdict over
-	// sockets equaled its in-memory verdict — the transport-
-	// independence invariant, asserted at runtime.
+	// AttacksMatchMemory reports that every attack's verdict and
+	// origin request log over sockets equaled its in-memory run — the
+	// transport-independence invariant, asserted at runtime.
 	AttacksMatchMemory *bool `json:"attacks_match_memory,omitempty"`
 }
 
@@ -646,7 +646,7 @@ func verify(r *benchJSON) error {
 		clean("http ", h.Phases)
 		tally("over sockets", h.Attacks)
 		if h.AttacksMatchMemory != nil && !*h.AttacksMatchMemory {
-			fail("attack verdicts diverge between in-memory and socket transports")
+			fail("attack verdicts or origin request logs diverge between in-memory and socket transports")
 		}
 		if r.Policy != nil && h.PolicyzOrigins != len(r.Policy.Origins) {
 			fail("/policyz served back %d of %d mounted documents unchanged", h.PolicyzOrigins, len(r.Policy.Origins))

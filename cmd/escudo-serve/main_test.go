@@ -206,7 +206,7 @@ func TestServeHTTPSection(t *testing.T) {
 			h.Attacks.Neutralized, h.Attacks.Total, h.Attacks.Succeeded)
 	}
 	if h.AttacksMatchMemory == nil || !*h.AttacksMatchMemory {
-		t.Fatal("attack verdicts over sockets not confirmed against in-memory")
+		t.Fatal("attack verdicts and request logs over sockets not confirmed against in-memory")
 	}
 	if h.Gateway.Served == 0 {
 		t.Fatalf("gateway served nothing: %+v", h.Gateway)

@@ -247,6 +247,10 @@ type Result struct {
 	Mode   browser.Mode
 	// Succeeded reports whether the attack achieved its goal.
 	Succeeded bool
+	// Requests is the origins' request log after the run, as
+	// web.Network.LogLines renders it: a transport that loses a cookie
+	// changes it even where the verdict stays the same.
+	Requests []string
 	// Err reports harness-level failures (not attack denials).
 	Err error
 }
@@ -275,7 +279,7 @@ func RunOne(atk Attack, mode browser.Mode, opts ...Option) Result {
 	}
 	defer env.Close()
 	ok, err := atk.Run(env)
-	return Result{Attack: atk, Mode: mode, Succeeded: ok, Err: err}
+	return Result{Attack: atk, Mode: mode, Succeeded: ok, Requests: env.Net.LogLines(), Err: err}
 }
 
 // Corpus returns the full §6.4 corpus: 4 XSS + 5 CSRF per application.

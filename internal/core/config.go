@@ -66,16 +66,18 @@ type ACAttrs struct {
 }
 
 // ParseACAttrs extracts ESCUDO configuration from a tag's attributes.
-// attrs maps lowercase attribute names to raw values. maxRing bounds
-// every label; parentRing is the enclosing scope's ring, and the
-// scoping rule (§5) forces the result to be no more privileged than
-// it, "even if the ring specification of the sub scope violates this
-// rule". Malformed numbers fall back to fail-safe defaults rather
-// than failing the parse: a tampered attribute must never grant more
+// attr looks up an attribute by lowercase name; when a tag repeats a
+// name, it must return the last occurrence. maxRing bounds every
+// label; parentRing is the enclosing scope's ring, and the scoping
+// rule (§5) forces the result to be no more privileged than it, "even
+// if the ring specification of the sub scope violates this rule".
+// Malformed numbers fall back to fail-safe defaults rather than
+// failing the parse: a tampered attribute must never grant more
 // privilege than a missing one.
-func ParseACAttrs(attrs map[string]string, maxRing, parentRing Ring) ACAttrs {
-	out := ACAttrs{Nonce: attrs[AttrNonce]}
-	ringStr, ok := attrs[AttrRing]
+func ParseACAttrs(attr func(name string) (string, bool), maxRing, parentRing Ring) ACAttrs {
+	var out ACAttrs
+	out.Nonce, _ = attr(AttrNonce)
+	ringStr, ok := attr(AttrRing)
 	if !ok {
 		return out
 	}
@@ -88,7 +90,7 @@ func ParseACAttrs(attrs map[string]string, maxRing, parentRing Ring) ACAttrs {
 	out.Ring = r.Outermost(parentRing).Clamp(maxRing)
 
 	parseCeil := func(name string) Ring {
-		v, ok := attrs[name]
+		v, ok := attr(name)
 		if !ok {
 			return RingKernel // fail-safe: ring 0 only
 		}

@@ -6,9 +6,17 @@ import (
 	"testing/quick"
 )
 
+// lookup is the attribute lookup ParseACAttrs takes, over a map.
+func lookup(m map[string]string) func(string) (string, bool) {
+	return func(name string) (string, bool) {
+		v, ok := m[name]
+		return v, ok
+	}
+}
+
 func TestParseACAttrsFigure2(t *testing.T) {
 	// Figure 2's outer tag: <div ring=2 r=1 w=0 x=2>.
-	got := ParseACAttrs(map[string]string{"ring": "2", "r": "1", "w": "0", "x": "2"}, 3, 0)
+	got := ParseACAttrs(lookup(map[string]string{"ring": "2", "r": "1", "w": "0", "x": "2"}), 3, 0)
 	if !got.HasRing {
 		t.Fatal("tag with ring attribute must be an AC tag")
 	}
@@ -23,12 +31,12 @@ func TestParseACAttrsFigure2(t *testing.T) {
 func TestParseACAttrsScopingRule(t *testing.T) {
 	// §5: children are bounded by the parent's ring even if the
 	// markup claims otherwise.
-	got := ParseACAttrs(map[string]string{"ring": "0"}, 3, 2)
+	got := ParseACAttrs(lookup(map[string]string{"ring": "0"}), 3, 2)
 	if got.Ring != 2 {
 		t.Errorf("inner ring=0 under parent ring 2: got %d, want clamped to 2", got.Ring)
 	}
 	// A properly nested less-privileged child is untouched.
-	got = ParseACAttrs(map[string]string{"ring": "3"}, 3, 2)
+	got = ParseACAttrs(lookup(map[string]string{"ring": "3"}), 3, 2)
 	if got.Ring != 3 {
 		t.Errorf("inner ring=3 under parent ring 2: got %d, want 3", got.Ring)
 	}
@@ -37,29 +45,29 @@ func TestParseACAttrsScopingRule(t *testing.T) {
 func TestParseACAttrsFailSafeDefaults(t *testing.T) {
 	// §4.3: missing ring ⇒ not an AC tag; present ring with missing
 	// ACL attributes ⇒ r=0 w=0 x=0.
-	got := ParseACAttrs(map[string]string{"class": "x"}, 3, 1)
+	got := ParseACAttrs(lookup(map[string]string{"class": "x"}), 3, 1)
 	if got.HasRing {
 		t.Error("div without ring attribute must not be an AC tag")
 	}
-	got = ParseACAttrs(map[string]string{"ring": "2"}, 3, 0)
+	got = ParseACAttrs(lookup(map[string]string{"ring": "2"}), 3, 0)
 	if got.ACL != (ACL{}) {
 		t.Errorf("missing ACL attrs = %v, want zero (ring-0-only)", got.ACL)
 	}
 	// Malformed ring degrades to the least privileged ring, never to
 	// a privileged one.
-	got = ParseACAttrs(map[string]string{"ring": "bogus"}, 3, 1)
+	got = ParseACAttrs(lookup(map[string]string{"ring": "bogus"}), 3, 1)
 	if got.Ring != 3 {
 		t.Errorf("malformed ring = %d, want fail-safe 3", got.Ring)
 	}
 	// Malformed ACL entry degrades to ring 0 (deny to all but kernel).
-	got = ParseACAttrs(map[string]string{"ring": "2", "w": "nope"}, 3, 0)
+	got = ParseACAttrs(lookup(map[string]string{"ring": "2", "w": "nope"}), 3, 0)
 	if got.ACL.Write != 0 {
 		t.Errorf("malformed w = %d, want fail-safe 0", got.ACL.Write)
 	}
 }
 
 func TestParseACAttrsNonce(t *testing.T) {
-	got := ParseACAttrs(map[string]string{"ring": "2", "nonce": "3847"}, 3, 0)
+	got := ParseACAttrs(lookup(map[string]string{"ring": "2", "nonce": "3847"}), 3, 0)
 	if got.Nonce != "3847" {
 		t.Errorf("Nonce = %q, want 3847", got.Nonce)
 	}
@@ -83,7 +91,7 @@ func TestFormatACAttrsRoundTrip(t *testing.T) {
 			k, v, _ := strings.Cut(kv, "=")
 			attrs[k] = v
 		}
-		out := ParseACAttrs(attrs, maxRing, 0)
+		out := ParseACAttrs(lookup(attrs), maxRing, 0)
 		return out.HasRing && out.Ring == in.Ring && out.ACL == in.ACL && out.Nonce == nonce
 	}
 	if err := quick.Check(f, nil); err != nil {

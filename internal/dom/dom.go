@@ -173,7 +173,13 @@ func (a *API) authorizeSubtree(n *html.Node, op core.Op) ([]*html.Node, []core.D
 // passing keep (nil keeps every node). Skipped nodes are not
 // authorized, not audited, and absent from the result.
 func (a *API) authorizeSubtreeFiltered(n *html.Node, op core.Op, keep func(*html.Node) bool) ([]*html.Node, []core.Decision) {
-	count := html.CountNodes(n)
+	count := 0
+	html.Walk(n, func(x *html.Node) bool {
+		if keep == nil || keep(x) {
+			count++
+		}
+		return true
+	})
 	nodes := make([]*html.Node, 0, count)
 	ctxs := make([]core.Context, 0, count)
 	html.Walk(n, func(x *html.Node) bool {

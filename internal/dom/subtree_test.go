@@ -162,3 +162,21 @@ func TestSubtreeBatchDeduplicates(t *testing.T) {
 		t.Errorf("distinct = %d of %d nodes: expected heavy dedup", delta.Distinct, delta.Nodes)
 	}
 }
+
+func TestFilteredRegionSizedToKeptNodes(t *testing.T) {
+	// A render region keeps only elements, about half of a page's
+	// nodes; its node and context slices are sized to what it keeps.
+	d := regionDoc()
+	elements := func(x *html.Node) bool { return x.Type == html.ElementNode || x.Type == html.DocumentNode }
+	nodes, decisions := api(d, 0).authorizeSubtreeFiltered(d.Root, core.OpRead, elements)
+	want := 0
+	html.Walk(d.Root, func(x *html.Node) bool {
+		if elements(x) {
+			want++
+		}
+		return true
+	})
+	if len(nodes) != want || cap(nodes) != want || len(decisions) != want {
+		t.Errorf("len %d cap %d decisions %d, want %d of %d nodes", len(nodes), cap(nodes), len(decisions), want, html.CountNodes(d.Root))
+	}
+}

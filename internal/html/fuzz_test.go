@@ -1,6 +1,7 @@
 package html
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -52,9 +53,51 @@ func FuzzParseEscudo(f *testing.F) {
 					t.Errorf("config attr %q leaked into the tree", a.Name)
 				}
 			}
+			for _, k := range n.Kids {
+				if k.Parent != n {
+					t.Errorf("a kid of <%s> links to another parent", n.Tag)
+				}
+			}
 			return true
 		})
+		checkNoAliasing(t, doc)
 	})
+}
+
+// checkNoAliasing appends an attribute and a child to each element in
+// turn, the way the DOM API's SetAttribute and AppendChild do, and
+// fails if any other element's Attrs or Kids change. The parser cuts
+// both lists from shared per-document blocks; a window with spare
+// capacity would let the append write into a neighbour's list.
+func checkNoAliasing(t *testing.T, doc *Node) {
+	t.Helper()
+	type lists struct {
+		attrs []Attr
+		kids  []*Node
+	}
+	var els []*Node
+	want := map[*Node]lists{}
+	snap := func(n *Node) {
+		want[n] = lists{append([]Attr(nil), n.Attrs...), append([]*Node(nil), n.Kids...)}
+	}
+	Walk(doc, func(n *Node) bool {
+		if n.Type == ElementNode || n.Type == DocumentNode {
+			els = append(els, n)
+			snap(n)
+		}
+		return true
+	})
+	for _, el := range els {
+		el.Attrs = append(el.Attrs, Attr{Name: "data-probe", Value: "x"})
+		el.AppendChild(&Node{Type: TextNode, Data: "probe"})
+		snap(el)
+		for _, other := range els {
+			w := want[other]
+			if !slices.Equal(other.Attrs, w.attrs) || !slices.Equal(other.Kids, w.kids) {
+				t.Fatalf("appending to <%s> changed <%s>'s lists", el.Tag, other.Tag)
+			}
+		}
+	}
 }
 
 func FuzzFragmentScopingBound(f *testing.F) {

@@ -116,12 +116,53 @@ type scope struct {
 	ac    bool   // whether node is an AC tag
 }
 
+// openElement is one entry of the open-element stack: the element and
+// where its children start in Parser.kids.
+type openElement struct {
+	node *Node
+	kids int
+}
+
+// store is the per-document storage a parse cuts nodes, child links
+// and kept attributes from, so a page costs a handful of allocations
+// instead of a few per node. Each Kids and Attrs window is cut with
+// cap == len: an append to one node's list (the DOM API's
+// SetAttribute and AppendChild) reallocates it rather than writing
+// into a neighbour's.
+type store struct {
+	nodes []Node
+	kids  []*Node
+	attrs []Attr
+	// size is the node and child-link block size, attrSize the
+	// attribute block size.
+	size, attrSize int
+}
+
+// take cuts a window of n zeroed entries from the front of *block,
+// refilling the block with max(n, size) fresh entries when it runs
+// short. The window's capacity is its length.
+func take[T any](block *[]T, n, size int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*block) < n {
+		*block = make([]T, max(n, size))
+	}
+	w := (*block)[:n:n]
+	*block = (*block)[n:]
+	return w
+}
+
 // Parser builds a labeled tree from tokens.
 type Parser struct {
-	opts Options
-	doc  *Node
+	opts  Options
+	doc   *Node
+	store store
 	// open is the stack of open elements; open[0] is the document.
-	open []*Node
+	open []openElement
+	// kids holds the children of every open element in document
+	// order; each element's run is cut into its Kids when it closes.
+	kids []*Node
 	// scopes parallels AC-tag nesting, independent of the element
 	// stack; scopes[0] is the document scope.
 	scopes []scope
@@ -130,27 +171,41 @@ type Parser struct {
 	ignoredClosers int
 }
 
-// NewParser returns a parser with the given options.
+// NewParser returns a parser with the given options. Not knowing its
+// input, it grows its storage in small blocks.
 func NewParser(opts Options) *Parser {
-	doc := &Node{Type: DocumentNode, Ring: opts.BaseRing, ACL: opts.BaseACL}
-	p := &Parser{opts: opts, doc: doc}
-	p.open = []*Node{doc}
-	p.scopes = []scope{{node: doc, ring: opts.BaseRing, acl: opts.BaseACL, bound: opts.BaseBound}}
+	return newParser(opts, 16)
+}
+
+// newParser returns a parser whose storage is sized for an input with
+// lt '<' bytes. Every node but a text node and the document begins at
+// a '<', and on the pages served here text nodes rarely outnumber the
+// remaining '<'s, so one block usually holds the whole tree. Elements
+// begin at about half the '<'s and keep about one attribute each. The
+// stacks start at capacities that hold the nesting and sibling counts
+// of typical pages, so they rarely grow.
+func newParser(opts Options, lt int) *Parser {
+	p := &Parser{opts: opts, store: store{size: lt + 1, attrSize: lt/2 + 1}}
+	p.doc = p.node(DocumentNode, "", "", opts.BaseRing, opts.BaseACL)
+	p.open = append(make([]openElement, 0, 16), openElement{node: p.doc})
+	p.kids = make([]*Node, 0, 64)
+	p.scopes = append(make([]scope, 0, 8), scope{node: p.doc, ring: opts.BaseRing, acl: opts.BaseACL, bound: opts.BaseBound})
 	return p
 }
 
-// Parse parses a complete document.
+// Parse parses a complete document. It tokenizes in one pass, each
+// token read in place by a parser whose storage is sized from the
+// input's '<' count.
 func Parse(input string, opts Options) *Node {
-	p := NewParser(opts)
-	z := NewTokenizer(input)
+	p := newParser(opts, strings.Count(input, "<"))
+	z := Tokenizer{input: input, attrs: make([]Attr, 0, 8)}
 	for {
-		tok := z.Next()
+		tok := z.next()
 		if tok.Type == EOFToken {
-			break
+			return p.Finish()
 		}
 		p.feed(tok)
 	}
-	return p.Finish()
 }
 
 // ParseFragment parses markup produced at run time (innerHTML,
@@ -161,16 +216,7 @@ func ParseFragment(input string, opts Options, parentRing core.Ring, parentACL c
 	opts.BaseRing = parentRing
 	opts.BaseACL = parentACL
 	opts.BaseBound = parentRing
-	p := NewParser(opts)
-	z := NewTokenizer(input)
-	for {
-		tok := z.Next()
-		if tok.Type == EOFToken {
-			break
-		}
-		p.feed(tok)
-	}
-	doc := p.Finish()
+	doc := Parse(input, opts)
 	kids := doc.Kids
 	for _, k := range kids {
 		k.Parent = nil
@@ -184,16 +230,44 @@ func (p *Parser) IgnoredClosers() int { return p.ignoredClosers }
 
 // Finish closes any remaining open elements and returns the document.
 func (p *Parser) Finish() *Node {
-	p.open = p.open[:1]
-	p.scopes = p.scopes[:1]
+	for len(p.open) > 0 {
+		p.pop()
+	}
 	return p.doc
 }
 
 // top returns the innermost open element.
-func (p *Parser) top() *Node { return p.open[len(p.open)-1] }
+func (p *Parser) top() *Node { return p.open[len(p.open)-1].node }
 
 // curScope returns the innermost AC scope.
 func (p *Parser) curScope() scope { return p.scopes[len(p.scopes)-1] }
+
+// node cuts a fresh node from the document's storage.
+func (p *Parser) node(typ NodeType, tag, data string, ring core.Ring, acl core.ACL) *Node {
+	n := &take(&p.store.nodes, 1, p.store.size)[0]
+	n.Type, n.Tag, n.Data, n.Ring, n.ACL = typ, tag, data, ring, acl
+	return n
+}
+
+// add links n as the last child of the innermost open element.
+func (p *Parser) add(n *Node) {
+	n.Parent = p.top()
+	p.kids = append(p.kids, n)
+}
+
+// pop closes the innermost open element: its children are final, so
+// they are cut into its Kids, and the AC scope it owned ends.
+func (p *Parser) pop() {
+	i := len(p.open) - 1
+	el, start := p.open[i].node, p.open[i].kids
+	el.Kids = take(&p.store.kids, len(p.kids)-start, p.store.size)
+	copy(el.Kids, p.kids[start:])
+	p.kids = p.kids[:start]
+	p.open = p.open[:i]
+	if n := len(p.scopes); n > 1 && p.scopes[n-1].node == el {
+		p.scopes = p.scopes[:n-1]
+	}
+}
 
 // feed processes one token.
 func (p *Parser) feed(tok Token) {
@@ -203,13 +277,13 @@ func (p *Parser) feed(tok Token) {
 			return
 		}
 		sc := p.curScope()
-		p.top().AppendChild(&Node{Type: TextNode, Data: tok.Data, Ring: sc.ring, ACL: sc.acl})
+		p.add(p.node(TextNode, "", tok.Data, sc.ring, sc.acl))
 	case CommentToken:
 		sc := p.curScope()
-		p.top().AppendChild(&Node{Type: CommentNode, Data: tok.Data, Ring: sc.ring, ACL: sc.acl})
+		p.add(p.node(CommentNode, "", tok.Data, sc.ring, sc.acl))
 	case DoctypeToken:
 		sc := p.curScope()
-		p.top().AppendChild(&Node{Type: DoctypeNode, Data: tok.Data, Ring: sc.ring, ACL: sc.acl})
+		p.add(p.node(DoctypeNode, "", tok.Data, sc.ring, sc.acl))
 	case StartTagToken, SelfClosingTagToken:
 		p.startTag(tok)
 	case EndTagToken:
@@ -220,26 +294,32 @@ func (p *Parser) feed(tok Token) {
 // startTag creates an element, resolving its ESCUDO label.
 func (p *Parser) startTag(tok Token) {
 	sc := p.curScope()
-	el := &Node{Type: ElementNode, Tag: tok.Tag, Ring: sc.ring, ACL: sc.acl}
+	el := p.node(ElementNode, tok.Tag, "", sc.ring, sc.acl)
 
 	var ac core.ACAttrs
 	if p.opts.Escudo && tok.Tag == "div" {
-		attrMap := make(map[string]string, len(tok.Attrs))
-		for _, a := range tok.Attrs {
-			attrMap[a.Name] = a.Value
-		}
 		bound := sc.bound
 		if p.opts.AblateScopingRule {
 			bound = core.RingKernel
 		}
-		ac = core.ParseACAttrs(attrMap, p.opts.MaxRing, bound)
+		ac = core.ParseACAttrs(tok.lastAttr, p.opts.MaxRing, bound)
 	}
 
+	// Configuration is never exposed (§5): only the other attributes
+	// are kept, in a window of their exact size.
+	kept := 0
 	for _, a := range tok.Attrs {
-		if p.opts.Escudo && core.IsConfigAttr(a.Name) {
-			continue // configuration is never exposed (§5)
+		if p.keep(a) {
+			kept++
 		}
-		el.Attrs = append(el.Attrs, a)
+	}
+	el.Attrs = take(&p.store.attrs, kept, p.store.attrSize)
+	kept = 0
+	for _, a := range tok.Attrs {
+		if p.keep(a) {
+			el.Attrs[kept] = a
+			kept++
+		}
 	}
 
 	if ac.HasRing {
@@ -248,14 +328,20 @@ func (p *Parser) startTag(tok Token) {
 		el.ACL = ac.ACL.Clamp(p.opts.MaxRing)
 	}
 
-	p.top().AppendChild(el)
+	p.add(el)
 	if tok.Type == SelfClosingTagToken || IsVoid(tok.Tag) {
 		return
 	}
-	p.open = append(p.open, el)
+	p.open = append(p.open, openElement{node: el, kids: len(p.kids)})
 	if ac.HasRing {
 		p.scopes = append(p.scopes, scope{node: el, ring: el.Ring, acl: el.ACL, bound: el.Ring, nonce: ac.Nonce, ac: true})
 	}
+}
+
+// keep reports whether attribute a stays on its element: under ESCUDO
+// labelling, configuration attributes are stripped.
+func (p *Parser) keep(a Attr) bool {
+	return !p.opts.Escudo || !core.IsConfigAttr(a.Name)
 }
 
 // endTag closes the nearest matching open element, subject to the
@@ -266,7 +352,7 @@ func (p *Parser) endTag(tok Token) {
 	// Find the nearest open element with this tag.
 	idx := -1
 	for i := len(p.open) - 1; i >= 1; i-- {
-		if p.open[i].Tag == tok.Tag {
+		if p.open[i].node.Tag == tok.Tag {
 			idx = i
 			break
 		}
@@ -292,18 +378,14 @@ func (p *Parser) endTag(tok Token) {
 	}
 	// Pop elements and any AC scopes they owned.
 	for len(p.open) > idx {
-		closed := p.top()
-		p.open = p.open[:len(p.open)-1]
-		if n := len(p.scopes); n > 1 && p.scopes[n-1].node == closed {
-			p.scopes = p.scopes[:n-1]
-		}
+		p.pop()
 	}
 }
 
 // elementAtOrAbove reports whether el sits at stack position >= idx.
 func (p *Parser) elementAtOrAbove(el *Node, idx int) bool {
 	for i := len(p.open) - 1; i >= idx; i-- {
-		if p.open[i] == el {
+		if p.open[i].node == el {
 			return true
 		}
 	}

@@ -70,11 +70,22 @@ type Token struct {
 }
 
 // Attr returns the value of the named attribute and whether it is
-// present. Lookup is by lowercase name.
+// present. Lookup is by lowercase name; the first occurrence wins.
 func (t Token) Attr(name string) (string, bool) {
 	for _, a := range t.Attrs {
 		if a.Name == name {
 			return a.Value, true
+		}
+	}
+	return "", false
+}
+
+// lastAttr is Attr with the last occurrence winning, the way AC-tag
+// configuration reads a tag's attributes.
+func (t Token) lastAttr(name string) (string, bool) {
+	for i := len(t.Attrs) - 1; i >= 0; i-- {
+		if t.Attrs[i].Name == name {
+			return t.Attrs[i].Value, true
 		}
 	}
 	return "", false
@@ -101,6 +112,9 @@ type Tokenizer struct {
 	// rawTag, when non-empty, means the tokenizer is inside a
 	// raw-text element and accumulates text until its end tag.
 	rawTag string
+	// attrs is the scratch buffer every tag's attributes are
+	// collected into; next's tokens alias it until the following call.
+	attrs []Attr
 }
 
 // NewTokenizer returns a tokenizer over the given input.
@@ -109,8 +123,19 @@ func NewTokenizer(input string) *Tokenizer {
 }
 
 // Next returns the next token. After the input is exhausted it returns
-// EOFToken forever.
+// EOFToken forever. The token owns its attributes: it stays valid
+// after later calls.
 func (z *Tokenizer) Next() Token {
+	tok := z.next()
+	tok.Attrs = append([]Attr(nil), tok.Attrs...)
+	return tok
+}
+
+// next is Next without the copy: the token's Attrs alias the scratch
+// buffer and are overwritten by the following call. The parser, which
+// is done with each token before it asks for the next, reads them in
+// place.
+func (z *Tokenizer) next() Token {
 	if z.pos >= len(z.input) {
 		return Token{Type: EOFToken}
 	}
@@ -292,15 +317,17 @@ func (z *Tokenizer) nextTag(typ TokenType) (Token, bool) {
 		return Token{}, false
 	}
 	tok := Token{Type: typ, Tag: lowerASCII(z.input[nameStart:z.pos])}
+	z.attrs = z.attrs[:0]
+attrs:
 	for {
 		z.skipSpace()
 		if z.pos >= len(z.input) {
-			return tok, true // unterminated tag: accept what we have
+			break // unterminated tag: accept what we have
 		}
 		switch z.input[z.pos] {
 		case '>':
 			z.pos++
-			return tok, true
+			break attrs
 		case '/':
 			z.pos++
 			if z.pos < len(z.input) && z.input[z.pos] == '>' {
@@ -308,7 +335,7 @@ func (z *Tokenizer) nextTag(typ TokenType) (Token, bool) {
 				if tok.Type == StartTagToken {
 					tok.Type = SelfClosingTagToken
 				}
-				return tok, true
+				break attrs
 			}
 			// stray '/': ignore
 		default:
@@ -318,9 +345,11 @@ func (z *Tokenizer) nextTag(typ TokenType) (Token, bool) {
 				z.pos++
 				continue
 			}
-			tok.Attrs = append(tok.Attrs, Attr{Name: name, Value: value})
+			z.attrs = append(z.attrs, Attr{Name: name, Value: value})
 		}
 	}
+	tok.Attrs = z.attrs
+	return tok, true
 }
 
 // nextAttr parses one attribute: name, name=value, name="value",

@@ -1,6 +1,7 @@
 package html
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,34 @@ func TestIsVoid(t *testing.T) {
 	for _, tag := range []string{"div", "p", "script", "a", "form"} {
 		if IsVoid(tag) {
 			t.Errorf("IsVoid(%q) = true", tag)
+		}
+	}
+}
+
+func TestNextTokensStayValid(t *testing.T) {
+	// The parser reads each tag's attributes in place from a scratch
+	// buffer the next tag overwrites; Next must hand out copies.
+	src := `<div ring=1 r=1 w=1 x=1 nonce=7 id=a><p class=x title="t">y</p>` +
+		`<img src=a.png alt=b/><script type=js>var s = "</p>";</script>` +
+		`</div nonce=7><a href=/z rel=next>z</a><DIV ID=Up DATA-X=1>`
+	z := NewTokenizer(src)
+	var toks, copies []Token
+	for {
+		tok := z.Next()
+		if tok.Type == EOFToken {
+			break
+		}
+		toks = append(toks, tok)
+		c := tok
+		c.Attrs = append([]Attr(nil), tok.Attrs...)
+		copies = append(copies, c)
+	}
+	if len(toks) < 10 {
+		t.Fatalf("only %d tokens", len(toks))
+	}
+	for i := range toks {
+		if !reflect.DeepEqual(toks[i], copies[i]) {
+			t.Errorf("token %d changed after tokenizing to EOF: %+v, was %+v", i, toks[i], copies[i])
 		}
 	}
 }

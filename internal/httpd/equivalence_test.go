@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -94,20 +93,6 @@ func driveFixedWorkload(t *testing.T, b *browser.Browser, bench, forumO origin.O
 	}
 }
 
-// requestLog renders a network's server-side request log — the CSRF
-// verdict oracle — one line per entry in issue order: method, path,
-// target, status, and the sorted names of the cookies that arrived.
-func requestLog(n *web.Network) []string {
-	entries := n.Log()
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		cookies := append([]string(nil), e.CookieNames...)
-		sort.Strings(cookies)
-		out[i] = fmt.Sprintf("%s %s %s %d %v", e.Method, e.Path, e.Target, e.Status, cookies)
-	}
-	return out
-}
-
 // auditTally folds an audit log into a comparable multiset: decision
 // counts keyed by (op, allowed, rule).
 func auditTally(b *browser.Browser) map[string]int {
@@ -156,7 +141,7 @@ func TestTransportEquivalence(t *testing.T) {
 
 	// The gateway delivers every request to the origin: the server-side
 	// request log matches in-memory traffic entry for entry.
-	if memLog, httpLog := requestLog(memNet), requestLog(httpNet); !reflect.DeepEqual(memLog, httpLog) {
+	if memLog, httpLog := memNet.LogLines(), httpNet.LogLines(); !reflect.DeepEqual(memLog, httpLog) {
 		t.Fatalf("request logs diverge: in-memory %d entries, http %d\n  in-memory: %q\n  http:      %q",
 			len(memLog), len(httpLog), memLog, httpLog)
 	}
@@ -216,7 +201,7 @@ func TestTLSTransportEquivalence(t *testing.T) {
 	}
 	memTally := auditTally(memBrowser)
 	memJar := memBrowser.Jar().All()
-	memLog := requestLog(memNet)
+	memLog := memNet.LogLines()
 	for name, leg := range legs {
 		b := leg.b
 		if got := b.Audit.Len(); got != mem {
@@ -231,7 +216,7 @@ func TestTLSTransportEquivalence(t *testing.T) {
 		if got := b.Jar().All(); !reflect.DeepEqual(memJar, got) {
 			t.Fatalf("%s jar diverges:\n  in-memory: %+v\n  %s: %+v", name, memJar, name, got)
 		}
-		if got := requestLog(leg.net); !reflect.DeepEqual(memLog, got) {
+		if got := leg.net.LogLines(); !reflect.DeepEqual(memLog, got) {
 			t.Fatalf("%s request log diverges: in-memory %d entries, %s %d\n  in-memory: %q\n  %s: %q",
 				name, len(memLog), name, len(got), memLog, name, got)
 		}

@@ -10,6 +10,8 @@ package layout
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/html"
 )
@@ -76,12 +78,45 @@ func LayoutHidden(root *html.Node, width int, hidden map[*html.Node]bool) *Resul
 		width = DefaultViewportWidth
 	}
 	e := &engine{width: width, hidden: hidden}
+	e.result.Boxes = make([]Box, 0, e.boxes(root))
 	e.node(root)
 	if e.x > 0 {
 		e.newline()
 	}
 	e.result.Height = e.y
 	return &e.result
+}
+
+// boxes counts the boxes node places, so the display list is sized
+// once. It follows node's dispatch exactly.
+func (e *engine) boxes(n *html.Node) int {
+	if e.hidden != nil && e.hidden[n] {
+		return 0
+	}
+	count := 0
+	switch n.Type {
+	case html.TextNode:
+		for word, rest := nextField(n.Data); word != ""; word, rest = nextField(rest) {
+			count++
+		}
+	case html.ElementNode:
+		switch {
+		case skippedElements[n.Tag] || n.Tag == "br":
+			return 0
+		case n.Tag == "img" || n.Tag == "input" || n.Tag == "button":
+			return 1
+		case blockElements[n.Tag]:
+			count++
+		}
+		for _, k := range n.Kids {
+			count += e.boxes(k)
+		}
+	case html.DocumentNode:
+		for _, k := range n.Kids {
+			count += e.boxes(k)
+		}
+	}
+	return count
 }
 
 // node dispatches on node type.
@@ -134,7 +169,7 @@ func (e *engine) node(n *html.Node) {
 
 // text splits a run into words and wraps them.
 func (e *engine) text(s string) {
-	for _, word := range strings.Fields(s) {
+	for word, rest := nextField(s); word != ""; word, rest = nextField(rest) {
 		e.result.Words++
 		w := len(word)
 		if w > e.width {
@@ -150,6 +185,40 @@ func (e *engine) text(s string) {
 			e.newline()
 		}
 	}
+}
+
+// nextField returns the first word of s and what follows it. Words
+// are split exactly as strings.Fields splits them, at runs of
+// unicode.IsSpace runes, but in place: word is a substring of s, and
+// empty when s holds no more words.
+func nextField(s string) (word, rest string) {
+	start := skip(s, 0, true)
+	end := skip(s, start, false)
+	return s[start:end], s[end:]
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skip returns the index of the first rune at or after i whose
+// spaceness differs from space, or len(s). Invalid UTF-8 decodes to one
+// non-space U+FFFD per byte, as ranging over the string does.
+func skip(s string, i int, space bool) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += size
+	}
+	return i
 }
 
 // placeBox places an inline atomic box (img, input), wrapping first if

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,9 @@ func TestLayoutInvariants(t *testing.T) {
 		}
 		width := 10 + int(wseed)%100
 		r := Layout(parse(b.String()), width)
+		if cap(r.Boxes) != len(r.Boxes) {
+			return false // the counting walk disagrees with the layout
+		}
 		for _, box := range r.Boxes {
 			if box.X < 0 || box.W < 0 || box.X+box.W > width {
 				return false
@@ -144,6 +148,40 @@ func TestLayoutInvariants(t *testing.T) {
 		return r.Height >= 0 && r.Lines >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// fields collects nextField's words of s.
+func fields(s string) []string {
+	var out []string
+	for word, rest := nextField(s); word != ""; word, rest = nextField(rest) {
+		out = append(out, word)
+	}
+	return out
+}
+
+// Property: words are split exactly as strings.Fields splits them,
+// Unicode spaces and invalid UTF-8 included.
+func TestNextFieldMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "a", " a  b ", "a\u0085b\u00a0c\u3000d\u2028e\u200bf",
+		"\t\n\v\f\r x", "\xff \xc3\xa9 \xc3", "\u1680\u2000\u200a\u202f\u205fz",
+	} {
+		if got, want := fields(s), strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("fields(%q) = %q, want %q", s, got, want)
+		}
+	}
+	alphabet := []rune{'a', 'b', ' ', '\t', '\v', 0x85, 0xa0, 0x3000, 0x2028, 0x200b, 0xfffd, 'é'}
+	f := func(seed []uint8, raw string) bool {
+		var b strings.Builder
+		for _, c := range seed {
+			b.WriteRune(alphabet[int(c)%len(alphabet)])
+		}
+		s := b.String() + raw
+		return slices.Equal(fields(s), strings.Fields(s))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -500,6 +500,23 @@ func (n *Network) Log() []LogEntry {
 	return n.collect(nil)
 }
 
+// LogLines renders the request log one line per entry in issue order,
+// keeping the fields any faithful transport must reproduce for the
+// same session: method, path, target, status, and the sorted names of
+// the cookies that arrived (the CSRF verdict oracle). Transport
+// equivalence compares these lines between an in-memory run and a run
+// over the wire.
+func (n *Network) LogLines() []string {
+	entries := n.Log()
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		cookies := append([]string(nil), e.CookieNames...)
+		sort.Strings(cookies)
+		out[i] = fmt.Sprintf("%s %s %s %d %v", e.Method, e.Path, e.Target, e.Status, cookies)
+	}
+	return out
+}
+
 // ResetLog clears the request log (between attack trials). The ticket
 // counter keeps running, so entries logged before and after a
 // concurrent reset still merge in a consistent order.
