@@ -171,20 +171,23 @@ type Parser struct {
 	ignoredClosers int
 }
 
-// NewParser returns a parser with the given options. Not knowing its
-// input, it grows its storage in small blocks.
-func NewParser(opts Options) *Parser {
-	return newParser(opts, 16)
-}
+// maxBlock caps the node and child-link block size. A '<' inside raw
+// text, a comment or plain text never becomes a node, so a block sized
+// from an uncapped count would cost 144 bytes per such '<' for as long
+// as any node of the document lives. Every Figure 4 page fits in one
+// block (S8, the largest, has 508 '<'s); a larger or denser input
+// wastes at most one block's unused tail.
+const maxBlock = 1024
 
 // newParser returns a parser whose storage is sized for an input with
-// lt '<' bytes. Every node but a text node and the document begins at
-// a '<', and on the pages served here text nodes rarely outnumber the
-// remaining '<'s, so one block usually holds the whole tree. Elements
-// begin at about half the '<'s and keep about one attribute each. The
-// stacks start at capacities that hold the nesting and sibling counts
-// of typical pages, so they rarely grow.
+// lt '<' bytes, up to maxBlock. Every node but a text node and the
+// document begins at a '<', and on the pages served here text nodes
+// rarely outnumber the remaining '<'s, so one block usually holds the
+// whole tree. Elements begin at about half the '<'s and keep about one
+// attribute each. The stacks start at capacities that hold the nesting
+// and sibling counts of typical pages, so they rarely grow.
 func newParser(opts Options, lt int) *Parser {
+	lt = min(lt, maxBlock)
 	p := &Parser{opts: opts, store: store{size: lt + 1, attrSize: lt/2 + 1}}
 	p.doc = p.node(DocumentNode, "", "", opts.BaseRing, opts.BaseACL)
 	p.open = append(make([]openElement, 0, 16), openElement{node: p.doc})

@@ -2,6 +2,7 @@ package html
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -164,7 +165,7 @@ func TestParseNonceMatchCloses(t *testing.T) {
 }
 
 func TestParseNonceMismatchCounted(t *testing.T) {
-	p := NewParser(escudoOpts())
+	p := newParser(escudoOpts(), 0)
 	z := NewTokenizer(`<div ring=3 nonce=7>x</div nonce=8></div>`)
 	for {
 		tok := z.Next()
@@ -364,6 +365,48 @@ func TestNonceForgingNeverEscapes(t *testing.T) {
 const nonceTrapPage = `<div ring=1 id=app nonce=314159>app` +
 	`<div ring=3 r=2 w=2 x=2 nonce=271828>INJECT</div nonce=271828>` +
 	`</div nonce=314159>`
+
+// allocBytes returns the fewest heap bytes f allocated over three
+// runs; the minimum sheds what a background goroutine allocates.
+func allocBytes(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestParseStorageTracksNodes pins the cap on the per-document blocks:
+// a '<' that never becomes a node (inside raw text or a comment) buys
+// no storage. Each input below is a tree of at most three nodes behind
+// 131,072 '<'s; an uncapped block would cost 144 bytes per '<', about
+// 19 MB each, where one capped block costs about 150 KB.
+func TestParseStorageTracksNodes(t *testing.T) {
+	const maxBytes = 256 << 10
+	dense := strings.Repeat("<", 1<<17)
+	pages := map[string]string{
+		"script":   "<script>" + dense + "</script>",
+		"textarea": "<textarea>" + dense + "</textarea>",
+		"comment":  "<!--" + dense + "-->",
+	}
+	for name, page := range pages {
+		for mode, opts := range map[string]Options{"escudo": escudoOpts(), "legacy": LegacyOptions()} {
+			if n := CountNodes(Parse(page, opts)); n > 3 {
+				t.Fatalf("%s (%s): %d nodes, want at most 3", name, mode, n)
+			}
+			if b := allocBytes(func() { Parse(page, opts) }); b > maxBytes {
+				t.Errorf("Parse of the %s page (%s) allocates %d bytes, want <= %d", name, mode, b, maxBytes)
+			}
+			if b := allocBytes(func() { ParseFragment(page, opts, 2, core.UniformACL(2)) }); b > maxBytes {
+				t.Errorf("ParseFragment of the %s page (%s) allocates %d bytes, want <= %d", name, mode, b, maxBytes)
+			}
+		}
+	}
+}
 
 func TestCountNodes(t *testing.T) {
 	doc := Parse(`<p>a<b>c</b></p>`, LegacyOptions())

@@ -1,9 +1,7 @@
 package scenarios
 
 import (
-	"bytes"
 	"compress/gzip"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -25,13 +23,9 @@ import (
 // The golden pins of the page-load path: every parse tree and layout
 // the Figure 4 pages, the case-study apps and an edge-case page
 // produce, dumped to text and compared byte for byte with the gzipped
-// dumps under testdata/ (read them with zcat). Regenerate with
-//
-//	go test ./internal/scenarios -run Golden -update
-//
-// only when a change to the output is intended.
-
-var update = flag.Bool("update", false, "rewrite the golden dumps under testdata/")
+// dumps under testdata/ (read them with zcat). The tests only read the
+// dumps: a change meant to alter this output regenerates them with the
+// dump functions below and says so in CHANGES.md.
 
 // escudoOpts is the labelling ParseRender uses for ESCUDO pages.
 func escudoOpts() html.Options {
@@ -252,29 +246,11 @@ func TestGoldenLayout(t *testing.T) {
 	checkGolden(t, "layout.golden.gz", b.String())
 }
 
-// checkGolden compares got with the gzipped golden file, or rewrites
-// the file under -update. A mismatch reports the first differing line.
+// checkGolden compares got with the gzipped golden file. A mismatch
+// reports the first differing line.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write([]byte(got)); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
