@@ -14,47 +14,49 @@ import (
 	"repro/internal/script"
 )
 
-// scriptEnv builds the execution environment for one principal:
-// standard builtins plus the DOM and network modules, every binding
-// funneling through the page's reference monitor with the principal's
-// security context.
-func (p *Page) scriptEnv(principal core.Context) *script.Env {
-	env := script.StdEnv(p.browser.Console)
-	if err := script.Install(env, p.DOMModule(principal), p.NetModule(principal)); err != nil {
-		// The page modules never fail to install.
-		panic("browser: script env install: " + err.Error())
-	}
-	return env
+// scriptGlobals is one script's host globals, built on its first
+// lookup of each: document, window, the Image constructor and the
+// XMLHttpRequest constructor, every binding funneling through the
+// page's reference monitor with the principal's security context. The
+// host objects hold no script-writable state, so a script that touches
+// none of them builds none of them.
+type scriptGlobals struct {
+	page      *Page
+	principal core.Context
+	api       *dom.API
 }
 
-// DOMModule binds the document surface for one principal: document,
-// window, and the Image constructor. Exposed as a script.Module so
-// hosts embedding the engine (tests, the gateway's probe harness)
-// compose the same surface the page installs.
-func (p *Page) DOMModule(principal core.Context) script.Module {
-	return script.Module{Name: "dom", Install: func(env *script.Env) error {
-		api := dom.NewAPI(p.Doc, principal, p.Monitor)
-		env.Define("document", &documentHost{page: p, api: api, principal: principal})
-		env.Define("window", &windowHost{page: p, principal: principal})
-		env.Define("Image", script.Func("Image", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
+var _ script.Globals = (*scriptGlobals)(nil)
+
+// dom returns the script's DOM API, shared by document and Image.
+func (g *scriptGlobals) dom() *dom.API {
+	if g.api == nil {
+		g.api = dom.NewAPI(g.page.Doc, g.principal, g.page.Monitor)
+	}
+	return g.api
+}
+
+func (g *scriptGlobals) Global(name string) (script.Value, bool) {
+	p, principal := g.page, g.principal
+	switch name {
+	case "document":
+		return &documentHost{page: p, api: g.dom(), principal: principal}, true
+	case "window":
+		return &windowHost{page: p, principal: principal}, true
+	case "Image":
+		return script.Func("Image", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
 			// new Image() is a detached img element; setting .src fires
 			// the request, the classic exfiltration vector.
-			el := api.CreateElement("img")
-			return &elementHost{page: p, api: api, node: el, principal: principal}, nil
-		}))
-		return nil
-	}}
-}
-
-// NetModule binds the network surface: the XMLHttpRequest constructor,
-// use-mediated at open/send against the page's API ring.
-func (p *Page) NetModule(principal core.Context) script.Module {
-	return script.Module{Name: "net", Install: func(env *script.Env) error {
-		env.Define("XMLHttpRequest", script.Func("XMLHttpRequest", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
+			api := g.dom()
+			return &elementHost{page: p, api: api, node: api.CreateElement("img"), principal: principal}, nil
+		}), true
+	case "XMLHttpRequest":
+		// Use-mediated at open/send against the page's API ring.
+		return script.Func("XMLHttpRequest", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
 			return newXHRHost(p, principal)
-		}))
-		return nil
-	}}
+		}), true
+	}
+	return nil, false
 }
 
 // documentHost exposes the document object.

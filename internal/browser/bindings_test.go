@@ -2,6 +2,7 @@ package browser
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -342,5 +343,75 @@ func TestScriptClickOnAnchor(t *testing.T) {
 	}
 	if got := net.FindRequests(site, func(e web.LogEntry) bool { return e.Path == "/next" }); len(got) != 1 {
 		t.Errorf("click did not navigate: %v", got)
+	}
+}
+
+// TestScriptIsolationOverSharedLibrary: every script of a browser reads
+// one library, so a ring-3 script that overwrites library members,
+// writes Math through an alias, leaks a global and rebinds document
+// must leave the next scripts untouched: a ring-1 script on the same
+// page and a script in a framed page of another origin each see the
+// original library, no leaked global, and their own document.
+func TestScriptIsolationOverSharedLibrary(t *testing.T) {
+	widget := origin.MustParse("http://widget.example")
+	// check logs what a script sees of the library, the leaked global
+	// and its document, whose element id it reads.
+	check := func(id string) string {
+		return `log(Math.floor(1.5), Math.ceil(1.2), String(1), encodeURIComponent("a b"), typeof attempt,
+			attempt(function() { return leaked; }), document == document, document.getElementById("` + id + `").innerText);`
+	}
+	net := web.NewNetwork()
+	net.Register(site, web.HandlerFunc(func(req *web.Request) *web.Response {
+		resp := web.HTML(`<html><body>` +
+			`<div ring=1 r=1 w=1 x=1 id=app><p id=appmsg>welcome</p></div>` +
+			`<iframe src="http://widget.example/"></iframe>` +
+			`<div ring=3 r=3 w=3 x=3 id=user><script id=hostile>` +
+			`Math.floor = function(x) { return 42; }; var m = Math; m.ceil = 5;` +
+			`String = function() { return "owned"; }; encodeURIComponent = null; attempt = 7;` +
+			`leaked = "ring-3 global"; document = {cookie: "forged"};` +
+			`log(Math.floor(1.5), Math.ceil, String(1), encodeURIComponent, attempt, leaked, document.cookie);` +
+			`</script></div>` +
+			`<div ring=1 r=1 w=1 x=1 id=trusted-region><script id=trusted>` + check("appmsg") + `</script></div>` +
+			`</body></html>`)
+		resp.Header.Set(core.HeaderMaxRing, "3")
+		return resp
+	}))
+	net.Register(widget, web.HandlerFunc(func(req *web.Request) *web.Response {
+		return web.HTML(`<html><body><p id=w>widget</p></body></html>`)
+	}))
+	b := New(net, Options{Mode: ModeEscudo})
+	p, err := b.Navigate(site.URL("/"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Frames) != 1 || p.Frames[0].Page == nil {
+		t.Fatalf("frames = %+v, want the widget page", p.Frames)
+	}
+	// The frame loaded before the page's scripts ran; its script runs
+	// after them.
+	if err := p.Frames[0].Page.RunScriptRing(0, "script#framed", check("w")); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.ScriptErrors) != 0 {
+		t.Fatalf("ScriptErrors = %v", p.ScriptErrors)
+	}
+	want := []string{
+		"42 5 owned null 7 ring-3 global forged",
+		"1 2 1 a+b function false true welcome",
+		"1 2 1 a+b function false true widget",
+	}
+	if got := b.Console.Lines(); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("console = %q, want %q", got, want)
+	}
+	// getElementById and innerText each read p#appmsg, as the ring-1
+	// script.
+	var reads int
+	for _, d := range b.Audit.All() {
+		if d.Principal.Label == "script#trusted" && d.Op == core.OpRead && d.Allowed && d.Object.Name() == "p#appmsg" {
+			reads++
+		}
+	}
+	if reads != 2 {
+		t.Errorf("allowed reads of p#appmsg by script#trusted = %d, want 2", reads)
 	}
 }

@@ -134,6 +134,9 @@ type Browser struct {
 	opts      Options
 	// Console receives script log output from every page.
 	Console *script.Console
+	// lib is the standard library every script of the session reads,
+	// built once over Console and never written.
+	lib *script.Env
 	// Audit receives every access-control decision.
 	Audit *core.AuditLog
 	// trace is the causal trace of the task currently driving this
@@ -190,6 +193,7 @@ func New(t web.Transport, opts Options) *Browser {
 		Console:   &script.Console{},
 		Audit:     &core.AuditLog{},
 	}
+	b.lib = script.Library(b.Console)
 	b.tap = core.Tap{Log: b.Audit, Trace: b.trace.Load, Ring: opts.DecisionRing, Clock: b.stageClock.Load}
 	return b
 }
@@ -687,11 +691,12 @@ func scriptLabel(n *html.Node) string {
 }
 
 // RunScriptAs executes source with the given principal's bindings:
-// document, window, and XMLHttpRequest, all mediated by the page's
-// monitor. The body is parsed once through the process-wide parse
-// cache (repeat executions of a hot <script> across pages and sessions
-// skip the parse) and run by a fresh interpreter whose fuel budget is
-// MaxScriptSteps.
+// document, window, Image and XMLHttpRequest, all mediated by the
+// page's monitor. The body is parsed once through the process-wide
+// parse cache (repeat executions of a hot <script> across pages and
+// sessions skip the parse) and run by a fresh interpreter whose fuel
+// budget is MaxScriptSteps, in its own scope over the browser's
+// library.
 func (p *Page) RunScriptAs(principal core.Context, src string) error {
 	start := time.Now()
 	prog, err := script.CompileCached(src)
@@ -700,7 +705,7 @@ func (p *Page) RunScriptAs(principal core.Context, src string) error {
 		return err
 	}
 	ip := &script.Interp{MaxSteps: p.browser.opts.MaxScriptSteps}
-	_, err = ip.Run(prog, p.scriptEnv(principal))
+	_, err = ip.Run(prog, p.browser.lib.Scope(&scriptGlobals{page: p, principal: principal}))
 	// The span covers the parse-cache probe and script execution.
 	// Monitor calls the script makes accrue on batch_auth as well, so
 	// script and batch spans can nest — attribution, not a partition.

@@ -81,6 +81,11 @@ type Context struct {
 	// Label is a human-readable description used in decision traces,
 	// e.g. "script#ad" or "cookie phpbb2mysql_sid".
 	Label string
+	// ID is an element's id attribute, rendered after Label as
+	// "tag#id". A DOM node's context keeps its tag in Label and its id
+	// here, so building the context joins no strings: only a reader of
+	// the rendering pays for the join.
+	ID string
 }
 
 // Principal builds a principal context (no meaningful ACL).
@@ -93,11 +98,20 @@ func Object(o origin.Origin, r Ring, acl ACL, label string) Context {
 	return Context{Origin: o, Ring: r, ACL: acl, Label: label}
 }
 
+// Name renders the label as traces show it: Label ("?" when empty),
+// then "#ID" when the context has an id.
+func (c Context) Name() string {
+	name := c.Label
+	if name == "" {
+		name = "?"
+	}
+	if c.ID != "" {
+		name += "#" + c.ID
+	}
+	return name
+}
+
 // String renders the context compactly for traces.
 func (c Context) String() string {
-	label := c.Label
-	if label == "" {
-		label = "?"
-	}
-	return fmt.Sprintf("%s@%s ring=%d [%s]", label, c.Origin, c.Ring, c.ACL)
+	return fmt.Sprintf("%s@%s ring=%d [%s]", c.Name(), c.Origin, c.Ring, c.ACL)
 }

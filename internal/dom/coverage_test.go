@@ -86,10 +86,11 @@ func TestNodeLabelVariants(t *testing.T) {
 	comment := &html.Node{Type: html.CommentNode}
 	doctype := &html.Node{Type: html.DoctypeNode}
 	noID := &html.Node{Type: html.ElementNode, Tag: "em"}
+	emptyID := &html.Node{Type: html.ElementNode, Tag: "em", Attrs: []html.Attr{{Name: "id", Value: ""}}}
 	for node, want := range map[*html.Node]string{
-		text: "#text", comment: "#comment", doctype: "#doctype", noID: "em",
+		text: "#text", comment: "#comment", doctype: "#doctype", noID: "em", emptyID: "em",
 	} {
-		if got := d.NodeContext(node).Label; got != want {
+		if got := d.NodeContext(node).Name(); got != want {
 			t.Errorf("label = %q, want %q", got, want)
 		}
 	}

@@ -46,28 +46,24 @@ func NewDocument(o origin.Origin, markup string, opts html.Options) *Document {
 }
 
 // NodeContext builds the object security context of a node within the
-// document.
+// document. An element's context carries its tag as the label and its
+// id attribute (a substring the parsed document already holds) as the
+// ID, so building it allocates nothing.
 func (d *Document) NodeContext(n *html.Node) core.Context {
-	return core.Object(d.Origin, n.Ring, n.ACL, nodeLabel(n))
-}
-
-// nodeLabel renders a human-readable node identifier for traces.
-func nodeLabel(n *html.Node) string {
+	c := core.Object(d.Origin, n.Ring, n.ACL, n.Tag)
 	switch n.Type {
 	case html.DocumentNode:
-		return "#document"
+		c.Label = "#document"
 	case html.TextNode:
-		return "#text"
+		c.Label = "#text"
 	case html.CommentNode:
-		return "#comment"
+		c.Label = "#comment"
 	case html.DoctypeNode:
-		return "#doctype"
+		c.Label = "#doctype"
 	default:
-		if id, ok := n.Attr("id"); ok {
-			return n.Tag + "#" + id
-		}
-		return n.Tag
+		c.ID, _ = n.Attr("id")
 	}
+	return c
 }
 
 // Find returns the first node satisfying pred in document order,

@@ -265,8 +265,8 @@ func TestLegacyDocumentSOPBehavior(t *testing.T) {
 func TestNodeContextLabels(t *testing.T) {
 	d := blogDoc()
 	ctx := d.NodeContext(d.ByID("post"))
-	if ctx.Label != "div#post" {
-		t.Errorf("label = %q", ctx.Label)
+	if ctx.Name() != "div#post" {
+		t.Errorf("label = %q", ctx.Name())
 	}
 	if ctx.Ring != 2 || ctx.Origin != site {
 		t.Errorf("ctx = %v", ctx)

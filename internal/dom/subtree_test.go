@@ -133,8 +133,8 @@ func TestAuthorizeSubtreeRootDenied(t *testing.T) {
 	if !errors.As(err, &denied) {
 		t.Fatalf("err = %v, want DeniedError on the root", err)
 	}
-	if denied.Decision.Object.Label != "div#box" {
-		t.Errorf("denial object = %q, want div#box", denied.Decision.Object.Label)
+	if denied.Decision.Object.Name() != "div#box" {
+		t.Errorf("denial object = %q, want div#box", denied.Decision.Object.Name())
 	}
 }
 

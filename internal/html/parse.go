@@ -461,8 +461,16 @@ func renderFiltered(b *strings.Builder, n *Node, include func(*Node) bool) {
 }
 
 // InnerText concatenates the text content of the subtree, the way a
-// renderer would extract it.
+// renderer would extract it. A text node, or an element whose only
+// child is one (a <script> or <style> body), returns that node's Data
+// without a copy.
 func InnerText(n *Node) string {
+	switch {
+	case n.Type == TextNode:
+		return n.Data
+	case len(n.Kids) == 1 && n.Kids[0].Type == TextNode:
+		return n.Kids[0].Data
+	}
 	var b strings.Builder
 	innerText(&b, n)
 	return b.String()

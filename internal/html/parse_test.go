@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/raceflag"
 )
 
 // escudoOpts are standard ESCUDO parse options with the paper's N=3.
@@ -53,6 +54,23 @@ func TestParseTree(t *testing.T) {
 	a := findByID(doc, "a")
 	if a == nil || a.Parent != body {
 		t.Error("parent links broken")
+	}
+}
+
+func TestInnerTextSingleTextChildIsNotCopied(t *testing.T) {
+	doc := Parse(`<p id=a>one<b>two</b></p><script>var v = 1;</script>`, LegacyOptions())
+	script := findTag(doc, "script")
+	if got := InnerText(script); got != "var v = 1;" {
+		t.Errorf("script InnerText = %q", got)
+	}
+	if got := InnerText(findByID(doc, "a")); got != "onetwo" {
+		t.Errorf("p InnerText = %q", got)
+	}
+	if raceflag.Enabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	if n := testing.AllocsPerRun(10, func() { InnerText(script) }); n != 0 {
+		t.Errorf("InnerText of a script body allocates %.0f times, want 0", n)
 	}
 }
 

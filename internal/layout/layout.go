@@ -9,6 +9,7 @@
 package layout
 
 import (
+	"math"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -19,14 +20,16 @@ import (
 // DefaultViewportWidth is the layout width in character cells.
 const DefaultViewportWidth = 80
 
-// Box is one laid-out rectangle in the display list.
+// Box is one laid-out rectangle in the display list. Its geometry is
+// int32 (the viewport width is clamped to fit), which keeps a box, one
+// per laid-out word, at 48 bytes.
 type Box struct {
 	// Tag is the originating element ("" for anonymous text boxes).
 	Tag string
 	// X, Y are the box's top-left cell coordinates.
-	X, Y int
+	X, Y int32
 	// W, H are its width and height in cells.
-	W, H int
+	W, H int32
 	// Text is the visible text for text boxes.
 	Text string
 }
@@ -73,10 +76,12 @@ func Layout(root *html.Node, width int) *Result {
 
 // LayoutHidden lays out the subtree, skipping the given nodes (and
 // their descendants) — the browser passes the CSS display:none set.
+// A width above math.MaxInt32 is clamped to it.
 func LayoutHidden(root *html.Node, width int, hidden map[*html.Node]bool) *Result {
 	if width <= 0 {
 		width = DefaultViewportWidth
 	}
+	width = min(width, math.MaxInt32)
 	e := &engine{width: width, hidden: hidden}
 	e.result.Boxes = make([]Box, 0, e.boxes(root))
 	e.node(root)
@@ -157,7 +162,7 @@ func (e *engine) node(n *html.Node) {
 				e.newline()
 			}
 			e.result.Boxes = append(e.result.Boxes, Box{
-				Tag: n.Tag, X: 0, Y: startY, W: e.width, H: e.y - startY,
+				Tag: n.Tag, X: 0, Y: int32(startY), W: int32(e.width), H: int32(e.y - startY),
 			})
 		}
 	case html.DocumentNode:
@@ -179,7 +184,7 @@ func (e *engine) text(s string) {
 		if e.x+w > e.width {
 			e.newline()
 		}
-		e.result.Boxes = append(e.result.Boxes, Box{X: e.x, Y: e.y, W: w, H: 1, Text: word})
+		e.result.Boxes = append(e.result.Boxes, Box{X: int32(e.x), Y: int32(e.y), W: int32(w), H: 1, Text: word})
 		e.x += w + 1
 		if e.x >= e.width {
 			e.newline()
@@ -224,17 +229,15 @@ func skip(s string, i int, space bool) int {
 // placeBox places an inline atomic box (img, input), wrapping first if
 // needed; boxes wider than the viewport are clipped to it.
 func (e *engine) placeBox(b Box) {
-	if b.W > e.width {
-		b.W = e.width
-	}
-	if e.x+b.W > e.width && e.x > 0 {
+	w := min(int(b.W), e.width)
+	if e.x+w > e.width && e.x > 0 {
 		e.newline()
 	}
-	b.X, b.Y = e.x, e.y
+	b.X, b.Y, b.W = int32(e.x), int32(e.y), int32(w)
 	e.result.Boxes = append(e.result.Boxes, b)
-	e.x += b.W + 1
+	e.x += w + 1
 	if b.H > 1 {
-		e.y += b.H - 1
+		e.y += int(b.H) - 1
 	}
 }
 
@@ -264,11 +267,11 @@ func RenderText(r *Result, width int) string {
 		if b.Text == "" {
 			continue
 		}
-		if b.Y < 0 || b.Y >= height {
+		if b.Y < 0 || int(b.Y) >= height {
 			continue
 		}
 		for i, ch := range b.Text {
-			x := b.X + i
+			x := int(b.X) + i
 			if x < 0 || x >= width {
 				break
 			}

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -113,6 +114,13 @@ func TestLayoutEmptyDoc(t *testing.T) {
 	}
 }
 
+func TestLayoutClampsHugeWidth(t *testing.T) {
+	r := Layout(parse(`<p>x</p>`), math.MaxInt32+1)
+	if len(r.Boxes) != 2 || r.Boxes[1].Tag != "p" || r.Boxes[1].W != math.MaxInt32 {
+		t.Errorf("boxes = %+v, want the word and a p box clamped to math.MaxInt32", r.Boxes)
+	}
+}
+
 func TestLayoutDefaultsWidth(t *testing.T) {
 	r := Layout(parse(`<p>x</p>`), 0)
 	if r.Height < 1 {
@@ -138,7 +146,7 @@ func TestLayoutInvariants(t *testing.T) {
 			return false // the counting walk disagrees with the layout
 		}
 		for _, box := range r.Boxes {
-			if box.X < 0 || box.W < 0 || box.X+box.W > width {
+			if box.X < 0 || box.W < 0 || int(box.X+box.W) > width {
 				return false
 			}
 			if box.Y < 0 {

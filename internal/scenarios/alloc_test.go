@@ -3,18 +3,27 @@ package scenarios
 import (
 	"testing"
 
+	"repro/internal/browser"
+	"repro/internal/core"
+	"repro/internal/dom"
 	"repro/internal/html"
 	"repro/internal/layout"
+	"repro/internal/origin"
 	"repro/internal/raceflag"
+	"repro/internal/web"
 )
 
-// The page-load diet's allocation pins, on the largest Figure 4 page.
-// A parse cuts its nodes, child links and kept attributes from a few
+// The page-load diet's allocation pins, on the Figure 4 pages. A parse
+// cuts its nodes, child links and kept attributes from a few
 // per-document blocks, and a layout sizes its display list once; a
-// per-node or per-word allocation creeping back in breaks these.
+// script runs in one scope over its browser's library, binding host
+// globals only when it reads them; a node's security context carries
+// its tag and id as the document holds them. A per-node, per-word or
+// per-script rebuild creeping back in breaks these.
 const (
-	maxParseAllocs  = 16 // S8 measured 10 (ESCUDO) and 12 (legacy)
-	maxLayoutAllocs = 2  // the engine with its Result, and Boxes
+	maxParseAllocs     = 16 // S8 measured 10 (ESCUDO) and 12 (legacy)
+	maxLayoutAllocs    = 2  // the engine with its Result, and Boxes
+	maxRunScriptAllocs = 6  // `var v = 1;`: interpreter, scope, host globals, the scope's map, the boxed 1
 )
 
 func s8(t *testing.T) Scenario {
@@ -47,5 +56,54 @@ func TestLayoutAllocs(t *testing.T) {
 	doc := html.Parse(s8(t).Markup, escudoOpts())
 	if n := testing.AllocsPerRun(20, func() { layout.Layout(doc, layout.DefaultViewportWidth) }); n > maxLayoutAllocs {
 		t.Errorf("layout.Layout of S8 allocates %.0f times, want <= %d", n, maxLayoutAllocs)
+	}
+}
+
+// bench navigates a fresh ESCUDO browser to a Figure 4 page over the
+// in-memory network.
+func bench(t *testing.T, path string) *browser.Page {
+	t.Helper()
+	net := web.NewNetwork()
+	o := origin.MustParse("http://bench.example")
+	net.Register(o, Handler())
+	p, err := browser.New(net, browser.Options{}).Navigate(o.URL(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestRunScriptAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := bench(t, "/s1")
+	principal := core.Principal(p.Origin, 1, "script")
+	var err error
+	n := testing.AllocsPerRun(20, func() { err = p.RunScriptAs(principal, "var v = 1;") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n > maxRunScriptAllocs {
+		t.Errorf("RunScriptAs of `var v = 1;` allocates %.0f times, want <= %d", n, maxRunScriptAllocs)
+	}
+}
+
+var contextSink core.Context
+
+func TestNodeContextAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	doc := dom.NewDocument(origin.MustParse("http://bench.example"), s8(t).Markup, escudoOpts())
+	el := doc.ByID("p0")
+	if el == nil {
+		t.Fatal("S8 has no element p0")
+	}
+	if n := testing.AllocsPerRun(20, func() { contextSink = doc.NodeContext(el) }); n != 0 {
+		t.Errorf("NodeContext of an element with an id allocates %.0f times, want 0", n)
+	}
+	if got := contextSink.Name(); got != "p#p0" {
+		t.Errorf("rendered label = %q, want p#p0", got)
 	}
 }

@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/apps/phpbb"
 	"repro/internal/apps/phpcal"
+	"repro/internal/attack"
+	"repro/internal/browser"
 	"repro/internal/core"
 	"repro/internal/html"
 	"repro/internal/layout"
@@ -22,10 +24,11 @@ import (
 
 // The golden pins of the page-load path: every parse tree and layout
 // the Figure 4 pages, the case-study apps and an edge-case page
-// produce, dumped to text and compared byte for byte with the gzipped
-// dumps under testdata/ (read them with zcat). The tests only read the
-// dumps: a change meant to alter this output regenerates them with the
-// dump functions below and says so in CHANGES.md.
+// produce, and the rendering of every decision the Figure 4 pages and
+// the §6.4 corpus audit, dumped to text and compared byte for byte with
+// the gzipped dumps under testdata/ (read them with zcat). The tests
+// only read the dumps: a change meant to alter this output regenerates
+// them with the dump functions below and says so in CHANGES.md.
 
 // escudoOpts is the labelling ParseRender uses for ESCUDO pages.
 func escudoOpts() html.Options {
@@ -244,6 +247,55 @@ func TestGoldenLayout(t *testing.T) {
 		dumpLayout(&b, layout.Layout(html.Parse(unicodeText, html.LegacyOptions()), w), w)
 	}
 	checkGolden(t, "layout.golden.gz", b.String())
+}
+
+// dumpDecisions writes the rendering of every decision in the log, in
+// audit order, under a section header.
+func dumpDecisions(b *strings.Builder, name string, log *core.AuditLog) {
+	fmt.Fprintf(b, "== %s ==\n", name)
+	for _, d := range log.All() {
+		b.WriteString(d.String())
+		b.WriteByte('\n')
+	}
+}
+
+// decisionsDump navigates a browser through the index and the eight
+// Figure 4 pages, then runs every §6.4 attack in a fresh environment,
+// each in both modes, and dumps what the audit log renders.
+func decisionsDump(t *testing.T) string {
+	var b strings.Builder
+	net := web.NewNetwork()
+	bench := origin.MustParse("http://bench.example")
+	net.Register(bench, Handler())
+	modes := []browser.Mode{browser.ModeEscudo, browser.ModeSOP}
+	for _, mode := range modes {
+		br := browser.New(net, browser.Options{Mode: mode})
+		for _, path := range append([]string{"/"}, Paths()...) {
+			if _, err := br.Navigate(bench.URL(path)); err != nil {
+				t.Fatalf("%s %s: %v", path, mode, err)
+			}
+			dumpDecisions(&b, path+" "+mode.String(), br.Audit)
+			br.Audit.Reset()
+		}
+	}
+	for _, mode := range modes {
+		for _, atk := range attack.Corpus() {
+			env, err := attack.NewEnv(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := atk.Run(env); err != nil {
+				t.Fatalf("%s %s: %v", atk.Name, mode, err)
+			}
+			dumpDecisions(&b, atk.Name+" "+mode.String(), env.Victim.Audit)
+			env.Close()
+		}
+	}
+	return b.String()
+}
+
+func TestGoldenDecisions(t *testing.T) {
+	checkGolden(t, "decisions.golden.gz", decisionsDump(t))
 }
 
 // checkGolden compares got with the gzipped golden file. A mismatch

@@ -2,6 +2,7 @@ package script
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"net/url"
 	"strconv"
@@ -9,10 +10,9 @@ import (
 	"sync"
 )
 
-// The standard library is organised as Modules (module.go): console,
-// math, string, and util. Hosts install them with Install, or use the
-// StdEnv convenience that installs the full set. All natives here are
-// built with Func, the CtxFunc constructor.
+// The standard library is built once per console as a frozen root Env
+// (Library) that every script of a host reads through its own top
+// scope. All natives here are built with Func, the CtxFunc constructor.
 
 // Console collects script log output (console.log / log builtin). It
 // is safe for concurrent use.
@@ -69,20 +69,7 @@ func logFunc(c *Console) CtxFunc {
 	})
 }
 
-// ConsoleModule binds console (a host object) and the bare log alias,
-// both writing to c.
-func ConsoleModule(c *Console) Module {
-	return Module{Name: "console", Install: func(env *Env) error {
-		log := logFunc(c)
-		env.Define("console", &consoleHost{c: c, log: log})
-		env.Define("log", log)
-		return nil
-	}}
-}
-
-// The env-independent natives are built once at package init:
-// environments are constructed per script execution, so Install cost
-// is on the hot path and should be map inserts, not closure builds.
+// The console-independent natives are built once at package init.
 var (
 	mathMembers = map[string]Value{
 		"floor": num1("Math.floor", math.Floor),
@@ -178,64 +165,37 @@ var (
 	})
 )
 
-// MathModule binds the Math object (floor, ceil, abs, max, min). The
-// object itself is fresh per environment — scripts may overwrite its
-// members — but the member functions are shared.
-func MathModule() Module {
-	return Module{Name: "math", Install: func(env *Env) error {
-		props := make(map[string]Value, len(mathMembers))
-		for k, v := range mathMembers {
-			props[k] = v
-		}
-		env.Define("Math", &Object{Props: props})
-		return nil
+// Library builds the standard library as a frozen root Env: console
+// and its bare log alias (both writing to c), the Math object (floor,
+// ceil, abs, max, min), String, Number, parseInt, isNaN,
+// encodeURIComponent, decodeURIComponent, and attempt(fn, args...).
+// attempt runs fn swallowing any error and returns whether it
+// succeeded; attack scripts use it to probe several vectors in one run
+// even when the monitor denies the earlier ones. Its callback runs
+// through Ctx.Call, so a looping callback cannot escape MaxSteps by
+// hiding inside a native call.
+//
+// A host builds the library once per console and runs each script in
+// its own Scope over it.
+func Library(c *Console) *Env {
+	log := logFunc(c)
+	return &Env{frozen: true, vars: map[string]Value{
+		"console":            &consoleHost{c: c, log: log},
+		"log":                log,
+		"Math":               &Object{Props: maps.Clone(mathMembers)},
+		"String":             stringFn,
+		"Number":             numberFn,
+		"parseInt":           parseIntFn,
+		"isNaN":              isNaNFn,
+		"encodeURIComponent": encodeURIFn,
+		"decodeURIComponent": decodeURIFn,
+		"attempt":            attemptFn,
 	}}
 }
 
-// StringModule binds the conversion and encoding builtins: String,
-// Number, parseInt, isNaN, encodeURIComponent, decodeURIComponent.
-func StringModule() Module {
-	return Module{Name: "string", Install: func(env *Env) error {
-		env.Define("String", stringFn)
-		env.Define("Number", numberFn)
-		env.Define("parseInt", parseIntFn)
-		env.Define("isNaN", isNaNFn)
-		env.Define("encodeURIComponent", encodeURIFn)
-		env.Define("decodeURIComponent", decodeURIFn)
-		return nil
-	}}
-}
-
-// UtilModule binds attempt(fn, args...): run fn swallowing any error,
-// returning whether it succeeded. Attack scripts use it to probe
-// multiple vectors in one run even when the monitor denies the earlier
-// ones. The callback runs through Ctx.Call, so its body charges the
-// calling interpreter's step budget — a looping callback cannot escape
-// MaxSteps by hiding inside a native call.
-func UtilModule() Module {
-	return Module{Name: "util", Install: func(env *Env) error {
-		env.Define("attempt", attemptFn)
-		return nil
-	}}
-}
-
-// StdModules is the standard library every script environment gets.
-func StdModules(console *Console) []Module {
-	return []Module{ConsoleModule(console), MathModule(), StringModule(), UtilModule()}
-}
-
-// StdEnv builds the base environment every script gets: console plus
-// the pure builtins. The browser adds document, window, and
-// XMLHttpRequest bindings on top, bound to the principal's security
-// context.
-func StdEnv(console *Console) *Env {
-	env := NewEnv()
-	if err := Install(env, StdModules(console)...); err != nil {
-		// The standard modules never fail to install.
-		panic("script: stdlib install: " + err.Error())
-	}
-	return env
-}
+// StdEnv returns a script's top scope over a fresh library writing to
+// console, with no host globals.
+func StdEnv(console *Console) *Env { return Library(console).Scope(nil) }
 
 func num1(name string, f func(float64) float64) CtxFunc {
 	return Func(name, func(_ *Ctx, args []Value) (Value, error) {

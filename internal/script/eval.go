@@ -3,6 +3,7 @@ package script
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sort"
@@ -78,53 +79,91 @@ func (returnSignal) Error() string   { return "return outside function" }
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
-// Env is a lexical scope.
+// Env is a lexical scope. A script runs in its own top scope (Scope)
+// over a frozen library root (Library) that many scripts share: the
+// script reads the library but never writes it. Declarations,
+// undeclared assignments and rebound library names all land in the top
+// scope, and a library object (Math) is copied into the top scope on
+// its first read, so every script starts from the pristine library.
 type Env struct {
 	vars   map[string]Value
 	parent *Env
+	// host resolves the host's globals for a top scope (nil for none).
+	host Globals
+	// frozen marks a library root.
+	frozen bool
 }
 
-// NewEnv returns a fresh root environment. The map is pre-sized for a
-// standard-library install so the per-script env build doesn't rehash.
-func NewEnv() *Env { return &Env{vars: make(map[string]Value, 16)} }
+// Globals resolves host-provided global names (the browser's document,
+// window, ...) for one script. The top scope asks on the first lookup
+// of a name it does not hold and keeps the answer, so each global is
+// built at most once per script, and only if the script reads it.
+type Globals interface {
+	Global(name string) (Value, bool)
+}
+
+// Scope opens a script's top scope over the library root e, resolving
+// host globals through host (nil for none).
+func (e *Env) Scope(host Globals) *Env { return &Env{parent: e, host: host} }
 
 // child opens a nested scope.
-func (e *Env) child() *Env { return &Env{vars: map[string]Value{}, parent: e} }
+func (e *Env) child() *Env { return &Env{parent: e} }
 
-// Define binds a name in this scope.
-func (e *Env) Define(name string, v Value) { e.vars[name] = v }
+// Define binds a name in this scope. Defining into a frozen library
+// is a host bug and panics.
+func (e *Env) Define(name string, v Value) {
+	if e.frozen {
+		panic("script: define " + name + " in a frozen library")
+	}
+	if e.vars == nil {
+		e.vars = make(map[string]Value)
+	}
+	e.vars[name] = v
+}
 
-// lookup finds the scope holding name.
-func (e *Env) lookup(name string) (*Env, bool) {
+// Get reads a variable: from the nearest scope holding it, else from
+// the host's globals, else from the library. A library object read
+// from a script's scope is first copied into its top scope.
+func (e *Env) Get(name string) (Value, bool) {
+	var top *Env
 	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			return s, true
+		if v, ok := s.vars[name]; ok {
+			if o, isObj := v.(*Object); isObj && s.frozen && top != nil {
+				v = &Object{Props: maps.Clone(o.Props)}
+				top.Define(name, v)
+			}
+			return v, true
+		}
+		if s.host != nil {
+			if v, ok := s.host.Global(name); ok {
+				s.Define(name, v)
+				return v, true
+			}
+		}
+		if !s.frozen {
+			top = s
 		}
 	}
 	return nil, false
 }
 
-// Get reads a variable.
-func (e *Env) Get(name string) (Value, bool) {
-	s, ok := e.lookup(name)
-	if !ok {
-		return nil, false
-	}
-	return s.vars[name], true
-}
-
-// assign writes an existing variable, or defines it at the root (JS
-// global semantics for undeclared assignment).
+// assign writes an existing variable of the script's own scopes, or
+// defines it in the top scope: JS global semantics for undeclared
+// assignment, with the library and host globals shadowed instead of
+// written.
 func (e *Env) assign(name string, v Value) {
-	if s, ok := e.lookup(name); ok {
-		s.vars[name] = v
-		return
+	s := e
+	for {
+		if _, ok := s.vars[name]; ok {
+			s.vars[name] = v
+			return
+		}
+		if s.parent == nil || s.parent.frozen {
+			break
+		}
+		s = s.parent
 	}
-	root := e
-	for root.parent != nil {
-		root = root.parent
-	}
-	root.vars[name] = v
+	s.Define(name, v)
 }
 
 // Interp executes programs against an environment.

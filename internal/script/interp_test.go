@@ -40,25 +40,6 @@ func TestAttemptCannotSwallowFuelExhaustion(t *testing.T) {
 	}
 }
 
-func TestModuleInstall(t *testing.T) {
-	calls := 0
-	env := NewEnv()
-	err := Install(env,
-		Module{Name: "a", Install: func(e *Env) error { calls++; e.Define("x", float64(1)); return nil }},
-		Module{Name: "b", Install: func(e *Env) error { calls++; return errors.New("boom") }},
-		Module{Name: "c", Install: func(e *Env) error { calls++; return nil }},
-	)
-	if err == nil || !strings.Contains(err.Error(), "install b") {
-		t.Fatalf("err = %v, want install b failure", err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d, want install to stop at first failure", calls)
-	}
-	if v, ok := env.Get("x"); !ok || !Equals(v, float64(1)) {
-		t.Errorf("x = %v, %v", v, ok)
-	}
-}
-
 // TestFuncErrorBridging: a Go error returned from a Func becomes a
 // named script exception that attempt() observes as failure, with the
 // cause still reachable via errors.As.

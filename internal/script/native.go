@@ -5,34 +5,6 @@ import (
 	"fmt"
 )
 
-// Module is the unit of builtin and FFI registration. A module bundles
-// a named group of host bindings (console, math, the browser's DOM
-// surface) behind a single Install hook. Hosts compose environments by
-// installing modules:
-//
-//	env := script.NewEnv()
-//	if err := script.Install(env, script.StdModules(console)...); err != nil { ... }
-type Module struct {
-	// Name identifies the module in installation errors and docs.
-	Name string
-	// Install binds the module's names into env.
-	Install func(env *Env) error
-}
-
-// Install installs modules into env in order, stopping at the first
-// failure.
-func Install(env *Env, mods ...Module) error {
-	for _, m := range mods {
-		if m.Install == nil {
-			continue
-		}
-		if err := m.Install(env); err != nil {
-			return fmt.Errorf("script: install %s: %w", m.Name, err)
-		}
-	}
-	return nil
-}
-
 // Ctx is the call context handed to a CtxFunc. It carries the invoking
 // interpreter, so callbacks into script (Call) share the caller's step
 // budget instead of running unmetered.
