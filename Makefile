@@ -16,16 +16,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Flake hunt: the tests that once failed intermittently, and the tests
-# that pin the gateway's admission (run slots, the bounded wait, its
-# rescue on Unmount), repeated under the race detector. A drain that
-# hangs on a late h2 connection, a request refused mid-drain, an
-# admission race that lets a request past a full origin or strands a
-# waiting one, or a store reader seeing the generation go backwards
-# fails one of the 20 runs.
+# Flake hunt: the tests that once failed intermittently, repeated under
+# the race detector. A drain that hangs on a late h2 connection, a
+# request refused mid-drain, or a store reader seeing the generation go
+# backwards fails one of the 20 runs.
 flake-hunt:
 	$(GO) test -race -count=20 \
-		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestQueueOverflowReturns503|TestUnmountLive|TestOverflowFairnessAcrossWeights|TestStoreConcurrentSwapsAndReads)$$' \
+		-run '^(TestGracefulShutdownTLSInFlight|TestGracefulShutdownLateH2Conn|TestStoreConcurrentSwapsAndReads)$$' \
 		./internal/httpd ./internal/ctlplane
 
 # One iteration per benchmark: a smoke pass that catches compile and
@@ -102,23 +99,20 @@ serve-http:
 	jq -e '(.policy.origins | length) == 4 and .policy.delegations >= 1 and ([.phases[] | select(.name == "attacks")] | length == 1)' BENCH_engine.http.json
 	jq -e '.policy.phases | map(select(.name == "delegated-session")) | (length == 1) and all(.tasks > 0 and .decisions > 0)' BENCH_engine.http.json
 
-# Policy hot-reload smoke: mount 1024 stamped tenant origins plus a
-# hot origin on a dedicated gateway, push a live policy flip mid-load
-# (the invalidation storm), and measure push ack, watcher propagation,
-# cache refill, and the throughput dip — then the noisy-neighbor
-# isolation probe. The driver holds generation isolation, the /policyz
-# fleet count and 18/18 on both sides of the flip; the gates here want
-# a fleet of >=1000 tenants, pages on both sides of the flip, the
-# refill recorded, and the victim's p99 under 100ms on a shared-CPU
-# runner while the flood is shed with 503s.
+# Policy hot-reload smoke: mount the substrate's origins on a dedicated
+# gateway, push a live policy flip mid-load (the invalidation storm),
+# and measure push ack, watcher propagation, cache refill, and the
+# throughput dip. The driver holds generation isolation, the /policyz
+# document count and 18/18 on both sides of the flip; the gates here
+# want pages on both sides of the flip and the push, propagation and
+# refill recorded.
 reload-smoke:
 	$(GO) run ./cmd/escudo-serve -sessions 4 -iters 2 -phpbb-iters 2 -mixed-iters 2 \
-		-control -tenants 1024 -out BENCH_engine.control.json
-	jq -e '.control.tenants_mounted >= 1000 and .control.pages_audited > 0 and .control.generations_seen == 2' BENCH_engine.control.json
+		-control -out BENCH_engine.control.json
+	jq -e '.control.pages_audited > 0 and .control.generations_seen == 2' BENCH_engine.control.json
 	jq -e '.control.storm.push_ack_ms > 0 and .control.storm.propagation_ms > 0' BENCH_engine.control.json
 	jq -e '.control.storm.cache_entries_before > 0 and .control.storm.cache_refill_ms > 0' BENCH_engine.control.json
 	jq -e '.control.storm | has("attacks_pre_flip") and has("attacks_post_flip")' BENCH_engine.control.json
-	jq -e '.control.noisy_neighbor.flood_rejected_503 > 0 and .control.noisy_neighbor.victim_p99_noisy_ms < 100' BENCH_engine.control.json
 
 # Leak-hunting soak: 30 seconds of mixed load through the loopback
 # gateway under the race detector, with the runtime sampler recording
@@ -151,7 +145,7 @@ slo-smoke:
 		-out BENCH_engine.slo.json
 	jq -e '.slo.target_rate == 200 and .slo.offered_rate >= 0.9 * 200 and .slo.arrivals > 0' BENCH_engine.slo.json
 	jq -e '.slo.completed > 0 and .slo.logins > 0 and .slo.leak.points >= 8 and .slo.p99_budget_ms == 250' BENCH_engine.slo.json
-	jq -e '.slo.stages | has("batch_auth") and has("handler") and has("queue_wait")' BENCH_engine.slo.json
+	jq -e '.slo.stages | has("batch_auth") and has("handler")' BENCH_engine.slo.json
 	jq -e '.slo.exemplars | length > 0 and all(.trace_id != "")' BENCH_engine.slo.json
 
 # Run the driver fresh and print phase-by-phase p50/p99 deltas against
@@ -166,14 +160,13 @@ bench-compare:
 # Profile the full run: CPU and heap profiles of the serve-http
 # workload land in profiles/ for `go tool pprof`. The gateway also
 # exposes live /debug/pprof on its admin host via -pprof.
-PROFILE_DIR ?= profiles
 profile:
-	mkdir -p $(PROFILE_DIR)
+	mkdir -p profiles
 	$(GO) run ./cmd/escudo-serve -http 127.0.0.1:0 -tls -pprof \
-		-cpuprofile $(PROFILE_DIR)/cpu.pprof -memprofile $(PROFILE_DIR)/heap.pprof \
-		-out $(PROFILE_DIR)/BENCH_profile.json
-	@echo "profiles written: $(PROFILE_DIR)/cpu.pprof $(PROFILE_DIR)/heap.pprof"
-	@echo "inspect with: $(GO) tool pprof $(PROFILE_DIR)/cpu.pprof"
+		-cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof \
+		-out profiles/BENCH_profile.json
+	@echo "profiles written: profiles/cpu.pprof profiles/heap.pprof"
+	@echo "inspect with: $(GO) tool pprof profiles/cpu.pprof"
 
 clean:
 	$(GO) clean ./...

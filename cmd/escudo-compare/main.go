@@ -95,36 +95,6 @@ type httpSection struct {
 	Client           *clientSection `json:"client"`
 }
 
-// controlStorm mirrors the invalidation-storm measurement of the
-// control section.
-type controlStorm struct {
-	FlipGeneration        uint64  `json:"flip_generation"`
-	PushAckMs             float64 `json:"push_ack_ms"`
-	PropagationMs         float64 `json:"propagation_ms"`
-	CacheRefillMs         float64 `json:"cache_refill_ms"`
-	BaselineReqsPerSec    float64 `json:"baseline_reqs_per_sec"`
-	MinPostFlipReqsPerSec float64 `json:"min_post_flip_reqs_per_sec"`
-	DipPercent            float64 `json:"dip_percent"`
-}
-
-// controlNoisy mirrors the noisy-neighbor harness figures.
-type controlNoisy struct {
-	VictimP99AloneMs float64 `json:"victim_p99_alone_ms"`
-	VictimP99NoisyMs float64 `json:"victim_p99_noisy_ms"`
-	P99Ratio         float64 `json:"p99_ratio"`
-}
-
-// controlSection mirrors the subset of the control-plane section
-// compared: propagation and refill latency, tenant scale, the
-// mixed-generation gate, and noisy-neighbor isolation.
-type controlSection struct {
-	TenantsMounted   int           `json:"tenants_mounted"`
-	Generation       uint64        `json:"generation"`
-	GenerationsMixed int           `json:"generations_mixed"`
-	Storm            *controlStorm `json:"storm"`
-	Noisy            *controlNoisy `json:"noisy_neighbor"`
-}
-
 // obsSeries mirrors one sampled runtime series of the obs section.
 type obsSeries struct {
 	First int64 `json:"first"`
@@ -197,15 +167,14 @@ type sloSection struct {
 
 // report mirrors the subset of BENCH_engine.json being compared.
 type report struct {
-	Sessions   int             `json:"sessions"`
-	Mode       string          `json:"mode"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Phases     []phase         `json:"phases"`
-	HTTP       *httpSection    `json:"http"`
-	Control    *controlSection `json:"control"`
-	Obs        *obsSection     `json:"obs"`
-	SLO        *sloSection     `json:"slo"`
-	TotalMs    float64         `json:"total_ms"`
+	Sessions   int          `json:"sessions"`
+	Mode       string       `json:"mode"`
+	GoMaxProcs int          `json:"gomaxprocs"`
+	Phases     []phase      `json:"phases"`
+	HTTP       *httpSection `json:"http"`
+	Obs        *obsSection  `json:"obs"`
+	SLO        *sloSection  `json:"slo"`
+	TotalMs    float64      `json:"total_ms"`
 }
 
 func main() {
@@ -289,7 +258,6 @@ func run(args []string, out *os.File) error {
 	}
 	fmt.Fprint(out, t.String())
 	compareHTTP(out, oldR.HTTP, newR.HTTP)
-	compareControl(out, oldR.Control, newR.Control)
 	compareObs(out, oldR.Obs, newR.Obs)
 	return compareSLO(out, oldR.SLO, newR.SLO)
 }
@@ -388,59 +356,6 @@ func compareSLO(out *os.File, oldS, newS *sloSection) error {
 	}
 	fmt.Fprintf(out, "SLO gate: pass\n")
 	return nil
-}
-
-// describeControl renders one report's control-plane summary.
-func describeControl(c *controlSection) string {
-	s := fmt.Sprintf("%d tenants at generation %d, %d mixed pages", c.TenantsMounted, c.Generation, c.GenerationsMixed)
-	if c.Storm != nil {
-		s += fmt.Sprintf(", propagation %.1f ms, refill %.1f ms", c.Storm.PropagationMs, c.Storm.CacheRefillMs)
-	}
-	return s
-}
-
-// compareControl diffs the control-plane sections: tenant scale, flip
-// propagation and cache refill latency, the throughput dip, and the
-// noisy-neighbor isolation ratio. One-sided when either report
-// predates the section.
-func compareControl(out *os.File, oldC, newC *controlSection) {
-	if oldC == nil && newC == nil {
-		return
-	}
-	fmt.Fprintf(out, "\ncontrol: ")
-	switch {
-	case oldC == nil:
-		fmt.Fprintf(out, "old report has none; new: %s\n", describeControl(newC))
-	case newC == nil:
-		fmt.Fprintf(out, "new report has none; old: %s\n", describeControl(oldC))
-		return
-	default:
-		fmt.Fprintf(out, "tenants %d → %d, generation %d → %d, mixed pages %d → %d\n",
-			oldC.TenantsMounted, newC.TenantsMounted, oldC.Generation, newC.Generation,
-			oldC.GenerationsMixed, newC.GenerationsMixed)
-	}
-	if newC.Storm != nil {
-		if oldC != nil && oldC.Storm != nil {
-			fmt.Fprintf(out, "storm: propagation %s ms, cache refill %s ms, reqs/s dip %s%%\n",
-				delta(oldC.Storm.PropagationMs, newC.Storm.PropagationMs),
-				delta(oldC.Storm.CacheRefillMs, newC.Storm.CacheRefillMs),
-				delta(oldC.Storm.DipPercent, newC.Storm.DipPercent))
-		} else {
-			fmt.Fprintf(out, "storm: propagation %.1f ms, cache refill %.1f ms, reqs/s dip %.1f%% (baseline %.0f, min %.0f)\n",
-				newC.Storm.PropagationMs, newC.Storm.CacheRefillMs, newC.Storm.DipPercent,
-				newC.Storm.BaselineReqsPerSec, newC.Storm.MinPostFlipReqsPerSec)
-		}
-	}
-	if newC.Noisy != nil {
-		if oldC != nil && oldC.Noisy != nil {
-			fmt.Fprintf(out, "noisy neighbor: victim p99 %s ms flooded, ratio %s\n",
-				delta(oldC.Noisy.VictimP99NoisyMs, newC.Noisy.VictimP99NoisyMs),
-				delta(oldC.Noisy.P99Ratio, newC.Noisy.P99Ratio))
-		} else {
-			fmt.Fprintf(out, "noisy neighbor: victim p99 %.3f ms alone vs %.3f ms flooded (ratio %.2f)\n",
-				newC.Noisy.VictimP99AloneMs, newC.Noisy.VictimP99NoisyMs, newC.Noisy.P99Ratio)
-		}
-	}
 }
 
 // describeObs renders one report's runtime-health summary on a line.

@@ -305,97 +305,3 @@ func TestCompareUsageError(t *testing.T) {
 		t.Fatal("want error for missing files")
 	}
 }
-
-const oldControlJSON = `{
-  "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 60,
-  "phases": [],
-  "control": {
-    "tenants_mounted": 1024, "generation": 1026, "generations_mixed": 0,
-    "storm": {
-      "flip_generation": 1026, "push_ack_ms": 4.0, "propagation_ms": 6.0,
-      "cache_refill_ms": 3.0, "baseline_reqs_per_sec": 1500,
-      "min_post_flip_reqs_per_sec": 1200, "dip_percent": 20.0
-    },
-    "noisy_neighbor": {
-      "victim_p99_alone_ms": 0.5, "victim_p99_noisy_ms": 2.0, "p99_ratio": 4.0
-    }
-  }
-}`
-
-const newControlJSON = `{
-  "sessions": 8, "mode": "escudo", "gomaxprocs": 1, "total_ms": 55,
-  "phases": [],
-  "control": {
-    "tenants_mounted": 2048, "generation": 2050, "generations_mixed": 0,
-    "storm": {
-      "flip_generation": 2050, "push_ack_ms": 4.0, "propagation_ms": 3.0,
-      "cache_refill_ms": 2.0, "baseline_reqs_per_sec": 1500,
-      "min_post_flip_reqs_per_sec": 1350, "dip_percent": 10.0
-    },
-    "noisy_neighbor": {
-      "victim_p99_alone_ms": 0.5, "victim_p99_noisy_ms": 1.0, "p99_ratio": 2.0
-    }
-  }
-}`
-
-// TestCompareControlSection pins the control-plane diff: tenant scale
-// and the mixed-page gate on the headline, signed deltas on the storm
-// latencies and the noisy-neighbor ratio, and a one-sided render when
-// the old report predates the section.
-func TestCompareControlSection(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, []byte(oldControlJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, []byte(newControlJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "out.txt")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, newPath}, f); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(data)
-	if !strings.Contains(out, "tenants 1024 → 2048") {
-		t.Errorf("missing tenant delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "mixed pages 0 → 0") {
-		t.Errorf("missing mixed-page gate in:\n%s", out)
-	}
-	if !strings.Contains(out, "propagation 6.000 → 3.000 (-50.0%)") {
-		t.Errorf("missing propagation delta in:\n%s", out)
-	}
-	if !strings.Contains(out, "ratio 4.000 → 2.000 (-50.0%)") {
-		t.Errorf("missing noisy-neighbor ratio delta in:\n%s", out)
-	}
-
-	// One-sided: an old report without the section still renders.
-	if err := os.WriteFile(oldPath, []byte(oldJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{oldPath, newPath}, f2); err != nil {
-		t.Fatalf("run one-sided: %v", err)
-	}
-	f2.Close()
-	data, err = os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "old report has none; new: 2048 tenants at generation 2050") {
-		t.Errorf("one-sided control diff not reported in:\n%s", data)
-	}
-}

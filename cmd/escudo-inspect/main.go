@@ -274,11 +274,6 @@ func runPolicyz(out io.Writer, addr string, watch bool, stop <-chan struct{}) er
 				moved = append(moved, fmt.Sprintf("%s rev %d", o, rev))
 			}
 		}
-		for o := range prev.Revs {
-			if _, ok := next.Revs[o]; !ok {
-				moved = append(moved, o+" unmounted")
-			}
-		}
 		sort.Strings(moved)
 		fmt.Fprintf(out, "flip: generation %d → %d — %s\n",
 			prev.Generation, next.Generation, strings.Join(moved, ", "))

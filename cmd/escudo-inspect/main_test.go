@@ -16,6 +16,7 @@ import (
 	"repro/internal/httpd"
 	"repro/internal/obs"
 	"repro/internal/origin"
+	"repro/internal/policy"
 	"repro/internal/scenarios"
 	"repro/internal/web"
 )
@@ -204,7 +205,7 @@ func TestRunPolicyz(t *testing.T) {
 	n.Register(o, scenarios.Handler())
 	doc := scenarios.Policy(o)
 	gw, _, cleanup, err := httpd.WrapNetwork(n, httpd.Config{
-		Origins: map[string]httpd.OriginConfig{o.String(): {Policy: &doc}},
+		Origins: map[string]policy.Policy{o.String(): doc},
 	}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

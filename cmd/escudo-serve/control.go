@@ -1,12 +1,10 @@
-// Control-plane section of the benchmark: a multi-tenant gateway at
-// -tenants template-stamped origins, a live policy flip pushed through
-// POST /policyz/reload while the figure-4 workload runs (the
-// invalidation storm), and a noisy-neighbor harness showing a flooded
-// tenant cannot move another tenant's p99. The section exists to
-// measure the propagation machinery end to end over a real socket:
-// push → long-poll observation → cache invalidation → refill, with
-// the generation-isolation invariant (no page load observes two
-// policy generations) asserted on the way out.
+// Control-plane section of the benchmark: the substrate on a gateway
+// of its own, and a live policy flip pushed through POST
+// /policyz/reload while the figure-4 workload runs (the invalidation
+// storm). The section exists to measure the propagation machinery end
+// to end over a real socket: push → long-poll observation → cache
+// invalidation → refill, with the generation-isolation invariant (no
+// page load observes two policy generations) asserted on the way out.
 package main
 
 import (
@@ -23,11 +21,6 @@ import (
 	"repro/internal/ctlplane"
 	"repro/internal/engine"
 	"repro/internal/httpd"
-	"repro/internal/metrics"
-	"repro/internal/origin"
-	"repro/internal/policy"
-	"repro/internal/scenarios"
-	"repro/internal/web"
 )
 
 // stormJSON is the invalidation-storm measurement: one live policy
@@ -61,24 +54,8 @@ type stormJSON struct {
 	AttacksPostFlip *attacksJSON `json:"attacks_post_flip,omitempty"`
 }
 
-// noisyJSON is the noisy-neighbor harness: one tenant flooded into
-// queue overflow, a second tenant's latency probed concurrently.
-type noisyJSON struct {
-	VictimP99AloneMs float64 `json:"victim_p99_alone_ms"`
-	VictimP99NoisyMs float64 `json:"victim_p99_noisy_ms"`
-	// P99Ratio is noisy/alone — the isolation figure. Per-origin
-	// bounded queues keep it near 1; a shared unbounded queue would
-	// let the flood drag it up.
-	P99Ratio      float64 `json:"p99_ratio"`
-	FloodRequests uint64  `json:"flood_requests"`
-	Flood503      uint64  `json:"flood_rejected_503"`
-}
-
 // controlJSON is the control section of BENCH_engine.json.
 type controlJSON struct {
-	// TenantsMounted is how many template-stamped tenant origins the
-	// gateway carried (plus the hot loadgen origin).
-	TenantsMounted int `json:"tenants_mounted"`
 	// Generation is the fleet policy generation after the run;
 	// PolicyzOrigins the number of documents /policyz served.
 	Generation     uint64 `json:"generation"`
@@ -92,7 +69,6 @@ type controlJSON struct {
 	// phase's pages — ≥2 proves the flip really landed mid-load.
 	GenerationsSeen int         `json:"generations_seen"`
 	Storm           *stormJSON  `json:"storm,omitempty"`
-	Noisy           *noisyJSON  `json:"noisy_neighbor,omitempty"`
 	Phases          []phaseJSON `json:"phases"`
 }
 
@@ -114,56 +90,14 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// probeP99 issues n sequential GETs for pathQ against the origin
-// through ct and returns the p99 latency. Any non-200 answer is an
-// error: the victim must stay fully served.
-func probeP99(ct *httpd.ClientTransport, o origin.Origin, pathQ string, n int) (time.Duration, error) {
-	var s metrics.Sample
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		resp, err := ct.RoundTrip(web.NewRequest("GET", o.URL(pathQ)))
-		if err != nil {
-			return 0, fmt.Errorf("victim probe: %w", err)
-		}
-		if resp.Status != 200 {
-			return 0, fmt.Errorf("victim probe: status %d", resp.Status)
-		}
-		s.Add(time.Since(start))
-	}
-	return s.Percentile(99), nil
-}
-
-// runControlSection mounts the hot origin plus cfg.tenants stamped
-// tenants on a fresh gateway, subscribes a ctlplane.Watcher for the
-// loadgen pool (generation pinned per page load, cache invalidated on
-// flip), and measures the invalidation storm and the noisy-neighbor
-// isolation. Its pool has a cache of its own, so the storm's
-// invalidation cannot perturb the equivalence-checked phases.
-func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
-	if cfg.tenants < 2 {
-		return nil, fmt.Errorf("-tenants must be >= 2 for the noisy-neighbor harness, got %d", cfg.tenants)
-	}
-
-	// Substrate: one hot origin carrying the figure-4 load, plus the
-	// tenant fleet sharing one stamped handler. Every origin mounts
-	// with its own derived policy document, so /policyz lists the
-	// whole fleet and the storm's push targets a real mounted doc.
-	n := web.NewNetwork()
-	hot := origin.MustParse("http://app.control.example")
-	n.Register(hot, scenarios.Handler())
-	tenants := scenarios.RegisterTenants(n, cfg.tenants)
-	docs := map[string]policy.Policy{hot.String(): scenarios.Policy(hot)}
-	for _, o := range tenants {
-		docs[o.String()] = scenarios.Policy(o)
-	}
-	// Tenants get one run slot each: the point of the fleet is mount
-	// scale and per-origin isolation, not aggregate tenant throughput.
-	// The hot origin keeps httpd's default shape.
-	gw, ct, cleanup, err := gateway(pl, n, "127.0.0.1:0", docs, httpd.Config{
-		DefaultWorkers:    1,
-		DefaultQueueDepth: 8,
-		Origins:           map[string]httpd.OriginConfig{hot.String(): {Workers: 4, QueueDepth: 64}},
-	})
+// runControlSection mounts the substrate's origins with their policy
+// documents on a gateway of its own, subscribes a ctlplane.Watcher for
+// the loadgen pool (generation pinned per page load, cache invalidated
+// on flip), and measures the invalidation storm. Its pool has a cache
+// of its own, so the storm's invalidation cannot perturb the
+// equivalence-checked phases.
+func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, error) {
+	gw, ct, cleanup, err := gateway(pl, sub.net, "127.0.0.1:0", httpd.Config{Origins: sub.policies})
 	if err != nil {
 		return nil, err
 	}
@@ -204,14 +138,14 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	pool := s.pool
 	cacheRef.Store(pool.Cache())
 
-	section := &controlJSON{TenantsMounted: cfg.tenants}
+	section := &controlJSON{}
 
 	// Warm round: session cookies plus a fully populated decision
 	// cache, so the storm invalidates (and refills) a realistic
 	// working set rather than a cold one.
 	if err := s.warm(func(se *engine.Session) error {
 		for _, p := range scenarioPaths() {
-			if err := visit(hot.URL(p))(se); err != nil {
+			if err := visit(benchO.URL(p))(se); err != nil {
 				return err
 			}
 		}
@@ -221,7 +155,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	}
 
 	storm := &stormJSON{}
-	// The refill target is the hot origin's working set as the warm
+	// The refill target is bench.example's working set as the warm
 	// round populated it — the entries the post-flip load will put
 	// back. Snapshot it before the attack replay, whose environments
 	// park extra entries the storm load never touches again.
@@ -270,8 +204,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 			defer close(flipDone)
 			// Establish a pre-flip baseline first.
 			time.Sleep(300 * time.Millisecond)
-			doc := scenarios.Policy(hot)
-			data, err := json.Marshal(doc)
+			data, err := json.Marshal(sub.policies[benchO.String()])
 			if err != nil {
 				flipErr = err
 				return
@@ -317,7 +250,7 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 			}
 		}
 		for rounds := 0; rounds < cfg.iters || !finished() && rounds < 5000; rounds++ {
-			figure4Rounds(pool, hot, 1)
+			figure4Rounds(pool, benchO, 1)
 		}
 		<-flipDone
 		close(samplerStop)
@@ -381,76 +314,9 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 	section.Storm = storm
 	section.Phases = append(section.Phases, stormPhase)
 
-	// Noisy neighbor: flood tenant[1] into queue overflow through its
-	// own transport while probing tenant[0] through another. The
-	// per-origin admission bounds are the isolation mechanism under
-	// test: the flood saturates its origin's single run slot and
-	// eight-deep queue, overflow answers 503 immediately, and the
-	// victim's run slot never sees any of it.
-	victim, noisy := tenants[0], tenants[1]
-	victimCT := httpd.NewClientTransport(gw.Addr())
-	defer victimCT.Close()
-	noisyCT := httpd.NewClientTransport(gw.Addr())
-	defer noisyCT.Close()
-
-	const probeN = 300
-	warmPath := scenarioPaths()[0]
-	// One warm request so the victim's probe measures steady state.
-	if _, err := probeP99(victimCT, victim, warmPath, 8); err != nil {
-		return nil, err
-	}
-	aloneP99, err := probeP99(victimCT, victim, warmPath, probeN)
-	if err != nil {
-		return nil, err
-	}
-
-	before := gw.Stats()
-	floodStop := make(chan struct{})
-	var floodReqs atomic.Uint64
-	var floodWG sync.WaitGroup
-	// Enough concurrency to keep the noisy tenant's single run slot busy
-	// and its eight-deep queue overflowing — the 503 shed path is part
-	// of what isolates the victim.
-	for i := 0; i < 32; i++ {
-		floodWG.Add(1)
-		go func() {
-			defer floodWG.Done()
-			for {
-				select {
-				case <-floodStop:
-					return
-				default:
-				}
-				// 503s are the expected overflow answer; transport errors
-				// just mean the flood outpaced the listener — keep going.
-				if _, err := noisyCT.RoundTrip(web.NewRequest("GET", noisy.URL(warmPath))); err == nil {
-					floodReqs.Add(1)
-				}
-			}
-		}()
-	}
-	noisyP99, err := probeP99(victimCT, victim, warmPath, probeN)
-	close(floodStop)
-	floodWG.Wait()
-	if err != nil {
-		return nil, err
-	}
-	floodDelta := gw.Stats().Sub(before)
-
-	noisySec := &noisyJSON{
-		VictimP99AloneMs: ms(aloneP99),
-		VictimP99NoisyMs: ms(noisyP99),
-		FloodRequests:    floodReqs.Load(),
-		Flood503:         floodDelta.Rejected503,
-	}
-	if aloneP99 > 0 {
-		noisySec.P99Ratio = float64(noisyP99) / float64(aloneP99)
-	}
-	section.Noisy = noisySec
-
-	// Fleet cross-check: /policyz serves the whole tenant set plus the
-	// hot origin, at a generation covering every mount plus the flip
-	// (verify holds both), and the watcher has caught up with it.
+	// Cross-check: /policyz serves every mounted document, at a
+	// generation covering every mount plus the flip (verify holds
+	// both), and the watcher has caught up with it.
 	doc, err := ctlplane.FetchPolicyz(context.Background(), nil, "http", gw.Addr())
 	if err != nil {
 		return nil, err
@@ -465,8 +331,8 @@ func runControlSection(cfg config, pl *plane) (*controlJSON, error) {
 
 // printControl renders the control section on stdout.
 func printControl(c *controlJSON) {
-	fmt.Printf("\nControl plane: %d tenants mounted, fleet generation %d (%d documents on /policyz)\n",
-		c.TenantsMounted, c.Generation, c.PolicyzOrigins)
+	fmt.Printf("\nControl plane: fleet generation %d (%d documents on /policyz)\n",
+		c.Generation, c.PolicyzOrigins)
 	if s := c.Storm; s != nil {
 		fmt.Printf("  storm: flip to gen %d — push ack %.1f ms, propagation %.1f ms, cache refill %.1f ms (%d entries)\n",
 			s.FlipGeneration, s.PushAckMs, s.PropagationMs, s.CacheRefillMs, s.CacheEntriesBefore)
@@ -480,8 +346,4 @@ func printControl(c *controlJSON) {
 	}
 	fmt.Printf("  generations: %d pages audited, %d generations seen, %d mixed\n",
 		c.PagesAudited, c.GenerationsSeen, c.GenerationsMixed)
-	if nn := c.Noisy; nn != nil {
-		fmt.Printf("  noisy neighbor: victim p99 %.3f ms alone vs %.3f ms flooded (ratio %.2f; flood %d reqs, %d × 503)\n",
-			nn.VictimP99AloneMs, nn.VictimP99NoisyMs, nn.P99Ratio, nn.FloodRequests, nn.Flood503)
-	}
 }

@@ -162,23 +162,13 @@ func newPlane(openLoop bool) *plane {
 }
 
 // gateway mounts n on a gateway listening at addr and returns it with a
-// client transport speaking to it. Every document in docs is mounted,
-// so the gateway serves it at the well-known path and lists it on
-// /policyz — policy as data on the wire, enforcement staying
+// client transport speaking to it. Every document in base.Origins is
+// mounted, so the gateway serves it at the well-known path and lists it
+// on /policyz — policy as data on the wire, enforcement staying
 // browser-side. The gateway is wired to the plane pl (nil leaves it a
 // private registry and no rings); base carries the rest of its
 // configuration, TLS included.
-func gateway(pl *plane, n *web.Network, addr string, docs map[string]policy.Policy, base httpd.Config) (*httpd.Gateway, *httpd.ClientTransport, func(), error) {
-	origins := make(map[string]httpd.OriginConfig, len(docs)+len(base.Origins))
-	for o, oc := range base.Origins {
-		origins[o] = oc
-	}
-	for o, doc := range docs {
-		oc := origins[o]
-		oc.Policy = &doc
-		origins[o] = oc
-	}
-	base.Origins = origins
+func gateway(pl *plane, n *web.Network, addr string, base httpd.Config) (*httpd.Gateway, *httpd.ClientTransport, func(), error) {
 	if pl != nil {
 		base.Obs, base.Ring, base.Stages, base.Slow = pl.reg, pl.ring, pl.stages, pl.slow
 	}
@@ -205,7 +195,7 @@ type attackWire struct {
 
 // wrap implements attack.TransportWrapper.
 func (a *attackWire) wrap(n *web.Network) (web.Transport, func(), error) {
-	gw, ct, cleanup, err := gateway(nil, n, "127.0.0.1:0", nil, httpd.Config{TLS: a.ca})
+	gw, ct, cleanup, err := gateway(nil, n, "127.0.0.1:0", httpd.Config{TLS: a.ca})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,7 +266,6 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 	}
 	var servedBefore httpd.Stats
 	if s.gw != nil {
-		s.gw.ResetQueueHighWater()
 		servedBefore = s.served()
 	}
 	start := time.Now()
@@ -316,11 +305,7 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 	}
 	if s.gw != nil {
 		served := s.served().Sub(servedBefore)
-		g := &GatewayJSON{
-			Requests:      served.Served,
-			Rejected503:   served.Rejected503,
-			QueueDepthMax: served.MaxQueueDepth,
-		}
+		g := &GatewayJSON{Requests: served.Served}
 		if secs > 0 {
 			g.ReqsPerSec = float64(g.Requests) / secs
 		}

@@ -10,8 +10,8 @@
 // With -http it additionally mounts the same origins on a real
 // net/http gateway (internal/httpd) over loopback and re-runs the
 // figure-4 and mixed workloads plus the attack replay through
-// httpd.ClientTransport — real sockets, Host-header virtual hosting,
-// per-origin admission bounds — into an "http" section; -tls
+// httpd.ClientTransport — real sockets, Host-header virtual hosting —
+// into an "http" section; -tls
 // terminates https on that gateway with an ephemeral in-memory CA.
 // -openloop and -control add the open-loop SLO and policy
 // control-plane sections. Every section is a short list of phases over
@@ -28,7 +28,7 @@
 //	             [-mixed-iters N] [-procs N]
 //	             [-mode escudo|sop] [-attacks] [-uncached]
 //	             [-http addr] [-tls] [-soak D] [-openloop spec]
-//	             [-control] [-tenants N]
+//	             [-control]
 //	             [-pprof] [-cpuprofile f] [-memprofile f]
 //	             [-out BENCH_engine.json]
 package main
@@ -127,15 +127,12 @@ type phaseJSON struct {
 	*GatewayJSON
 }
 
-// GatewayJSON is a phase's wire traffic: requests, 503s and the queue
-// high-water mark are the gateway's deltas for the phase. It is
-// exported because encoding/json only fills embedded struct pointers
-// of exported types.
+// GatewayJSON is a phase's wire traffic: requests is the gateway's
+// served delta for the phase. It is exported because encoding/json
+// only fills embedded struct pointers of exported types.
 type GatewayJSON struct {
-	Requests      uint64  `json:"requests"`
-	ReqsPerSec    float64 `json:"reqs_per_sec"`
-	Rejected503   uint64  `json:"rejected_503"`
-	QueueDepthMax int64   `json:"queue_depth_max"`
+	Requests   uint64  `json:"requests"`
+	ReqsPerSec float64 `json:"reqs_per_sec"`
 	// AllocsPerRequest is the process-wide heap-allocation count per
 	// gateway-served request during the phase (client sessions, wire,
 	// gateway, and handlers all included — the whole request path the
@@ -171,10 +168,8 @@ func fromClientStats(s httpd.ClientStats) clientJSON {
 // httpJSON is the http section of BENCH_engine.json: the same
 // workloads replayed over real sockets through the gateway.
 type httpJSON struct {
-	Addr       string `json:"addr"`
-	TLS        bool   `json:"tls"`
-	Workers    int    `json:"workers_per_origin"`
-	QueueDepth int    `json:"queue_depth_per_origin"`
+	Addr string `json:"addr"`
+	TLS  bool   `json:"tls"`
 	// Proto is the negotiated wire protocol of the loadgen traffic:
 	// "h2" on the TLS paths (ALPN + ForceAttemptHTTP2), "h1" on plain
 	// keep-alive loopback.
@@ -226,8 +221,7 @@ type benchJSON struct {
 	Policy         *policyJSON `json:"policy,omitempty"`
 	HTTP           *httpJSON   `json:"http,omitempty"`
 	// Control is the policy control plane section (written by -control
-	// runs): the invalidation storm, the multi-tenant mount scale, and
-	// the noisy-neighbor isolation figures.
+	// runs): the invalidation storm and the generation audit.
 	Control *controlJSON `json:"control,omitempty"`
 	// Obs is the run's observability summary: build stamp, runtime
 	// sampler series, decision-trace ring traffic.
@@ -251,7 +245,6 @@ type config struct {
 	soak                                    time.Duration
 	openloop                                openLoopSpec
 	control                                 bool
-	tenants                                 int
 	out                                     string
 }
 
@@ -279,8 +272,7 @@ func parseConfig(args []string) (config, error) {
 	fs.DurationVar(&c.soak, "soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
 	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section")
 	fs.BoolVar(&c.tls, "tls", false, "terminate https on the -http gateway with an ephemeral in-memory CA")
-	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount -tenants stamped origins on a dedicated gateway, push a live policy flip mid-load (invalidation storm), and measure noisy-neighbor isolation")
-	fs.IntVar(&c.tenants, "tenants", 1024, "tenant origins to mount in the -control section")
+	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount the origins on a dedicated gateway and push a live policy flip mid-load (invalidation storm)")
 	fs.StringVar(&c.out, "out", "BENCH_engine.json", "output JSON path")
 	if err := fs.Parse(args); err != nil {
 		return c, err
@@ -410,7 +402,7 @@ func run(args []string) error {
 		}
 	}
 	if cfg.control {
-		if report.Control, err = runControlSection(cfg, pl); err != nil {
+		if report.Control, err = runControlSection(cfg, pl, sub); err != nil {
 			return err
 		}
 	}
@@ -501,7 +493,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	if err != nil {
 		return nil, err
 	}
-	gw, ct, cleanup, err := gateway(pl, sub.net, cfg.httpAddr, sub.policies, httpd.Config{TLS: ca, EnablePprof: cfg.pprof})
+	gw, ct, cleanup, err := gateway(pl, sub.net, cfg.httpAddr, httpd.Config{Origins: sub.policies, TLS: ca, EnablePprof: cfg.pprof})
 	if err != nil {
 		return nil, err
 	}
@@ -512,8 +504,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	}
 	defer s.pool.Close()
 	s.gw, s.env = gw, &attackWire{ca: ca}
-	// Every gateway runs httpd's default per-origin shape.
-	sec := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls, Workers: 4, QueueDepth: 64}
+	sec := &httpJSON{Addr: gw.Addr(), TLS: cfg.tls}
 
 	// Wire delivery: count the mounted documents /policyz serves back
 	// unchanged (verify holds the count to the mounted set).
@@ -582,7 +573,7 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 // gateway sharing the substrate, cache, and observability plane, so
 // the storm cannot perturb the equivalence-checked phases.
 func sloSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache) (*slo.Result, error) {
-	_, ct, cleanup, err := gateway(pl, sub.net, "127.0.0.1:0", sub.policies, httpd.Config{})
+	_, ct, cleanup, err := gateway(pl, sub.net, "127.0.0.1:0", httpd.Config{Origins: sub.policies})
 	if err != nil {
 		return nil, err
 	}
@@ -612,8 +603,8 @@ func writeJSON(path string, v any) error {
 // verify checks every invariant the report measured and returns the
 // broken ones; a non-nil result makes the run exit 1. Thresholds that
 // depend on run length or host speed (connection reuse, allocation
-// ceilings, the noisy-neighbor tail) are not invariants; the make
-// targets assert those.
+// ceilings, the offered rate) are not invariants; the make targets
+// assert those.
 func verify(r *benchJSON) error {
 	var errs []error
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Errorf(format, args...)) }
@@ -663,8 +654,8 @@ func verify(r *benchJSON) error {
 		if c.GenerationsSeen < 2 {
 			fail("control: storm pages saw %d generation(s); the flip did not land mid-load", c.GenerationsSeen)
 		}
-		if c.PolicyzOrigins != c.TenantsMounted+1 {
-			fail("control: /policyz served %d documents, mounted %d", c.PolicyzOrigins, c.TenantsMounted+1)
+		if r.Policy != nil && c.PolicyzOrigins != len(r.Policy.Origins) {
+			fail("control: /policyz served %d documents, mounted %d", c.PolicyzOrigins, len(r.Policy.Origins))
 		}
 		if s := c.Storm; s != nil {
 			if s.FlipGeneration != c.Generation {
@@ -722,12 +713,11 @@ func printReport(r *benchJSON) {
 		}
 	}
 	if h := r.HTTP; h != nil {
-		fmt.Printf("\nHTTP gateway at %s — %d workers, queue %d per origin\n\n", h.Addr, h.Workers, h.QueueDepth)
-		t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s", "503s", "Queue max")
+		fmt.Printf("\nHTTP gateway at %s\n\n", h.Addr)
+		t := metrics.NewTable("Phase", "Tasks", "p50 (ms)", "p99 (ms)", "Reqs", "Reqs/s")
 		for _, ph := range h.Phases {
 			t.AddRow(ph.Name, fmt.Sprintf("%d", ph.Tasks), fmt.Sprintf("%.3f", ph.P50Ms), fmt.Sprintf("%.3f", ph.P99Ms),
-				fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec), fmt.Sprintf("%d", ph.Rejected503),
-				fmt.Sprintf("%d", ph.QueueDepthMax))
+				fmt.Sprintf("%d", ph.Requests), fmt.Sprintf("%.0f", ph.ReqsPerSec))
 		}
 		fmt.Print(t.String())
 		if c := h.Client; c != nil {

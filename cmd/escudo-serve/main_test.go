@@ -253,14 +253,15 @@ func TestServeHTTPSectionTLS(t *testing.T) {
 }
 
 // TestServeControlSection runs the control-plane section at test
-// scale: four stamped tenants plus the hot origin, one live policy flip
-// mid-load. No page may mix generations, the storm must straddle the
-// flip, /policyz must serve the whole fleet at the flip's generation,
-// and the §6.4 corpus must stay 18/18 on both sides of the flip.
+// scale: the substrate's origins on their own gateway, one live policy
+// flip mid-load. No page may mix generations, the storm must straddle
+// the flip, /policyz must serve every mounted document at the flip's
+// generation, and the §6.4 corpus must stay 18/18 on both sides of the
+// flip.
 func TestServeControlSection(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
 	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "1", "-mixed-iters", "1",
-		"-control", "-tenants", "4", "-out", out})
+		"-control", "-out", out})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -279,8 +280,11 @@ func TestServeControlSection(t *testing.T) {
 	if c.GenerationsMixed != 0 || c.GenerationsSeen != 2 {
 		t.Fatalf("generations: %d mixed, %d seen; want 0 mixed, 2 seen", c.GenerationsMixed, c.GenerationsSeen)
 	}
-	if c.PolicyzOrigins != c.TenantsMounted+1 {
-		t.Fatalf("policyz served %d documents, want %d tenants + the hot origin", c.PolicyzOrigins, c.TenantsMounted)
+	if report.Policy == nil {
+		t.Fatal("report has no policy section")
+	}
+	if c.PolicyzOrigins != len(report.Policy.Origins) {
+		t.Fatalf("policyz served %d documents, want the %d mounted", c.PolicyzOrigins, len(report.Policy.Origins))
 	}
 	s := c.Storm
 	if s == nil {

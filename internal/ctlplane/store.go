@@ -112,7 +112,7 @@ func (s *Store) SetGauge(g *obs.Gauge) {
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Generation returns the fleet generation counter: it bumps on every
-// accepted Set or Remove, across all origins.
+// accepted Set, across all origins.
 func (s *Store) Generation() uint64 { return s.snap.Load().Gen }
 
 // Get returns origin's current document and per-origin revision.
@@ -121,54 +121,32 @@ func (s *Store) Get(origin string) (policy.Policy, uint64, bool) {
 	return e.Policy, e.Rev, ok
 }
 
-// swap publishes a new table built by mutate (which edits a fresh COW
-// copy) and retires the old snapshot, waking every Wait.
-func (s *Store) swap(mutate func(entries map[string]Entry)) *Snapshot {
+// Set validates doc and publishes it as origin's current document,
+// bumping the fleet generation and the origin's revision. Validation
+// runs strictly before the swap: an invalid document is rejected with
+// the mounted table untouched at its old generation — the atomic-swap
+// half of the hot-reload contract. The swap copies the table, publishes
+// the copy and retires the old snapshot, waking every Wait.
+func (s *Store) Set(doc policy.Policy) (gen, rev uint64, err error) {
+	if err := doc.Validate(); err != nil {
+		return s.Generation(), 0, fmt.Errorf("ctlplane: rejecting document for %q: %w", doc.Origin, err)
+	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	old := s.snap.Load()
 	entries := make(map[string]Entry, len(old.entries)+1)
 	for k, v := range old.entries {
 		entries[k] = v
 	}
-	mutate(entries)
+	rev = entries[doc.Origin].Rev + 1
+	entries[doc.Origin] = Entry{Policy: doc, Rev: rev}
 	next := &Snapshot{Gen: old.Gen + 1, entries: entries, changed: make(chan struct{})}
 	s.snap.Store(next)
 	close(old.changed)
 	if g := s.gauge.Load(); g != nil {
 		g.Set(int64(next.Gen))
 	}
-	s.mu.Unlock()
-	return next
-}
-
-// Set validates doc and publishes it as origin's current document,
-// bumping the fleet generation and the origin's revision. Validation
-// runs strictly before the swap: an invalid document is rejected with
-// the mounted table untouched at its old generation — the atomic-swap
-// half of the hot-reload contract.
-func (s *Store) Set(doc policy.Policy) (gen, rev uint64, err error) {
-	if err := doc.Validate(); err != nil {
-		return s.Generation(), 0, fmt.Errorf("ctlplane: rejecting document for %q: %w", doc.Origin, err)
-	}
-	next := s.swap(func(entries map[string]Entry) {
-		e := entries[doc.Origin]
-		rev = e.Rev + 1
-		entries[doc.Origin] = Entry{Policy: doc, Rev: rev}
-	})
 	return next.Gen, rev, nil
-}
-
-// Remove drops origin's document (an unmount), bumping the fleet
-// generation if it was present.
-func (s *Store) Remove(origin string) (gen uint64, removed bool) {
-	if _, ok := s.snap.Load().Get(origin); !ok {
-		return s.Generation(), false
-	}
-	next := s.swap(func(entries map[string]Entry) {
-		_, removed = entries[origin]
-		delete(entries, origin)
-	})
-	return next.Gen, removed
 }
 
 // Wait blocks until the fleet generation exceeds after (returning the

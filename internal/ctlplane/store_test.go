@@ -76,21 +76,6 @@ func TestStoreRejectsInvalidLeavingOldMounted(t *testing.T) {
 	}
 }
 
-func TestStoreRemove(t *testing.T) {
-	s := NewStore()
-	mustSet(t, s, testPolicy("http://a.example", 3))
-	gen, removed := s.Remove("http://a.example")
-	if !removed || gen != 2 {
-		t.Fatalf("Remove: removed=%v gen=%d, want true/2", removed, gen)
-	}
-	if _, _, ok := s.Get("http://a.example"); ok {
-		t.Fatal("removed origin still mounted")
-	}
-	if _, removed := s.Remove("http://a.example"); removed {
-		t.Fatal("second Remove reported a removal")
-	}
-}
-
 func TestStoreWaitWakesOnSwap(t *testing.T) {
 	s := NewStore()
 	mustSet(t, s, testPolicy("http://a.example", 3))
@@ -173,9 +158,9 @@ func TestStoreConcurrentSwapsAndReads(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < 200; i++ {
 				o := fmt.Sprintf("http://w%d-%d.example", w, i%8)
-				mustSet(t, s, testPolicy(o, 3))
-				if i%16 == 15 {
-					s.Remove(o)
+				if _, _, err := s.Set(testPolicy(o, 3)); err != nil {
+					t.Errorf("Set %s: %v", o, err)
+					return
 				}
 			}
 		}()
@@ -186,10 +171,9 @@ func TestStoreConcurrentSwapsAndReads(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	// 4 writers × (200 sets + 12 removes with hits) ⇒ generation far
-	// beyond the writes' floor; exact value depends on remove hits.
-	if g := s.Generation(); g < 800 {
-		t.Fatalf("generation %d after 800 sets", g)
+	// One seed set plus 4 writers × 200 sets, each one generation.
+	if g := s.Generation(); g != 801 {
+		t.Fatalf("generation %d after 801 sets, want 801", g)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/ctlplane"
 	"repro/internal/httpd"
 	"repro/internal/origin"
+	"repro/internal/policy"
 	"repro/internal/scenarios"
 	"repro/internal/web"
 )
@@ -27,7 +28,7 @@ func startGateway(t *testing.T) (*httpd.Gateway, origin.Origin) {
 	doc := scenarios.Policy(o)
 	g, err := httpd.New(httpd.Config{
 		Inner:   n,
-		Origins: map[string]httpd.OriginConfig{o.String(): {Policy: &doc}},
+		Origins: map[string]policy.Policy{o.String(): doc},
 	})
 	if err != nil {
 		t.Fatalf("httpd.New: %v", err)

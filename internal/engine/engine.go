@@ -26,14 +26,10 @@ import (
 type Config struct {
 	// Sessions is the number of concurrent sessions (default 8).
 	Sessions int
-	// Network is the shared in-memory web substrate. It is required
-	// unless Transport is set.
-	Network *web.Network
-	// Transport, when non-nil, is the substrate the sessions fetch
-	// through instead of Network — e.g. an httpd.ClientTransport
-	// speaking real HTTP to a gateway over loopback. Exactly the same
-	// sessions, tasks, and stats run either way; only the carrier
-	// changes.
+	// Transport is the substrate the sessions fetch through: the shared
+	// in-memory *web.Network, or e.g. an httpd.ClientTransport speaking
+	// real HTTP to a gateway over loopback. Exactly the same sessions,
+	// tasks, and stats run either way; only the carrier changes.
 	Transport web.Transport
 	// Options is the per-browser configuration. Options.Cache is
 	// overridden with the pool's shared cache unless Uncached is set.
@@ -42,8 +38,6 @@ type Config struct {
 	Cache *core.DecisionCache
 	// Uncached disables the shared decision cache (baseline runs).
 	Uncached bool
-	// QueueDepth is the task queue capacity (default 4×Sessions).
-	QueueDepth int
 	// Stages, when non-nil, enables latency attribution: every task
 	// runs with a per-session obs.StageClock installed on its browser,
 	// and finished clocks fold into the set's per-stage histograms.
@@ -128,16 +122,10 @@ var ErrClosed = errors.New("engine: pool closed")
 // session, each consuming from a shared queue.
 func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Transport == nil {
-		if cfg.Network == nil {
-			return nil, errors.New("engine: Config.Network or Config.Transport is required")
-		}
-		cfg.Transport = cfg.Network
+		return nil, errors.New("engine: Config.Transport is required")
 	}
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 8
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Sessions
 	}
 	p := &Pool{cfg: cfg}
 	if !cfg.Uncached {
@@ -146,7 +134,8 @@ func NewPool(cfg Config) (*Pool, error) {
 			p.cache = core.NewDecisionCache()
 		}
 	}
-	p.tasks = make(chan Task, cfg.QueueDepth)
+	// The task queue holds four tasks per session.
+	p.tasks = make(chan Task, 4*cfg.Sessions)
 	p.batchBase = core.ReadBatchStats()
 	for i := 0; i < cfg.Sessions; i++ {
 		opts := cfg.Options

@@ -27,7 +27,7 @@ func benchNet(t testing.TB) (*web.Network, origin.Origin) {
 
 func TestPoolSessionsAreIsolated(t *testing.T) {
 	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 4, Network: net})
+	pool, err := NewPool(Config{Sessions: 4, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestPoolSessionsAreIsolated(t *testing.T) {
 
 func TestPoolSharedCacheAccumulatesHits(t *testing.T) {
 	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 8, Network: net})
+	pool, err := NewPool(Config{Sessions: 8, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPoolSharedCacheAccumulatesHits(t *testing.T) {
 
 func TestPoolSubmitQueueDistributesWork(t *testing.T) {
 	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 8, Network: net})
+	pool, err := NewPool(Config{Sessions: 8, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPoolSubmitQueueDistributesWork(t *testing.T) {
 
 func TestPoolTaskErrorsAreReported(t *testing.T) {
 	net, _ := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 2, Network: net})
+	pool, err := NewPool(Config{Sessions: 2, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPoolTaskErrorsAreReported(t *testing.T) {
 
 func TestPoolUncachedBaseline(t *testing.T) {
 	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 2, Network: net, Uncached: true})
+	pool, err := NewPool(Config{Sessions: 2, Transport: net, Uncached: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPoolUncachedBaseline(t *testing.T) {
 
 func TestPoolResetStatsKeepsCacheWarm(t *testing.T) {
 	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 2, Network: net})
+	pool, err := NewPool(Config{Sessions: 2, Transport: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +206,9 @@ func TestPoolResetStatsKeepsCacheWarm(t *testing.T) {
 func TestPoolModeSOPStillWorks(t *testing.T) {
 	net, o := benchNet(t)
 	pool, err := NewPool(Config{
-		Sessions: 2,
-		Network:  net,
-		Options:  browser.Options{Mode: browser.ModeSOP},
+		Sessions:  2,
+		Transport: net,
+		Options:   browser.Options{Mode: browser.ModeSOP},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestPoolModeSOPStillWorks(t *testing.T) {
 func TestPoolSharedCacheInvalidation(t *testing.T) {
 	net, o := benchNet(t)
 	cache := core.NewDecisionCache()
-	pool, err := NewPool(Config{Sessions: 4, Network: net, Cache: cache})
+	pool, err := NewPool(Config{Sessions: 4, Transport: net, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestPoolSharedCacheInvalidation(t *testing.T) {
 
 func BenchmarkPoolNavigate(b *testing.B) {
 	net, o := benchNet(b)
-	pool, err := NewPool(Config{Sessions: 8, Network: net})
+	pool, err := NewPool(Config{Sessions: 8, Transport: net})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,9 +298,9 @@ func TestPoolRunsDelegatedSessions(t *testing.T) {
 	pol.Delegate(mashup.Delegation{Host: portal, Guest: widget, Floor: 2})
 	cache := core.NewDecisionCache()
 	pool, err := NewPool(Config{
-		Sessions: 4,
-		Network:  net,
-		Cache:    cache,
+		Sessions:  4,
+		Transport: net,
+		Cache:     cache,
 		Options: browser.Options{
 			Mode: browser.ModeEscudo,
 			MonitorFactory: func(browser.PageRef) core.Monitor {
@@ -360,10 +360,10 @@ func TestPoolTapSinksReconcile(t *testing.T) {
 	stages := obs.NewStageSet(obs.NewRegistry())
 	const gen = 7
 	pool, err := NewPool(Config{
-		Sessions: 2,
-		Network:  net,
-		Stages:   stages,
-		Options:  browser.Options{DecisionRing: ring, PolicyGen: func() uint64 { return gen }},
+		Sessions:  2,
+		Transport: net,
+		Stages:    stages,
+		Options:   browser.Options{DecisionRing: ring, PolicyGen: func() uint64 { return gen }},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -59,7 +58,7 @@ func TestPolicyReloadSwapsLive(t *testing.T) {
 	n.Register(forum, echoHandler("forum"))
 	doc := forumPolicy(forum)
 	g := startGateway(t, n, Config{
-		Origins: map[string]OriginConfig{forum.String(): {Policy: &doc}},
+		Origins: map[string]policy.Policy{forum.String(): doc},
 	})
 
 	if got := fetchPolicyzDoc(t, g, ""); got.Generation != 1 {
@@ -96,7 +95,7 @@ func TestPolicyReloadSwapsLive(t *testing.T) {
 	}
 
 	// A document for an unmounted origin is refused: the control plane
-	// pushes versions to mounted tenants, it does not mount new ones.
+	// pushes versions to mounted origins, it does not mount new ones.
 	stray := forumPolicy(origin.MustParse("http://stray.example"))
 	resp, _ = postReload(t, g, stray)
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
@@ -124,7 +123,7 @@ func TestReloadUnreachableFromWebOrigin(t *testing.T) {
 	n.Register(forum, echoHandler("forum"))
 	doc := forumPolicy(forum)
 	g := startGateway(t, n, Config{
-		Origins: map[string]OriginConfig{forum.String(): {Policy: &doc}},
+		Origins: map[string]policy.Policy{forum.String(): doc},
 	})
 
 	data, _ := json.Marshal(forumPolicy(forum))
@@ -154,7 +153,7 @@ func TestPolicyzWaitLongPoll(t *testing.T) {
 	n.Register(forum, echoHandler("forum"))
 	doc := forumPolicy(forum)
 	g := startGateway(t, n, Config{
-		Origins: map[string]OriginConfig{forum.String(): {Policy: &doc}},
+		Origins: map[string]policy.Policy{forum.String(): doc},
 	})
 
 	// Already passed: answers now.
@@ -200,213 +199,42 @@ func TestPolicyzWaitLongPoll(t *testing.T) {
 	}
 }
 
-// TestUnmountLive pins live removal: the origin stops routing (marked
-// no-server 502, the in-memory unregistered contract), a request
-// waiting in its queue is rescued, the rest of the fleet is untouched,
-// and the policy store drops the document.
-func TestUnmountLive(t *testing.T) {
-	n := web.NewNetwork()
-	stay := origin.MustParse("http://stay.example")
-	leave := origin.MustParse("http://leave.example")
-	n.Register(stay, echoHandler("stay"))
-	release := make(chan struct{})
-	started := make(chan struct{}, 4)
-	n.Register(leave, web.HandlerFunc(func(req *web.Request) *web.Response {
-		started <- struct{}{}
-		<-release
-		return web.HTML("done")
-	}))
-
-	leaveDoc := scenarios.Policy(leave)
-	g, err := New(Config{Inner: n})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := g.Mount(stay); err != nil {
-		t.Fatalf("Mount stay: %v", err)
-	}
-	if err := g.MountOpts(leave, OriginConfig{Workers: 1, QueueDepth: 4, Policy: &leaveDoc}); err != nil {
-		t.Fatalf("Mount leave: %v", err)
-	}
-	if err := g.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { g.Close() })
-	var releaseOnce sync.Once
-	releaseFn := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(releaseFn)
-
-	// Wedge the single run slot (request A), then park request B on
-	// the queue.
-	codes := make(chan int, 2)
-	get := func(host string) int {
-		req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/", nil)
-		req.Host = host
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return -1
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); codes <- get("leave.example") }()
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("wedged handler never started")
-	}
-	vh := g.table.Load().byOrigin[leave]
-	wg.Add(1)
-	go func() { defer wg.Done(); codes <- get("leave.example") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(vh.queue) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request B never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	g.Unmount(leave)
-
-	// B was waiting on the retired origin: it must be rescued with the
-	// no-server contract while A still holds the handler, not strand.
-	// A was already in its handler and finishes normally once released.
-	for _, want := range []int{502, 200} {
-		if want == 200 {
-			releaseFn()
-		}
-		select {
-		case c := <-codes:
-			if c != want {
-				t.Fatalf("request answered %d across Unmount, want %d", c, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("request stranded across Unmount")
-		}
-	}
-
-	// New requests to the unmounted origin take the fallback path: the
-	// inner network has a handler registered, so they still answer —
-	// but the vhost (admission bounds, policy) is gone.
-	if _, _, ok := g.Policies().Get(leave.String()); ok {
-		t.Fatal("unmounted origin's policy still in the store")
-	}
-	if _, mounted := g.table.Load().byOrigin[leave]; mounted {
-		t.Fatal("unmounted origin still in the table")
-	}
-
-	// The rest of the fleet never noticed.
-	if code := get("stay.example"); code != 200 {
-		t.Fatalf("neighbor origin answered %d after unmount", code)
-	}
-}
-
-// TestMountChurnUnderLoad hammers live mount/unmount against steady
-// traffic: the COW table swap must never disturb an established
-// tenant, and the race detector audits the lock-free read path.
-func TestMountChurnUnderLoad(t *testing.T) {
-	n := web.NewNetwork()
-	stable := origin.MustParse("http://stable.example")
-	n.Register(stable, echoHandler("stable"))
-	churn := make([]origin.Origin, 16)
-	for i := range churn {
-		churn[i] = origin.MustParse(fmt.Sprintf("http://churn-%02d.example", i))
-		n.Register(churn[i], echoHandler("churn"))
-	}
-	g := startGateway(t, n, Config{DefaultWorkers: 1, DefaultQueueDepth: 8})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Steady traffic against the stable tenant.
-	var served, failed int
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		client := &http.Client{Timeout: 5 * time.Second}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/p", nil)
-			req.Host = "stable.example"
-			resp, err := client.Do(req)
-			if err != nil {
-				failed++
-				continue
-			}
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if resp.StatusCode == 200 {
-				served++
-			} else {
-				failed++
-			}
-		}
-	}()
-	// Four churners mounting and unmounting their own slice.
-	for c := 0; c < 4; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				o := churn[(c*4+i)%len(churn)]
-				doc := scenarios.Policy(o)
-				if err := g.MountOpts(o, OriginConfig{Workers: 1, QueueDepth: 2, Policy: &doc}); err == nil {
-					// Mounted tenants must route while mounted.
-					req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/p", nil)
-					req.Host = hostKey(o)
-					if resp, err := http.DefaultClient.Do(req); err == nil {
-						io.Copy(io.Discard, resp.Body) //nolint:errcheck
-						resp.Body.Close()
-					}
-					g.Unmount(o)
-				}
-			}
-		}()
-	}
-	time.Sleep(250 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if failed > 0 || served == 0 {
-		t.Fatalf("stable tenant disturbed by churn: served=%d failed=%d", served, failed)
-	}
-}
-
 // TestThousandTenantsMounted mounts well past a thousand
-// template-stamped tenants on a started gateway and proves the fleet
-// routes, reports, and serves policy at that scale, and that a mounted
-// origin costs no goroutine of its own.
+// template-stamped tenants before Start and proves the gateway routes,
+// reports, and serves policy at that scale, and that a mounted origin
+// costs no goroutine of its own.
 func TestThousandTenantsMounted(t *testing.T) {
 	const tenants = 1024
 	n := web.NewNetwork()
-	origins := scenarios.RegisterTenants(n, tenants)
-	g, err := New(Config{Inner: n, DefaultWorkers: 1, DefaultQueueDepth: 4})
+	h := scenarios.Handler()
+	origins := make([]origin.Origin, tenants)
+	docs := make(map[string]policy.Policy, tenants)
+	for i := range origins {
+		o := origin.MustParse(fmt.Sprintf("http://tenant-%04d.example", i))
+		n.Register(o, h)
+		origins[i] = o
+		docs[o.String()] = scenarios.Policy(o)
+	}
+	g, err := New(Config{Inner: n, Origins: docs})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := g.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { g.Close() })
 	before := runtime.NumGoroutine()
 	for _, o := range origins {
-		doc := scenarios.Policy(o)
-		if err := g.MountOpts(o, OriginConfig{Workers: 1, QueueDepth: 4, Policy: &doc}); err != nil {
-			t.Fatalf("MountOpts %s: %v", o, err)
+		if err := g.Mount(o); err != nil {
+			t.Fatalf("Mount %s: %v", o, err)
 		}
 	}
-	// Admission runs on each request's own goroutine. The slack covers
+	// Every request runs on its own goroutine. The slack covers
 	// goroutines of earlier tests still winding down, not one per
 	// tenant.
 	if grown := runtime.NumGoroutine() - before; grown > 8 {
 		t.Fatalf("mounting %d tenants started %d goroutines", tenants, grown)
 	}
+	if err := g.Start("127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { g.Close() })
 
 	resp := rawGet(t, g, "", "/healthz", nil)
 	var health healthzJSON

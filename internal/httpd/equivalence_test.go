@@ -19,6 +19,7 @@ import (
 	"repro/internal/mashup"
 	"repro/internal/nonce"
 	"repro/internal/origin"
+	"repro/internal/policy"
 	"repro/internal/scenarios"
 	"repro/internal/web"
 )
@@ -457,7 +458,7 @@ func TestGenerationIsolationEquivalence(t *testing.T) {
 	runGatewayLeg := func(name string, withTLS, forceH1 bool) {
 		n, bench, forumO, topic := buildSubstrate()
 		doc := scenarios.Policy(bench)
-		cfg := Config{Origins: map[string]OriginConfig{bench.String(): {Policy: &doc}}}
+		cfg := Config{Origins: map[string]policy.Policy{bench.String(): doc}}
 		var (
 			transport web.Transport
 			addr      string

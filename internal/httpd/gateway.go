@@ -1,9 +1,11 @@
 // Package httpd mounts the in-memory web substrate on real sockets:
-// a Gateway serves registered origins from one net/http listener with
-// Host-header virtual hosting, per-origin admission bounds, and admin
-// endpoints; a ClientTransport implements web.Transport over loopback
-// so a mediating browser on one side of a socket drives the same
-// applications as the in-memory network.
+// a Gateway serves a fixed set of origins from one net/http listener
+// with Host-header virtual hosting, policy delivery and admin
+// endpoints, and a ClientTransport implements web.Transport over
+// loopback so a mediating browser on one side of a socket drives the
+// same applications as the in-memory network. The gateway is a plain
+// transport: every request goes straight to its origin's handler on
+// its own goroutine, and every origin is mounted before Start.
 //
 // The protection model itself never moves: complete mediation (§4.2)
 // happens in the browser's reference monitors and the applications'
@@ -26,7 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -44,16 +45,15 @@ import (
 // the transport-independence invariant is untouched.
 const PolicyPath = "/.well-known/escudo-policy"
 
-// maxFormBytes bounds a form body read (a million-user gateway must
-// not buffer unbounded request bodies).
+// maxFormBytes bounds a form body read: the body comes from an
+// untrusted client, and the gateway must not buffer an unbounded one.
 const maxFormBytes = 10 << 20
 
 // Gateway-control headers. HeaderGateway marks responses synthesized
-// by the gateway itself (routing failures, overload) so a
-// ClientTransport can map them back to the in-memory error contract;
-// the initiator headers carry the web.Request initiator metadata
-// across the socket so the server-side request log stays as
-// informative as the in-memory one.
+// by the gateway itself (routing failures) so a ClientTransport can
+// map them back to the in-memory error contract; the initiator headers
+// carry the web.Request initiator metadata across the socket so the
+// server-side request log stays as informative as the in-memory one.
 const (
 	HeaderGateway         = "X-Escudo-Gateway"
 	HeaderInitiatorOrigin = "X-Escudo-Initiator-Origin"
@@ -71,47 +71,22 @@ const (
 
 // HeaderGateway values.
 const (
-	gatewayNoServer     = "no-server"
-	gatewayOverloaded   = "overloaded"
-	gatewayBadRequest   = "bad-request"
-	gatewayShuttingDown = "shutting-down"
+	gatewayNoServer   = "no-server"
+	gatewayBadRequest = "bad-request"
 )
-
-// OriginConfig sizes one origin's admission and carries its policy
-// document.
-type OriginConfig struct {
-	// Workers is the origin's concurrency: how many requests the
-	// origin's handler serves at once (default Config.DefaultWorkers).
-	Workers int
-	// QueueDepth bounds how many more requests may wait for one of
-	// those slots; an arriving request that finds the wait full is
-	// rejected with 503 instead of piling up behind a hot origin
-	// (default Config.DefaultQueueDepth).
-	QueueDepth int
-	// Policy, when non-nil, is the origin's unified policy document.
-	// It is validated at mount time, served at PolicyPath on the
-	// origin, and listed by the admin /policyz endpoint.
-	Policy *policy.Policy
-}
 
 // Config configures a Gateway.
 type Config struct {
 	// Inner serves the mounted origins — normally a *web.Network. The
-	// gateway adds transport and admission; routing semantics
-	// (including the request log and 502-for-unregistered) stay
-	// Inner's, and every admitted request reaches it.
+	// gateway adds transport only; routing semantics (including the
+	// request log and 502-for-unregistered) stay Inner's, and every
+	// request to a mounted origin reaches it.
 	Inner web.Transport
-	// DefaultWorkers is the per-origin concurrency when Mount is not
-	// given one (default 4).
-	DefaultWorkers int
-	// DefaultQueueDepth is the per-origin wait bound when Mount is
-	// not given one (default 64).
-	DefaultQueueDepth int
-	// Origins carries per-origin configuration (admission shape,
-	// policy document) keyed by origin string ("http://forum.example"),
-	// applied when Mount/MountNetwork register that origin without an
-	// explicit OriginConfig.
-	Origins map[string]OriginConfig
+	// Origins maps an origin string ("http://forum.example") to its
+	// unified policy document. Mount/MountNetwork validate the
+	// document, serve it at PolicyPath on the origin, and list it on
+	// the admin /policyz endpoint.
+	Origins map[string]policy.Policy
 	// TLS, when non-nil, terminates https on the listener: every
 	// handshake gets a leaf certificate minted by the CA, selected by
 	// SNI (per-origin identity) with a loopback default for SNI-less
@@ -136,10 +111,10 @@ type Config struct {
 	// sessions (browser.Options.DecisionRing); a nil ring 404s /tracez.
 	Ring *core.DecisionRing
 	// Stages, when non-nil, enables gateway-side latency attribution:
-	// per-request queue-wait, handler, and transport-translation spans
-	// fold into the set's escudo_stage_seconds histograms. Share the
-	// set with the load driver so browser-side stages (batch_auth,
-	// script_vm, render) land in the same /varz families.
+	// per-request handler and transport-translation spans fold into
+	// the set's escudo_stage_seconds histograms. Share the set with the
+	// load driver so browser-side stages (batch_auth, script_vm,
+	// render) land in the same /varz families.
 	Stages *obs.StageSet
 	// Slow, when non-nil, is the tail-exemplar ring served at the admin
 	// /slowz endpoint. The gateway records its slowest requests under
@@ -148,101 +123,43 @@ type Config struct {
 	// ring 404s /slowz.
 	Slow *obs.SlowRing
 	// Policies, when non-nil, is the control-plane store holding the
-	// fleet's per-origin policy documents. nil gets a private store.
-	// Mount seeds it from OriginConfig.Policy; /policyz serves it
-	// (generation included, ?wait long-polls it); POST /policyz/reload
-	// swaps documents in it live. Enforcement never moves — the store
-	// versions and distributes documents, the browser-side monitors
-	// decide.
+	// per-origin policy documents. nil gets a private store. Mount
+	// seeds it from Origins; /policyz serves it (generation included,
+	// ?wait long-polls it); POST /policyz/reload swaps documents in it
+	// live. Enforcement never moves — the store versions and
+	// distributes documents, the browser-side monitors decide.
 	Policies *ctlplane.Store
 }
 
-// vhost is one mounted origin: its identity, its admission
-// semaphores, and its per-origin traffic counters (registry handles
-// labeled by origin, so /varz breaks traffic down per origin for
-// free). A request holds a run slot while the origin's handler serves
-// it and a queue slot while it waits for a run slot. stop is closed by
-// Unmount, rescuing every waiting request without touching the rest of
-// the fleet.
+// vhost is one mounted origin: its identity and its per-origin traffic
+// counters (registry handles labeled by origin, so /varz breaks
+// traffic down per origin for free).
 type vhost struct {
-	origin  origin.Origin
-	run     chan struct{} // capacity OriginConfig.Workers
-	queue   chan struct{} // capacity OriginConfig.QueueDepth
-	stop    chan struct{}
-	served  *obs.Counter
-	dropped *obs.Counter
+	origin origin.Origin
+	served *obs.Counter
 	// latency is the origin's request-latency histogram
 	// (escudo_origin_latency_seconds{origin=...}), exposed on /varz as
-	// p50/p99 summaries — the noisy-neighbor probe's per-origin tail,
-	// observable live without a BENCH run.
+	// p50/p99 summaries — the per-origin tail, observable live without
+	// a BENCH run.
 	latency *obs.Hist
-}
-
-// vhostTable is one immutable generation of the mount table, read
-// lock-free on every request via an atomic pointer. Mount and Unmount
-// copy-on-write a fresh table under the mount mutex and swap — the
-// same discipline as web.Network's server table and ctlplane.Store —
-// so the request path never contends with mount churn at thousands of
-// origins.
-type vhostTable struct {
-	byHost   map[string]*vhost        // Host-header key → vhost
-	byOrigin map[origin.Origin]*vhost // one vhost per origin
-}
-
-// emptyVhostTable is the before-first-mount generation.
-var emptyVhostTable = &vhostTable{byHost: map[string]*vhost{}, byOrigin: map[origin.Origin]*vhost{}}
-
-// clone copies the table for a COW mutation.
-func (t *vhostTable) clone() *vhostTable {
-	next := &vhostTable{
-		byHost:   make(map[string]*vhost, len(t.byHost)+2),
-		byOrigin: make(map[origin.Origin]*vhost, len(t.byOrigin)+1),
-	}
-	for k, v := range t.byHost {
-		next.byHost[k] = v
-	}
-	for k, v := range t.byOrigin {
-		next.byOrigin[k] = v
-	}
-	return next
 }
 
 // Stats counts gateway traffic.
 type Stats struct {
-	// Served counts origin responses written (503 rejections and
-	// admin endpoints excluded).
+	// Served counts origin responses written (admin endpoints
+	// excluded).
 	Served uint64 `json:"served"`
-	// Rejected503 counts requests dropped because their origin's
-	// queue was full.
-	Rejected503 uint64 `json:"rejected_503"`
-	// MaxQueueDepth is the most requests any origin has had waiting
-	// for a run slot at once since Start or the last
-	// ResetQueueHighWater.
-	MaxQueueDepth int64 `json:"max_queue_depth"`
 }
 
-// Sub returns the counter delta s-base. MaxQueueDepth is a running
-// high-water mark and passes through unchanged.
+// Sub returns the counter delta s-base.
 func (s Stats) Sub(base Stats) Stats {
-	return Stats{
-		Served:        s.Served - base.Served,
-		Rejected503:   s.Rejected503 - base.Rejected503,
-		MaxQueueDepth: s.MaxQueueDepth,
-	}
+	return Stats{Served: s.Served - base.Served}
 }
 
 // Add sums two snapshots — used to aggregate a fleet of short-lived
 // gateways (the per-environment attack replay) into one section.
 func (s Stats) Add(o Stats) Stats {
-	out := Stats{
-		Served:        s.Served + o.Served,
-		Rejected503:   s.Rejected503 + o.Rejected503,
-		MaxQueueDepth: s.MaxQueueDepth,
-	}
-	if o.MaxQueueDepth > out.MaxQueueDepth {
-		out.MaxQueueDepth = o.MaxQueueDepth
-	}
-	return out
+	return Stats{Served: s.Served + o.Served}
 }
 
 // Gateway serves a web substrate over a real net/http listener.
@@ -251,25 +168,22 @@ type Gateway struct {
 	inner    web.Transport
 	policies *ctlplane.Store
 
-	// mountMu serializes mount-table mutations (Mount, Unmount, Start);
-	// the request path reads table lock-free.
-	mountMu sync.Mutex
-	table   atomic.Pointer[vhostTable]
-	started bool // under mountMu
+	// The mount table. Mount fills it under mu before Start, and it is
+	// read-only once serving begins: Start sets started under mu before
+	// it launches Serve, so every write happens before every read and
+	// the request path reads the maps without a lock.
+	mu       sync.Mutex
+	byHost   map[string]*vhost        // Host-header key → vhost
+	byOrigin map[origin.Origin]*vhost // one vhost per origin
+	started  bool                     // under mu
 
-	srv      *http.Server
-	ln       net.Listener
-	quit     chan struct{}
-	stopOnce sync.Once
+	srv *http.Server
+	ln  net.Listener
 
-	// The traffic counters are registry handles (one atomic each), so
-	// Stats() and /varz read the same instances. maxDepth keeps a raw
-	// atomic for its CAS race and mirrors into a gauge.
-	reg       *obs.Registry
-	served    *obs.Counter
-	rejected  *obs.Counter
-	maxDepth  atomic.Int64
-	maxDepthG *obs.Gauge
+	// served is a registry handle (one atomic), so Stats() and /varz
+	// read the same instance.
+	reg    *obs.Registry
+	served *obs.Counter
 }
 
 // New builds a gateway over the inner transport.
@@ -277,19 +191,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.Inner == nil {
 		return nil, errors.New("httpd: Config.Inner is required")
 	}
-	if cfg.DefaultWorkers <= 0 {
-		cfg.DefaultWorkers = 4
-	}
-	if cfg.DefaultQueueDepth <= 0 {
-		cfg.DefaultQueueDepth = 64
-	}
 	g := &Gateway{
 		cfg:      cfg,
 		inner:    cfg.Inner,
 		policies: cfg.Policies,
-		quit:     make(chan struct{}),
+		byHost:   map[string]*vhost{},
+		byOrigin: map[origin.Origin]*vhost{},
 	}
-	g.table.Store(emptyVhostTable)
 	if g.policies == nil {
 		g.policies = ctlplane.NewStore()
 	}
@@ -298,9 +206,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.reg = obs.NewRegistry()
 	}
 	g.served = g.reg.Counter("escudo_gateway_served_total")
-	g.rejected = g.reg.Counter("escudo_gateway_rejected_total")
-	g.maxDepthG = g.reg.Gauge("escudo_gateway_queue_depth_max")
-	// The fleet policy-generation counter mirrors into /varz on every
+	// The policy-generation counter mirrors into /varz on every
 	// accepted swap.
 	g.policies.SetGauge(g.reg.Gauge("escudo_policy_generation"))
 	return g, nil
@@ -315,68 +221,50 @@ func hostKey(o origin.Origin) string {
 	return fmt.Sprintf("%s:%d", o.Host, o.Port)
 }
 
-// Mount registers an origin for virtual hosting with the admission
-// shape from Config.Origins (or the defaults). Mounting is live: the
-// COW table swap makes the origin routable without stalling a single
-// in-flight request, before or after Start. Only http-scheme origins can
-// be mounted: origins are logical http:// identities throughout the
-// substrate, and TLS (Config.TLS) is applied at the transport layer
-// without changing them — that is what keeps verdicts identical
-// across plain and https deployments.
+// Mount registers an origin for virtual hosting, with its policy
+// document from Config.Origins when it has one. Every origin is
+// mounted before Start; Mount after Start is refused. Only http-scheme
+// origins can be mounted: origins are logical http:// identities
+// throughout the substrate, and TLS (Config.TLS) is applied at the
+// transport layer without changing them — that is what keeps verdicts
+// identical across plain and https deployments.
 func (g *Gateway) Mount(o origin.Origin) error {
-	if pre, ok := g.cfg.Origins[o.String()]; ok {
-		return g.MountOpts(o, pre)
-	}
-	return g.MountOpts(o, OriginConfig{})
-}
-
-// MountOpts is Mount with an explicit admission shape and policy.
-// Unset Workers/QueueDepth take the gateway defaults.
-func (g *Gateway) MountOpts(o origin.Origin, cfg OriginConfig) error {
 	if o.Scheme != "http" {
 		return fmt.Errorf("httpd: cannot mount %s: only http origins are served", o)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = g.cfg.DefaultWorkers
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = g.cfg.DefaultQueueDepth
-	}
-	if cfg.Policy != nil {
-		if err := cfg.Policy.Validate(); err != nil {
+	doc, hasDoc := g.cfg.Origins[o.String()]
+	if hasDoc {
+		if err := doc.Validate(); err != nil {
 			return fmt.Errorf("httpd: mounting %s: %w", o, err)
 		}
-		if cfg.Policy.Origin != o.String() {
-			return fmt.Errorf("httpd: mounting %s: policy document names origin %q", o, cfg.Policy.Origin)
+		if doc.Origin != o.String() {
+			return fmt.Errorf("httpd: mounting %s: policy document names origin %q", o, doc.Origin)
 		}
 	}
-	g.mountMu.Lock()
-	defer g.mountMu.Unlock()
-	if _, exists := g.table.Load().byOrigin[o]; exists {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.started {
+		return fmt.Errorf("httpd: cannot mount %s: the gateway has started", o)
+	}
+	if _, exists := g.byOrigin[o]; exists {
 		return fmt.Errorf("httpd: %s already mounted", o)
 	}
 	vh := &vhost{
 		origin:  o,
-		run:     make(chan struct{}, cfg.Workers),
-		queue:   make(chan struct{}, cfg.QueueDepth),
-		stop:    make(chan struct{}),
 		served:  g.reg.Counter("escudo_origin_served_total", obs.L("origin", o.String())),
-		dropped: g.reg.Counter("escudo_origin_dropped_total", obs.L("origin", o.String())),
 		latency: g.reg.Histogram("escudo_origin_latency_seconds", obs.L("origin", o.String())),
 	}
-	next := g.table.Load().clone()
-	next.byOrigin[o] = vh
-	next.byHost[hostKey(o)] = vh
+	g.byOrigin[o] = vh
+	g.byHost[hostKey(o)] = vh
 	// A client that spells the default port explicitly still lands on
 	// the same origin.
 	if o.Port == 80 {
-		next.byHost[o.Host+":80"] = vh
+		g.byHost[o.Host+":80"] = vh
 	}
-	g.table.Store(next)
-	if cfg.Policy != nil {
-		// Seeding the store bumps the fleet generation like any other
-		// swap; the mount is the document's first publication.
-		if _, _, err := g.policies.Set(*cfg.Policy); err != nil {
+	if hasDoc {
+		// Seeding the store bumps the generation like any other swap;
+		// the mount is the document's first publication.
+		if _, _, err := g.policies.Set(doc); err != nil {
 			// Unreachable: the document validated above.
 			return fmt.Errorf("httpd: mounting %s: %w", o, err)
 		}
@@ -384,34 +272,8 @@ func (g *Gateway) MountOpts(o origin.Origin, cfg OriginConfig) error {
 	return nil
 }
 
-// Unmount removes an origin live: the COW table swap makes it
-// unroutable, every request still waiting for one of its run slots is
-// rescued with a no-server answer (the in-memory semantics of an
-// unregistered origin), and its policy document leaves the store.
-// Requests already in its handler finish normally. Unmounting an
-// unknown origin is a no-op.
-func (g *Gateway) Unmount(o origin.Origin) {
-	g.mountMu.Lock()
-	defer g.mountMu.Unlock()
-	cur := g.table.Load()
-	vh, ok := cur.byOrigin[o]
-	if !ok {
-		return
-	}
-	next := cur.clone()
-	delete(next.byOrigin, o)
-	for k, v := range next.byHost {
-		if v == vh {
-			delete(next.byHost, k)
-		}
-	}
-	g.table.Store(next)
-	close(vh.stop)
-	g.policies.Remove(o.String())
-}
-
 // MountNetwork mounts every origin currently registered on the
-// network with the default admission shape.
+// network.
 func (g *Gateway) MountNetwork(n *web.Network) error {
 	for _, o := range n.Origins() {
 		if err := g.Mount(o); err != nil {
@@ -422,16 +284,17 @@ func (g *Gateway) MountNetwork(n *web.Network) error {
 }
 
 // Start listens on addr ("127.0.0.1:0" for an ephemeral loopback
-// port) and serves in the background until Shutdown.
+// port) and serves in the background until Shutdown. The mount table
+// is fixed from here on.
 func (g *Gateway) Start(addr string) error {
-	g.mountMu.Lock()
+	g.mu.Lock()
 	if g.started {
-		g.mountMu.Unlock()
+		g.mu.Unlock()
 		return errors.New("httpd: already started")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		g.mountMu.Unlock()
+		g.mu.Unlock()
 		return fmt.Errorf("httpd: listen %s: %w", addr, err)
 	}
 	g.ln = ln
@@ -441,7 +304,7 @@ func (g *Gateway) Start(addr string) error {
 	}
 	g.srv = &http.Server{Handler: g, ReadHeaderTimeout: 10 * time.Second}
 	g.started = true
-	g.mountMu.Unlock()
+	g.mu.Unlock()
 	go g.srv.Serve(serveLn) //nolint:errcheck // Serve always returns ErrServerClosed after Shutdown.
 	return nil
 }
@@ -461,9 +324,8 @@ func (g *Gateway) Addr() string {
 const shutdownRound = 100 * time.Millisecond
 
 // Shutdown gracefully stops the gateway: the listener closes and
-// in-flight requests finish. If ctx ends first, every request still
-// waiting for a run slot is answered with a marked shutting-down 503;
-// requests already in a handler run to completion on their own
+// in-flight requests finish. If ctx ends first, Shutdown returns its
+// error; requests still in a handler run to completion on their own
 // goroutines.
 //
 // net/http runs the h2 server's graceful-shutdown hook once per
@@ -475,19 +337,17 @@ const shutdownRound = 100 * time.Millisecond
 // GOAWAY and closes on h2's one-second timer, and streams in flight
 // still run to completion.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	var err error
-	if g.srv != nil {
-		for {
-			round, cancel := context.WithTimeout(ctx, shutdownRound)
-			err = g.srv.Shutdown(round)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
-				break
-			}
+	if g.srv == nil {
+		return nil
+	}
+	for {
+		round, cancel := context.WithTimeout(ctx, shutdownRound)
+		err := g.srv.Shutdown(round)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
+			return err
 		}
 	}
-	g.stopOnce.Do(func() { close(g.quit) })
-	return err
 }
 
 // Close is Shutdown with a 5-second deadline.
@@ -497,32 +357,19 @@ func (g *Gateway) Close() error {
 	return g.Shutdown(ctx)
 }
 
-// ResetQueueHighWater zeroes the max-queue-depth gauge, so a
-// measurement phase can record its own high-water mark instead of
-// inheriting an earlier phase's spike.
-func (g *Gateway) ResetQueueHighWater() {
-	g.maxDepth.Store(0)
-	g.maxDepthG.Set(0)
-}
-
 // Registry returns the gateway's metrics registry (Config.Obs, or the
 // private one New created) — what /varz exposes.
 func (g *Gateway) Registry() *obs.Registry { return g.reg }
 
 // Stats snapshots the gateway counters.
 func (g *Gateway) Stats() Stats {
-	return Stats{
-		Served:        g.served.Value(),
-		Rejected503:   g.rejected.Value(),
-		MaxQueueDepth: g.maxDepth.Load(),
-	}
+	return Stats{Served: g.served.Value()}
 }
 
-// lookupVhost resolves the Host header to a mounted origin — one
-// atomic load, no lock, however many thousands of origins are mounted
-// and however hard Mount/Unmount churn the table.
+// lookupVhost resolves the Host header to a mounted origin. The table
+// is read-only once serving begins, so the lookup takes no lock.
 func (g *Gateway) lookupVhost(host string) (*vhost, bool) {
-	vh, ok := g.table.Load().byHost[strings.ToLower(host)]
+	vh, ok := g.byHost[strings.ToLower(host)]
 	return vh, ok
 }
 
@@ -548,7 +395,7 @@ var requestHeaderSkip = map[string]bool{
 // reqPool recycles the web.Request every incoming HTTP request is
 // translated into. The request's own goroutine is the only one that
 // touches it, so it goes back to the pool (releaseRequest) once the
-// response is written or the request is turned away.
+// response is written.
 var reqPool = sync.Pool{New: func() any { return &web.Request{} }}
 
 // releaseRequest hands a translated request back to the pool.
@@ -624,18 +471,15 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, resp *web.Response) {
 // ClientTransport can restore the in-memory error contract.
 func (g *Gateway) gatewayError(w http.ResponseWriter, kind string, status int, msg string) {
 	w.Header().Set(HeaderGateway, kind)
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
 	http.Error(w, msg, status)
 }
 
-// ServeHTTP routes by Host header: mounted origins go through their
-// admission bounds, the admin endpoints answer only on the listener's
+// ServeHTTP routes by Host header: mounted origins go straight to
+// their handler, the admin endpoints answer only on the listener's
 // own address (so a web-origin Host can never reach them — an
 // unregistered origin's /healthz must 502 exactly as it does in
 // memory), and every other unmapped host falls back to the inner
-// transport inline (late-registered or unregistered origins behave
+// transport inline (origins registered after Start, or never, behave
 // exactly as in memory, 502 log entry included).
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if vh, ok := g.lookupVhost(r.Host); ok {
@@ -670,10 +514,10 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.serveFallback(w, r)
 }
 
-// serveOrigin is the mounted-origin path: policy delivery, admission,
-// the origin's handler, response translation. Every admitted request
-// reaches the inner transport, so the origin's request log matches
-// in-memory traffic entry for entry.
+// serveOrigin is the mounted-origin path: policy delivery, the
+// origin's handler, response translation. Every request reaches the
+// inner transport, so the origin's request log matches in-memory
+// traffic entry for entry.
 func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost) {
 	// arrival anchors the per-origin latency histogram (always on — the
 	// per-origin tail must be observable without a BENCH run) and, with
@@ -696,16 +540,11 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 	}
 	req := translate(r, vh.origin)
 	defer releaseRequest(req)
-	queued := time.Now()
-	if !g.admit(w, vh) {
-		return
-	}
 	running := time.Now()
-	resp, err := g.handle(vh, req)
+	resp, err := g.inner.RoundTrip(req)
 	handled := time.Now()
-	wait, handler := running.Sub(queued), handled.Sub(running)
+	handler := handled.Sub(running)
 	stages := g.cfg.Stages
-	stages.Observe(obs.StageQueueWait, wait)
 	stages.Observe(obs.StageHandler, handler)
 	if err != nil {
 		g.routeError(w, err)
@@ -720,68 +559,13 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 		// Translation is the gateway's own bookkeeping around the
 		// round trip: request translation on the way in plus response
 		// writing on the way out.
-		trans := queued.Sub(arrival) + end.Sub(handled)
+		trans := running.Sub(arrival) + end.Sub(handled)
 		stages.Observe(obs.StageTranslate, trans)
 		var spans [obs.NumStages]int64
-		spans[obs.StageQueueWait] = int64(wait)
 		spans[obs.StageHandler] = int64(handler)
 		spans[obs.StageTranslate] = int64(trans)
 		g.cfg.Slow.Record("gateway", req.TraceID, total, spans)
 	}
-}
-
-// admit takes one of vh's run slots for the request, waiting in one
-// of its queue slots while none is free. When it reports false it has
-// answered the request itself: a marked 503 when the queue is full
-// too, a marked no-server 502 when Unmount retires the origin, or a
-// marked shutting-down 503 when Shutdown gives up on waiting requests.
-// A freed run slot goes straight to the longest-blocked waiter (Go
-// queues a channel's blocked senders in arrival order), so waiting
-// requests run in arrival order.
-func (g *Gateway) admit(w http.ResponseWriter, vh *vhost) bool {
-	select {
-	case vh.run <- struct{}{}:
-		return true
-	default:
-	}
-	select {
-	case vh.queue <- struct{}{}:
-	default:
-		vh.dropped.Add(1)
-		g.rejected.Add(1)
-		g.gatewayError(w, gatewayOverloaded, http.StatusServiceUnavailable,
-			fmt.Sprintf("origin %s queue full", vh.origin))
-		return false
-	}
-	defer func() { <-vh.queue }()
-	for depth := int64(len(vh.queue)); ; {
-		cur := g.maxDepth.Load()
-		if depth <= cur {
-			break
-		}
-		if g.maxDepth.CompareAndSwap(cur, depth) {
-			g.maxDepthG.Set(depth)
-			break
-		}
-	}
-	select {
-	case vh.run <- struct{}{}:
-		return true
-	case <-vh.stop:
-		g.gatewayError(w, gatewayNoServer, http.StatusBadGateway,
-			fmt.Sprintf("origin %s unmounted", vh.origin))
-	case <-g.quit:
-		g.gatewayError(w, gatewayShuttingDown, http.StatusServiceUnavailable, "gateway shutting down")
-	}
-	return false
-}
-
-// handle round-trips an admitted request on the inner transport and
-// frees its run slot, even if the handler panics (net/http recovers
-// the panic, and a leaked slot would shrink the origin for good).
-func (g *Gateway) handle(vh *vhost, req *web.Request) (*web.Response, error) {
-	defer func() { <-vh.run }()
-	return g.inner.RoundTrip(req)
 }
 
 // servePprof dispatches the net/http/pprof handlers. It is reachable
@@ -849,7 +633,7 @@ type healthzJSON struct {
 }
 
 func (g *Gateway) serveHealthz(w http.ResponseWriter) {
-	origins := len(g.table.Load().byOrigin)
+	origins := len(g.byOrigin)
 	writeJSON(w, healthzJSON{Status: "ok", Ready: true, TLS: g.TLS(), Origins: origins, Addr: g.Addr(), Version: obs.Version()})
 }
 
@@ -1061,7 +845,7 @@ func (g *Gateway) serveReload(w http.ResponseWriter, r *http.Request) {
 		reloadError(w, http.StatusUnprocessableEntity, fmt.Sprintf("policy origin: %v", err))
 		return
 	}
-	if _, mounted := g.table.Load().byOrigin[o]; !mounted {
+	if _, mounted := g.byOrigin[o]; !mounted {
 		reloadError(w, http.StatusNotFound, fmt.Sprintf("origin %s not mounted", o))
 		return
 	}

@@ -260,101 +260,6 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
-func TestQueueOverflowReturns503(t *testing.T) {
-	n := web.NewNetwork()
-	slow := origin.MustParse("http://slow.example")
-	release := make(chan struct{})
-	started := make(chan struct{}, 64)
-	n.Register(slow, web.HandlerFunc(func(req *web.Request) *web.Response {
-		started <- struct{}{}
-		<-release
-		return web.HTML("done")
-	}))
-	fast := origin.MustParse("http://fast.example")
-	n.Register(fast, echoHandler("fast"))
-
-	g, err := New(Config{Inner: n})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := g.MountOpts(slow, OriginConfig{Workers: 1, QueueDepth: 1}); err != nil {
-		t.Fatalf("MountOpts: %v", err)
-	}
-	if err := g.Mount(fast); err != nil {
-		t.Fatalf("Mount: %v", err)
-	}
-	if err := g.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { g.Close() })
-	// Cleanups run LIFO: unwedge the handler before g.Close drains the
-	// requests in flight, even when the test fails early.
-	var releaseOnce sync.Once
-	releaseFn := func() { releaseOnce.Do(func() { close(release) }) }
-	t.Cleanup(releaseFn)
-
-	get := func() int {
-		req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/", nil)
-		req.Host = "slow.example"
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return -1
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-
-	// Fill the single run slot (request A), then the depth-1 queue
-	// (request B), deterministically.
-	codes := make(chan int, 2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); codes <- get() }()
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow handler never started")
-	}
-	wg.Add(1)
-	go func() { defer wg.Done(); codes <- get() }()
-	vh := g.table.Load().byOrigin[slow]
-	deadline := time.Now().Add(5 * time.Second)
-	for len(vh.queue) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("request B never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The run slot is busy and the queue is full: request C must be
-	// rejected immediately with 503, not block.
-	if code := get(); code != 503 {
-		t.Fatalf("overflow request: status %d, want 503", code)
-	}
-	// The high-water mark counts waiting requests only: B, not A.
-	if st := g.Stats(); st.Rejected503 != 1 || st.MaxQueueDepth != 1 {
-		t.Fatalf("Rejected503 = %d MaxQueueDepth = %d, want 1 and 1", st.Rejected503, st.MaxQueueDepth)
-	}
-
-	// Releasing the handler drains A and B successfully.
-	releaseFn()
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != 200 {
-			t.Fatalf("queued request finished with %d, want 200", code)
-		}
-	}
-
-	// One hot origin must not starve the rest: the fast origin still
-	// answers while slow.example's handler is wedged.
-	resp := rawGet(t, g, "fast.example", "/", nil)
-	if body := readBody(t, resp); resp.StatusCode != 200 || !strings.Contains(body, "host=fast") {
-		t.Fatalf("fast origin starved: %d %q", resp.StatusCode, body)
-	}
-}
-
 func TestGracefulShutdown(t *testing.T) {
 	n := web.NewNetwork()
 	o := origin.MustParse("http://app.example")
@@ -372,65 +277,51 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestShutdownDeadlineAnswersWaiting pins Shutdown past its deadline:
-// a request still waiting for a run slot gets the marked shutting-down
-// 503, Shutdown returns at its deadline although a handler is still
-// running, and that handler's request finishes normally.
+// while one origin's handler is wedged another origin still answers,
+// Shutdown returns at its deadline although the handler is still
+// running, and the wedged request finishes normally once released.
 func TestShutdownDeadlineAnswersWaiting(t *testing.T) {
 	n := web.NewNetwork()
-	o := origin.MustParse("http://slow.example")
+	slow := origin.MustParse("http://slow.example")
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
+	n.Register(slow, web.HandlerFunc(func(req *web.Request) *web.Response {
 		started <- struct{}{}
 		<-release
 		return web.HTML("done")
 	}))
-	g, err := New(Config{Inner: n})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := g.MountOpts(o, OriginConfig{Workers: 1, QueueDepth: 1}); err != nil {
-		t.Fatalf("MountOpts: %v", err)
-	}
-	if err := g.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() { g.Close() })
+	n.Register(origin.MustParse("http://fast.example"), echoHandler("fast"))
+	g := startGateway(t, n, Config{})
+	// Cleanups run LIFO: unwedge the handler before g.Close drains the
+	// request in flight, even when the test fails early.
 	var releaseOnce sync.Once
 	releaseFn := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(releaseFn)
 
-	type answer struct {
-		code   int
-		marker string
-	}
-	answers := make(chan answer, 2)
-	get := func() {
+	codes := make(chan int, 1)
+	go func() {
 		req, _ := http.NewRequest("GET", "http://"+g.Addr()+"/", nil)
 		req.Host = "slow.example"
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			answers <- answer{code: -1}
+			codes <- -1
 			return
 		}
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
-		answers <- answer{resp.StatusCode, resp.Header.Get(HeaderGateway)}
-	}
-	// Request A takes the single run slot, request B waits for it.
-	go get()
+		codes <- resp.StatusCode
+	}()
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):
 		t.Fatal("slow handler never started")
 	}
-	go get()
-	vh := g.table.Load().byOrigin[o]
-	for deadline := time.Now().Add(5 * time.Second); len(vh.queue) < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("request B never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
+
+	// One wedged origin must not starve the rest: the fast origin still
+	// answers while slow.example's handler is wedged.
+	resp := rawGet(t, g, "fast.example", "/", nil)
+	if body := readBody(t, resp); resp.StatusCode != 200 || !strings.Contains(body, "host=fast") {
+		t.Fatalf("fast origin starved: %d %q", resp.StatusCode, body)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -438,19 +329,11 @@ func TestShutdownDeadlineAnswersWaiting(t *testing.T) {
 	if err := g.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown with a wedged handler returned %v, want the deadline", err)
 	}
-	select {
-	case a := <-answers:
-		if a.code != 503 || a.marker != gatewayShuttingDown {
-			t.Fatalf("waiting request answered %d %q, want 503 %q", a.code, a.marker, gatewayShuttingDown)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiting request stranded past the Shutdown deadline")
-	}
 	releaseFn()
 	select {
-	case a := <-answers:
-		if a.code != 200 {
-			t.Fatalf("request in the handler answered %d, want 200", a.code)
+	case code := <-codes:
+		if code != 200 {
+			t.Fatalf("request in the handler answered %d, want 200", code)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("request in the handler never finished")

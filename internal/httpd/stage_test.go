@@ -124,10 +124,14 @@ func TestStageTimingEquivalence(t *testing.T) {
 		t.Fatalf("http timed tally diverges:\n  untimed: %v\n  timed:   %v", baseTally, got)
 	}
 	assertBrowserStages(t, "http", httpStages)
-	for _, st := range []obs.Stage{obs.StageQueueWait, obs.StageHandler, obs.StageTranslate} {
+	for _, st := range []obs.Stage{obs.StageHandler, obs.StageTranslate} {
 		if got := httpStages.Hist(st).Snapshot().Total(); got == 0 {
 			t.Errorf("http: gateway stage %s recorded no observations", st)
 		}
+	}
+	// Nothing records queue_wait since the gateway stopped queueing.
+	if got := httpStages.Hist(obs.StageQueueWait).Snapshot().Total(); got != 0 {
+		t.Errorf("http: queue_wait recorded %d observations, want 0", got)
 	}
 	doc := fetchSlowz(t, http.DefaultClient, "http", hg.Addr(), "?phase=http")
 	if len(doc.Exemplars) == 0 {

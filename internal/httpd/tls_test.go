@@ -197,35 +197,28 @@ func TestClientConnReuse(t *testing.T) {
 }
 
 // TestGracefulShutdownTLSInFlight pins the drain contract under TLS:
-// requests in flight (including ones waiting in an origin's queue) when
-// Shutdown begins all complete with full responses, and a second
-// Shutdown is a no-op.
+// requests in their handler when Shutdown begins all complete with full
+// responses, and a second Shutdown is a no-op.
 func TestGracefulShutdownTLSInFlight(t *testing.T) {
+	const inflight = 8
 	n := web.NewNetwork()
 	o := origin.MustParse("http://slow.example")
-	entered := make(chan struct{}, 1)
+	entered := make(chan struct{}, inflight)
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	releaseAll := func() { releaseOnce.Do(func() { close(release) }) }
 	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
+		entered <- struct{}{}
 		<-release
 		return web.HTML("<html><body>done</body></html>")
 	}))
-	// One run slot and a deep queue: while the handler holds the first
-	// request the rest wait in the origin queue — the drain must cover
-	// them too.
-	g, ca := startGatewayTLS(t, n, Config{DefaultWorkers: 1, DefaultQueueDepth: 32})
+	g, ca := startGatewayTLS(t, n, Config{})
 	// Cleanups run last-in first-out: a failing test releases the
 	// handler before the gateway's Close drains the requests in flight.
 	t.Cleanup(releaseAll)
 	ct := NewClientTransportTLS(g.Addr(), ca.Pool())
 	defer ct.Close()
 
-	const inflight = 8
 	results := make([]error, inflight)
 	var wg sync.WaitGroup
 	for i := 0; i < inflight; i++ {
@@ -239,20 +232,14 @@ func TestGracefulShutdownTLSInFlight(t *testing.T) {
 			results[i] = err
 		}(i)
 	}
-	// Shut down only once the gateway holds all eight: one in the
-	// handler, the other seven queued behind it. The queue cannot drain
-	// while the handler blocks, so its length only grows.
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no request reached the handler")
-	}
-	queue := g.table.Load().byOrigin[o].queue
-	for deadline := time.Now().Add(5 * time.Second); len(queue) < inflight-1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("gateway holds %d queued requests, want %d", len(queue), inflight-1)
+	// Shut down only once all eight are in the handler, each counted by
+	// its own entry signal.
+	for i := 0; i < inflight; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d requests reached the handler", i, inflight)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

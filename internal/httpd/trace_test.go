@@ -224,7 +224,7 @@ func TestVarzExposition(t *testing.T) {
 		"# TYPE escudo_gateway_served_total counter",
 		"escudo_gateway_served_total 1",
 		`escudo_origin_served_total{origin="http://varz-origin.example"} 1`,
-		"# TYPE escudo_gateway_queue_depth_max gauge",
+		"# TYPE escudo_policy_generation gauge",
 	} {
 		if !contains(body, want) {
 			t.Fatalf("/varz missing %q:\n%s", want, body)

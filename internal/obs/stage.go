@@ -1,8 +1,8 @@
 // Stage timing: latency attribution for the request path. A
 // StageClock rides along with one task (a page load, an open-loop
-// arrival) and accumulates wall time per pipeline stage — queue wait,
-// origin handler, batch authorization, script execution, render,
-// transport translation — so a slow request can say *where* it was
+// arrival) and accumulates wall time per pipeline stage — origin
+// handler, batch authorization, script execution, render, transport
+// translation — so a slow request can say *where* it was
 // slow, not just that it was. A StageSet folds finished clocks into
 // per-stage registry histograms (`escudo_stage_seconds{stage=...}` on
 // /varz), and a SlowRing retains the slowest N tasks per phase as
@@ -26,11 +26,13 @@ import (
 type Stage uint8
 
 const (
-	// StageQueueWait is gateway time between enqueue on a vhost's
-	// bounded queue and pickup by a worker.
+	// StageQueueWait is recorded by nothing: the gateway hands every
+	// request straight to its origin's handler. The stage and its
+	// queue_wait label stay only because perfbench reads them (its
+	// httpd.queue_wait_us reads 0); ROADMAP item 3 redraws the stages.
 	StageQueueWait Stage = iota
 	// StageHandler is the origin handler's round-trip as seen by the
-	// gateway worker.
+	// gateway.
 	StageHandler
 	// StageBatchAuth is reference-monitor time: Authorize and
 	// AuthorizeBatch through the composed pipeline, cache probes and

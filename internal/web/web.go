@@ -52,14 +52,10 @@ func CanonicalKey(k string) string {
 // every header touch.
 var internedKeys = map[string]string{
 	"accept":                    "Accept",
-	"cache-control":             "Cache-Control",
 	"content-type":              "Content-Type",
 	"cookie":                    "Cookie",
-	"etag":                      "Etag",
-	"if-none-match":             "If-None-Match",
 	"location":                  "Location",
 	"referer":                   "Referer",
-	"retry-after":               "Retry-After",
 	"set-cookie":                "Set-Cookie",
 	"x-escudo-gateway":          "X-Escudo-Gateway",
 	"x-escudo-initiator-label":  "X-Escudo-Initiator-Label",
