@@ -11,7 +11,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,14 +38,6 @@ type stormJSON struct {
 	// holding at least that many live entries again.
 	CacheEntriesBefore int     `json:"cache_entries_before"`
 	CacheRefillMs      float64 `json:"cache_refill_ms"`
-	// BaselineReqsPerSec is the median 20ms-window gateway throughput
-	// before the push; MinPostFlipReqsPerSec the worst window in the
-	// second after it; DipPercent the relative depth; DipDurationMs
-	// how long throughput stayed below 90% of baseline.
-	BaselineReqsPerSec    float64 `json:"baseline_reqs_per_sec"`
-	MinPostFlipReqsPerSec float64 `json:"min_post_flip_reqs_per_sec"`
-	DipPercent            float64 `json:"dip_percent"`
-	DipDurationMs         float64 `json:"dip_duration_ms"`
 	// The full §6.4 corpus replayed against the pool's cache on both
 	// sides of the flip: neutralization must not regress across a
 	// live policy push.
@@ -72,24 +63,6 @@ type controlJSON struct {
 	Phases          []phaseJSON `json:"phases"`
 }
 
-// stormWindow is the throughput sampling cadence during the storm —
-// coarse enough that single-CPU scheduler jitter does not produce
-// empty windows, fine enough to resolve a sub-second dip.
-const stormWindow = 50 * time.Millisecond
-
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // runControlSection mounts the substrate's origins with their policy
 // documents on a gateway of its own, subscribes a ctlplane.Watcher for
 // the loadgen pool (generation pinned per page load, cache invalidated
@@ -104,10 +77,8 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 	defer cleanup()
 
 	// The subscription: generation published through the watcher, the
-	// shared decision cache invalidated on every observed flip. The
-	// cache lands in cacheRef after the pool exists — the watcher only
-	// needs it once a flip arrives, long after Start.
-	var cacheRef atomic.Pointer[core.DecisionCache]
+	// section's decision cache invalidated on every observed flip.
+	cache := core.NewDecisionCache()
 	var flipWaitGen atomic.Uint64
 	flipObserved := make(chan struct{})
 	var flipOnce sync.Once
@@ -116,9 +87,7 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 		HoldFor:      5 * time.Second,
 		PollInterval: 10 * time.Millisecond,
 		OnFlip: func(gen uint64) {
-			if c := cacheRef.Load(); c != nil {
-				c.Invalidate()
-			}
+			cache.Invalidate()
 			if want := flipWaitGen.Load(); want != 0 && gen >= want {
 				flipOnce.Do(func() { close(flipObserved) })
 			}
@@ -129,14 +98,13 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 	}
 	defer w.Stop()
 
-	s, err := newSection(cfg, pl, ct, nil, browser.Options{PolicyGen: w.Generation})
+	s, err := newSection(cfg, pl, ct, cache, browser.Options{PolicyGen: w.Generation})
 	if err != nil {
 		return nil, err
 	}
 	defer s.pool.Close()
 	s.gw = gw
 	pool := s.pool
-	cacheRef.Store(pool.Cache())
 
 	section := &controlJSON{}
 
@@ -159,9 +127,7 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 	// round populated it — the entries the post-flip load will put
 	// back. Snapshot it before the attack replay, whose environments
 	// park extra entries the storm load never touches again.
-	if c := pool.Cache(); c != nil {
-		storm.CacheEntriesBefore = c.Stats().Entries
-	}
+	storm.CacheEntriesBefore = cache.Stats().Entries
 	if cfg.attacks {
 		if storm.AttacksPreFlip, _, err = s.replay(cfg.mode); err != nil {
 			return nil, err
@@ -173,36 +139,14 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 	// been observed and the cache has refilled (with the configured
 	// round count as a floor), so both sides of the flip carry real
 	// page loads.
-	type sample struct {
-		at     time.Duration
-		served uint64
-	}
-	var samples []sample
-	var phaseStart, pushStart, ackAt, observedAt, refillAt time.Time
+	var pushStart, ackAt, observedAt, refillAt time.Time
 	var flipErr error
 	stormPhase := s.phase("control-storm", func() {
-		phaseStart = time.Now()
-		samplerStop := make(chan struct{})
-		var samplerDone sync.WaitGroup
-		samplerDone.Add(1)
-		go func() {
-			defer samplerDone.Done()
-			tick := time.NewTicker(stormWindow)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					samples = append(samples, sample{time.Since(phaseStart), gw.Stats().Served})
-				case <-samplerStop:
-					return
-				}
-			}
-		}()
-
 		flipDone := make(chan struct{})
 		go func() {
 			defer close(flipDone)
-			// Establish a pre-flip baseline first.
+			// Let the first storm pages load under the pre-flip
+			// generation, so the phase sees both (generations_seen == 2).
 			time.Sleep(300 * time.Millisecond)
 			data, err := json.Marshal(sub.policies[benchO.String()])
 			if err != nil {
@@ -228,13 +172,11 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 				flipErr = fmt.Errorf("storm: generation %d never observed by the watcher", res.Generation)
 				return
 			}
-			if c := pool.Cache(); c != nil {
-				deadline := time.Now().Add(10 * time.Second)
-				for c.Stats().Entries < storm.CacheEntriesBefore && time.Now().Before(deadline) {
-					time.Sleep(2 * time.Millisecond)
-				}
-				refillAt = time.Now()
+			deadline := time.Now().Add(10 * time.Second)
+			for cache.Stats().Entries < storm.CacheEntriesBefore && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
 			}
+			refillAt = time.Now()
 		}()
 
 		// The load itself: one figure-4 round per lap across the pool,
@@ -253,8 +195,6 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 			figure4Rounds(pool, benchO, 1)
 		}
 		<-flipDone
-		close(samplerStop)
-		samplerDone.Wait()
 	})
 	if flipErr != nil {
 		return nil, flipErr
@@ -262,46 +202,7 @@ func runControlSection(cfg config, pl *plane, sub *substrate) (*controlJSON, err
 
 	storm.PushAckMs = ms(ackAt.Sub(pushStart))
 	storm.PropagationMs = ms(observedAt.Sub(pushStart))
-	if !refillAt.IsZero() {
-		storm.CacheRefillMs = ms(refillAt.Sub(observedAt))
-	}
-
-	// Throughput windows: gateway served-count deltas per sampler
-	// tick, split at the push.
-	var pre, post []float64
-	pushRel := pushStart.Sub(phaseStart)
-	for i := 1; i < len(samples); i++ {
-		rate := float64(samples[i].served-samples[i-1].served) / stormWindow.Seconds()
-		if samples[i].at < pushRel {
-			pre = append(pre, rate)
-		} else if samples[i].at < pushRel+time.Second {
-			post = append(post, rate)
-		}
-	}
-	if len(pre) > 0 {
-		storm.BaselineReqsPerSec = median(pre)
-	}
-	if len(post) > 0 {
-		min := post[0]
-		for _, r := range post[1:] {
-			if r < min {
-				min = r
-			}
-		}
-		storm.MinPostFlipReqsPerSec = min
-		if storm.BaselineReqsPerSec > 0 {
-			storm.DipPercent = 100 * (1 - min/storm.BaselineReqsPerSec)
-			below := 0
-			for _, r := range post {
-				if r < 0.9*storm.BaselineReqsPerSec {
-					below++
-				} else if below > 0 {
-					break
-				}
-			}
-			storm.DipDurationMs = float64(below) * ms(stormWindow)
-		}
-	}
+	storm.CacheRefillMs = ms(refillAt.Sub(observedAt))
 
 	// The invariant gate: the storm phase's pages, audited per page.
 	mix := pool.Stats().GenMix
@@ -336,8 +237,6 @@ func printControl(c *controlJSON) {
 	if s := c.Storm; s != nil {
 		fmt.Printf("  storm: flip to gen %d — push ack %.1f ms, propagation %.1f ms, cache refill %.1f ms (%d entries)\n",
 			s.FlipGeneration, s.PushAckMs, s.PropagationMs, s.CacheRefillMs, s.CacheEntriesBefore)
-		fmt.Printf("  storm: reqs/s baseline %.0f, post-flip min %.0f (dip %.1f%% for %.0f ms)\n",
-			s.BaselineReqsPerSec, s.MinPostFlipReqsPerSec, s.DipPercent, s.DipDurationMs)
 		if s.AttacksPreFlip != nil && s.AttacksPostFlip != nil {
 			fmt.Printf("  storm: attacks %d/%d neutralized pre-flip, %d/%d post-flip\n",
 				s.AttacksPreFlip.Neutralized, s.AttacksPreFlip.Total,

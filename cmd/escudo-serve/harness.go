@@ -141,18 +141,12 @@ type plane struct {
 	slow   *obs.SlowRing
 }
 
-// newPlane builds the plane and starts its sampler. Open-loop runs
-// widen the ring so the slow exemplars' trace IDs stay resolvable on
-// /tracez after the storm.
-func newPlane(openLoop bool) *plane {
-	ringSize := 0
-	if openLoop {
-		ringSize = 65536
-	}
+// newPlane builds the plane and starts its sampler.
+func newPlane() *plane {
 	reg := obs.NewRegistry()
 	pl := &plane{
 		reg:    reg,
-		ring:   core.NewDecisionRing(ringSize),
+		ring:   core.NewDecisionRing(0),
 		smp:    obs.NewSampler(reg, 200*time.Millisecond),
 		stages: obs.NewStageSet(reg),
 		slow:   obs.NewSlowRing(0),
@@ -236,7 +230,6 @@ func newSection(cfg config, pl *plane, t web.Transport, cache *core.DecisionCach
 		Transport: t,
 		Options:   opts,
 		Cache:     cache,
-		Uncached:  cfg.uncached,
 		Stages:    pl.stages,
 		Slow:      pl.slow,
 	})
@@ -260,10 +253,7 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 	pool := s.pool
 	pool.SetPhase(name)
 	pool.ResetStats()
-	var cacheBefore core.CacheStats
-	if c := pool.Cache(); c != nil {
-		cacheBefore = c.Stats()
-	}
+	cacheBefore := pool.Cache().Stats()
 	var servedBefore httpd.Stats
 	if s.gw != nil {
 		servedBefore = s.served()
@@ -283,14 +273,12 @@ func (s *section) phase(name string, fn func()) phaseJSON {
 		ElapsedMs: ms(elapsed),
 		Decisions: st.Decisions,
 	}
-	if c := pool.Cache(); c != nil {
-		delta := st.Cache.Sub(cacheBefore)
-		ph.Cache = &cacheJSON{Hits: delta.Hits, Misses: delta.Misses, HitRate: delta.HitRate(), Entries: st.Cache.Entries}
-		if ph.Decisions == 0 {
-			// Attack environments keep their own audit logs; the
-			// shared cache still sees every mediated decision.
-			ph.Decisions = delta.Hits + delta.Misses
-		}
+	delta := st.Cache.Sub(cacheBefore)
+	ph.Cache = &cacheJSON{Hits: delta.Hits, Misses: delta.Misses, HitRate: delta.HitRate(), Entries: st.Cache.Entries}
+	if ph.Decisions == 0 {
+		// Attack environments keep their own audit logs; the shared
+		// cache still sees every mediated decision.
+		ph.Decisions = delta.Hits + delta.Misses
 	}
 	if st.Batch.Nodes > 0 {
 		ph.Batch = &batchJSON{
@@ -453,15 +441,6 @@ func mixedTask(iters int) engine.Task {
 			}
 		}
 		return nil
-	}
-}
-
-// soak loops the mixed workload on pool until d of wall clock has
-// passed — long enough for the runtime sampler to judge whether
-// goroutines and heap return to their idle shape.
-func soak(pool *engine.Pool, d time.Duration) {
-	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
-		pool.Each(mixedTask(1))
 	}
 }
 

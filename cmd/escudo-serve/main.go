@@ -13,10 +13,10 @@
 // httpd.ClientTransport — real sockets, Host-header virtual hosting —
 // into an "http" section; -tls
 // terminates https on that gateway with an ephemeral in-memory CA.
-// -openloop and -control add the open-loop SLO and policy
-// control-plane sections. Every section is a short list of phases over
-// one session pool (harness.go); the sections differ only in the pool's
-// transport.
+// -openloop (with -http, on the same address) and -control add the
+// open-loop SLO and policy control-plane sections. Every section is a
+// short list of phases over one session pool (harness.go); the
+// sections differ only in the pool's transport.
 //
 // The run exits 1 when an invariant it measured breaks (see verify):
 // a task error, an attack that lands under ESCUDO, a socket verdict
@@ -26,8 +26,8 @@
 //
 //	escudo-serve [-sessions N] [-iters N] [-phpbb-iters N]
 //	             [-mixed-iters N] [-procs N]
-//	             [-mode escudo|sop] [-attacks] [-uncached]
-//	             [-http addr] [-tls] [-soak D] [-openloop spec]
+//	             [-mode escudo|sop] [-attacks]
+//	             [-http addr] [-tls] [-openloop spec]
 //	             [-control]
 //	             [-pprof] [-cpuprofile f] [-memprofile f]
 //	             [-out BENCH_engine.json]
@@ -211,7 +211,6 @@ type policyJSON struct {
 type benchJSON struct {
 	Sessions int    `json:"sessions"`
 	Mode     string `json:"mode"`
-	Uncached bool   `json:"uncached"`
 	// ProcsRequested is the -procs flag value (0 when unset);
 	// GoMaxProcs is the effective setting after clamping to the
 	// machine's CPU count.
@@ -238,11 +237,10 @@ type config struct {
 	sessions, iters, phpbbIters, mixedIters int
 	procs                                   int
 	mode                                    browser.Mode
-	attacks, uncached                       bool
+	attacks                                 bool
 	httpAddr                                string
 	tls, pprof                              bool
 	cpuProfile, memProfile                  string
-	soak                                    time.Duration
 	openloop                                openLoopSpec
 	control                                 bool
 	out                                     string
@@ -267,10 +265,8 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile (after the run, post-GC) to this file")
 	modeFlag := fs.String("mode", "escudo", "protection mode: escudo or sop")
 	fs.BoolVar(&c.attacks, "attacks", true, "replay the §6.4 attack corpus")
-	fs.BoolVar(&c.uncached, "uncached", false, "disable the shared decision cache (baseline)")
 	fs.StringVar(&c.httpAddr, "http", "", "also mount the origins on a real HTTP gateway at this address (e.g. 127.0.0.1:0) and replay the workloads over loopback sockets")
-	fs.DurationVar(&c.soak, "soak", 0, "append a soak phase: loop the mixed workload until this much wall-clock has passed, so the runtime sampler can judge goroutine/heap recovery (with -http the soak runs through the gateway)")
-	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a loopback gateway (C login/logout events/s woven in) and write the slo section")
+	openloop := fs.String("openloop", "", "open-loop SLO mode: rate=R,duration=D[,churn=C][,p99=MS][,seed=N] — offer Poisson arrivals at R req/s for D against a gateway at the -http address (C login/logout events/s woven in) and write the slo section")
 	fs.BoolVar(&c.tls, "tls", false, "terminate https on the -http gateway with an ephemeral in-memory CA")
 	fs.BoolVar(&c.control, "control", false, "run the policy control-plane section: mount the origins on a dedicated gateway and push a live policy flip mid-load (invalidation storm)")
 	fs.StringVar(&c.out, "out", "BENCH_engine.json", "output JSON path")
@@ -292,6 +288,9 @@ func parseConfig(args []string) (config, error) {
 		return c, fmt.Errorf("unknown -mode %q", *modeFlag)
 	}
 	if *openloop != "" {
+		if c.httpAddr == "" {
+			return c, fmt.Errorf("-openloop needs a gateway: combine it with -http")
+		}
 		var err error
 		if c.openloop, err = parseOpenLoop(*openloop); err != nil {
 			return c, err
@@ -347,7 +346,7 @@ func run(args []string) error {
 		}()
 	}
 
-	pl := newPlane(cfg.openloop.rate > 0)
+	pl := newPlane()
 	sub := buildSubstrate(cfg.sessions)
 	mem, err := newSection(cfg, pl, sub.net, nil, browser.Options{})
 	if err != nil {
@@ -359,7 +358,6 @@ func run(args []string) error {
 	report := benchJSON{
 		Sessions:       cfg.sessions,
 		Mode:           cfg.mode.String(),
-		Uncached:       cfg.uncached,
 		ProcsRequested: cfg.procs,
 		GoMaxProcs:     runtime.GOMAXPROCS(0),
 	}
@@ -368,7 +366,7 @@ func run(args []string) error {
 	// One unmeasured navigation per session first, so the session
 	// cookie exists and every measured load exercises cookie use. The
 	// post-warmup mark is the pool's steady-state goroutine count, the
-	// baseline the soak gate compares the end-of-run count against.
+	// baseline `make soak` compares the end-of-run count against.
 	if err := mem.warm(visit(benchO.URL(scenarioPaths()[0]))); err != nil {
 		return err
 	}
@@ -377,9 +375,6 @@ func run(args []string) error {
 	report.Phases = append(report.Phases, mem.phase("phpbb", func() { mem.pool.Each(phpbbTask(cfg.phpbbIters)) }))
 	if cfg.mixedIters > 0 {
 		report.Phases = append(report.Phases, mem.phase("mixed", func() { mem.pool.Each(mixedTask(cfg.mixedIters)) }))
-	}
-	if cfg.soak > 0 && cfg.httpAddr == "" {
-		report.Phases = append(report.Phases, mem.phase("soak", func() { soak(mem.pool, cfg.soak) }))
 	}
 	if cfg.attacks {
 		var tally *attacksJSON
@@ -554,9 +549,6 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	if cfg.mixedIters > 0 {
 		sec.Phases = append(sec.Phases, s.phase("http-mixed", func() { s.pool.Each(mixedTask(cfg.mixedIters)) }))
 	}
-	if cfg.soak > 0 {
-		sec.Phases = append(sec.Phases, s.phase("http-soak", func() { soak(s.pool, cfg.soak) }))
-	}
 	if cfg.attacks {
 		var match bool
 		sec.Phases = append(sec.Phases, s.phase("http-attacks", func() { sec.Attacks, match, _ = s.replay(cfg.mode) }))
@@ -569,11 +561,13 @@ func httpSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCach
 	return sec, nil
 }
 
-// sloSection offers open-loop Poisson arrivals to a dedicated loopback
-// gateway sharing the substrate, cache, and observability plane, so
-// the storm cannot perturb the equivalence-checked phases.
+// sloSection offers open-loop Poisson arrivals to a gateway of its own
+// at the -http address, sharing the substrate, cache, and
+// observability plane, so the storm cannot perturb the
+// equivalence-checked phases and the address's admin host answers for
+// the whole open loop.
 func sloSection(cfg config, pl *plane, sub *substrate, cache *core.DecisionCache) (*slo.Result, error) {
-	_, ct, cleanup, err := gateway(pl, sub.net, "127.0.0.1:0", httpd.Config{Origins: sub.policies})
+	_, ct, cleanup, err := gateway(pl, sub.net, cfg.httpAddr, httpd.Config{Origins: sub.policies, EnablePprof: cfg.pprof})
 	if err != nil {
 		return nil, err
 	}
@@ -614,6 +608,12 @@ func verify(r *benchJSON) error {
 		for _, ph := range rows {
 			if ph.Errors > 0 {
 				fail("%sphase %s had %d task errors", where, ph.Name, ph.Errors)
+			}
+			// Every task of a wire phase loads at least one page, and the
+			// gateway's served count never includes an admin answer, so a
+			// task whose pages all missed their origin shows up here.
+			if ph.GatewayJSON != nil && ph.Requests < ph.Tasks {
+				fail("%sphase %s: the gateway served %d origin requests for %d tasks", where, ph.Name, ph.Requests, ph.Tasks)
 			}
 		}
 	}
@@ -736,10 +736,10 @@ func printReport(r *benchJSON) {
 		printSLO(s)
 	}
 	if o := r.Obs; o != nil {
-		fmt.Printf("\nObs: %s, %d samples every %.0f ms — goroutines first/post-warmup/last %d/%d/%d, heap monotonic=%v, %d GC cycles, %d decision events (%d retained)\n",
+		fmt.Printf("\nObs: %s, %d samples every %.0f ms — goroutines first/post-warmup/last %d/%d/%d, %d GC cycles, %d decision events (%d retained)\n",
 			o.Version.Go, o.Sampler.Samples, o.Sampler.IntervalMs,
 			o.Sampler.Goroutines.First, o.Sampler.PostWarmupGoroutines, o.Sampler.Goroutines.Last,
-			o.Sampler.HeapMonotonic, o.Sampler.NumGC,
+			o.Sampler.NumGC,
 			o.DecisionEventsRecorded, o.DecisionEventsRetained)
 	}
 }

@@ -118,36 +118,16 @@ func TestServeSOPBaseline(t *testing.T) {
 	}
 }
 
-// TestServeUncached checks the -uncached baseline emits no cache
-// section and still completes cleanly.
-func TestServeUncached(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "2",
-		"-attacks=false", "-uncached", "-out", out})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchJSON
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if !report.Uncached {
-		t.Fatal("report not marked uncached")
-	}
-	for _, ph := range report.Phases {
-		if ph.Cache != nil {
-			t.Fatalf("uncached run emitted cache stats in phase %s", ph.Name)
-		}
-	}
-}
-
+// TestServeRejectsBadMode checks that the driver refuses an unknown
+// protection mode and an open loop with no gateway address to run on.
 func TestServeRejectsBadMode(t *testing.T) {
-	if err := run([]string{"-mode", "bogus"}); err == nil {
-		t.Fatal("bad -mode accepted")
+	for _, args := range [][]string{
+		{"-mode", "bogus"},
+		{"-openloop", "rate=10,duration=1s"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }
 
@@ -300,15 +280,14 @@ func TestServeControlSection(t *testing.T) {
 	}
 }
 
-// TestServeOpenLoopSection runs the soak and the open-loop SLO section
-// at test scale through the loopback gateway: the soak phase must run
-// clean, the open-loop run must record no task errors, the churn
-// bookkeeping must balance, and every slow exemplar must carry the
-// trace ID that joins it to /tracez.
+// TestServeOpenLoopSection runs the open-loop SLO section at test
+// scale through the loopback gateway: the open-loop run must record no
+// task errors, the churn bookkeeping must balance, and every slow
+// exemplar must carry the trace ID that joins it to /tracez.
 func TestServeOpenLoopSection(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_engine.json")
 	err := run([]string{"-sessions", "2", "-iters", "1", "-phpbb-iters", "1", "-mixed-iters", "1",
-		"-attacks=false", "-http", "127.0.0.1:0", "-soak", "1s",
+		"-attacks=false", "-http", "127.0.0.1:0",
 		"-openloop", "rate=100,duration=2s,churn=10", "-out", out})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -320,21 +299,6 @@ func TestServeOpenLoopSection(t *testing.T) {
 	var report benchJSON
 	if err := json.Unmarshal(data, &report); err != nil {
 		t.Fatal(err)
-	}
-	if report.HTTP == nil {
-		t.Fatal("report has no http section")
-	}
-	soaked := false
-	for _, ph := range report.HTTP.Phases {
-		if ph.Name == "http-soak" {
-			soaked = true
-			if ph.Tasks == 0 || ph.Errors != 0 {
-				t.Fatalf("http-soak phase: %d tasks, %d errors", ph.Tasks, ph.Errors)
-			}
-		}
-	}
-	if !soaked {
-		t.Fatalf("no http-soak phase in %+v", report.HTTP.Phases)
 	}
 	s := report.SLO
 	if s == nil {

@@ -87,7 +87,7 @@ const trimInterval = 2 * time.Second
 
 // leakWarmup is how long the driver offers load before the leak
 // watch starts sampling: the first seconds of a storm pay one-time
-// steady-state costs (the 65536-entry decision ring filling, h2
+// steady-state costs (the 4096-entry decision ring filling, h2
 // stream buffers, histogram bucket slices) that a fit over the whole
 // window would read as linear growth. The leak question is whether
 // *steady-state* load accretes memory, so the watch opens after the

@@ -22,7 +22,7 @@ func cleanReport() *benchJSON {
 			Phases: []phaseJSON{{Name: "http-figure4", Tasks: 40, GatewayJSON: &GatewayJSON{Requests: 40}}}},
 		Control: &controlJSON{PolicyzOrigins: 4, Generation: 5, GenerationsSeen: 2, PagesAudited: 80,
 			Storm:  &stormJSON{FlipGeneration: 5, AttacksPreFlip: all(), AttacksPostFlip: all()},
-			Phases: []phaseJSON{{Name: "control-storm", Tasks: 80}}},
+			Phases: []phaseJSON{{Name: "control-storm", Tasks: 80, GatewayJSON: &GatewayJSON{Requests: 80}}}},
 		SLO: &slo.Result{Completed: 10, Logins: 3, Logouts: 2, LiveSessions: 1,
 			P99BudgetMs: 250, P99WithinBudget: true, Leak: &obs.DriftReport{Points: 10}},
 	}
@@ -43,6 +43,8 @@ func TestVerify(t *testing.T) {
 		{"policy task error", "policy phase delegated-session", func(r *benchJSON) { r.Policy.Phases[0].Errors = 1 }},
 		{"http task error", "http phase http-figure4", func(r *benchJSON) { r.HTTP.Phases[0].Errors = 1 }},
 		{"control task error", "control phase control-storm", func(r *benchJSON) { r.Control.Phases[0].Errors = 1 }},
+		{"storm pages miss their origin", "control phase control-storm: the gateway served 0 origin requests for 80 tasks",
+			func(r *benchJSON) { r.Control.Phases[0].Requests = 0 }},
 		{"in-memory attack lands", "in memory: 17/18", func(r *benchJSON) { r.Phases[1].Attacks.Neutralized = 17 }},
 		{"short corpus", "in memory: 17/17", func(r *benchJSON) { r.Phases[1].Attacks = &attacksJSON{Total: 17, Neutralized: 17} }},
 		{"socket attack lands", "over sockets: 17/18", func(r *benchJSON) { r.HTTP.Attacks.Neutralized = 17 }},

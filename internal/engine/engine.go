@@ -32,12 +32,10 @@ type Config struct {
 	// tasks, and stats run either way; only the carrier changes.
 	Transport web.Transport
 	// Options is the per-browser configuration. Options.Cache is
-	// overridden with the pool's shared cache unless Uncached is set.
+	// overridden with the pool's shared cache.
 	Options browser.Options
 	// Cache is the shared decision cache; nil allocates a fresh one.
 	Cache *core.DecisionCache
-	// Uncached disables the shared decision cache (baseline runs).
-	Uncached bool
 	// Stages, when non-nil, enables latency attribution: every task
 	// runs with a per-session obs.StageClock installed on its browser,
 	// and finished clocks fold into the set's per-stage histograms.
@@ -127,12 +125,9 @@ func NewPool(cfg Config) (*Pool, error) {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 8
 	}
-	p := &Pool{cfg: cfg}
-	if !cfg.Uncached {
-		p.cache = cfg.Cache
-		if p.cache == nil {
-			p.cache = core.NewDecisionCache()
-		}
+	p := &Pool{cfg: cfg, cache: cfg.Cache}
+	if p.cache == nil {
+		p.cache = core.NewDecisionCache()
 	}
 	// The task queue holds four tasks per session.
 	p.tasks = make(chan Task, 4*cfg.Sessions)
@@ -198,7 +193,7 @@ func (p *Pool) work(s *Session) {
 	}
 }
 
-// Cache returns the shared decision cache (nil when Uncached).
+// Cache returns the shared decision cache.
 func (p *Pool) Cache() *core.DecisionCache { return p.cache }
 
 // Sessions returns the pool's sessions (stable after NewPool).
@@ -299,7 +294,7 @@ type Stats struct {
 	// (core.AuditLog.GenerationMix): after a live flip, Generations ≥ 2
 	// and Mixed must still be 0 — no page load saw two generations.
 	GenMix core.GenerationMix
-	// Cache snapshots the shared decision cache (zero when Uncached).
+	// Cache snapshots the shared decision cache.
 	Cache core.CacheStats
 	// Batch is the delta of the batched-authorization counters since
 	// the last ResetStats: how many DOM nodes were authorized through
@@ -333,9 +328,7 @@ func (p *Pool) Stats() Stats {
 	if st.Tasks > 0 {
 		st.Mean = sum / time.Duration(st.Tasks)
 	}
-	if p.cache != nil {
-		st.Cache = p.cache.Stats()
-	}
+	st.Cache = p.cache.Stats()
 	p.mu.Lock()
 	base := p.batchBase
 	p.mu.Unlock()

@@ -147,29 +147,6 @@ func TestPoolTaskErrorsAreReported(t *testing.T) {
 	}
 }
 
-func TestPoolUncachedBaseline(t *testing.T) {
-	net, o := benchNet(t)
-	pool, err := NewPool(Config{Sessions: 2, Transport: net, Uncached: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	if pool.Cache() != nil {
-		t.Fatal("Uncached pool still has a cache")
-	}
-	pool.Each(func(s *Session) error {
-		_, err := s.Browser.Navigate(o.URL("/s1"))
-		return err
-	})
-	st := pool.Stats()
-	if len(st.Errors) > 0 {
-		t.Fatalf("errors: %v", st.Errors)
-	}
-	if st.Cache.Hits != 0 || st.Cache.Misses != 0 {
-		t.Fatalf("uncached pool reported cache traffic: %+v", st.Cache)
-	}
-}
-
 func TestPoolResetStatsKeepsCacheWarm(t *testing.T) {
 	net, o := benchNet(t)
 	pool, err := NewPool(Config{Sessions: 2, Transport: net})

@@ -7,10 +7,8 @@ import (
 )
 
 // SeriesInt summarizes one sampled gauge over a run: the first and
-// last observations plus the running min/max. It is the shape the
-// leak gates read — "goroutines returned to the post-warmup band"
-// is Last vs PostWarmup, "heap did not grow monotonically" is the
-// Monotonic flag next to the heap series.
+// last observations plus the running min/max. "Goroutines returned to
+// the post-warmup band" is Last vs PostWarmupGoroutines.
 type SeriesInt struct {
 	First int64 `json:"first"`
 	Last  int64 `json:"last"`
@@ -45,10 +43,6 @@ type SamplerStats struct {
 	PostWarmupGoroutines int64 `json:"post_warmup_goroutines,omitempty"`
 	// HeapAllocBytes tracks runtime.MemStats.HeapAlloc.
 	HeapAllocBytes SeriesInt `json:"heap_alloc_bytes"`
-	// HeapMonotonic reports whether heap usage only ever grew across
-	// samples — the monotone-growth signature of a leak. A healthy GC'd
-	// process dips between collections, so the soak gate asserts false.
-	HeapMonotonic bool `json:"heap_monotonic"`
 	// HeapSysBytes is the last-sampled runtime.MemStats.Sys — the
 	// process's reserved (RSS-shaped) memory.
 	HeapSysBytes int64 `json:"heap_sys_bytes"`
@@ -188,7 +182,6 @@ func NewSampler(reg *Registry, interval time.Duration) *Sampler {
 		done:     make(chan struct{}),
 	}
 	s.stats.IntervalMs = float64(interval.Nanoseconds()) / 1e6
-	s.stats.HeapMonotonic = true
 	s.stats.SeriesStrideMs = s.stats.IntervalMs
 	s.strideTicks = 1
 	if reg != nil {
@@ -274,13 +267,9 @@ func (s *Sampler) Sample() {
 
 	s.mu.Lock()
 	first := s.stats.Samples == 0
-	prevHeap := s.stats.HeapAllocBytes.Last
 	s.stats.Samples++
 	s.stats.Goroutines.observe(goroutines, first)
 	s.stats.HeapAllocBytes.observe(int64(m.HeapAlloc), first)
-	if !first && int64(m.HeapAlloc) < prevHeap {
-		s.stats.HeapMonotonic = false
-	}
 	s.stats.HeapSysBytes = int64(m.Sys)
 	s.stats.GCPauseTotalMs = float64(m.PauseTotalNs-s.basePause) / 1e6
 	s.stats.NumGC = m.NumGC - s.baseGC
