@@ -82,17 +82,19 @@ func BenchmarkSOPAuthorize(b *testing.B) {
 	}
 }
 
-// forumFixture builds a populated forum and a logged-in browser.
-func forumFixture(b *testing.B, mode browser.Mode) (*web.Network, *browser.Browser, origin.Origin) {
+// forumFixture builds a forum of topics with replies each and a
+// browser logged in to it; it returns the URL of the last topic's page.
+func forumFixture(b *testing.B, mode browser.Mode, topics, replies int) (*browser.Browser, origin.Origin, string) {
 	b.Helper()
 	forumOrigin := origin.MustParse("http://forum.example")
 	forum := phpbb.New(phpbb.Config{
 		Origin: forumOrigin, Escudo: true, Nonces: nonce.NewSeqSource(1),
 	})
 	forum.AddUser("alice", "pw")
-	for i := 0; i < 20; i++ {
-		id := forum.SeedTopic("alice", fmt.Sprintf("topic %d", i), "body text for the topic")
-		for j := 0; j < 3; j++ {
+	var id int
+	for i := 0; i < topics; i++ {
+		id = forum.SeedTopic("alice", fmt.Sprintf("topic %d", i), "body text for the topic")
+		for j := 0; j < replies; j++ {
 			forum.SeedReply(id, "alice", "a reply with some text in it")
 		}
 	}
@@ -108,25 +110,36 @@ func forumFixture(b *testing.B, mode browser.Mode) (*web.Network, *browser.Brows
 	}); err != nil {
 		b.Fatal(err)
 	}
-	return net, br, forumOrigin
+	return br, forumOrigin, forumOrigin.URL(fmt.Sprintf("/viewtopic?t=%d", id))
 }
 
 // BenchmarkForumPageLoad measures the full pipeline (fetch → config →
-// labeled parse → subresources → layout → scripts) on the phpBB index
-// with its Table 3 configuration, in both modes.
+// labeled parse → subresources → layout → scripts) on phpBB pages with
+// their Table 3 configuration, in both modes: the index of a 20-topic
+// forum, and a topic page of a forum at the perfbench forum
+// workload's scale (64 topics of 24 replies).
 func BenchmarkForumPageLoad(b *testing.B) {
 	for _, mode := range []browser.Mode{browser.ModeSOP, browser.ModeEscudo} {
 		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			_, br, forumOrigin := forumFixture(b, mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := br.Navigate(forumOrigin.URL("/")); err != nil {
-					b.Fatal(err)
-				}
-			}
+		b.Run(mode.String()+"/index", func(b *testing.B) {
+			br, forumOrigin, _ := forumFixture(b, mode, 20, 3)
+			benchNavigate(b, br, forumOrigin.URL("/"))
 		})
+		b.Run(mode.String()+"/viewtopic", func(b *testing.B) {
+			br, _, topic := forumFixture(b, mode, 64, 24)
+			benchNavigate(b, br, topic)
+		})
+	}
+}
+
+// benchNavigate measures repeated navigations to u.
+func benchNavigate(b *testing.B, br *browser.Browser, u string) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := br.Navigate(u); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -216,7 +229,7 @@ func BenchmarkMediatedDOMWrite(b *testing.B) {
 // same-origin subresource fetch that carries the ring-1 session
 // cookie.
 func BenchmarkCookieAttach(b *testing.B) {
-	_, br, forumOrigin := forumFixture(b, browser.ModeEscudo)
+	br, forumOrigin, _ := forumFixture(b, browser.ModeEscudo, 20, 3)
 	p, err := br.Navigate(forumOrigin.URL("/"))
 	if err != nil {
 		b.Fatal(err)

@@ -248,7 +248,7 @@ func driveOpenLoop(pool *engine.Pool, spec openLoopSpec, pl *plane, trim func())
 	res.Exemplars = pl.slow.Snapshot(openLoopPhase)
 
 	samp := smp.Stop()
-	res.Leak = samp.Drift
+	res.Leak = samp.ComputeDrift()
 
 	res.Finalize()
 	return res, nil

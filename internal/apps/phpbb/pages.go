@@ -1,9 +1,12 @@
 package phpbb
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
+	"repro/internal/core"
+	"repro/internal/template"
 	"repro/internal/web"
 )
 
@@ -17,137 +20,187 @@ import (
 //
 // The ESCUDO configuration lives in the page-assembly code (the
 // "template" of the application); user-influenced strings are plugged
-// into ring-3 AC scopes with fresh nonces.
+// into ring-3 AC scopes with fresh nonces. Each page is written in one
+// pass into one buffer: no scope, id or escaped string is a string of
+// its own.
 
-// wrapHead/wrapBody/wrapUser wrap markup in the Table 3 AC scopes; in
-// legacy mode they emit plain divs so the same app runs on both sides
-// of the §6.3 compatibility matrix.
-func (a *App) wrapHead(inner string) string {
+// open appends the start of a scope's open tag: an AC tag with the
+// label and a fresh nonce, or in legacy mode a plain div (nonce 0,
+// whose closer is a plain </div>), so the same app runs on both sides
+// of the §6.3 compatibility matrix. The caller appends the id
+// attribute and '>'.
+func (a *App) open(buf []byte, ring core.Ring, acl core.ACL) ([]byte, uint64) {
 	if !a.cfg.Escudo {
-		return "<div id=head>" + inner + "</div>"
+		return append(buf, "<div"...), 0
 	}
-	return a.builder.Wrap(0, ACLHead, "id=head", inner)
+	return a.builder.AppendOpen(buf, ring, acl)
 }
 
-func (a *App) wrapBody(inner string) string {
-	if !a.cfg.Escudo {
-		return "<div id=appbody>" + inner + "</div>"
-	}
-	return a.builder.Wrap(RingApp, ACLApp, "id=appbody", inner)
+// openUser opens a ring-3 user-content scope with id=<kind>-<id>.
+func (a *App) openUser(buf []byte, kind string, id int) ([]byte, uint64) {
+	buf, n := a.open(buf, RingUser, ACLUser)
+	buf = append(append(append(buf, " id="...), kind...), '-')
+	return append(strconv.AppendInt(buf, int64(id), 10), '>'), n
 }
 
-func (a *App) wrapUser(idAttr, inner string) string {
-	if !a.cfg.Escudo {
-		return "<div " + idAttr + ">" + inner + "</div>"
-	}
-	return a.builder.Wrap(RingUser, ACLUser, idAttr, inner)
-}
+// pageBufs recycles the buffers pages are written into: page copies
+// the page out and returns its buffer, so a page allocates no buffer
+// of its own, whatever the size of the store.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// chrome assembles a full page around body content.
-func (a *App) chrome(title, bodyInner string) string {
-	head := a.wrapHead(fmt.Sprintf(
-		`<title>%s</title><script id=sitejs>var site = "phpBB";</script>`, title))
-	return "<html>" + head + "<body>" + a.wrapBody(bodyInner) + "</body></html>"
+// page assembles the response around the body content in buf, the
+// buffer bp held, and returns bp to pageBufs. The
+// content's ring-3 scopes have drawn their nonces already; the head
+// and the body scope draw theirs after them. The chrome is appended
+// behind the content and the page is copied once, in reading order,
+// into the response body.
+func (a *App) page(bp *[]byte, buf []byte, title string) *web.Response {
+	content := len(buf)
+	buf = append(buf, "<html>"...)
+	buf, n := a.open(buf, 0, ACLHead)
+	buf = append(append(append(buf, " id=head><title>"...), title...), `</title><script id=sitejs>var site = "phpBB";</script>`...)
+	buf = append(template.AppendClose(buf, n), "<body>"...)
+	buf, n = a.open(buf, RingApp, ACLApp)
+	buf = append(buf, " id=appbody>"...)
+	prefix := len(buf)
+	buf = append(template.AppendClose(buf, n), "</body></html>"...)
+
+	var b strings.Builder
+	b.Grow(len(buf))
+	b.Write(buf[content:prefix])
+	b.Write(buf[:content])
+	b.Write(buf[prefix:])
+	*bp = buf[:0]
+	pageBufs.Put(bp)
+	resp := web.HTML(b.String())
+	a.decorate(resp)
+	return resp
 }
 
 // index renders GET /: announcement, topic list, login and posting
 // forms.
 func (a *App) index(req *web.Request) *web.Response {
-	user, _, loggedIn := a.currentUser(req)
+	user, sid, loggedIn := a.currentUser(req)
 
-	var b strings.Builder
-	b.WriteString(`<h1 id=announcement>Community Forum</h1>`)
+	bp := pageBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `<h1 id=announcement>Community Forum</h1>`...)
 	if loggedIn {
-		fmt.Fprintf(&b, `<p id=whoami>logged in as %s</p>`, user)
-		b.WriteString(`<form id=newtopic action="/posting" method="post">` +
-			`<input name=subject value=""><textarea name=message></textarea>` +
-			a.tokenField(req) +
-			`<input type=submit value=Post></form>`)
+		buf = append(append(append(buf, `<p id=whoami>logged in as `...), user...), `</p>`...)
+		buf = append(buf, `<form id=newtopic action="/posting" method="post">`+
+			`<input name=subject value=""><textarea name=message></textarea>`...)
+		buf = a.appendToken(buf, sid)
+		buf = append(buf, `<input type=submit value=Post></form>`...)
 	} else {
-		b.WriteString(`<form id=loginform action="/login" method="post">` +
-			`<input name=username value=""><input name=password value="">` +
-			`<input type=submit value=Login></form>`)
+		buf = append(buf, `<form id=loginform action="/login" method="post">`+
+			`<input name=username value=""><input name=password value="">`+
+			`<input type=submit value=Login></form>`...)
 	}
-	b.WriteString(`<div id=topiclist>`)
-	for _, t := range a.Topics() {
-		fmt.Fprintf(&b, `<p><a id=topic-link-%d href="/viewtopic?t=%d">%d</a></p>`, t.ID, t.ID, t.ID)
+	buf = append(buf, `<div id=topiclist>`...)
+	// Topics are only ever appended, and a topic's ID and Subject
+	// never change, so the slice header taken under the lock is all
+	// the page needs.
+	a.mu.Lock()
+	topics := a.topics
+	a.mu.Unlock()
+	for _, t := range topics {
+		buf = append(buf, `<p><a id=topic-link-`...)
+		buf = strconv.AppendInt(buf, int64(t.ID), 10)
+		buf = append(buf, ` href="/viewtopic?t=`...)
+		buf = strconv.AppendInt(buf, int64(t.ID), 10)
+		buf = append(buf, `">`...)
+		buf = strconv.AppendInt(buf, int64(t.ID), 10)
+		buf = append(buf, `</a></p>`...)
 		// Topic subjects are user content: ring 3, unescaped in
 		// unhardened mode.
-		b.WriteString(a.wrapUser(fmt.Sprintf("id=subject-%d", t.ID), a.sanitize(t.Subject)))
+		var n uint64
+		buf, n = a.openUser(buf, "subject", t.ID)
+		buf = template.AppendClose(a.appendSanitized(buf, t.Subject), n)
 	}
-	b.WriteString(`</div>`)
-
-	resp := web.HTML(a.chrome("Forum", b.String()))
-	a.decorate(resp)
-	return resp
+	buf = append(buf, `</div>`...)
+	return a.page(bp, buf, "Forum")
 }
 
 // viewTopic renders GET /viewtopic?t=N.
 func (a *App) viewTopic(req *web.Request) *web.Response {
+	// A topic's Author, Subject and Body never change after it is
+	// created, and its replies are only ever appended: the reply
+	// slice header taken under the lock is a consistent snapshot.
 	id := req.Query().Get("t")
-	var topic Topic
-	found := false
-	for _, t := range a.Topics() {
-		if fmt.Sprintf("%d", t.ID) == id {
-			topic, found = t, true
-			break
-		}
+	a.mu.Lock()
+	topic := a.topic(id)
+	var replies []Post
+	if topic != nil {
+		replies = topic.Replies
 	}
-	if !found {
+	a.mu.Unlock()
+	if topic == nil {
 		return web.NotFound()
 	}
+	_, sid, loggedIn := a.currentUser(req)
+	if !loggedIn {
+		sid = ""
+	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<h1 id=topichead>Topic %d by %s</h1>`, topic.ID, topic.Author)
+	bp := pageBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `<h1 id=topichead>Topic `...)
+	buf = strconv.AppendInt(buf, int64(topic.ID), 10)
+	buf = append(append(append(buf, ` by `...), topic.Author...), `</h1>`...)
 	// The original post and every reply are separate ring-3 scopes:
 	// one user's message cannot manipulate another's (Table 3).
-	b.WriteString(a.wrapUser(fmt.Sprintf("id=post-%d", topic.ID),
-		a.sanitize(topic.Subject)+" "+a.sanitize(topic.Body)))
-	for _, r := range topic.Replies {
-		b.WriteString(a.wrapUser(fmt.Sprintf("id=reply-%d", r.ID), a.sanitize(r.Body)))
+	buf, n := a.openUser(buf, "post", topic.ID)
+	buf = append(a.appendSanitized(buf, topic.Subject), ' ')
+	buf = template.AppendClose(a.appendSanitized(buf, topic.Body), n)
+	for _, r := range replies {
+		buf, n = a.openUser(buf, "reply", r.ID)
+		buf = template.AppendClose(a.appendSanitized(buf, r.Body), n)
 	}
-	fmt.Fprintf(&b, `<form id=replyform action="/reply" method="post">`+
-		`<input name=t value="%d"><textarea name=message></textarea>%s`+
-		`<input type=submit value=Reply></form>`, topic.ID, a.tokenField(req))
-
-	resp := web.HTML(a.chrome(fmt.Sprintf("Topic %d", topic.ID), b.String()))
-	a.decorate(resp)
-	return resp
+	buf = append(buf, `<form id=replyform action="/reply" method="post"><input name=t value="`...)
+	buf = strconv.AppendInt(buf, int64(topic.ID), 10)
+	buf = append(buf, `"><textarea name=message></textarea>`...)
+	buf = a.appendToken(buf, sid)
+	buf = append(buf, `<input type=submit value=Reply></form>`...)
+	return a.page(bp, buf, "Topic "+strconv.Itoa(topic.ID))
 }
 
 // pmList renders GET /pm for the logged-in user.
 func (a *App) pmList(req *web.Request) *web.Response {
-	user, _, ok := a.currentUser(req)
+	user, sid, ok := a.currentUser(req)
 	if !ok {
 		return web.Forbidden("login required")
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<h1 id=pmhead>Private messages for %s</h1>`, user)
-	for _, m := range a.Messages(user) {
-		b.WriteString(a.wrapUser(fmt.Sprintf("id=pm-%d", m.ID),
-			fmt.Sprintf("from %s: %s — %s", m.From, a.sanitize(m.Subject), a.sanitize(m.Body))))
+	bp := pageBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `<h1 id=pmhead>Private messages for `...)
+	buf = append(append(buf, user...), `</h1>`...)
+	// Messages are only ever appended, in ID order, and never change.
+	a.mu.Lock()
+	pms := a.pms
+	a.mu.Unlock()
+	for _, m := range pms {
+		if m.To != user {
+			continue
+		}
+		var n uint64
+		buf, n = a.openUser(buf, "pm", m.ID)
+		buf = append(append(append(buf, "from "...), m.From...), ": "...)
+		buf = append(a.appendSanitized(buf, m.Subject), " — "...)
+		buf = template.AppendClose(a.appendSanitized(buf, m.Body), n)
 	}
-	b.WriteString(`<form id=pmform action="/pm_send" method="post">` +
-		`<input name=to value=""><input name=subject value="">` +
-		`<textarea name=message></textarea>` + a.tokenField(req) +
-		`<input type=submit value=Send></form>`)
-
-	resp := web.HTML(a.chrome("Private Messages", b.String()))
-	a.decorate(resp)
-	return resp
+	buf = append(buf, `<form id=pmform action="/pm_send" method="post">`+
+		`<input name=to value=""><input name=subject value="">`+
+		`<textarea name=message></textarea>`...)
+	buf = a.appendToken(buf, sid)
+	buf = append(buf, `<input type=submit value=Send></form>`...)
+	return a.page(bp, buf, "Private Messages")
 }
 
-// tokenField emits the hidden CSRF token input in hardened mode.
-func (a *App) tokenField(req *web.Request) string {
-	if !a.cfg.Hardened {
-		return ""
-	}
-	_, sid, ok := a.currentUser(req)
-	if !ok {
-		return ""
+// appendToken appends the hidden CSRF token input of session sid in
+// hardened mode; sid is "" when the request has no live session.
+func (a *App) appendToken(buf []byte, sid string) []byte {
+	if !a.cfg.Hardened || sid == "" {
+		return buf
 	}
 	a.mu.Lock()
 	tok := a.tokens[sid]
 	a.mu.Unlock()
-	return fmt.Sprintf(`<input type=hidden name=token value="%s">`, tok)
+	return append(append(append(buf, `<input type=hidden name=token value="`...), tok...), `">`...)
 }

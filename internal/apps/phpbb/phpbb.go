@@ -18,6 +18,7 @@ package phpbb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -279,14 +280,32 @@ func (a *App) checkToken(req *web.Request, sid string) bool {
 	return req.Form.Get("token") == a.tokens[sid] && a.tokens[sid] != ""
 }
 
-// sanitize applies the first-line input validation in hardened mode;
-// unhardened mode passes user input through verbatim (§6.4: "we
-// removed the input validation routines to facilitate XSS attacks").
-func (a *App) sanitize(s string) string {
+// appendSanitized appends user input through the first-line input
+// validation in hardened mode; unhardened mode passes it through
+// verbatim (§6.4: "we removed the input validation routines to
+// facilitate XSS attacks").
+func (a *App) appendSanitized(buf []byte, s string) []byte {
 	if a.cfg.Hardened {
-		return html.EscapeText(s)
+		return html.AppendEscapeText(buf, s)
 	}
-	return s
+	return append(buf, s...)
+}
+
+// topic returns the topic a request's t parameter names, or nil. Only
+// the canonical decimal of an ID names a topic, as the pages' links
+// spell it: "094", "+94" and "x" name none. The caller holds a.mu.
+func (a *App) topic(t string) *Topic {
+	id, err := strconv.Atoi(t)
+	var canon [20]byte
+	if err != nil || string(strconv.AppendInt(canon[:0], int64(id), 10)) != t {
+		return nil
+	}
+	for _, tp := range a.topics {
+		if tp.ID == id {
+			return tp
+		}
+	}
+	return nil
 }
 
 // login handles POST /login.
@@ -356,17 +375,17 @@ func (a *App) reply(req *web.Request) *web.Response {
 		topicID = req.Query().Get("t")
 	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, t := range a.topics {
-		if fmt.Sprintf("%d", t.ID) == topicID {
-			a.nextID++
-			t.Replies = append(t.Replies, Post{ID: a.nextID, Author: user, Body: req.Form.Get("message")})
-			resp := web.Redirect(fmt.Sprintf("/viewtopic?t=%d", t.ID))
-			a.decorate(resp)
-			return resp
-		}
+	t := a.topic(topicID)
+	if t == nil {
+		a.mu.Unlock()
+		return web.NotFound()
 	}
-	return web.NotFound()
+	a.nextID++
+	t.Replies = append(t.Replies, Post{ID: a.nextID, Author: user, Body: req.Form.Get("message")})
+	a.mu.Unlock()
+	resp := web.Redirect("/viewtopic?t=" + strconv.Itoa(t.ID))
+	a.decorate(resp)
+	return resp
 }
 
 // pmSend sends a private message (POST /pm_send).
@@ -399,8 +418,8 @@ func (a *App) decorate(resp *web.Response) {
 		return
 	}
 	resp.Header.Set(core.HeaderMaxRing, "3")
-	resp.Header.Add(core.HeaderCookie, fmt.Sprintf("%s; ring=1; r=1; w=1; x=1", CookieData))
-	resp.Header.Add(core.HeaderCookie, fmt.Sprintf("%s; ring=1; r=1; w=1; x=1", CookieSID))
+	resp.Header.Add(core.HeaderCookie, CookieData+"; ring=1; r=1; w=1; x=1")
+	resp.Header.Add(core.HeaderCookie, CookieSID+"; ring=1; r=1; w=1; x=1")
 	resp.Header.Add(core.HeaderAPI, "xmlhttprequest; ring=1")
 }
 

@@ -6,8 +6,49 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/raceflag"
 	"repro/internal/web"
 )
+
+// TestServeAllocs holds every page to a constant number of server-side
+// allocations: the same ceiling at two store sizes ten times apart.
+// Copying the store made the parent's index of 64 topics cost 860
+// allocations and a topic page with 100 replies 1,635.
+func TestServeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, size := range []int{10, 100} {
+		a := newApp(true)
+		var target int
+		for i := 0; i < size; i++ {
+			target = a.SeedTopic("bob", "subject <b>"+itoa(i)+"</b>", "body & more")
+			a.SeedPM("bob", "alice", "pm "+itoa(i), "a <i>private</i> message")
+		}
+		for r := 0; r < size; r++ {
+			a.SeedReply(target, "bob", "a reply with <markup> & entities")
+		}
+		sid, _, err := a.Login("alice", "pw1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cookie := CookieSID + "=" + sid
+		for _, path := range []string{"/", "/viewtopic?t=" + itoa(target), "/pm"} {
+			u := forumOrigin.URL(path)
+			n := testing.AllocsPerRun(20, func() {
+				req := web.NewRequest("GET", u)
+				req.Header.Set("Cookie", cookie)
+				if resp := a.Serve(req); resp.Status != 200 {
+					t.Fatalf("GET %s: status %d", path, resp.Status)
+				}
+			})
+			t.Logf("GET %s over %d topics, replies and messages: %.0f allocations", path, size, n)
+			if n > 48 {
+				t.Errorf("GET %s over %d topics, replies and messages: %.0f allocations, want <= 48", path, size, n)
+			}
+		}
+	}
+}
 
 // TestConcurrentViewAndReply races index and topic-page readers
 // against writers replying to the topic they read and posting new

@@ -13,8 +13,10 @@
 package phpcal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -99,15 +101,12 @@ func (a *App) AddUser(name, password string) {
 func (a *App) Events() []Event {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]Event, 0, len(a.events))
-	for _, e := range a.events {
-		out = append(out, *e)
+	out := make([]Event, len(a.events))
+	for i, e := range a.events {
+		out[i] = *e
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Day != out[j].Day {
-			return out[i].Day < out[j].Day
-		}
-		return out[i].ID < out[j].ID
+	slices.SortFunc(out, func(x, y Event) int {
+		return cmp.Or(cmp.Compare(x.Day, y.Day), cmp.Compare(x.ID, y.ID))
 	})
 	return out
 }
@@ -185,11 +184,12 @@ func (a *App) currentUser(req *web.Request) (string, bool) {
 	return a.SessionUser(sid)
 }
 
-func (a *App) sanitize(s string) string {
+// appendSanitized appends user input, escaped in hardened mode.
+func (a *App) appendSanitized(buf []byte, s string) []byte {
 	if a.cfg.Hardened {
-		return html.EscapeText(s)
+		return html.AppendEscapeText(buf, s)
 	}
-	return s
+	return append(buf, s...)
 }
 
 func (a *App) login(req *web.Request) *web.Response {
@@ -250,67 +250,91 @@ func (a *App) updateEvent(req *web.Request) *web.Response {
 }
 
 // monthView renders the calendar: a month grid with each event in its
-// own ring-3 scope, plus the app's event-creation form in ring 1.
+// own ring-3 scope, plus the app's event-creation form in ring 1. The
+// page is written in one pass into one buffer.
 func (a *App) monthView(req *web.Request) *web.Response {
 	user, loggedIn := a.currentUser(req)
 
-	var b strings.Builder
-	b.WriteString(`<h1 id=caltitle>Group Calendar</h1>`)
+	bp := pageBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], `<h1 id=caltitle>Group Calendar</h1>`...)
 	if loggedIn {
-		fmt.Fprintf(&b, `<p id=whoami>logged in as %s</p>`, user)
-		b.WriteString(`<form id=newevent action="/event" method="post">` +
-			`<input name=day value=""><textarea name=text></textarea>` +
-			`<input type=submit value=Add></form>`)
+		buf = append(append(append(buf, `<p id=whoami>logged in as `...), user...), `</p>`...)
+		buf = append(buf, `<form id=newevent action="/event" method="post">`+
+			`<input name=day value=""><textarea name=text></textarea>`+
+			`<input type=submit value=Add></form>`...)
 	} else {
-		b.WriteString(`<form id=loginform action="/login" method="post">` +
-			`<input name=username value=""><input name=password value="">` +
-			`<input type=submit value=Login></form>`)
+		buf = append(buf, `<form id=loginform action="/login" method="post">`+
+			`<input name=username value=""><input name=password value="">`+
+			`<input type=submit value=Login></form>`...)
 	}
-	b.WriteString(`<div id=month>`)
-	events := a.Events()
-	for day := 1; day <= 31; day++ {
-		var todays []Event
-		for _, e := range events {
-			if e.Day == day {
-				todays = append(todays, e)
-			}
-		}
-		if len(todays) == 0 {
+	buf = append(buf, `<div id=month>`...)
+	// /update edits an event's text in place, so the page reads one
+	// snapshot, sorted by day: each day in the grid heads its run.
+	day := 0
+	for _, e := range a.Events() {
+		if e.Day < 1 || e.Day > 31 {
 			continue
 		}
-		fmt.Fprintf(&b, `<h2 id=day-%d>Day %d</h2>`, day, day)
-		for _, e := range todays {
-			b.WriteString(a.wrapEvent(fmt.Sprintf("id=event-%d", e.ID), a.sanitize(e.Text)))
+		if e.Day != day {
+			day = e.Day
+			buf = append(buf, `<h2 id=day-`...)
+			buf = strconv.AppendInt(buf, int64(day), 10)
+			buf = append(buf, `>Day `...)
+			buf = strconv.AppendInt(buf, int64(day), 10)
+			buf = append(buf, `</h2>`...)
 		}
+		var n uint64
+		buf, n = a.open(buf, RingEvent, ACLEvent)
+		buf = append(buf, ` id=event-`...)
+		buf = append(strconv.AppendInt(buf, int64(e.ID), 10), '>')
+		buf = template.AppendClose(a.appendSanitized(buf, e.Text), n)
 	}
-	b.WriteString(`</div>`)
+	buf = append(buf, `</div>`...)
+	return a.page(bp, buf, "Calendar")
+}
 
-	resp := web.HTML(a.chrome("Calendar", b.String()))
+// open appends the start of a scope's open tag: an AC tag with the
+// label and a fresh nonce, or in legacy mode a plain div (nonce 0,
+// whose closer is a plain </div>). The caller appends the id attribute
+// and '>'.
+func (a *App) open(buf []byte, ring core.Ring, acl core.ACL) ([]byte, uint64) {
+	if !a.cfg.Escudo {
+		return append(buf, "<div"...), 0
+	}
+	return a.builder.AppendOpen(buf, ring, acl)
+}
+
+// pageBufs recycles the buffers pages are written into: page copies
+// the page out and returns its buffer, so a page allocates no buffer
+// of its own, whatever the size of the store.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// page assembles the response around the body content in buf, the
+// buffer bp held, and returns bp to pageBufs. The events' scopes have
+// drawn their nonces already; the head and the body scope draw theirs
+// after them. The chrome is appended behind the content and the page
+// is copied once, in reading order, into the response body.
+func (a *App) page(bp *[]byte, buf []byte, title string) *web.Response {
+	content := len(buf)
+	buf = append(buf, "<html>"...)
+	buf, n := a.open(buf, 0, ACLHead)
+	buf = append(append(append(buf, " id=head><title>"...), title...), `</title><script id=caljs>var cal = "PHP-Calendar";</script>`...)
+	buf = append(template.AppendClose(buf, n), "<body>"...)
+	buf, n = a.open(buf, RingApp, ACLApp)
+	buf = append(buf, " id=appbody>"...)
+	prefix := len(buf)
+	buf = append(template.AppendClose(buf, n), "</body></html>"...)
+
+	var b strings.Builder
+	b.Grow(len(buf))
+	b.Write(buf[content:prefix])
+	b.Write(buf[:content])
+	b.Write(buf[prefix:])
+	*bp = buf[:0]
+	pageBufs.Put(bp)
+	resp := web.HTML(b.String())
 	a.decorate(resp)
 	return resp
-}
-
-func (a *App) wrapEvent(idAttr, inner string) string {
-	if !a.cfg.Escudo {
-		return "<div " + idAttr + ">" + inner + "</div>"
-	}
-	return a.builder.Wrap(RingEvent, ACLEvent, idAttr, inner)
-}
-
-func (a *App) chrome(title, bodyInner string) string {
-	head := fmt.Sprintf(`<title>%s</title><script id=caljs>var cal = "PHP-Calendar";</script>`, title)
-	if a.cfg.Escudo {
-		head = a.builder.Wrap(0, ACLHead, "id=head", head)
-	} else {
-		head = "<div id=head>" + head + "</div>"
-	}
-	body := bodyInner
-	if a.cfg.Escudo {
-		body = a.builder.Wrap(RingApp, ACLApp, "id=appbody", body)
-	} else {
-		body = "<div id=appbody>" + body + "</div>"
-	}
-	return "<html>" + head + "<body>" + body + "</body></html>"
 }
 
 // decorate attaches the Table 5 ESCUDO headers.
@@ -319,7 +343,7 @@ func (a *App) decorate(resp *web.Response) {
 		return
 	}
 	resp.Header.Set(core.HeaderMaxRing, "3")
-	resp.Header.Add(core.HeaderCookie, fmt.Sprintf("%s; ring=1; r=1; w=1; x=1", CookieSession))
+	resp.Header.Add(core.HeaderCookie, CookieSession+"; ring=1; r=1; w=1; x=1")
 	resp.Header.Add(core.HeaderAPI, "xmlhttprequest; ring=1")
 }
 

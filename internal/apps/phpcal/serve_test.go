@@ -7,8 +7,42 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/raceflag"
 	"repro/internal/web"
 )
+
+// TestServeAllocs holds the month view to a constant number of
+// server-side allocations: the same ceiling at two store sizes ten
+// times apart. The parent's 31 day scans made 421 allocations at 29
+// events and 3,653 at 281.
+func TestServeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, size := range []int{29, 290} {
+		a, _, _ := newEnv(true)
+		for i := 0; i < size; i++ {
+			a.SeedEvent("bob", 1+i%31, "event <b>"+strconv.Itoa(i)+"</b> & more")
+		}
+		sid, err := a.Login("bob", "pw2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cookie := CookieSession + "=" + sid
+		u := calOrigin.URL("/")
+		n := testing.AllocsPerRun(20, func() {
+			req := web.NewRequest("GET", u)
+			req.Header.Set("Cookie", cookie)
+			if resp := a.Serve(req); resp.Status != 200 {
+				t.Fatalf("month view: status %d", resp.Status)
+			}
+		})
+		t.Logf("month view over %d events: %.0f allocations", size, n)
+		if n > 48 {
+			t.Errorf("month view over %d events: %.0f allocations, want <= 48", size, n)
+		}
+	}
+}
 
 // version reads the n of a "v<n>" event text.
 func version(t *testing.T, text string) int {

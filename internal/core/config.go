@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -108,15 +109,23 @@ func ParseACAttrs(attr func(name string) (string, bool), maxRing, parentRing Rin
 	return out
 }
 
-// FormatACAttrs renders the configuration as AC-tag attributes in the
-// order the paper's figures use: ring, r, w, x, nonce.
-func FormatACAttrs(ring Ring, acl ACL, nonce string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ring=%d r=%d w=%d x=%d", ring, acl.Read, acl.Write, acl.Use)
-	if nonce != "" {
-		fmt.Fprintf(&b, " nonce=%s", nonce)
+// AppendACAttrs appends the configuration as AC-tag attributes in the
+// order the paper's figures use: ring, r, w, x, nonce. A zero nonce is
+// left out: the tag opts out of markup randomization.
+func AppendACAttrs(dst []byte, ring Ring, acl ACL, nonce uint64) []byte {
+	dst = append(dst, "ring="...)
+	dst = strconv.AppendInt(dst, int64(ring), 10)
+	dst = append(dst, " r="...)
+	dst = strconv.AppendInt(dst, int64(acl.Read), 10)
+	dst = append(dst, " w="...)
+	dst = strconv.AppendInt(dst, int64(acl.Write), 10)
+	dst = append(dst, " x="...)
+	dst = strconv.AppendInt(dst, int64(acl.Use), 10)
+	if nonce != 0 {
+		dst = append(dst, " nonce="...)
+		dst = strconv.AppendUint(dst, nonce, 10)
 	}
-	return b.String()
+	return dst
 }
 
 // CookieConfig is the ring assignment and ACL of one cookie.

@@ -103,6 +103,27 @@ var escapeAttrReplacer = strings.NewReplacer(
 // applications still deploy.
 func EscapeText(s string) string { return escapeTextReplacer.Replace(s) }
 
+// AppendEscapeText appends s encoded as EscapeText encodes it, for
+// pages written into one buffer.
+func AppendEscapeText(dst []byte, s string) []byte {
+	for {
+		i := strings.IndexAny(s, "&<>")
+		if i < 0 {
+			return append(dst, s...)
+		}
+		dst = append(dst, s[:i]...)
+		switch s[i] {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		default:
+			dst = append(dst, "&gt;"...)
+		}
+		s = s[i+1:]
+	}
+}
+
 // EscapeAttr encodes s for inclusion inside a double-quoted attribute
 // value.
 func EscapeAttr(s string) string { return escapeAttrReplacer.Replace(s) }

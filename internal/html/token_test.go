@@ -228,6 +228,21 @@ func TestEscapeRoundTrip(t *testing.T) {
 	}
 }
 
+func TestAppendEscapeTextMatchesEscapeText(t *testing.T) {
+	alphabet := []string{"a", " ", "&", "<", ">", `"`, "'", "&amp;", "é", "\xff"}
+	f := func(seed []uint8, prefix, raw string) bool {
+		var b strings.Builder
+		for _, c := range seed {
+			b.WriteString(alphabet[int(c)%len(alphabet)])
+		}
+		s := b.String() + raw
+		return string(AppendEscapeText([]byte(prefix), s)) == prefix+EscapeText(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestEscapeTextNeutralizesMarkup(t *testing.T) {
 	s := EscapeText(`<script>alert("xss")</script>`)
 	if strings.ContainsAny(s, "<>") {

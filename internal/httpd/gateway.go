@@ -401,10 +401,15 @@ var reqPool = sync.Pool{New: func() any { return &web.Request{} }}
 // releaseRequest hands a translated request back to the pool.
 func releaseRequest(req *web.Request) { reqPool.Put(req) }
 
+// errFormTooLarge refuses a form body over maxFormBytes: the origin
+// gets the whole form or no request, never a truncated one.
+var errFormTooLarge = fmt.Errorf("httpd: form body over %d bytes", maxFormBytes)
+
 // translate builds the web.Request an incoming HTTP request denotes
 // for the given target origin. The request comes from reqPool; the
-// caller releases it after the response is written.
-func translate(r *http.Request, target origin.Origin) *web.Request {
+// caller releases it after the response is written. A form body over
+// maxFormBytes yields errFormTooLarge and no request.
+func translate(r *http.Request, target origin.Origin) (*web.Request, error) {
 	req := reqPool.Get().(*web.Request)
 	req.Reset(r.Method, target.URL(r.URL.RequestURI()))
 	for k, vs := range r.Header {
@@ -427,14 +432,18 @@ func translate(r *http.Request, target origin.Origin) *web.Request {
 	// directly rather than via r.ParseForm, which ignores GET bodies
 	// and would fold the URL query into the form.
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-www-form-urlencoded") {
-		data, err := io.ReadAll(io.LimitReader(r.Body, maxFormBytes))
+		data, err := io.ReadAll(io.LimitReader(r.Body, maxFormBytes+1))
+		if len(data) > maxFormBytes {
+			releaseRequest(req)
+			return nil, errFormTooLarge
+		}
 		if err == nil {
 			if form, err := url.ParseQuery(string(data)); err == nil && len(form) > 0 {
 				req.Form = form
 			}
 		}
 	}
-	return req
+	return req, nil
 }
 
 // origKeysValue renders a response's header-key set as the
@@ -538,7 +547,11 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 			return
 		}
 	}
-	req := translate(r, vh.origin)
+	req, err := translate(r, vh.origin)
+	if err != nil {
+		g.gatewayError(w, gatewayBadRequest, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
 	defer releaseRequest(req)
 	running := time.Now()
 	resp, err := g.inner.RoundTrip(req)
@@ -600,7 +613,11 @@ func (g *Gateway) serveFallback(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unusable Host %q", r.Host))
 		return
 	}
-	req := translate(r, target)
+	req, err := translate(r, target)
+	if err != nil {
+		g.gatewayError(w, gatewayBadRequest, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
 	resp, err := g.inner.RoundTrip(req)
 	releaseRequest(req)
 	if err != nil {

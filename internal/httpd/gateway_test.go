@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +200,48 @@ func TestClientTransportRoundTrip(t *testing.T) {
 	}
 	if logged502 := n.FindRequests(missing, nil); len(logged502) != 1 || logged502[0].Status != 502 {
 		t.Fatalf("missing origin not logged as 502: %+v", logged502)
+	}
+}
+
+// TestGatewayRefusesOversizedForm posts urlencoded form bodies at the
+// gateway's limit and one byte over it: the first reaches the origin
+// whole; the second gets a marked 413 and never reaches the origin,
+// rather than arriving as whatever prefix of the form fits.
+func TestGatewayRefusesOversizedForm(t *testing.T) {
+	n := web.NewNetwork()
+	o := origin.MustParse("http://app.example")
+	n.Register(o, web.HandlerFunc(func(req *web.Request) *web.Response {
+		return web.HTML(strconv.Itoa(len(req.Form.Get("field"))))
+	}))
+	g := startGateway(t, n, Config{})
+	post := func(size int) *http.Response {
+		body := "field=" + strings.Repeat("x", size-len("field="))
+		req, err := http.NewRequest("POST", "http://"+g.Addr()+"/submit", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("NewRequest: %v", err)
+		}
+		req.Host = "app.example"
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %d bytes: %v", size, err)
+		}
+		return resp
+	}
+
+	resp := post(maxFormBytes)
+	if body := readBody(t, resp); resp.StatusCode != 200 || body != strconv.Itoa(maxFormBytes-len("field=")) {
+		t.Fatalf("form at the limit: status %d, origin saw a field of %s bytes, want 200 and %d", resp.StatusCode, body, maxFormBytes-len("field="))
+	}
+	n.ResetLog()
+
+	resp = post(maxFormBytes + 1)
+	readBody(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || resp.Header.Get(HeaderGateway) != gatewayBadRequest {
+		t.Fatalf("form over the limit: status %d marker %q, want 413 %s", resp.StatusCode, resp.Header.Get(HeaderGateway), gatewayBadRequest)
+	}
+	if logged := n.FindRequests(o, nil); len(logged) != 0 {
+		t.Fatalf("form over the limit reached the origin: %d log entries, the first with a field of %d bytes", len(logged), len(logged[0].Form.Get("field")))
 	}
 }
 

@@ -13,15 +13,15 @@ package nonce
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"sync"
 )
 
-// Source produces unpredictable nonce strings for AC tags.
+// Source produces unpredictable nonces for AC tags.
 type Source interface {
-	// Next returns a fresh nonce. Nonces are decimal digit strings
-	// (the paper's figures use small integers; ours are 64-bit).
-	Next() string
+	// Next returns a fresh nonce, never zero: an AC tag carries it as
+	// a decimal digit string (the paper's figures use small integers;
+	// ours are 64-bit), and zero stands for a tag without one.
+	Next() uint64
 }
 
 // CryptoSource draws nonces from crypto/rand. The zero value is ready
@@ -30,15 +30,20 @@ type CryptoSource struct{}
 
 var _ Source = (*CryptoSource)(nil)
 
-// Next returns a cryptographically random 64-bit decimal nonce.
-func (CryptoSource) Next() string {
+// Next returns a cryptographically random nonzero 64-bit nonce.
+func (CryptoSource) Next() uint64 {
 	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		// crypto/rand never fails on supported platforms; if it
-		// does, refusing to continue is safer than a guessable nonce.
-		panic(fmt.Sprintf("nonce: crypto/rand failed: %v", err))
+	for {
+		if _, err := rand.Read(buf[:]); err != nil {
+			// crypto/rand never fails on supported platforms; if it
+			// does, refusing to continue is safer than a guessable
+			// nonce.
+			panic("nonce: crypto/rand failed: " + err.Error())
+		}
+		if n := binary.BigEndian.Uint64(buf[:]); n != 0 {
+			return n
+		}
 	}
-	return fmt.Sprintf("%d", binary.BigEndian.Uint64(buf[:]))
 }
 
 // SeqSource produces deterministic nonces 1, 2, 3, ... for tests and
@@ -60,11 +65,11 @@ func NewSeqSource(start uint64) *SeqSource {
 }
 
 // Next returns the next nonce in sequence.
-func (s *SeqSource) Next() string {
+func (s *SeqSource) Next() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.n++
-	return fmt.Sprintf("%d", s.n)
+	return s.n
 }
 
 // Match reports whether a closing tag's nonce authenticates against

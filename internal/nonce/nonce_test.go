@@ -8,14 +8,14 @@ import (
 
 func TestCryptoSourceUnique(t *testing.T) {
 	var src CryptoSource
-	seen := make(map[string]bool)
+	seen := make(map[uint64]bool)
 	for i := 0; i < 1000; i++ {
 		n := src.Next()
-		if n == "" {
-			t.Fatal("empty nonce")
+		if n == 0 {
+			t.Fatal("zero nonce")
 		}
 		if seen[n] {
-			t.Fatalf("duplicate nonce %q after %d draws", n, i)
+			t.Fatalf("duplicate nonce %d after %d draws", n, i)
 		}
 		seen[n] = true
 	}
@@ -23,25 +23,25 @@ func TestCryptoSourceUnique(t *testing.T) {
 
 func TestSeqSource(t *testing.T) {
 	s := NewSeqSource(1)
-	for i, want := range []string{"1", "2", "3"} {
+	for i, want := range []uint64{1, 2, 3} {
 		if got := s.Next(); got != want {
-			t.Errorf("draw %d = %q, want %q", i, got, want)
+			t.Errorf("draw %d = %d, want %d", i, got, want)
 		}
 	}
 	s = NewSeqSource(100)
-	if got := s.Next(); got != "100" {
-		t.Errorf("start 100 first draw = %q", got)
+	if got := s.Next(); got != 100 {
+		t.Errorf("start 100 first draw = %d", got)
 	}
 	s = NewSeqSource(0)
-	if got := s.Next(); got != "1" {
-		t.Errorf("start 0 normalizes to 1, got %q", got)
+	if got := s.Next(); got != 1 {
+		t.Errorf("start 0 normalizes to 1, got %d", got)
 	}
 }
 
 func TestSeqSourceZeroValue(t *testing.T) {
 	var s SeqSource
-	if got := s.Next(); got != "1" {
-		t.Errorf("zero-value SeqSource first draw = %q, want 1", got)
+	if got := s.Next(); got != 1 {
+		t.Errorf("zero-value SeqSource first draw = %d, want 1", got)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestSeqSourceConcurrent(t *testing.T) {
 	var s SeqSource
 	const workers, draws = 8, 100
 	var mu sync.Mutex
-	seen := make(map[string]bool)
+	seen := make(map[uint64]bool)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -59,7 +59,7 @@ func TestSeqSourceConcurrent(t *testing.T) {
 				n := s.Next()
 				mu.Lock()
 				if seen[n] {
-					t.Errorf("duplicate nonce %q", n)
+					t.Errorf("duplicate nonce %d", n)
 				}
 				seen[n] = true
 				mu.Unlock()

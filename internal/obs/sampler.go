@@ -58,9 +58,6 @@ type SamplerStats struct {
 	GoroutineSeries []int64 `json:"goroutine_series,omitempty"`
 	HeapSysSeries   []int64 `json:"heap_sys_series,omitempty"`
 	SeriesStrideMs  float64 `json:"series_stride_ms,omitempty"`
-	// Drift is the linear-drift leak verdict computed from HeapSeries
-	// at Stop (see ComputeDrift).
-	Drift *DriftReport `json:"drift,omitempty"`
 }
 
 // maxRetainedSamples bounds the retained series: past it every other
@@ -240,9 +237,6 @@ func (s *Sampler) Stop() SamplerStats {
 		<-s.done
 	}
 	s.Sample()
-	s.mu.Lock()
-	s.stats.Drift = s.stats.ComputeDrift()
-	s.mu.Unlock()
 	return s.Stats()
 }
 
@@ -315,9 +309,5 @@ func (s *Sampler) Stats() SamplerStats {
 	out.HeapSeries = append([]int64(nil), s.stats.HeapSeries...)
 	out.GoroutineSeries = append([]int64(nil), s.stats.GoroutineSeries...)
 	out.HeapSysSeries = append([]int64(nil), s.stats.HeapSysSeries...)
-	if s.stats.Drift != nil {
-		d := *s.stats.Drift
-		out.Drift = &d
-	}
 	return out
 }

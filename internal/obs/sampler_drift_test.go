@@ -125,8 +125,8 @@ func TestSamplerStopComputesDrift(t *testing.T) {
 	}
 	// With a 1ms stride the window is far below driftMinWindowSec, so
 	// the verdict must abstain (nil) rather than guess.
-	if st.Drift != nil {
-		t.Fatalf("sub-window drift report: %+v", st.Drift)
+	if d := st.ComputeDrift(); d != nil {
+		t.Fatalf("sub-window drift report: %+v", d)
 	}
 }
 
