@@ -49,11 +49,11 @@ func (a *App) openUser(buf []byte, kind string, id int) ([]byte, uint64) {
 var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // page assembles the response around the body content in buf, the
-// buffer bp held, and returns bp to pageBufs. The
-// content's ring-3 scopes have drawn their nonces already; the head
-// and the body scope draw theirs after them. The chrome is appended
-// behind the content and the page is copied once, in reading order,
-// into the response body.
+// buffer bp held, and returns bp to pageBufs. The content's ring-3
+// scopes have drawn their nonces already; the head and the body scope
+// draw theirs after them. The chrome is appended behind the content
+// and the page is copied once, in reading order, into the response
+// body.
 func (a *App) page(bp *[]byte, buf []byte, title string) *web.Response {
 	content := len(buf)
 	buf = append(buf, "<html>"...)
@@ -80,7 +80,7 @@ func (a *App) page(bp *[]byte, buf []byte, title string) *web.Response {
 // index renders GET /: announcement, topic list, login and posting
 // forms.
 func (a *App) index(req *web.Request) *web.Response {
-	user, sid, loggedIn := a.currentUser(req)
+	user, _, loggedIn := a.currentUser(req)
 
 	bp := pageBufs.Get().(*[]byte)
 	buf := append((*bp)[:0], `<h1 id=announcement>Community Forum</h1>`...)
@@ -88,7 +88,7 @@ func (a *App) index(req *web.Request) *web.Response {
 		buf = append(append(append(buf, `<p id=whoami>logged in as `...), user...), `</p>`...)
 		buf = append(buf, `<form id=newtopic action="/posting" method="post">`+
 			`<input name=subject value=""><textarea name=message></textarea>`...)
-		buf = a.appendToken(buf, sid)
+		buf = a.appendToken(buf, req)
 		buf = append(buf, `<input type=submit value=Post></form>`...)
 	} else {
 		buf = append(buf, `<form id=loginform action="/login" method="post">`+
@@ -136,11 +136,6 @@ func (a *App) viewTopic(req *web.Request) *web.Response {
 	if topic == nil {
 		return web.NotFound()
 	}
-	_, sid, loggedIn := a.currentUser(req)
-	if !loggedIn {
-		sid = ""
-	}
-
 	bp := pageBufs.Get().(*[]byte)
 	buf := append((*bp)[:0], `<h1 id=topichead>Topic `...)
 	buf = strconv.AppendInt(buf, int64(topic.ID), 10)
@@ -157,14 +152,14 @@ func (a *App) viewTopic(req *web.Request) *web.Response {
 	buf = append(buf, `<form id=replyform action="/reply" method="post"><input name=t value="`...)
 	buf = strconv.AppendInt(buf, int64(topic.ID), 10)
 	buf = append(buf, `"><textarea name=message></textarea>`...)
-	buf = a.appendToken(buf, sid)
+	buf = a.appendToken(buf, req)
 	buf = append(buf, `<input type=submit value=Reply></form>`...)
 	return a.page(bp, buf, "Topic "+strconv.Itoa(topic.ID))
 }
 
 // pmList renders GET /pm for the logged-in user.
 func (a *App) pmList(req *web.Request) *web.Response {
-	user, sid, ok := a.currentUser(req)
+	user, _, ok := a.currentUser(req)
 	if !ok {
 		return web.Forbidden("login required")
 	}
@@ -188,15 +183,18 @@ func (a *App) pmList(req *web.Request) *web.Response {
 	buf = append(buf, `<form id=pmform action="/pm_send" method="post">`+
 		`<input name=to value=""><input name=subject value="">`+
 		`<textarea name=message></textarea>`...)
-	buf = a.appendToken(buf, sid)
+	buf = a.appendToken(buf, req)
 	buf = append(buf, `<input type=submit value=Send></form>`...)
 	return a.page(bp, buf, "Private Messages")
 }
 
-// appendToken appends the hidden CSRF token input of session sid in
-// hardened mode; sid is "" when the request has no live session.
-func (a *App) appendToken(buf []byte, sid string) []byte {
-	if !a.cfg.Hardened || sid == "" {
+// appendToken appends the hidden CSRF token input in hardened mode.
+func (a *App) appendToken(buf []byte, req *web.Request) []byte {
+	if !a.cfg.Hardened {
+		return buf
+	}
+	_, sid, ok := a.currentUser(req)
+	if !ok {
 		return buf
 	}
 	a.mu.Lock()

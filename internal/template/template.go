@@ -295,7 +295,8 @@ func AppendClose(dst []byte, nonce uint64) []byte {
 // Wrap encloses inner markup in an AC tag with the given label and a
 // fresh nonce, plus any extra attributes (e.g. `id=post-3`).
 func (b *ACBuilder) Wrap(ring core.Ring, acl core.ACL, extraAttrs, inner string) string {
-	buf, n := b.AppendOpen(make([]byte, 0, 80+len(extraAttrs)+len(inner)), ring, acl)
+	// 96 bytes hold both tags with 20-digit nonces.
+	buf, n := b.AppendOpen(make([]byte, 0, 96+len(extraAttrs)+len(inner)), ring, acl)
 	buf = append(endOpen(buf, extraAttrs), inner...)
 	return string(AppendClose(buf, n))
 }
