@@ -8,7 +8,8 @@ package escudo
 //
 // Figure 4  → BenchmarkFigure4/* (parse+render per scenario, both
 //             modes; the cmd/escudo-bench harness prints the paper's
-//             table with overhead percentages)
+//             table with overhead percentages), and BenchmarkLayout/*
+//             (the layout layer alone, per scenario)
 // §6.4      → BenchmarkAttack* (attack corpus execution cost)
 // §6.5 "UI events" → BenchmarkUIEventDispatch
 // Tables 3/5 → BenchmarkForumPageLoad / BenchmarkCalendarPageLoad
@@ -30,6 +31,8 @@ import (
 	"repro/internal/attack"
 	"repro/internal/browser"
 	"repro/internal/core"
+	"repro/internal/html"
+	"repro/internal/layout"
 	"repro/internal/nonce"
 	"repro/internal/origin"
 	"repro/internal/scenarios"
@@ -51,6 +54,21 @@ func BenchmarkFigure4(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				scenarios.ParseRender(sc.Markup, true)
+			}
+		})
+	}
+}
+
+// BenchmarkLayout measures the layout layer alone: LayoutHidden over
+// each Figure 4 page's parsed ESCUDO tree, with nothing hidden, the
+// display list sized and filled once per run.
+func BenchmarkLayout(b *testing.B) {
+	for _, sc := range scenarios.All() {
+		doc := html.Parse(sc.Markup, html.Options{Escudo: true, MaxRing: 3, BaseRing: 3, BaseACL: core.ACL{}})
+		b.Run(sc.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layout.LayoutHidden(doc, layout.DefaultViewportWidth, nil)
 			}
 		})
 	}

@@ -148,6 +148,9 @@ func run(args []string) error {
 		markup = string(data)
 	}
 
+	if *maxRing < int(core.RingKernel) || *maxRing > int(core.MaxSupportedRing) {
+		return fmt.Errorf("-maxring %d outside [0,%d]", *maxRing, core.MaxSupportedRing)
+	}
 	pageOrigin := origin.MustParse("http://inspected.example")
 	ringCount := core.Ring(*maxRing)
 

@@ -46,6 +46,8 @@ func TestRunErrors(t *testing.T) {
 		{"-query", "1:chew:post"},
 		{"-query", "1:read:missing-id"},
 		{"-bogus"},
+		{"-maxring", "-1"},
+		{"-maxring", "256"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -244,7 +244,7 @@ func TestFacadePolicyRoundTrip(t *testing.T) {
 		t.Fatalf("round trip diverges:\n in:  %+v\n out: %+v", pol, back)
 	}
 	bad := pol
-	bad.MaxRing = 99999
+	bad.MaxRing = core.MaxSupportedRing + 1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("out-of-range ring count validated")
 	}

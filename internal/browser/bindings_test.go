@@ -407,7 +407,7 @@ func TestScriptIsolationOverSharedLibrary(t *testing.T) {
 	// script.
 	var reads int
 	for _, d := range b.Audit.All() {
-		if d.Principal.Label == "script#trusted" && d.Op == core.OpRead && d.Allowed && d.Object.Name() == "p#appmsg" {
+		if d.Principal.Name() == "script#trusted" && d.Op == core.OpRead && d.Allowed && d.Object.Name() == "p#appmsg" {
 			reads++
 		}
 	}

@@ -671,23 +671,14 @@ func (p *Page) runScripts() {
 		if strings.TrimSpace(src) == "" {
 			continue
 		}
-		principal := core.Context{
-			Origin: p.Origin,
-			Ring:   s.Ring,
-			ACL:    s.ACL,
-			Label:  scriptLabel(s),
-		}
+		// Like a node's context, the principal keeps its id apart and
+		// renders as script#id on read.
+		principal := core.Context{Origin: p.Origin, Ring: s.Ring, ACL: s.ACL, Label: "script"}
+		principal.ID, _ = s.Attr("id")
 		if err := p.RunScriptAs(principal, src); err != nil {
 			p.ScriptErrors = append(p.ScriptErrors, err)
 		}
 	}
-}
-
-func scriptLabel(n *html.Node) string {
-	if id, ok := n.Attr("id"); ok {
-		return "script#" + id
-	}
-	return "script"
 }
 
 // RunScriptAs executes source with the given principal's bindings:
@@ -758,15 +749,9 @@ func (p *Page) SubmitForm(form *html.Node, extra url.Values) (*web.Response, err
 	for k, vs := range extra {
 		fields[k] = vs
 	}
-	initiator := core.Context{Origin: p.Origin, Ring: form.Ring, ACL: form.ACL, Label: formLabel(form)}
-	return p.browser.fetch(method, abs, fields, initiator, formLabel(form))
-}
-
-func formLabel(n *html.Node) string {
-	if id, ok := n.Attr("id"); ok {
-		return "form#" + id
-	}
-	return "form"
+	initiator := core.Context{Origin: p.Origin, Ring: form.Ring, ACL: form.ACL, Label: "form"}
+	initiator.ID, _ = form.Attr("id")
+	return p.browser.fetch(method, abs, fields, initiator, initiator.Name())
 }
 
 // ClickAnchor follows an anchor: issues the GET with the anchor as the

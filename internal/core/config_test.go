@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // lookup is the attribute lookup ParseACAttrs takes, over a map.
@@ -54,10 +55,12 @@ func TestParseACAttrsFailSafeDefaults(t *testing.T) {
 		t.Errorf("missing ACL attrs = %v, want zero (ring-0-only)", got.ACL)
 	}
 	// Malformed ring degrades to the least privileged ring, never to
-	// a privileged one.
-	got = ParseACAttrs(lookup(map[string]string{"ring": "bogus"}), 3, 1)
-	if got.Ring != 3 {
-		t.Errorf("malformed ring = %d, want fail-safe 3", got.Ring)
+	// a privileged one; a number a 16-bit ring would wrap is malformed.
+	for _, ring := range []string{"bogus", "65536", "-65536"} {
+		got = ParseACAttrs(lookup(map[string]string{"ring": ring}), 3, 1)
+		if got.Ring != 3 {
+			t.Errorf("malformed ring %q = %d, want fail-safe 3", ring, got.Ring)
+		}
 	}
 	// Malformed ACL entry degrades to ring 0 (deny to all but kernel).
 	got = ParseACAttrs(lookup(map[string]string{"ring": "2", "w": "nope"}), 3, 0)
@@ -251,6 +254,15 @@ func TestPageConfigHeaderRoundTrip(t *testing.T) {
 		if got := back.APIs[name]; got != want {
 			t.Errorf("api %q = %+v, want %+v", name, got, want)
 		}
+	}
+}
+
+// A context's ring and ACL are four 16-bit rings sharing one word,
+// which keeps every principal and object context of a page load, and
+// each of the two a Decision carries, at 80 bytes.
+func TestContextSize(t *testing.T) {
+	if got := unsafe.Sizeof(Context{}); got > 80 {
+		t.Errorf("Context is %d bytes, want <= 80", got)
 	}
 }
 

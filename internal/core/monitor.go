@@ -8,7 +8,7 @@ import (
 )
 
 // RuleID identifies which of the model's rules produced a decision.
-type RuleID int
+type RuleID int8
 
 // The rules of the ESCUDO MAC policy (§4.2), plus the synthetic
 // "allowed" outcome when all rules pass.
@@ -39,15 +39,17 @@ func (r RuleID) String() string {
 }
 
 // Decision is the outcome of a single authorization query.
+//
+// The three one-byte fields lead, so they share one word.
 type Decision struct {
 	// Allowed reports whether the access is permitted.
 	Allowed bool
 	// Rule identifies the first rule that denied the access, or
 	// RuleAllowed when it is permitted.
 	Rule RuleID
-	// Principal, Op, Object echo the query for audit trails.
-	Principal Context
+	// Op, Principal, Object echo the query for audit trails.
 	Op        Op
+	Principal Context
 	Object    Context
 	// TraceID and Span place the decision in the causal trace of the
 	// task that triggered it (see internal/obs). Both are zero when the

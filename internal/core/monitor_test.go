@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/origin"
 )
@@ -11,6 +12,14 @@ var (
 	siteA = origin.MustParse("http://a.example")
 	siteB = origin.MustParse("http://b.example")
 )
+
+// A decision's verdict, rule and op share one word: every audited
+// decision of a page load is 208 bytes.
+func TestDecisionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Decision{}); got > 208 {
+		t.Errorf("Decision is %d bytes, want <= 208", got)
+	}
+}
 
 // TestRulesERM exercises the three-rule MAC policy of §4.2 as a
 // decision table.

@@ -20,7 +20,13 @@ import (
 // (paper §3, Figure 1). Rings are per-page: every web page chooses its
 // own maximum ring N, and labels are only comparable within one page
 // (or across pages of the same origin, §4 "Rings").
-type Ring int
+//
+// A Ring is 16 bits wide: every label a page can declare fits
+// (MaxSupportedRing), and a negative ring stays representable, so
+// range checks can reject it. Code converting an int to a Ring checks
+// the int's range first, or the conversion would wrap (65536 to the
+// kernel ring).
+type Ring int16
 
 // RingKernel is the most privileged ring of every page. The paper
 // mandatorily assigns browser state (history, visited links, cache) to
@@ -47,11 +53,10 @@ func ParseRing(s string, maxRing Ring) (Ring, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %q", ErrBadRing, s)
 	}
-	r := Ring(n)
-	if r < RingKernel || r > maxRing {
+	if n < int(RingKernel) || n > int(maxRing) {
 		return 0, fmt.Errorf("%w: %d outside [0,%d]", ErrBadRing, n, maxRing)
 	}
-	return r, nil
+	return Ring(n), nil
 }
 
 // Clamp returns r forced into [0, maxRing]. The scoping rule (§5) and
@@ -86,7 +91,7 @@ func (r Ring) String() string { return strconv.Itoa(int(r)) }
 // distinguishes read, write, and use; "use" is the implicit access a
 // browser performs on behalf of a principal, such as attaching cookies
 // to an HTTP request or delivering a UI event (§4.1 "ACL").
-type Op int
+type Op int8
 
 // Operations, numbered from one so the zero Op is invalid.
 const (

@@ -23,6 +23,10 @@ func TestParseRing(t *testing.T) {
 		{"2x", 3, 0, true},
 		{"7", 7, 7, false},
 		{"256", MaxSupportedRing, 0, true},
+		// Numbers that a 16-bit conversion would wrap into range.
+		{"65536", MaxSupportedRing, 0, true},
+		{"32768", MaxSupportedRing, 0, true},
+		{"-65536", MaxSupportedRing, 0, true},
 	}
 	for _, tt := range tests {
 		got, err := ParseRing(tt.in, tt.maxRing)

@@ -8,7 +8,7 @@ import (
 )
 
 // NodeType identifies the kind of a parse-tree node.
-type NodeType int
+type NodeType uint8
 
 // Node types.
 const (
@@ -25,16 +25,11 @@ const (
 // (ring, r, w, x, nonce) are stripped from Attrs so they are never
 // observable through the DOM API (paper §5: the configuration "is not
 // exposed to JavaScript programs for modification").
+//
+// The narrow fields lead, so the type, the labels and the AC-tag flag
+// share one word.
 type Node struct {
 	Type NodeType
-	// Tag is the lowercase element name for ElementNode.
-	Tag string
-	// Attrs are the element's attributes minus ESCUDO configuration.
-	Attrs []Attr
-	// Data is the text for TextNode, the body for CommentNode and
-	// DoctypeNode.
-	Data string
-
 	// Ring and ACL are the resolved ESCUDO labels. For legacy parses
 	// (Options.Escudo false) they are the zero ring with a uniform
 	// ring-0 ACL, which makes the ERM coincide with the SOP.
@@ -42,6 +37,14 @@ type Node struct {
 	ACL  core.ACL
 	// IsACTag marks elements that carried a ring attribute.
 	IsACTag bool
+
+	// Tag is the lowercase element name for ElementNode.
+	Tag string
+	// Attrs are the element's attributes minus ESCUDO configuration.
+	Attrs []Attr
+	// Data is the text for TextNode, the body for CommentNode and
+	// DoctypeNode.
+	Data string
 
 	Parent *Node
 	Kids   []*Node
@@ -173,7 +176,7 @@ type Parser struct {
 
 // maxBlock caps the node and child-link block size. A '<' inside raw
 // text, a comment or plain text never becomes a node, so a block sized
-// from an uncapped count would cost 144 bytes per such '<' for as long
+// from an uncapped count would cost 112 bytes per such '<' for as long
 // as any node of the document lives. Every Figure 4 page fits in one
 // block (S8, the largest, has 508 '<'s); a larger or denser input
 // wastes at most one block's unused tail.

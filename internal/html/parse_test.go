@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/raceflag"
@@ -40,6 +41,15 @@ func findByID(n *Node, id string) *Node {
 		return true
 	})
 	return found
+}
+
+// A node's type, labels and AC-tag flag share one word, which keeps
+// a parsed node, the unit of the per-document node block, at 104
+// bytes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 104 {
+		t.Errorf("Node is %d bytes, want <= 104", got)
+	}
 }
 
 func TestParseTree(t *testing.T) {
@@ -144,6 +154,18 @@ func TestParseScopingRule(t *testing.T) {
 	}
 	if ok := findByID(doc, "ok"); ok.Ring != 3 {
 		t.Errorf("inner ring=3 = %d, want 3", ok.Ring)
+	}
+}
+
+// A ring label out of a 16-bit ring's range is malformed: the AC tag
+// in a ring-3 page takes the fail-safe ring 3, not the ring the
+// number would wrap to (65536 and -65536 to the kernel ring).
+func TestParseWrappingRingFailsSafe(t *testing.T) {
+	for _, ring := range []string{"65536", "-65536", "32768"} {
+		doc := Parse(`<div ring=`+ring+` id=d>x</div>`, escudoOpts())
+		if d := findByID(doc, "d"); d == nil || !d.IsACTag || d.Ring != 3 {
+			t.Errorf("<div ring=%s> = %+v, want an AC tag at fail-safe ring 3", ring, d)
+		}
 	}
 }
 
@@ -401,8 +423,8 @@ func allocBytes(f func()) uint64 {
 // TestParseStorageTracksNodes pins the cap on the per-document blocks:
 // a '<' that never becomes a node (inside raw text or a comment) buys
 // no storage. Each input below is a tree of at most three nodes behind
-// 131,072 '<'s; an uncapped block would cost 144 bytes per '<', about
-// 19 MB each, where one capped block costs about 150 KB.
+// 131,072 '<'s; an uncapped block would cost 112 bytes per '<', about
+// 15 MB each, where one capped block costs about 126 KB.
 func TestParseStorageTracksNodes(t *testing.T) {
 	const maxBytes = 256 << 10
 	dense := strings.Repeat("<", 1<<17)

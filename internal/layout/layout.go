@@ -9,6 +9,7 @@
 package layout
 
 import (
+	"iter"
 	"math"
 	"strings"
 	"unicode"
@@ -20,9 +21,8 @@ import (
 // DefaultViewportWidth is the layout width in character cells.
 const DefaultViewportWidth = 80
 
-// Box is one laid-out rectangle in the display list. Its geometry is
-// int32 (the viewport width is clamped to fit), which keeps a box, one
-// per laid-out word, at 48 bytes.
+// Box is one laid-out rectangle of the display list, as
+// Result.Boxes renders it.
 type Box struct {
 	// Tag is the originating element ("" for anonymous text boxes).
 	Tag string
@@ -34,10 +34,20 @@ type Box struct {
 	Text string
 }
 
+// slot is one 24-byte entry of the display list. A word box is one
+// slot {word, X, Y}: its width is len(word), since layout clips an
+// overlong word to the viewport, and its height is 1. An element box
+// is two slots, {"", X, Y} then {tag, W, H}. nextField never yields
+// an empty word, so an empty string can only open an element box.
+type slot struct {
+	s    string
+	a, b int32
+}
+
 // Result is the output of a layout pass.
 type Result struct {
-	// Boxes is the display list in paint order.
-	Boxes []Box
+	// slots is the display list in paint order (see slot).
+	slots []slot
 	// Height is the total document height in lines.
 	Height int
 	// Words and Lines count layout work done (for sanity checks and
@@ -46,18 +56,59 @@ type Result struct {
 	Lines int
 }
 
-// blockElements start on a new line and stack vertically.
-var blockElements = map[string]bool{
-	"html": true, "body": true, "div": true, "p": true, "h1": true,
-	"h2": true, "h3": true, "h4": true, "ul": true, "ol": true,
-	"li": true, "table": true, "tr": true, "form": true, "hr": true,
-	"blockquote": true, "pre": true, "section": true, "article": true,
-	"header": true, "footer": true,
+// Len returns the number of boxes in the display list.
+func (r *Result) Len() int {
+	n := len(r.slots)
+	for _, s := range r.slots {
+		if s.s == "" {
+			n-- // an element box's opening slot
+		}
+	}
+	return n
 }
 
-// skippedElements produce no boxes (and their text is invisible).
-var skippedElements = map[string]bool{
-	"script": true, "style": true, "head": true, "title": true, "meta": true, "link": true,
+// Boxes returns the display list's boxes in paint order.
+func (r *Result) Boxes() iter.Seq[Box] {
+	return func(yield func(Box) bool) {
+		for i := 0; i < len(r.slots); i++ {
+			s := r.slots[i]
+			b := Box{X: s.a, Y: s.b, W: int32(len(s.s)), H: 1, Text: s.s}
+			if s.s == "" {
+				i++
+				t := r.slots[i]
+				b = Box{Tag: t.s, X: s.a, Y: s.b, W: t.a, H: t.b}
+			}
+			if !yield(b) {
+				return
+			}
+		}
+	}
+}
+
+// Element kinds: how both layout walks treat an element.
+const (
+	inline    = iota // laid out through its children, with no box of its own
+	block            // starts on a new line, stacks vertically, gets a box
+	skipped          // places nothing, and its text is invisible
+	atomic           // img, input, button: one placeholder box
+	lineBreak        // br
+)
+
+// kind classifies an element by its tag.
+func kind(tag string) int {
+	switch tag {
+	case "html", "body", "div", "p", "h1", "h2", "h3", "h4", "ul", "ol",
+		"li", "table", "tr", "form", "hr", "blockquote", "pre", "section",
+		"article", "header", "footer":
+		return block
+	case "script", "style", "head", "title", "meta", "link":
+		return skipped
+	case "img", "input", "button":
+		return atomic
+	case "br":
+		return lineBreak
+	}
+	return inline
 }
 
 // engine holds layout state.
@@ -83,7 +134,7 @@ func LayoutHidden(root *html.Node, width int, hidden map[*html.Node]bool) *Resul
 	}
 	width = min(width, math.MaxInt32)
 	e := &engine{width: width, hidden: hidden}
-	e.result.Boxes = make([]Box, 0, e.boxes(root))
+	e.result.slots = make([]slot, 0, e.count(root))
 	e.node(root)
 	if e.x > 0 {
 		e.newline()
@@ -92,36 +143,34 @@ func LayoutHidden(root *html.Node, width int, hidden map[*html.Node]bool) *Resul
 	return &e.result
 }
 
-// boxes counts the boxes node places, so the display list is sized
+// count counts the slots node places, so the display list is sized
 // once. It follows node's dispatch exactly.
-func (e *engine) boxes(n *html.Node) int {
+func (e *engine) count(n *html.Node) int {
 	if e.hidden != nil && e.hidden[n] {
 		return 0
 	}
-	count := 0
+	c := 0
 	switch n.Type {
 	case html.TextNode:
-		for word, rest := nextField(n.Data); word != ""; word, rest = nextField(rest) {
-			count++
-		}
+		return countFields(n.Data)
 	case html.ElementNode:
-		switch {
-		case skippedElements[n.Tag] || n.Tag == "br":
+		switch kind(n.Tag) {
+		case skipped, lineBreak:
 			return 0
-		case n.Tag == "img" || n.Tag == "input" || n.Tag == "button":
-			return 1
-		case blockElements[n.Tag]:
-			count++
-		}
-		for _, k := range n.Kids {
-			count += e.boxes(k)
+		case atomic:
+			return 2
+		case block:
+			c = 2
 		}
 	case html.DocumentNode:
-		for _, k := range n.Kids {
-			count += e.boxes(k)
-		}
+		// Laid out through its children.
+	default:
+		return 0 // comments and doctypes place nothing
 	}
-	return count
+	for _, k := range n.Kids {
+		c += e.count(k)
+	}
+	return c
 }
 
 // node dispatches on node type.
@@ -132,43 +181,45 @@ func (e *engine) node(n *html.Node) {
 	switch n.Type {
 	case html.TextNode:
 		e.text(n.Data)
+		return
 	case html.ElementNode:
-		if skippedElements[n.Tag] {
+		switch kind(n.Tag) {
+		case skipped:
 			return
-		}
-		block := blockElements[n.Tag]
-		if block && e.x > 0 {
-			e.newline()
-		}
-		startY := e.y
-		if n.Tag == "br" {
+		case lineBreak:
 			e.newline()
 			return
-		}
-		if n.Tag == "img" {
-			// Images occupy a fixed-size placeholder box.
-			e.placeBox(Box{Tag: "img", W: 10, H: 3})
+		case atomic:
+			if n.Tag == "img" {
+				// Images occupy a fixed-size placeholder box.
+				e.placeBox("img", 10, 3)
+			} else {
+				e.placeBox(n.Tag, 12, 1)
+			}
 			return
-		}
-		if n.Tag == "input" || n.Tag == "button" {
-			e.placeBox(Box{Tag: n.Tag, W: 12, H: 1})
-			return
-		}
-		for _, k := range n.Kids {
-			e.node(k)
-		}
-		if block {
+		case block:
 			if e.x > 0 {
 				e.newline()
 			}
-			e.result.Boxes = append(e.result.Boxes, Box{
-				Tag: n.Tag, X: 0, Y: int32(startY), W: int32(e.width), H: int32(e.y - startY),
-			})
+			startY := e.y
+			for _, k := range n.Kids {
+				e.node(k)
+			}
+			if e.x > 0 {
+				e.newline()
+			}
+			e.result.slots = append(e.result.slots,
+				slot{a: 0, b: int32(startY)},
+				slot{s: n.Tag, a: int32(e.width), b: int32(e.y - startY)})
+			return
 		}
 	case html.DocumentNode:
-		for _, k := range n.Kids {
-			e.node(k)
-		}
+		// Laid out through its children.
+	default:
+		return
+	}
+	for _, k := range n.Kids {
+		e.node(k)
 	}
 }
 
@@ -184,7 +235,7 @@ func (e *engine) text(s string) {
 		if e.x+w > e.width {
 			e.newline()
 		}
-		e.result.Boxes = append(e.result.Boxes, Box{X: int32(e.x), Y: int32(e.y), W: int32(w), H: 1, Text: word})
+		e.result.slots = append(e.result.slots, slot{s: word, a: int32(e.x), b: int32(e.y)})
 		e.x += w + 1
 		if e.x >= e.width {
 			e.newline()
@@ -226,18 +277,30 @@ func skip(s string, i int, space bool) int {
 	return i
 }
 
-// placeBox places an inline atomic box (img, input), wrapping first if
-// needed; boxes wider than the viewport are clipped to it.
-func (e *engine) placeBox(b Box) {
-	w := min(int(b.W), e.width)
+// countFields returns len(strings.Fields(s)): it walks the words
+// nextField would yield, by index, without cutting them out of s.
+func countFields(s string) int {
+	n := 0
+	for i := skip(s, 0, true); i < len(s); i = skip(s, skip(s, i, false), true) {
+		n++
+	}
+	return n
+}
+
+// placeBox places an inline atomic box (img, input) of w×h cells,
+// wrapping first if needed; a box wider than the viewport is clipped
+// to it.
+func (e *engine) placeBox(tag string, w, h int) {
+	w = min(w, e.width)
 	if e.x+w > e.width && e.x > 0 {
 		e.newline()
 	}
-	b.X, b.Y, b.W = int32(e.x), int32(e.y), int32(w)
-	e.result.Boxes = append(e.result.Boxes, b)
+	e.result.slots = append(e.result.slots,
+		slot{a: int32(e.x), b: int32(e.y)},
+		slot{s: tag, a: int32(w), b: int32(h)})
 	e.x += w + 1
-	if b.H > 1 {
-		e.y += int(b.H) - 1
+	if h > 1 {
+		e.y += h - 1
 	}
 }
 
@@ -263,7 +326,7 @@ func RenderText(r *Result, width int) string {
 	for i := range grid {
 		grid[i] = []rune(strings.Repeat(" ", width))
 	}
-	for _, b := range r.Boxes {
+	for b := range r.Boxes() {
 		if b.Text == "" {
 			continue
 		}

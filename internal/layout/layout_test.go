@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/html"
 )
@@ -85,19 +86,19 @@ func TestLayoutBr(t *testing.T) {
 func TestLayoutImgPlaceholder(t *testing.T) {
 	r := Layout(parse(`<img src=x.png>`), 80)
 	found := false
-	for _, b := range r.Boxes {
+	for b := range r.Boxes() {
 		if b.Tag == "img" && b.W == 10 && b.H == 3 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("boxes = %v", r.Boxes)
+		t.Errorf("boxes = %v", slices.Collect(r.Boxes()))
 	}
 }
 
 func TestLayoutOverlongWordTruncated(t *testing.T) {
 	r := Layout(parse(`<p>`+strings.Repeat("x", 200)+`</p>`), 40)
-	for _, b := range r.Boxes {
+	for b := range r.Boxes() {
 		if b.W > 40 {
 			t.Errorf("box wider than viewport: %+v", b)
 		}
@@ -106,7 +107,7 @@ func TestLayoutOverlongWordTruncated(t *testing.T) {
 
 func TestLayoutEmptyDoc(t *testing.T) {
 	r := Layout(parse(``), 80)
-	if r.Words != 0 || len(r.Boxes) != 0 {
+	if r.Words != 0 || r.Len() != 0 {
 		t.Errorf("r = %+v", r)
 	}
 	if out := RenderText(r, 80); out != "" {
@@ -116,8 +117,9 @@ func TestLayoutEmptyDoc(t *testing.T) {
 
 func TestLayoutClampsHugeWidth(t *testing.T) {
 	r := Layout(parse(`<p>x</p>`), math.MaxInt32+1)
-	if len(r.Boxes) != 2 || r.Boxes[1].Tag != "p" || r.Boxes[1].W != math.MaxInt32 {
-		t.Errorf("boxes = %+v, want the word and a p box clamped to math.MaxInt32", r.Boxes)
+	boxes := slices.Collect(r.Boxes())
+	if len(boxes) != 2 || boxes[1].Tag != "p" || boxes[1].W != math.MaxInt32 {
+		t.Errorf("boxes = %+v, want the word and a p box clamped to math.MaxInt32", boxes)
 	}
 }
 
@@ -142,10 +144,12 @@ func TestLayoutInvariants(t *testing.T) {
 		}
 		width := 10 + int(wseed)%100
 		r := Layout(parse(b.String()), width)
-		if cap(r.Boxes) != len(r.Boxes) {
+		if cap(r.slots) != len(r.slots) {
 			return false // the counting walk disagrees with the layout
 		}
-		for _, box := range r.Boxes {
+		boxes := 0
+		for box := range r.Boxes() {
+			boxes++
 			if box.X < 0 || box.W < 0 || int(box.X+box.W) > width {
 				return false
 			}
@@ -153,10 +157,18 @@ func TestLayoutInvariants(t *testing.T) {
 				return false
 			}
 		}
-		return r.Height >= 0 && r.Lines >= 0
+		return boxes == r.Len() && r.Height >= 0 && r.Lines >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A display-list slot is 24 bytes: a word's box is one slot, an
+// element's two.
+func TestSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Errorf("slot is %d bytes, want 24", got)
 	}
 }
 
@@ -179,6 +191,9 @@ func TestNextFieldMatchesStringsFields(t *testing.T) {
 		if got, want := fields(s), strings.Fields(s); !slices.Equal(got, want) {
 			t.Errorf("fields(%q) = %q, want %q", s, got, want)
 		}
+		if got, want := countFields(s), len(strings.Fields(s)); got != want {
+			t.Errorf("countFields(%q) = %d, want %d", s, got, want)
+		}
 	}
 	alphabet := []rune{'a', 'b', ' ', '\t', '\v', 0x85, 0xa0, 0x3000, 0x2028, 0x200b, 0xfffd, 'é'}
 	f := func(seed []uint8, raw string) bool {
@@ -187,7 +202,8 @@ func TestNextFieldMatchesStringsFields(t *testing.T) {
 			b.WriteRune(alphabet[int(c)%len(alphabet)])
 		}
 		s := b.String() + raw
-		return slices.Equal(fields(s), strings.Fields(s))
+		want := strings.Fields(s)
+		return slices.Equal(fields(s), want) && countFields(s) == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

@@ -164,6 +164,21 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// Rings a 16-bit label cannot hold are refused when the document is
+// decoded, never wrapped into range (65536 would be the kernel ring).
+func TestParseRefusesWrappingRings(t *testing.T) {
+	for _, doc := range []string{
+		`{"version":1,"origin":"http://bare.example","max_ring":65536}`,
+		`{"version":1,"origin":"http://bare.example","max_ring":3,"cookies":{"sid":{"ring":65536,"r":0,"w":0,"x":0}}}`,
+		`{"version":1,"origin":"http://bare.example","max_ring":3,"apis":{"dom":-65536}}`,
+		`{"version":1,"origin":"http://bare.example","max_ring":3,"delegations":[{"guest":"http://x.example","floor":65538}]}`,
+	} {
+		if _, err := Parse([]byte(doc)); err == nil {
+			t.Errorf("Parse(%s) accepted a ring out of range", doc)
+		}
+	}
+}
+
 // TestParseInitializesOmittedSections pins that a minimal wire
 // document parses back with usable (non-nil) maps, matching New.
 func TestParseInitializesOmittedSections(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // per-script rebuild creeping back in breaks these.
 const (
 	maxParseAllocs     = 16 // S8 measured 10 (ESCUDO) and 12 (legacy)
-	maxLayoutAllocs    = 2  // the engine with its Result, and Boxes
+	maxLayoutAllocs    = 2  // the engine with its Result, and the display list
 	maxRunScriptAllocs = 6  // `var v = 1;`: interpreter, scope, host globals, the scope's map, the boxed 1
 )
 

@@ -98,8 +98,8 @@ func dumpTree(b *strings.Builder, roots ...*html.Node) {
 
 // dumpLayout writes a layout's counters, display list and painted text.
 func dumpLayout(b *strings.Builder, r *layout.Result, width int) {
-	fmt.Fprintf(b, "words=%d lines=%d height=%d boxes=%d\n", r.Words, r.Lines, r.Height, len(r.Boxes))
-	for _, x := range r.Boxes {
+	fmt.Fprintf(b, "words=%d lines=%d height=%d boxes=%d\n", r.Words, r.Lines, r.Height, r.Len())
+	for x := range r.Boxes() {
 		fmt.Fprintf(b, "%q %d,%d %dx%d %q\n", x.Tag, x.X, x.Y, x.W, x.H, x.Text)
 	}
 	b.WriteString("-- render --\n")

@@ -114,9 +114,10 @@ func New(nonces nonce.Source) *Compiler {
 	}
 }
 
-// RingFor maps an integrity level to a ring.
+// RingFor maps an integrity level to a ring, clamped to the
+// compiler's ring range before the conversion, so no level wraps.
 func (c *Compiler) RingFor(l Level) core.Ring {
-	return core.Ring(l).Clamp(c.maxRing)
+	return core.Ring(min(max(int(l), int(core.RingKernel)), int(c.maxRing)))
 }
 
 // ACLFor derives the item's ACL: readable and usable by its own level,
@@ -160,7 +161,7 @@ func (c *Compiler) Compile(fragments []Fragment) (Compiled, error) {
 			return Compiled{}, &ErrBadFragment{ID: f.ID, Msg: "duplicate annotation"}
 		}
 		seen[key] = true
-		if f.Level < Trusted || core.Ring(f.Level) > c.maxRing {
+		if f.Level < Trusted || int(f.Level) > int(c.maxRing) {
 			return Compiled{}, &ErrBadFragment{ID: f.ID, Msg: "level outside the lattice"}
 		}
 		switch f.Kind {

@@ -113,6 +113,7 @@ func TestCompileErrors(t *testing.T) {
 			{Kind: KindCookie, ID: "sid", Level: Application},
 		}},
 		{"bad level", []Fragment{{Kind: KindMarkup, ID: "x", Level: Level(12)}}},
+		{"level that would wrap to ring 0", []Fragment{{Kind: KindMarkup, ID: "x", Level: Level(65536)}}},
 		{"bad kind", []Fragment{{Kind: FragmentKind(9), ID: "x", Level: Trusted}}},
 	}
 	for _, tt := range cases {
@@ -143,6 +144,11 @@ func TestACLForDerivation(t *testing.T) {
 	}
 	if got := c.ACLFor(Trusted, true); got != core.UniformACL(0) {
 		t.Errorf("trusted isolated must not underflow: %v", got)
+	}
+	// A level beyond the lattice clamps to the least privileged ring;
+	// it must not wrap to the kernel ring on the way.
+	if got := c.RingFor(Level(65536)); got != core.DefaultMaxRing {
+		t.Errorf("RingFor(65536) = %d, want %d", got, core.DefaultMaxRing)
 	}
 }
 
