@@ -10,6 +10,8 @@ package escudo
 //             modes; the cmd/escudo-bench harness prints the paper's
 //             table with overhead percentages), and BenchmarkLayout/*
 //             (the layout layer alone, per scenario)
+// §7 mashup → BenchmarkMashupWidget (a widget script run as the
+//             delegated guest: VM, DOM bindings, per-access mediation)
 // §6.4      → BenchmarkAttack* (attack corpus execution cost)
 // §6.5 "UI events" → BenchmarkUIEventDispatch
 // Tables 3/5 → BenchmarkForumPageLoad / BenchmarkCalendarPageLoad
@@ -21,9 +23,11 @@ package escudo
 //             attachment).
 
 import (
+	"errors"
 	"fmt"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/phpbb"
@@ -31,11 +35,14 @@ import (
 	"repro/internal/attack"
 	"repro/internal/browser"
 	"repro/internal/core"
+	"repro/internal/dom"
 	"repro/internal/html"
 	"repro/internal/layout"
+	"repro/internal/mashup"
 	"repro/internal/nonce"
 	"repro/internal/origin"
 	"repro/internal/scenarios"
+	"repro/internal/template"
 	"repro/internal/web"
 )
 
@@ -71,6 +78,60 @@ func BenchmarkLayout(b *testing.B) {
 				layout.LayoutHidden(doc, layout.DefaultViewportWidth, nil)
 			}
 		})
+	}
+}
+
+// BenchmarkMashupWidget measures the mediated script path of the §7
+// mashup: each iteration runs one widget source as the guest principal
+// on the portal page, under the delegation stack
+// Compose(&ERM{}, WithCache(c), WithDelegations(pol)). The widget
+// rewrites and reads back its ring-2 slot, which the delegation allows,
+// and then tries the ring-1 chrome, which it denies. The audit log is
+// emptied outside the timer so it does not grow with b.N.
+func BenchmarkMashupWidget(b *testing.B) {
+	portal := origin.MustParse("http://portal.example")
+	widget := origin.MustParse("http://widget.example")
+	bld := template.NewACBuilder(nonce.NewSeqSource(1))
+	var slots strings.Builder
+	for i := 0; i < 8; i++ {
+		slots.WriteString(bld.Wrap(2, core.UniformACL(2), fmt.Sprintf("id=slot%d", i),
+			fmt.Sprintf("<p>widget slot %d: forecasts markets mail feeds</p>", i)))
+	}
+	page := "<html><body>" + bld.Wrap(1, core.UniformACL(1), "id=chrome", "<h1 id=title>My Portal</h1>") +
+		bld.Wrap(1, core.UniformACL(2), "id=slots", slots.String()) + "</body></html>"
+	net := web.NewNetwork()
+	net.Register(portal, web.HandlerFunc(func(*web.Request) *web.Response {
+		resp := web.HTML(page)
+		resp.Header.Set(core.HeaderMaxRing, core.DefaultMaxRing.String())
+		return resp
+	}))
+	pol := mashup.NewPolicy()
+	pol.Delegate(mashup.Delegation{Host: portal, Guest: widget, Floor: 2})
+	cache := core.NewDecisionCache()
+	br := browser.New(net, browser.Options{MonitorFactory: func(browser.PageRef) core.Monitor {
+		return core.Compose(&core.ERM{}, core.WithCache(cache), core.WithDelegations(pol))
+	}})
+	p, err := br.Navigate(portal.URL("/"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const src = `var slot = document.getElementById("slot3");
+slot.innerHTML = "<p>widget 3: sunny, light wind</p>";
+var back = slot.innerHTML;
+document.getElementById("chrome").innerHTML = "<h1>widget 3 owns this portal</h1>";`
+	guest := core.Principal(widget, 0, "widget")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var denied *dom.DeniedError
+		if err := p.RunScriptAs(guest, src); !errors.As(err, &denied) {
+			b.Fatalf("chrome write not denied: %v", err)
+		}
+		if i%1024 == 1023 {
+			b.StopTimer()
+			br.Audit.Reset()
+			b.StartTimer()
+		}
 	}
 }
 

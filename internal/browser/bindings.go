@@ -14,159 +14,173 @@ import (
 	"repro/internal/script"
 )
 
-// scriptGlobals is one script's host globals, built on its first
-// lookup of each: document, window, the Image constructor and the
-// XMLHttpRequest constructor, every binding funneling through the
-// page's reference monitor with the principal's security context. The
-// host objects hold no script-writable state, so a script that touches
-// none of them builds none of them.
-type scriptGlobals struct {
+// scriptRun is one script run in one record: the interpreter, the
+// script's top scope, the page, the principal, its DOM API and its
+// document host, so starting a script allocates once. It resolves the
+// script's host globals on their first lookup: document, window, the
+// Image constructor and the XMLHttpRequest constructor. Every host
+// object of the run points back at the record instead of copying the
+// principal, and every binding funnels through the page's reference
+// monitor with the principal's security context.
+type scriptRun struct {
+	ip        script.Interp
+	env       script.Env
 	page      *Page
 	principal core.Context
-	api       *dom.API
+	api       dom.API
+	doc       documentHost
 }
 
-var _ script.Globals = (*scriptGlobals)(nil)
+var _ script.Globals = (*scriptRun)(nil)
 
-// dom returns the script's DOM API, shared by document and Image.
-func (g *scriptGlobals) dom() *dom.API {
-	if g.api == nil {
-		g.api = dom.NewAPI(g.page.Doc, g.principal, g.page.Monitor)
-	}
-	return g.api
-}
-
-func (g *scriptGlobals) Global(name string) (script.Value, bool) {
-	p, principal := g.page, g.principal
+func (r *scriptRun) Global(name string) (script.Value, bool) {
 	switch name {
 	case "document":
-		return &documentHost{page: p, api: g.dom(), principal: principal}, true
+		return &r.doc, true
 	case "window":
-		return &windowHost{page: p, principal: principal}, true
+		return &windowHost{run: r}, true
 	case "Image":
-		return script.Func("Image", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
+		return script.Func("Image", func(*script.Ctx, []script.Value) (script.Value, error) {
 			// new Image() is a detached img element; setting .src fires
 			// the request, the classic exfiltration vector.
-			api := g.dom()
-			return &elementHost{page: p, api: api, node: api.CreateElement("img"), principal: principal}, nil
+			return r.element(r.api.CreateElement("img")), nil
 		}), true
 	case "XMLHttpRequest":
-		// Use-mediated at open/send against the page's API ring.
-		return script.Func("XMLHttpRequest", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			return newXHRHost(p, principal)
+		// Use-mediated at open/send against the page's API ring;
+		// construction itself is free.
+		return script.Func("XMLHttpRequest", func(*script.Ctx, []script.Value) (script.Value, error) {
+			return &xhrHost{run: r}, nil
 		}), true
 	}
 	return nil, false
 }
 
-// documentHost exposes the document object.
-type documentHost struct {
-	page      *Page
-	api       *dom.API
-	principal core.Context
-}
+// element wraps a node for the run's script.
+func (r *scriptRun) element(n *html.Node) *elementHost { return &elementHost{run: r, node: n} }
 
-var _ script.HostObject = (*documentHost)(nil)
+// documentHost exposes the document object.
+type documentHost struct{ run *scriptRun }
+
+var _ script.HostMethods = (*documentHost)(nil)
+
+// documentMethods are document's methods, called with the document as
+// receiver.
+var documentMethods = map[string]script.NativeMethod{
+	"getElementById":       script.Method("document.getElementById", (*documentHost).getElementByID),
+	"getElementsByTagName": script.Method("document.getElementsByTagName", (*documentHost).getElementsByTagName),
+	"createElement":        script.Method("document.createElement", (*documentHost).createElement),
+	"write":                script.Method("document.write", (*documentHost).write),
+	"createTextNode":       script.Method("document.createTextNode", (*documentHost).createTextNode),
+}
 
 func (d *documentHost) HostName() string { return "HTMLDocument" }
 
+func (d *documentHost) HostMethod(name string) script.NativeMethod { return documentMethods[name] }
+
 func (d *documentHost) HostGet(name string) (script.Value, error) {
+	r := d.run
 	switch name {
 	case "cookie":
-		return d.page.readCookieString(d.principal), nil
+		return r.page.readCookieString(r.principal), nil
 	case "origin":
-		return d.page.Origin.String(), nil
+		return r.page.Origin.String(), nil
 	case "URL", "location":
-		return d.page.URL, nil
+		return r.page.URL, nil
 	case "body":
-		if body := d.page.Doc.Find(func(n *html.Node) bool {
-			return n.Type == html.ElementNode && n.Tag == "body"
-		}); body != nil {
-			return &elementHost{page: d.page, api: d.api, node: body, principal: d.principal}, nil
+		if body := r.page.body(); body != nil {
+			return r.element(body), nil
 		}
 		return nil, nil
-	case "getElementById":
-		return script.Func("document.getElementById", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, nil
-			}
-			n, err := d.api.GetElementByID(script.ToString(args[0]))
-			if err != nil {
-				return nil, err
-			}
-			if n == nil {
-				return nil, nil
-			}
-			return &elementHost{page: d.page, api: d.api, node: n, principal: d.principal}, nil
-		}), nil
-	case "getElementsByTagName":
-		return script.Func("document.getElementsByTagName", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return &script.Array{}, nil
-			}
-			arr := &script.Array{}
-			for _, n := range d.api.GetElementsByTagName(script.ToString(args[0])) {
-				arr.Elems = append(arr.Elems, &elementHost{page: d.page, api: d.api, node: n, principal: d.principal})
-			}
-			return arr, nil
-		}), nil
-	case "createElement":
-		return script.Func("document.createElement", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, errors.New("createElement needs a tag")
-			}
-			el := d.api.CreateElement(script.ToString(args[0]))
-			return &elementHost{page: d.page, api: d.api, node: el, principal: d.principal}, nil
-		}), nil
-	case "write":
-		// Post-parse document.write: appends parsed markup to the
-		// body, mediated as a write on the body and bounded by the
-		// scoping rule — a ring-3 script cannot write a ring-0
-		// principal into existence (§5).
-		return script.Func("document.write", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, nil
-			}
-			body := d.page.Doc.Find(func(n *html.Node) bool {
-				return n.Type == html.ElementNode && n.Tag == "body"
-			})
-			if body == nil {
-				body = d.page.Doc.Root
-			}
-			if err := d.api.AppendHTML(body, script.ToString(args[0])); err != nil {
-				return nil, err
-			}
-			// Scripts introduced by document.write execute
-			// immediately, each under its own (bounded) context.
-			d.page.runScripts()
-			return nil, nil
-		}), nil
-	case "createTextNode":
-		return script.Func("document.createTextNode", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			text := ""
-			if len(args) > 0 {
-				text = script.ToString(args[0])
-			}
-			el := d.api.CreateTextNode(text)
-			return &elementHost{page: d.page, api: d.api, node: el, principal: d.principal}, nil
-		}), nil
+	}
+	if m := documentMethods[name]; m != nil {
+		return m.Bind(d), nil
 	}
 	return nil, nil
 }
 
+func (d *documentHost) getElementByID(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	n, err := d.run.api.GetElementByID(script.ToString(args[0]))
+	if err != nil {
+		return nil, err
+	}
+	if n == nil {
+		return nil, nil
+	}
+	return d.run.element(n), nil
+}
+
+func (d *documentHost) getElementsByTagName(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	arr := &script.Array{}
+	if len(args) == 0 {
+		return arr, nil
+	}
+	for _, n := range d.run.api.GetElementsByTagName(script.ToString(args[0])) {
+		arr.Elems = append(arr.Elems, d.run.element(n))
+	}
+	return arr, nil
+}
+
+func (d *documentHost) createElement(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, errors.New("createElement needs a tag")
+	}
+	return d.run.element(d.run.api.CreateElement(script.ToString(args[0]))), nil
+}
+
+// write is post-parse document.write: it appends parsed markup to the
+// body, mediated as a write on the body and bounded by the scoping
+// rule — a ring-3 script cannot write a ring-0 principal into
+// existence (§5).
+func (d *documentHost) write(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	p := d.run.page
+	body := p.body()
+	if body == nil {
+		body = p.Doc.Root
+	}
+	if err := d.run.api.AppendHTML(body, script.ToString(args[0])); err != nil {
+		return nil, err
+	}
+	// Scripts introduced by document.write execute immediately, each
+	// under its own (bounded) context.
+	p.runScripts()
+	return nil, nil
+}
+
+func (d *documentHost) createTextNode(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	text := ""
+	if len(args) > 0 {
+		text = script.ToString(args[0])
+	}
+	return d.run.element(d.run.api.CreateTextNode(text)), nil
+}
+
 func (d *documentHost) HostSet(name string, v script.Value) error {
+	r := d.run
 	switch name {
 	case "cookie":
-		return d.page.writeCookieString(d.principal, script.ToString(v))
+		return r.page.writeCookieString(r.principal, script.ToString(v))
 	case "location":
-		abs, err := origin.Resolve(d.page.URL, script.ToString(v))
+		abs, err := origin.Resolve(r.page.URL, script.ToString(v))
 		if err != nil {
 			return err
 		}
-		_, err = d.page.browser.NavigateFrom(d.principal, abs, "document.location")
+		_, err = r.page.browser.NavigateFrom(r.principal, abs, "document.location")
 		return err
 	}
 	return fmt.Errorf("document.%s is not assignable", name)
+}
+
+// body returns the page's body element, or nil.
+func (p *Page) body() *html.Node {
+	return p.Doc.Find(func(n *html.Node) bool {
+		return n.Type == html.ElementNode && n.Tag == "body"
+	})
 }
 
 // readCookieString renders document.cookie for the principal: only the
@@ -208,21 +222,19 @@ func (p *Page) writeCookieString(principal core.Context, value string) error {
 // API: defaults to ring 0, "conforming to the fail-safe defaults
 // guideline").
 type xhrHost struct {
-	page      *Page
-	principal core.Context
-	method    string
-	url       string
-	status    float64
-	response  string
-	opened    bool
+	run      *scriptRun
+	method   string
+	url      string
+	status   float64
+	response string
+	opened   bool
 }
 
-var _ script.HostObject = (*xhrHost)(nil)
+var _ script.HostMethods = (*xhrHost)(nil)
 
-// newXHRHost constructs the XHR object; construction itself is free,
-// use is checked at open/send.
-func newXHRHost(p *Page, principal core.Context) (script.Value, error) {
-	return &xhrHost{page: p, principal: principal}, nil
+var xhrMethods = map[string]script.NativeMethod{
+	"open": script.Method("XMLHttpRequest.open", (*xhrHost).open),
+	"send": script.Method("XMLHttpRequest.send", (*xhrHost).send),
 }
 
 // apiContext returns the native-code API object context for this
@@ -234,62 +246,77 @@ func (p *Page) apiContext(name string) core.Context {
 
 func (x *xhrHost) HostName() string { return "XMLHttpRequest" }
 
+func (x *xhrHost) HostMethod(name string) script.NativeMethod { return xhrMethods[name] }
+
 func (x *xhrHost) HostGet(name string) (script.Value, error) {
 	switch name {
 	case "status":
 		return x.status, nil
 	case "responseText":
 		return x.response, nil
-	case "open":
-		return script.Func("XMLHttpRequest.open", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) < 2 {
-				return nil, errors.New("open(method, url)")
-			}
-			if d := x.page.Monitor.Authorize(x.principal, core.OpUse, x.page.apiContext(core.APIXMLHTTPRequest)); !d.Allowed {
-				return nil, &dom.DeniedError{Decision: d}
-			}
-			x.method = strings.ToUpper(script.ToString(args[0]))
-			abs, err := origin.Resolve(x.page.URL, script.ToString(args[1]))
-			if err != nil {
-				return nil, err
-			}
-			x.url = abs
-			x.opened = true
-			return nil, nil
-		}), nil
-	case "send":
-		return script.Func("XMLHttpRequest.send", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if !x.opened {
-				return nil, errors.New("send before open")
-			}
-			if d := x.page.Monitor.Authorize(x.principal, core.OpUse, x.page.apiContext(core.APIXMLHTTPRequest)); !d.Allowed {
-				return nil, &dom.DeniedError{Decision: d}
-			}
-			// The classic XHR same-origin restriction applies in
-			// both modes (no CORS in this model).
-			target, err := origin.Parse(x.url)
-			if err != nil {
-				return nil, err
-			}
-			if !target.SameOrigin(x.page.Origin) {
-				return nil, fmt.Errorf("xhr: cross-origin request to %s blocked", target)
-			}
-			var form url.Values
-			if x.method == "POST" && len(args) > 0 {
-				form, err = url.ParseQuery(script.ToString(args[0]))
-				if err != nil {
-					form = url.Values{}
-				}
-			}
-			resp, err := x.page.browser.fetch(x.method, x.url, form, x.principal, "xhr")
-			if err != nil {
-				return nil, err
-			}
-			x.status = float64(resp.Status)
-			x.response = resp.Body
-			return nil, nil
-		}), nil
 	}
+	if m := xhrMethods[name]; m != nil {
+		return m.Bind(x), nil
+	}
+	return nil, nil
+}
+
+// authorizeUse mediates one use of the XMLHttpRequest API.
+func (x *xhrHost) authorizeUse() error {
+	p := x.run.page
+	if d := p.Monitor.Authorize(x.run.principal, core.OpUse, p.apiContext(core.APIXMLHTTPRequest)); !d.Allowed {
+		return &dom.DeniedError{Decision: d}
+	}
+	return nil
+}
+
+func (x *xhrHost) open(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) < 2 {
+		return nil, errors.New("open(method, url)")
+	}
+	if err := x.authorizeUse(); err != nil {
+		return nil, err
+	}
+	x.method = strings.ToUpper(script.ToString(args[0]))
+	abs, err := origin.Resolve(x.run.page.URL, script.ToString(args[1]))
+	if err != nil {
+		return nil, err
+	}
+	x.url = abs
+	x.opened = true
+	return nil, nil
+}
+
+func (x *xhrHost) send(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if !x.opened {
+		return nil, errors.New("send before open")
+	}
+	if err := x.authorizeUse(); err != nil {
+		return nil, err
+	}
+	p := x.run.page
+	// The classic XHR same-origin restriction applies in both modes
+	// (no CORS in this model).
+	target, err := origin.Parse(x.url)
+	if err != nil {
+		return nil, err
+	}
+	if !target.SameOrigin(p.Origin) {
+		return nil, fmt.Errorf("xhr: cross-origin request to %s blocked", target)
+	}
+	var form url.Values
+	if x.method == "POST" && len(args) > 0 {
+		form, err = url.ParseQuery(script.ToString(args[0]))
+		if err != nil {
+			form = url.Values{}
+		}
+	}
+	resp, err := p.browser.fetch(x.method, x.url, form, x.run.principal, "xhr")
+	if err != nil {
+		return nil, err
+	}
+	x.status = float64(resp.Status)
+	x.response = resp.Body
 	return nil, nil
 }
 
@@ -298,10 +325,7 @@ func (x *xhrHost) HostSet(name string, v script.Value) error {
 }
 
 // windowHost exposes window: location, history, and page metadata.
-type windowHost struct {
-	page      *Page
-	principal core.Context
-}
+type windowHost struct{ run *scriptRun }
 
 var _ script.HostObject = (*windowHost)(nil)
 
@@ -310,22 +334,23 @@ func (w *windowHost) HostName() string { return "Window" }
 func (w *windowHost) HostGet(name string) (script.Value, error) {
 	switch name {
 	case "location":
-		return w.page.URL, nil
+		return w.run.page.URL, nil
 	case "origin":
-		return w.page.Origin.String(), nil
+		return w.run.page.Origin.String(), nil
 	case "history":
-		return &historyHost{page: w.page, principal: w.principal}, nil
+		return &historyHost{run: w.run}, nil
 	}
 	return nil, nil
 }
 
 func (w *windowHost) HostSet(name string, v script.Value) error {
 	if name == "location" {
-		abs, err := origin.Resolve(w.page.URL, script.ToString(v))
+		p := w.run.page
+		abs, err := origin.Resolve(p.URL, script.ToString(v))
 		if err != nil {
 			return err
 		}
-		_, err = w.page.browser.NavigateFrom(w.principal, abs, "window.location")
+		_, err = p.browser.NavigateFrom(w.run.principal, abs, "window.location")
 		return err
 	}
 	return fmt.Errorf("window.%s is not assignable", name)
@@ -333,56 +358,63 @@ func (w *windowHost) HostSet(name string, v script.Value) error {
 
 // historyHost exposes window.history under the §4.1 browser-state
 // rule: ring 0 only, not configurable.
-type historyHost struct {
-	page      *Page
-	principal core.Context
-}
+type historyHost struct{ run *scriptRun }
 
-var _ script.HostObject = (*historyHost)(nil)
+var _ script.HostMethods = (*historyHost)(nil)
+
+var historyMethods = map[string]script.NativeMethod{
+	"back":    script.Method("history.back", (*historyHost).back),
+	"visited": script.Method("history.visited", (*historyHost).visited),
+}
 
 func (h *historyHost) HostName() string { return "History" }
 
+func (h *historyHost) HostMethod(name string) script.NativeMethod { return historyMethods[name] }
+
 func (h *historyHost) authorize(op core.Op) error {
-	if d := h.page.Monitor.Authorize(h.principal, op, historyContext(h.page.Origin)); !d.Allowed {
+	p := h.run.page
+	if d := p.Monitor.Authorize(h.run.principal, op, historyContext(p.Origin)); !d.Allowed {
 		return &dom.DeniedError{Decision: d}
 	}
 	return nil
 }
 
 func (h *historyHost) HostGet(name string) (script.Value, error) {
-	switch name {
-	case "length":
+	if name == "length" {
 		if err := h.authorize(core.OpRead); err != nil {
 			return nil, err
 		}
-		return float64(h.page.browser.history.Len()), nil
-	case "back":
-		// Instructing the browser to re-render a previous page is a
-		// use of browser state (§4.1), ring-0-only like the reads.
-		return script.Func("history.back", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if err := h.authorize(core.OpUse); err != nil {
-				return nil, err
-			}
-			if _, err := h.page.browser.Back(); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}), nil
-	case "visited":
-		// A deliberate sniffing API: real attacks infer this from
-		// link colors; the model exposes it directly so the ring-0
-		// protection is testable.
-		return script.Func("history.visited", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if err := h.authorize(core.OpRead); err != nil {
-				return nil, err
-			}
-			if len(args) == 0 {
-				return false, nil
-			}
-			return h.page.browser.history.Visited(script.ToString(args[0])), nil
-		}), nil
+		return float64(h.run.page.browser.history.Len()), nil
+	}
+	if m := historyMethods[name]; m != nil {
+		return m.Bind(h), nil
 	}
 	return nil, nil
+}
+
+// back instructs the browser to re-render a previous page: a use of
+// browser state (§4.1), ring-0-only like the reads.
+func (h *historyHost) back(*script.Ctx, []script.Value) (script.Value, error) {
+	if err := h.authorize(core.OpUse); err != nil {
+		return nil, err
+	}
+	if _, err := h.run.page.browser.Back(); err != nil {
+		return nil, err
+	}
+	return nil, nil
+}
+
+// visited is a deliberate sniffing API: real attacks infer this from
+// link colors; the model exposes it directly so the ring-0 protection
+// is testable.
+func (h *historyHost) visited(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if err := h.authorize(core.OpRead); err != nil {
+		return nil, err
+	}
+	if len(args) == 0 {
+		return false, nil
+	}
+	return h.run.page.browser.history.Visited(script.ToString(args[0])), nil
 }
 
 func (h *historyHost) HostSet(name string, v script.Value) error {
@@ -391,15 +423,26 @@ func (h *historyHost) HostSet(name string, v script.Value) error {
 
 // elementHost wraps a DOM node for scripts.
 type elementHost struct {
-	page      *Page
-	api       *dom.API
-	node      *html.Node
-	principal core.Context
+	run  *scriptRun
+	node *html.Node
 }
 
-var _ script.HostObject = (*elementHost)(nil)
+var _ script.HostMethods = (*elementHost)(nil)
+
+// elementMethods are an element's methods, called with the element as
+// receiver.
+var elementMethods = map[string]script.NativeMethod{
+	"getAttribute": script.Method("getAttribute", (*elementHost).getAttribute),
+	"setAttribute": script.Method("setAttribute", (*elementHost).setAttribute),
+	"appendChild":  script.Method("appendChild", (*elementHost).appendChild),
+	"removeChild":  script.Method("removeChild", (*elementHost).removeChild),
+	"click":        script.Method("click", (*elementHost).click),
+	"submit":       script.Method("submit", (*elementHost).submit),
+}
 
 func (e *elementHost) HostName() string { return "Element<" + e.node.Tag + ">" }
+
+func (e *elementHost) HostMethod(name string) script.NativeMethod { return elementMethods[name] }
 
 func (e *elementHost) HostGet(name string) (script.Value, error) {
 	switch name {
@@ -409,116 +452,122 @@ func (e *elementHost) HostGet(name string) (script.Value, error) {
 		v, _ := e.node.Attr("id")
 		return v, nil
 	case "innerHTML":
-		return e.api.InnerHTML(e.node)
+		return e.run.api.InnerHTML(e.node)
 	case "innerText", "textContent":
-		return e.api.InnerText(e.node)
+		return e.run.api.InnerText(e.node)
 	case "parentNode":
 		if e.node.Parent == nil {
 			return nil, nil
 		}
-		return &elementHost{page: e.page, api: e.api, node: e.node.Parent, principal: e.principal}, nil
-	case "getAttribute":
-		return script.Func("getAttribute", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, nil
-			}
-			v, err := e.api.GetAttribute(e.node, script.ToString(args[0]))
-			if err != nil {
-				return nil, err
-			}
-			return v, nil
-		}), nil
-	case "setAttribute":
-		return script.Func("setAttribute", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) < 2 {
-				return nil, errors.New("setAttribute(name, value)")
-			}
-			name := script.ToString(args[0])
-			value := script.ToString(args[1])
-			if err := e.api.SetAttribute(e.node, name, value); err != nil {
-				return nil, err
-			}
-			e.maybeFetchSrc(name, value)
-			return nil, nil
-		}), nil
-	case "appendChild":
-		return script.Func("appendChild", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, errors.New("appendChild(node)")
-			}
-			child, ok := args[0].(*elementHost)
-			if !ok {
-				return nil, errors.New("appendChild needs an element")
-			}
-			if err := e.api.AppendChild(e.node, child.node); err != nil {
-				return nil, err
-			}
-			return args[0], nil
-		}), nil
-	case "removeChild":
-		return script.Func("removeChild", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if len(args) == 0 {
-				return nil, errors.New("removeChild(node)")
-			}
-			child, ok := args[0].(*elementHost)
-			if !ok {
-				return nil, errors.New("removeChild needs an element")
-			}
-			if err := e.api.RemoveChild(e.node, child.node); err != nil {
-				return nil, err
-			}
-			return args[0], nil
-		}), nil
-	case "click":
-		return script.Func("click", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			// Script-initiated click: the script is the event
-			// deliverer (a use), then anchors navigate.
-			if err := e.page.DispatchEvent(e.node, "click", &e.principal); err != nil {
-				return nil, err
-			}
-			if e.node.Tag == "a" {
-				if _, err := e.page.ClickAnchor(e.node); err != nil {
-					return nil, err
-				}
-			}
-			return nil, nil
-		}), nil
-	case "submit":
-		return script.Func("submit", func(_ *script.Ctx, args []script.Value) (script.Value, error) {
-			if e.node.Tag != "form" {
-				return nil, errors.New("submit on non-form")
-			}
-			// Script-driven submission is a use of the form by the
-			// script, then the form acts as the issuing principal.
-			if d := e.page.Monitor.Authorize(e.principal, core.OpUse, e.page.Doc.NodeContext(e.node)); !d.Allowed {
-				return nil, &dom.DeniedError{Decision: d}
-			}
-			resp, err := e.page.SubmitForm(e.node, nil)
-			if err != nil {
-				return nil, err
-			}
-			return float64(resp.Status), nil
-		}), nil
+		return e.run.element(e.node.Parent), nil
+	}
+	if m := elementMethods[name]; m != nil {
+		return m.Bind(e), nil
 	}
 	return nil, nil
 }
 
+func (e *elementHost) getAttribute(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	v, err := e.run.api.GetAttribute(e.node, script.ToString(args[0]))
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func (e *elementHost) setAttribute(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) < 2 {
+		return nil, errors.New("setAttribute(name, value)")
+	}
+	name := script.ToString(args[0])
+	value := script.ToString(args[1])
+	if err := e.run.api.SetAttribute(e.node, name, value); err != nil {
+		return nil, err
+	}
+	e.maybeFetchSrc(name, value)
+	return nil, nil
+}
+
+func (e *elementHost) appendChild(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, errors.New("appendChild(node)")
+	}
+	child, ok := args[0].(*elementHost)
+	if !ok {
+		return nil, errors.New("appendChild needs an element")
+	}
+	if err := e.run.api.AppendChild(e.node, child.node); err != nil {
+		return nil, err
+	}
+	return args[0], nil
+}
+
+func (e *elementHost) removeChild(_ *script.Ctx, args []script.Value) (script.Value, error) {
+	if len(args) == 0 {
+		return nil, errors.New("removeChild(node)")
+	}
+	child, ok := args[0].(*elementHost)
+	if !ok {
+		return nil, errors.New("removeChild needs an element")
+	}
+	if err := e.run.api.RemoveChild(e.node, child.node); err != nil {
+		return nil, err
+	}
+	return args[0], nil
+}
+
+// click is a script-initiated click: the script is the event deliverer
+// (a use), then anchors navigate.
+func (e *elementHost) click(*script.Ctx, []script.Value) (script.Value, error) {
+	p := e.run.page
+	if err := p.DispatchEvent(e.node, "click", &e.run.principal); err != nil {
+		return nil, err
+	}
+	if e.node.Tag == "a" {
+		if _, err := p.ClickAnchor(e.node); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
+}
+
+// submit is script-driven submission: a use of the form by the script,
+// then the form acts as the issuing principal.
+func (e *elementHost) submit(*script.Ctx, []script.Value) (script.Value, error) {
+	if e.node.Tag != "form" {
+		return nil, errors.New("submit on non-form")
+	}
+	p := e.run.page
+	if d := p.Monitor.Authorize(e.run.principal, core.OpUse, p.Doc.NodeContext(e.node)); !d.Allowed {
+		return nil, &dom.DeniedError{Decision: d}
+	}
+	resp, err := p.SubmitForm(e.node, nil)
+	if err != nil {
+		return nil, err
+	}
+	return float64(resp.Status), nil
+}
+
 func (e *elementHost) HostSet(name string, v script.Value) error {
+	api := &e.run.api
 	switch name {
 	case "innerHTML":
-		return e.api.SetInnerHTML(e.node, script.ToString(v))
+		return api.SetInnerHTML(e.node, script.ToString(v))
 	case "innerText", "textContent":
-		return e.api.SetText(e.node, script.ToString(v))
+		return api.SetText(e.node, script.ToString(v))
 	case "src":
-		if err := e.api.SetAttribute(e.node, "src", script.ToString(v)); err != nil {
+		if err := api.SetAttribute(e.node, "src", script.ToString(v)); err != nil {
 			return err
 		}
 		e.maybeFetchSrc("src", script.ToString(v))
 		return nil
 	case "value":
-		return e.api.SetAttribute(e.node, "value", script.ToString(v))
+		return api.SetAttribute(e.node, "value", script.ToString(v))
 	case "id", "class", "href", "action", "name":
-		return e.api.SetAttribute(e.node, name, script.ToString(v))
+		return api.SetAttribute(e.node, name, script.ToString(v))
 	}
 	return fmt.Errorf("element.%s is not assignable", name)
 }
@@ -534,9 +583,10 @@ func (e *elementHost) maybeFetchSrc(attr, value string) {
 	if e.node.Tag != "img" && e.node.Tag != "iframe" && e.node.Tag != "embed" {
 		return
 	}
-	abs, err := origin.Resolve(e.page.URL, value)
+	p := e.run.page
+	abs, err := origin.Resolve(p.URL, value)
 	if err != nil {
 		return
 	}
-	_, _ = e.page.browser.fetch("GET", abs, nil, e.principal, e.node.Tag+".src")
+	_, _ = p.browser.fetch("GET", abs, nil, e.run.principal, e.node.Tag+".src")
 }

@@ -122,6 +122,28 @@ parent.removeChild(one);`)
 	}
 }
 
+// A method read as a value is bound to its receiver: calling it later
+// behaves as the direct call, a denial's error text included.
+func TestBindingMethodAsValue(t *testing.T) {
+	b, p, _ := loadBindings(t, ModeEscudo)
+	if err := p.RunScriptRing(1, "s", `
+var byID = document.getElementById;
+var one = byID("one");
+var get = one.getAttribute;
+log(typeof byID + " " + get("id") + " " + one.parentNode.id);`); err != nil {
+		t.Fatal(err)
+	}
+	if lines := b.Console.Lines(); len(lines) != 1 || lines[0] != "function one app" {
+		t.Errorf("lines = %v", lines)
+	}
+	direct := p.RunScriptRing(3, "s", `document.getElementById("one");`)
+	bound := p.RunScriptRing(3, "s", `var f = document.getElementById; f("one");`)
+	var denied *dom.DeniedError
+	if !errors.As(direct, &denied) || bound == nil || bound.Error() != direct.Error() {
+		t.Errorf("ring-3 read of a ring-1 element: direct %v, bound %v; want the same denial", direct, bound)
+	}
+}
+
 func TestBindingWindowLocationNavigates(t *testing.T) {
 	_, p, net := loadBindings(t, ModeEscudo)
 	if err := p.RunScriptRing(1, "s", `window.location = "/next";`); err != nil {

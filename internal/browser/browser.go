@@ -687,7 +687,9 @@ func (p *Page) runScripts() {
 // parse cache (repeat executions of a hot <script> across pages and
 // sessions skip the parse) and run by a fresh interpreter whose fuel
 // budget is MaxScriptSteps, in its own scope over the browser's
-// library.
+// library. The interpreter, the scope and the bindings share one
+// record (scriptRun), so a run allocates once before the script does
+// anything.
 func (p *Page) RunScriptAs(principal core.Context, src string) error {
 	start := time.Now()
 	prog, err := script.CompileCached(src)
@@ -695,8 +697,11 @@ func (p *Page) RunScriptAs(principal core.Context, src string) error {
 		p.browser.stageClock.Load().Add(obs.StageScriptVM, time.Since(start))
 		return err
 	}
-	ip := &script.Interp{MaxSteps: p.browser.opts.MaxScriptSteps}
-	_, err = ip.Run(prog, p.browser.lib.Scope(&scriptGlobals{page: p, principal: principal}))
+	run := &scriptRun{page: p, principal: principal}
+	run.ip.MaxSteps = p.browser.opts.MaxScriptSteps
+	run.api.Bind(p.Doc, principal, p.Monitor)
+	run.doc.run = run
+	_, err = run.ip.Run(prog, p.browser.lib.ScopeIn(&run.env, run))
 	// The span covers the parse-cache probe and script execution.
 	// Monitor calls the script makes accrue on batch_auth as well, so
 	// script and batch spans can nest — attribution, not a partition.

@@ -57,44 +57,49 @@ type batchClassKey struct {
 	acl    ACL
 }
 
+// classVerdict is what a class's decision contributes to each of its
+// objects' decisions: the rest echoes the query.
+type classVerdict struct {
+	allowed bool
+	rule    RuleID
+}
+
 // batchClasses is the small-region fast path for class lookup: most
 // DOM regions collapse into a handful of classes, where a linear scan
-// over a stack-friendly slice beats a map. Past maxLinear it spills
-// into a map.
+// over fixed arrays on batchDecide's stack beats a map. Past
+// maxLinearClasses it spills into a map.
 const maxLinearClasses = 16
 
 type batchClasses struct {
-	keys      []batchClassKey
-	decisions []Decision
-	spill     map[batchClassKey]Decision
+	n        int
+	keys     [maxLinearClasses]batchClassKey
+	verdicts [maxLinearClasses]classVerdict
+	spill    map[batchClassKey]classVerdict
 }
 
-func (c *batchClasses) get(k batchClassKey) (Decision, bool) {
-	for i := range c.keys {
+func (c *batchClasses) get(k batchClassKey) (classVerdict, bool) {
+	for i := range c.n {
 		if c.keys[i] == k {
-			return c.decisions[i], true
+			return c.verdicts[i], true
 		}
 	}
-	if c.spill != nil {
-		d, ok := c.spill[k]
-		return d, ok
-	}
-	return Decision{}, false
+	v, ok := c.spill[k]
+	return v, ok
 }
 
-func (c *batchClasses) put(k batchClassKey, d Decision) {
-	if len(c.keys) < maxLinearClasses {
-		c.keys = append(c.keys, k)
-		c.decisions = append(c.decisions, d)
+func (c *batchClasses) put(k batchClassKey, v classVerdict) {
+	if c.n < maxLinearClasses {
+		c.keys[c.n], c.verdicts[c.n] = k, v
+		c.n++
 		return
 	}
 	if c.spill == nil {
-		c.spill = make(map[batchClassKey]Decision)
+		c.spill = make(map[batchClassKey]classVerdict)
 	}
-	c.spill[k] = d
+	c.spill[k] = v
 }
 
-func (c *batchClasses) len() int { return len(c.keys) + len(c.spill) }
+func (c *batchClasses) len() int { return c.n + len(c.spill) }
 
 // batchDecide is the shared batching core: group objects by class,
 // ask m once per distinct class, then emit a per-node Decision
@@ -105,12 +110,13 @@ func batchDecide(m Monitor, p Context, op Op, objects []Context) []Decision {
 	var classes batchClasses
 	for i, o := range objects {
 		k := batchClassKey{origin: o.Origin, ring: o.Ring, acl: o.ACL}
-		cd, ok := classes.get(k)
+		v, ok := classes.get(k)
 		if !ok {
-			cd = m.Authorize(p, op, o)
-			classes.put(k, cd)
+			d := m.Authorize(p, op, o)
+			v = classVerdict{allowed: d.Allowed, rule: d.Rule}
+			classes.put(k, v)
 		}
-		out[i] = Decision{Allowed: cd.Allowed, Rule: cd.Rule, Principal: p, Op: op, Object: o}
+		out[i] = Decision{Allowed: v.allowed, Rule: v.rule, Principal: p, Op: op, Object: o}
 	}
 	recordBatch(len(objects), classes.len())
 	return out

@@ -199,42 +199,48 @@ var ErrBadHeader = errors.New("core: malformed X-Escudo header")
 // ParseCookieHeader parses one HeaderCookie value of the form
 // "name; ring=1; r=1; w=1; x=1". Missing ACL entries default to the
 // cookie's ring (a cookie readable by its own ring), and the ACL is
-// tightened so it can never be laxer than the ring.
+// tightened so it can never be laxer than the ring. The ACL entries are
+// checked in the order r, w, x, so a value with several bad entries
+// always reports the same one.
 func ParseCookieHeader(value string, maxRing Ring) (CookieConfig, error) {
-	name, params, err := splitHeaderValue(value)
+	params := [...]headerParam{{key: "ring"}, {key: "r"}, {key: "w"}, {key: "x"}}
+	name, err := parseHeaderValue(value, params[:])
 	if err != nil {
 		return CookieConfig{}, err
 	}
 	cc := CookieConfig{Name: name, Ring: RingKernel}
-	if v, ok := params["ring"]; ok {
-		r, err := ParseRing(v, maxRing)
+	if ring := params[0]; ring.ok {
+		r, err := ParseRing(ring.val, maxRing)
 		if err != nil {
 			return CookieConfig{}, fmt.Errorf("%w: cookie %q: %v", ErrBadHeader, name, err)
 		}
 		cc.Ring = r
 	}
 	cc.ACL = UniformACL(cc.Ring)
-	for attr, dst := range map[string]*Ring{"r": &cc.ACL.Read, "w": &cc.ACL.Write, "x": &cc.ACL.Use} {
-		if v, ok := params[attr]; ok {
-			r, err := ParseRing(v, maxRing)
-			if err != nil {
-				return CookieConfig{}, fmt.Errorf("%w: cookie %q attr %q: %v", ErrBadHeader, name, attr, err)
-			}
-			*dst = r
+	for i, dst := range [...]*Ring{&cc.ACL.Read, &cc.ACL.Write, &cc.ACL.Use} {
+		attr := params[1+i]
+		if !attr.ok {
+			continue
 		}
+		r, err := ParseRing(attr.val, maxRing)
+		if err != nil {
+			return CookieConfig{}, fmt.Errorf("%w: cookie %q attr %q: %v", ErrBadHeader, name, attr.key, err)
+		}
+		*dst = r
 	}
 	return cc, nil
 }
 
 // ParseAPIHeader parses one HeaderAPI value of the form "name; ring=1".
 func ParseAPIHeader(value string, maxRing Ring) (APIConfig, error) {
-	name, params, err := splitHeaderValue(value)
+	params := [...]headerParam{{key: "ring"}}
+	name, err := parseHeaderValue(value, params[:])
 	if err != nil {
 		return APIConfig{}, err
 	}
 	ac := APIConfig{Name: strings.ToLower(name), Ring: RingKernel}
-	if v, ok := params["ring"]; ok {
-		r, err := ParseRing(v, maxRing)
+	if ring := params[0]; ring.ok {
+		r, err := ParseRing(ring.val, maxRing)
 		if err != nil {
 			return APIConfig{}, fmt.Errorf("%w: api %q: %v", ErrBadHeader, name, err)
 		}
@@ -243,27 +249,42 @@ func ParseAPIHeader(value string, maxRing Ring) (APIConfig, error) {
 	return ac, nil
 }
 
-// splitHeaderValue splits "name; k=v; k=v" into the name and a
-// parameter map.
-func splitHeaderValue(value string) (string, map[string]string, error) {
-	parts := strings.Split(value, ";")
-	name := strings.TrimSpace(parts[0])
+// headerParam is one parameter a header parse looks for: key is
+// lowercase, and val holds the trimmed value of the key's last
+// occurrence when ok.
+type headerParam struct {
+	key, val string
+	ok       bool
+}
+
+// parseHeaderValue parses "name; k=v; k=v" in place, returning the
+// trimmed name and filling in the params whose keys occur (keys compare
+// trimmed and lowercased; the last occurrence wins). An empty name or a
+// parameter without "=" is an error.
+func parseHeaderValue(value string, params []headerParam) (string, error) {
+	name, rest, _ := strings.Cut(value, ";")
+	name = strings.TrimSpace(name)
 	if name == "" {
-		return "", nil, fmt.Errorf("%w: empty name in %q", ErrBadHeader, value)
+		return "", fmt.Errorf("%w: empty name in %q", ErrBadHeader, value)
 	}
-	params := make(map[string]string, len(parts)-1)
-	for _, p := range parts[1:] {
-		p = strings.TrimSpace(p)
-		if p == "" {
+	for rest != "" {
+		var p string
+		p, rest, _ = strings.Cut(rest, ";")
+		if p = strings.TrimSpace(p); p == "" {
 			continue
 		}
 		k, v, ok := strings.Cut(p, "=")
 		if !ok {
-			return "", nil, fmt.Errorf("%w: parameter %q in %q", ErrBadHeader, p, value)
+			return "", fmt.Errorf("%w: parameter %q in %q", ErrBadHeader, p, value)
 		}
-		params[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
+		k = strings.ToLower(strings.TrimSpace(k))
+		for i := range params {
+			if params[i].key == k {
+				params[i].val, params[i].ok = strings.TrimSpace(v), true
+			}
+		}
 	}
-	return name, params, nil
+	return name, nil
 }
 
 // FormatCookieHeader renders a CookieConfig as a HeaderCookie value.

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"repro/internal/raceflag"
 )
 
 // lookup is the attribute lookup ParseACAttrs takes, over a map.
@@ -158,6 +160,40 @@ func TestParseCookieHeaderErrors(t *testing.T) {
 		if cc, err := ParseCookieHeader(v, 3); err == nil {
 			t.Errorf("ParseCookieHeader(%q) = %+v, want error", v, cc)
 		}
+	}
+}
+
+// A value with several bad ACL entries reports the first of r, w, x on
+// every call, so identical page loads report identical ConfigErrors.
+func TestParseCookieHeaderErrorIsStable(t *testing.T) {
+	for i := 0; i < 60; i++ {
+		_, err := ParseCookieHeader("sid; ring=1; r=x; w=y; x=z", 3)
+		if err == nil || !strings.Contains(err.Error(), `attr "r"`) {
+			t.Fatalf("call %d: err = %v, want the r entry's", i, err)
+		}
+	}
+}
+
+// phpBB's three headers parse in place.
+// maxPageConfigAllocs is the measured count: the Cookies and APIs maps
+// and one entry group each. Splitting the values and a parameter map
+// per header took it to 15.
+const maxPageConfigAllocs = 4
+
+func TestParsePageConfigAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	maxRing := []string{"3"}
+	cookies := []string{"phpbb2mysql_data; ring=1; r=1; w=1; x=1", "phpbb2mysql_sid; ring=1; r=1; w=1; x=1"}
+	apis := []string{"xmlhttprequest; ring=1"}
+	n := testing.AllocsPerRun(20, func() {
+		if _, errs := ParsePageConfig(maxRing, cookies, apis); len(errs) != 0 {
+			t.Fatal(errs)
+		}
+	})
+	if n > maxPageConfigAllocs {
+		t.Errorf("ParsePageConfig of phpBB's headers allocates %.0f times, want <= %d", n, maxPageConfigAllocs)
 	}
 }
 

@@ -102,7 +102,6 @@ func (m *delegationLayer) rehome(p Context, o Context) (Context, bool) {
 	fp := p
 	fp.Origin = o.Origin
 	fp.Ring = p.Ring.Outermost(floor)
-	fp.Label = p.Label + "→delegated"
 	return fp, true
 }
 
@@ -122,8 +121,9 @@ func (m *delegationLayer) Authorize(p Context, op Op, o Context) Decision {
 // principal, so the region is split into maximal runs of objects
 // sharing one effective principal; each run batches through the inner
 // stack (keeping the per-class dedup), and the runs are reassembled in
-// input order. DOM regions are almost always single-origin, so the
-// common case is exactly one inner batch call.
+// input order. The delegation is resolved once per change of object
+// origin, not per object. DOM regions are almost always single-origin,
+// so the common case is one resolution and one inner batch call.
 func (m *delegationLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
 	if len(objects) == 0 {
 		return nil
@@ -132,12 +132,13 @@ func (m *delegationLayer) AuthorizeBatch(p Context, op Op, objects []Context) []
 	for i := 0; i < len(objects); {
 		fp, rehomed := m.rehome(p, objects[i])
 		j := i + 1
-		for j < len(objects) {
-			np, nr := m.rehome(p, objects[j])
-			if nr != rehomed || np != fp {
+		for ; j < len(objects); j++ {
+			if objects[j].Origin == objects[j-1].Origin {
+				continue
+			}
+			if np, nr := m.rehome(p, objects[j]); nr != rehomed || np != fp {
 				break
 			}
-			j++
 		}
 		run := AuthorizeBatch(m.inner, fp, op, objects[i:j])
 		if rehomed {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/origin"
+	"repro/internal/raceflag"
 )
 
 // pipeQueries builds a deterministic mixed query stream: same-origin
@@ -195,6 +196,31 @@ func TestDelegationLayer(t *testing.T) {
 	}
 	if audit.Len() != 3+len(region) {
 		t.Fatalf("audit recorded %d decisions, want %d", audit.Len(), 3+len(region))
+	}
+}
+
+// TestDelegatedRegionAllocs: re-homing a delegated guest builds
+// nothing, so its region allocates no more than the same region read by
+// a host principal, and that is the decision slice alone (the class
+// table lives on the stack).
+func TestDelegatedRegionAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	host := origin.MustParse("http://portal.example")
+	guest := origin.MustParse("http://widget.example")
+	m := Compose(&ERM{}, WithDelegations(floorMap{{host, guest}: 2}))
+	region := make([]Context, 20)
+	for i := range region {
+		r := Ring(2 + i%2)
+		region[i] = Object(host, r, UniformACL(r), "slot")
+	}
+	allocs := func(p Context) float64 {
+		return testing.AllocsPerRun(20, func() { AuthorizeBatch(m, p, OpRead, region) })
+	}
+	delegated, same := allocs(Principal(guest, 0, "widget")), allocs(Principal(host, 2, "app"))
+	if delegated > same || same > 1 {
+		t.Errorf("a 20-object region allocates %.0f times for a delegated guest and %.0f for a host principal, want both <= 1", delegated, same)
 	}
 }
 

@@ -135,7 +135,14 @@ type API struct {
 // access; principal is the security context of the JavaScript program
 // (or other principal) driving the API.
 func NewAPI(doc *Document, principal core.Context, monitor core.Monitor) *API {
-	return &API{doc: doc, principal: principal, monitor: monitor}
+	return new(API).Bind(doc, principal, monitor)
+}
+
+// Bind is NewAPI in storage the caller owns (a script run's record): it
+// binds a to the principal and returns a.
+func (a *API) Bind(doc *Document, principal core.Context, monitor core.Monitor) *API {
+	*a = API{doc: doc, principal: principal, monitor: monitor}
+	return a
 }
 
 // Principal returns the bound principal context.
@@ -319,11 +326,14 @@ func (a *API) InnerHTML(n *html.Node) (string, error) {
 		return "", err
 	}
 	include := includeFunc(denied)
-	var b strings.Builder
+	// The kids append into one buffer, converted once; a typical
+	// region's markup fits the stack array and costs only the string.
+	var stack [1024]byte
+	buf := stack[:0]
 	for _, k := range n.Kids {
-		b.WriteString(html.RenderFiltered(k, include))
+		buf = html.AppendRendered(buf, k, include)
 	}
-	return b.String(), nil
+	return string(buf), nil
 }
 
 // SetInnerHTML replaces the node's children with freshly parsed

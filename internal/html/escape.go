@@ -105,9 +105,16 @@ func EscapeText(s string) string { return escapeTextReplacer.Replace(s) }
 
 // AppendEscapeText appends s encoded as EscapeText encodes it, for
 // pages written into one buffer.
-func AppendEscapeText(dst []byte, s string) []byte {
+func AppendEscapeText(dst []byte, s string) []byte { return appendEscaped(dst, s, "&<>") }
+
+// appendEscapeAttr appends s encoded as EscapeAttr encodes it.
+func appendEscapeAttr(dst []byte, s string) []byte { return appendEscaped(dst, s, `&<>"'`) }
+
+// appendEscaped appends s with each byte of special replaced by its
+// entity.
+func appendEscaped(dst []byte, s, special string) []byte {
 	for {
-		i := strings.IndexAny(s, "&<>")
+		i := strings.IndexAny(s, special)
 		if i < 0 {
 			return append(dst, s...)
 		}
@@ -117,8 +124,12 @@ func AppendEscapeText(dst []byte, s string) []byte {
 			dst = append(dst, "&amp;"...)
 		case '<':
 			dst = append(dst, "&lt;"...)
-		default:
+		case '>':
 			dst = append(dst, "&gt;"...)
+		case '"':
+			dst = append(dst, "&quot;"...)
+		default:
+			dst = append(dst, "&#39;"...)
 		}
 		s = s[i+1:]
 	}

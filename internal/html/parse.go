@@ -1,7 +1,6 @@
 package html
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/core"
@@ -400,67 +399,69 @@ func (p *Parser) elementAtOrAbove(el *Node, idx int) bool {
 
 // Render serializes the tree back to HTML. ESCUDO configuration was
 // stripped at parse time, so rendered output never leaks it.
-func Render(n *Node) string {
-	var b strings.Builder
-	render(&b, n)
-	return b.String()
-}
+func Render(n *Node) string { return RenderFiltered(n, nil) }
 
 // RenderFiltered serializes the subtree, skipping (with their whole
 // subtrees) any nodes for which include returns false. The mediated
 // DOM API uses it to serialize a region while eliding nodes the
 // reading principal may not see. A nil include renders everything.
 func RenderFiltered(n *Node, include func(*Node) bool) string {
-	var b strings.Builder
-	renderFiltered(&b, n, include)
-	return b.String()
+	return string(AppendRendered(nil, n, include))
 }
 
-// render is renderFiltered with no filter; both share one
-// serialization path so the plain and mediated renderings can never
-// diverge.
-func render(b *strings.Builder, n *Node) {
-	renderFiltered(b, n, nil)
-}
-
-func renderFiltered(b *strings.Builder, n *Node, include func(*Node) bool) {
+// AppendRendered appends the serialization of the subtree to dst, as
+// RenderFiltered renders it, and returns the extended buffer. Render
+// and RenderFiltered wrap it, so the plain and mediated renderings
+// share one path and can never diverge. An attribute value is written
+// as its EscapeAttr escape between double quotes, so parsing the
+// output gives back every value byte for byte.
+func AppendRendered(dst []byte, n *Node, include func(*Node) bool) []byte {
 	if include != nil && !include(n) {
-		return
+		return dst
 	}
 	switch n.Type {
 	case DocumentNode:
 		for _, k := range n.Kids {
-			renderFiltered(b, k, include)
+			dst = AppendRendered(dst, k, include)
 		}
 	case TextNode:
 		if n.Parent != nil && rawTextElements[n.Parent.Tag] {
-			b.WriteString(n.Data)
+			dst = append(dst, n.Data...)
 		} else {
-			b.WriteString(EscapeText(n.Data))
+			dst = AppendEscapeText(dst, n.Data)
 		}
 	case CommentNode:
-		fmt.Fprintf(b, "<!--%s-->", n.Data)
+		dst = append(dst, "<!--"...)
+		dst = append(dst, n.Data...)
+		dst = append(dst, "-->"...)
 	case DoctypeNode:
-		fmt.Fprintf(b, "<%s>", n.Data)
+		dst = append(dst, '<')
+		dst = append(dst, n.Data...)
+		dst = append(dst, '>')
 	case ElementNode:
-		b.WriteByte('<')
-		b.WriteString(n.Tag)
+		dst = append(dst, '<')
+		dst = append(dst, n.Tag...)
 		for _, a := range n.Attrs {
-			if a.Value == "" {
-				fmt.Fprintf(b, " %s", a.Name)
-			} else {
-				fmt.Fprintf(b, " %s=%q", a.Name, EscapeAttr(a.Value))
+			dst = append(dst, ' ')
+			dst = append(dst, a.Name...)
+			if a.Value != "" {
+				dst = append(dst, `="`...)
+				dst = appendEscapeAttr(dst, a.Value)
+				dst = append(dst, '"')
 			}
 		}
-		b.WriteByte('>')
+		dst = append(dst, '>')
 		if IsVoid(n.Tag) {
-			return
+			return dst
 		}
 		for _, k := range n.Kids {
-			renderFiltered(b, k, include)
+			dst = AppendRendered(dst, k, include)
 		}
-		fmt.Fprintf(b, "</%s>", n.Tag)
+		dst = append(dst, "</"...)
+		dst = append(dst, n.Tag...)
+		dst = append(dst, '>')
 	}
+	return dst
 }
 
 // InnerText concatenates the text content of the subtree, the way a

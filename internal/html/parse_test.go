@@ -3,6 +3,7 @@ package html
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -491,5 +492,31 @@ func TestDeepNesting(t *testing.T) {
 	})
 	if deepest == nil || deepest.Ring != 3 {
 		t.Errorf("deepest ring = %v, want 3", deepest)
+	}
+}
+
+// An attribute value survives parse → Render → parse byte for byte:
+// the serializer writes the EscapeAttr escape between double quotes
+// and nothing else, so no round trip rewrites a backslash, a control
+// byte or invalid UTF-8. Where a value needs no Go quoting, the
+// rendering is the one the %q serializer wrote.
+func TestRenderKeepsAttributeValues(t *testing.T) {
+	for _, v := range []string{
+		`C:\dir`, "a\tb", "a\nb", "a\x01b", `say "hi"`, `&<>`, `it's`, "café", "\xff",
+	} {
+		doc := Parse(`<p title="`+EscapeAttr(v)+`">t</p>`, LegacyOptions())
+		if got, _ := findTag(doc, "p").Attr("title"); got != v {
+			t.Fatalf("parse of %q read %q", v, got)
+		}
+		out := Render(doc)
+		if got, _ := findTag(Parse(out, LegacyOptions()), "p").Attr("title"); got != v {
+			t.Errorf("title %q reads %q after a round trip through %s", v, got, out)
+		}
+		esc := EscapeAttr(v)
+		if q := strconv.Quote(esc); q == `"`+esc+`"` {
+			if want := fmt.Sprintf(`<p title=%s>t</p>`, q); out != want {
+				t.Errorf("title %q renders %s, want %s", v, out, want)
+			}
+		}
 	}
 }

@@ -457,10 +457,10 @@ func origKeysValue(h web.Header) string {
 	return strings.Join(keys, ",")
 }
 
-// writeResponse writes a web.Response out as HTTP, advertising the
-// origin's own header-key set so the client side can reconstruct it
-// exactly.
-func (g *Gateway) writeResponse(w http.ResponseWriter, resp *web.Response) {
+// writeHeader translates a web.Response's status and header onto w,
+// advertising the origin's own header-key set so the client side can
+// reconstruct it exactly.
+func writeHeader(w http.ResponseWriter, resp *web.Response) {
 	for k, vs := range resp.Header {
 		for _, v := range vs {
 			w.Header().Add(k, v)
@@ -468,6 +468,11 @@ func (g *Gateway) writeResponse(w http.ResponseWriter, resp *web.Response) {
 	}
 	w.Header().Set(HeaderOrigKeys, origKeysValue(resp.Header))
 	w.WriteHeader(resp.Status)
+}
+
+// writeBody writes a web.Response's body onto the wire and counts the
+// response served.
+func (g *Gateway) writeBody(w http.ResponseWriter, resp *web.Response) {
 	if resp.Body != "" {
 		// io.WriteString, not fmt.Fprint: the latter boxes the body
 		// string into an interface argument on every response.
@@ -564,16 +569,21 @@ func (g *Gateway) serveOrigin(w http.ResponseWriter, r *http.Request, vh *vhost)
 		return
 	}
 	vh.served.Add(1)
-	g.writeResponse(w, resp)
-	end := time.Now()
-	total := end.Sub(arrival)
-	vh.latency.Observe(total)
+	writeHeader(w, resp)
+	var trans time.Duration
 	if stages != nil {
 		// Translation is the gateway's own bookkeeping around the
-		// round trip: request translation on the way in plus response
-		// writing on the way out.
-		trans := running.Sub(arrival) + end.Sub(handled)
+		// round trip: request translation on the way in plus header
+		// translation on the way out. The body write is the wire's, so
+		// the stage ends before it; the total and the slow ring's
+		// exemplar end after it.
+		trans = running.Sub(arrival) + time.Since(handled)
 		stages.Observe(obs.StageTranslate, trans)
+	}
+	g.writeBody(w, resp)
+	total := time.Since(arrival)
+	vh.latency.Observe(total)
+	if stages != nil {
 		var spans [obs.NumStages]int64
 		spans[obs.StageHandler] = int64(handler)
 		spans[obs.StageTranslate] = int64(trans)
@@ -624,7 +634,8 @@ func (g *Gateway) serveFallback(w http.ResponseWriter, r *http.Request) {
 		g.routeError(w, err)
 		return
 	}
-	g.writeResponse(w, resp)
+	writeHeader(w, resp)
+	g.writeBody(w, resp)
 }
 
 // routeError maps inner-transport errors onto marked HTTP statuses.

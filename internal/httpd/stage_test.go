@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -272,5 +273,57 @@ func TestVarzStageAndOriginLatency(t *testing.T) {
 		if !contains(body, want) {
 			t.Fatalf("/varz missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// bodyWriteProbe is a ResponseWriter whose first body write checks
+// that the gateway's translate stage already holds its observation.
+type bodyWriteProbe struct {
+	*httptest.ResponseRecorder
+	t      *testing.T
+	stages *obs.StageSet
+	probed bool
+}
+
+func (w *bodyWriteProbe) probe() {
+	if w.probed {
+		return
+	}
+	w.probed = true
+	if got := w.stages.Hist(obs.StageTranslate).Snapshot().Total(); got != 1 {
+		w.t.Errorf("translate holds %d observations at the first body write, want 1", got)
+	}
+}
+
+func (w *bodyWriteProbe) Write(b []byte) (int, error) {
+	w.probe()
+	return w.ResponseRecorder.Write(b)
+}
+
+func (w *bodyWriteProbe) WriteString(s string) (int, error) {
+	w.probe()
+	return w.ResponseRecorder.WriteString(s)
+}
+
+// TestTranslateStageEndsBeforeBody: the gateway's translate stage
+// covers header translation but not the body write, which is the
+// wire's time.
+func TestTranslateStageEndsBeforeBody(t *testing.T) {
+	net, bench, _, _ := buildSubstrate()
+	stages := obs.NewStageSet(obs.NewRegistry())
+	g, err := New(Config{Inner: net, Stages: stages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Mount(bench); err != nil {
+		t.Fatal(err)
+	}
+	w := &bodyWriteProbe{ResponseRecorder: httptest.NewRecorder(), t: t, stages: stages}
+	g.ServeHTTP(w, httptest.NewRequest("GET", bench.URL("/s1"), nil))
+	if w.Code != http.StatusOK || !w.probed {
+		t.Fatalf("status %d, body written %v: want a 200 with a body", w.Code, w.probed)
+	}
+	if got := stages.Hist(obs.StageTranslate).Snapshot().Total(); got != 1 {
+		t.Errorf("translate recorded %d observations, want 1", got)
 	}
 }

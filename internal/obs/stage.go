@@ -45,7 +45,9 @@ const (
 	// explicit RenderText).
 	StageRender
 	// StageTranslate is gateway transport translation: net/http
-	// request to web.Request and web.Response back onto the wire.
+	// request to web.Request, and web.Response's status and header
+	// back onto the wire. It ends before the body write, which is the
+	// wire's time.
 	StageTranslate
 
 	// NumStages bounds the enum; arrays of per-stage state are

@@ -23,7 +23,10 @@ import (
 const (
 	maxParseAllocs     = 16 // S8 measured 10 (ESCUDO) and 12 (legacy)
 	maxLayoutAllocs    = 2  // the engine with its Result, and the display list
-	maxRunScriptAllocs = 6  // `var v = 1;`: interpreter, scope, host globals, the scope's map, the boxed 1
+	maxRunScriptAllocs = 1  // `var v = 1;`: the run's record (interpreter, scope, bindings)
+	// A host method call allocates its argument slice and its result;
+	// the method itself comes from a static table.
+	maxAllocsPerMethodCall = 2
 )
 
 func s8(t *testing.T) Scenario {
@@ -86,6 +89,27 @@ func TestRunScriptAllocs(t *testing.T) {
 	}
 	if n > maxRunScriptAllocs {
 		t.Errorf("RunScriptAs of `var v = 1;` allocates %.0f times, want <= %d", n, maxRunScriptAllocs)
+	}
+}
+
+func TestHostMethodCallAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := bench(t, "/s1")
+	principal := core.Principal(p.Origin, 0, "script")
+	allocs := func(src string) float64 {
+		var err error
+		n := testing.AllocsPerRun(20, func() { err = p.RunScriptAs(principal, src) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	one := allocs(`var a = document.getElementById("p0");`)
+	two := allocs(`var a = document.getElementById("p0"); var b = document.getElementById("p1");`)
+	if two-one > maxAllocsPerMethodCall {
+		t.Errorf("a second document.getElementById call adds %.0f allocations (%.0f → %.0f), want <= %d", two-one, one, two, maxAllocsPerMethodCall)
 	}
 }
 

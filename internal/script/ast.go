@@ -95,11 +95,19 @@ func (*ContinueStmt) stmtNode() {}
 func (*BlockStmt) stmtNode()    {}
 func (*FuncDeclStmt) stmtNode() {}
 
-// NumberLit is a numeric literal.
-type NumberLit struct{ Value float64 }
+// NumberLit is a numeric literal. The parser boxes Value once into
+// boxed; programs are cached and never written, so every run of one
+// returns the same boxed value instead of boxing it again.
+type NumberLit struct {
+	Value float64
+	boxed Value
+}
 
-// StringLit is a string literal.
-type StringLit struct{ Value string }
+// StringLit is a string literal, boxed once like NumberLit.
+type StringLit struct {
+	Value string
+	boxed Value
+}
 
 // BoolLit is true/false.
 type BoolLit struct{ Value bool }

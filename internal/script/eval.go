@@ -85,13 +85,28 @@ func (continueSignal) Error() string { return "continue outside loop" }
 // undeclared assignments and rebound library names all land in the top
 // scope, and a library object (Math) is copied into the top scope on
 // its first read, so every script starts from the pristine library.
+//
+// A scope keeps its first inlineBindings names in binds and spills the
+// rest into vars, so a scope of a few names allocates no map. The
+// library root keeps every binding in vars.
 type Env struct {
+	binds  [inlineBindings]binding
 	vars   map[string]Value
 	parent *Env
 	// host resolves the host's globals for a top scope (nil for none).
 	host Globals
+	// n counts the bindings in binds.
+	n uint8
 	// frozen marks a library root.
 	frozen bool
+}
+
+// inlineBindings is how many names a scope holds without a map.
+const inlineBindings = 4
+
+type binding struct {
+	name string
+	v    Value
 }
 
 // Globals resolves host-provided global names (the browser's document,
@@ -104,16 +119,58 @@ type Globals interface {
 
 // Scope opens a script's top scope over the library root e, resolving
 // host globals through host (nil for none).
-func (e *Env) Scope(host Globals) *Env { return &Env{parent: e, host: host} }
+func (e *Env) Scope(host Globals) *Env { return e.ScopeIn(new(Env), host) }
+
+// ScopeIn is Scope in storage the caller owns: it resets top to an
+// empty scope over e and returns it.
+func (e *Env) ScopeIn(top *Env, host Globals) *Env {
+	*top = Env{parent: e, host: host}
+	return top
+}
 
 // child opens a nested scope.
 func (e *Env) child() *Env { return &Env{parent: e} }
+
+// lookup reads name from this scope alone.
+func (e *Env) lookup(name string) (Value, bool) {
+	for i := range e.n {
+		if e.binds[i].name == name {
+			return e.binds[i].v, true
+		}
+	}
+	v, ok := e.vars[name]
+	return v, ok
+}
+
+// set overwrites name in this scope alone, reporting whether it was
+// bound here.
+func (e *Env) set(name string, v Value) bool {
+	for i := range e.n {
+		if e.binds[i].name == name {
+			e.binds[i].v = v
+			return true
+		}
+	}
+	if _, ok := e.vars[name]; ok {
+		e.vars[name] = v
+		return true
+	}
+	return false
+}
 
 // Define binds a name in this scope. Defining into a frozen library
 // is a host bug and panics.
 func (e *Env) Define(name string, v Value) {
 	if e.frozen {
 		panic("script: define " + name + " in a frozen library")
+	}
+	if e.set(name, v) {
+		return
+	}
+	if int(e.n) < len(e.binds) {
+		e.binds[e.n] = binding{name: name, v: v}
+		e.n++
+		return
 	}
 	if e.vars == nil {
 		e.vars = make(map[string]Value)
@@ -127,7 +184,7 @@ func (e *Env) Define(name string, v Value) {
 func (e *Env) Get(name string) (Value, bool) {
 	var top *Env
 	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
+		if v, ok := s.lookup(name); ok {
 			if o, isObj := v.(*Object); isObj && s.frozen && top != nil {
 				v = &Object{Props: maps.Clone(o.Props)}
 				top.Define(name, v)
@@ -153,17 +210,13 @@ func (e *Env) Get(name string) (Value, bool) {
 // written.
 func (e *Env) assign(name string, v Value) {
 	s := e
-	for {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
+	for !s.set(name, v) {
 		if s.parent == nil || s.parent.frozen {
-			break
+			s.Define(name, v)
+			return
 		}
 		s = s.parent
 	}
-	s.Define(name, v)
 }
 
 // Interp executes programs against an environment.
@@ -171,6 +224,11 @@ type Interp struct {
 	// MaxSteps bounds execution; 0 means the default (1e6).
 	MaxSteps int
 	steps    int
+	// ctx is the one call context every native of a run receives.
+	// callNative sets its line for the call and restores the caller's
+	// afterwards, so a native re-entered through Ctx.Call still
+	// reports its own call site.
+	ctx Ctx
 }
 
 // defaultMaxSteps bounds runaway scripts.
@@ -184,6 +242,7 @@ func (ip *Interp) Run(prog *Program, env *Env) (Value, error) {
 		ip.MaxSteps = defaultMaxSteps
 	}
 	ip.steps = 0
+	ip.ctx.ip = ip
 	v, err := ip.execBlock(prog.Body, env)
 	if err != nil {
 		var rs returnSignal
@@ -356,8 +415,14 @@ func (ip *Interp) eval(x Expr, env *Env) (Value, error) {
 	case *litValue:
 		return e.v, nil
 	case *NumberLit:
+		if e.boxed != nil {
+			return e.boxed, nil
+		}
 		return e.Value, nil
 	case *StringLit:
+		if e.boxed != nil {
+			return e.boxed, nil
+		}
 		return e.Value, nil
 	case *BoolLit:
 		return e.Value, nil
@@ -654,14 +719,38 @@ type litValue struct{ v Value }
 
 func (*litValue) exprNode() {}
 
-// evalCall evaluates a function or method call. Method calls on host
-// objects resolve through HostGet, which typically yields a bound
-// CtxFunc.
+// evalCall evaluates a function or method call. A method call on a
+// host object with a static method table (HostMethods) calls the
+// method with its receiver, building no function value; any other
+// method resolves through getMember, which for host objects is
+// HostGet.
 func (ip *Interp) evalCall(e *CallExpr, env *Env) (Value, error) {
 	if err := ip.tick(e.Line); err != nil {
 		return nil, err
 	}
-	fn, err := ip.eval(e.Fn, env)
+	var fn Value
+	var err error
+	if m, ok := e.Fn.(*MemberExpr); ok {
+		if err := ip.tick(m.Line); err != nil {
+			return nil, err
+		}
+		var recv Value
+		if recv, err = ip.eval(m.X, env); err != nil {
+			return nil, err
+		}
+		if h, ok := recv.(HostMethods); ok {
+			if method := h.HostMethod(m.Name); method != nil {
+				args, err := ip.evalArgs(e.Args, env)
+				if err != nil {
+					return nil, err
+				}
+				return ip.callNative(e.Line, func(ctx *Ctx) (Value, error) { return method(h, ctx, args) })
+			}
+		}
+		fn, err = ip.getMember(recv, m.Name, m.Line)
+	} else {
+		fn, err = ip.eval(e.Fn, env)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -707,18 +796,28 @@ func (ip *Interp) callValue(fn Value, args []Value, line int) (Value, error) {
 		}
 		return nil, nil
 	case CtxFunc:
-		v, err := f(&Ctx{ip: ip, line: line}, args)
-		if err != nil {
-			var re *RuntimeError
-			if errors.As(err, &re) {
-				return nil, err
-			}
-			return nil, &RuntimeError{Line: line, Msg: "native call failed", Err: err}
-		}
-		return v, nil
+		return ip.callNative(line, func(ctx *Ctx) (Value, error) { return f(ctx, args) })
 	default:
 		return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s is not a function", TypeOf(fn))}
 	}
+}
+
+// callNative runs a native call made at line with the interpreter's
+// call context, restoring the caller's line afterwards. A failure that
+// is not already a script exception becomes one at line.
+func (ip *Interp) callNative(line int, call func(*Ctx) (Value, error)) (Value, error) {
+	caller := ip.ctx.line
+	ip.ctx.line = line
+	v, err := call(&ip.ctx)
+	ip.ctx.line = caller
+	if err != nil {
+		var re *RuntimeError
+		if errors.As(err, &re) {
+			return nil, err
+		}
+		return nil, &RuntimeError{Line: line, Msg: "native call failed", Err: err}
+	}
+	return v, nil
 }
 
 // getMember reads obj.name for every receiver shape.

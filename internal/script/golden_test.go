@@ -56,6 +56,8 @@ var goldenErrors = []golden{
 		result: "null", typ: "null", err: "script: line 1: operator - needs numbers", steps: 1},
 	{src: `var o = {}; o.missing();`,
 		result: "null", typ: "null", err: "script: line 1: null is not a function", steps: 4},
+	{src: `null.m();`,
+		result: "null", typ: "null", err: `script: line 1: cannot read "m" of null`, steps: 2},
 	{src: `-"str";`,
 		result: "null", typ: "null", err: "script: line 1: unary - on non-number", steps: 0},
 	{src: `"a" < 1;`,

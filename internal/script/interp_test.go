@@ -66,6 +66,34 @@ func TestFuncErrorBridging(t *testing.T) {
 	}
 }
 
+// TestNestedNativeErrorLines: a native that calls back into script,
+// where an inner native fails, still reports its own call line after
+// the callback returns; the interpreter's one call context is restored
+// around each native call.
+func TestNestedNativeErrorLines(t *testing.T) {
+	env := StdEnv(&Console{})
+	env.Define("fail", Func("fail", func(*Ctx, []Value) (Value, error) {
+		return nil, errors.New("inner")
+	}))
+	var inner error
+	env.Define("outer", Func("outer", func(ctx *Ctx, args []Value) (Value, error) {
+		_, inner = ctx.Call(args[0])
+		return nil, errors.New("outer")
+	}))
+	src := "var f = function() {\n  fail();\n};\n\nouter(f);"
+	_, err := (&Interp{}).RunSource(src, env)
+	for _, c := range []struct {
+		err  error
+		msg  string
+		line int
+	}{{inner, "fail", 2}, {err, "outer", 5}} {
+		var re *RuntimeError
+		if !errors.As(c.err, &re) || re.Msg != c.msg || re.Line != c.line {
+			t.Errorf("%s: err = %v, want the exception %q at line %d", c.msg, c.err, c.msg, c.line)
+		}
+	}
+}
+
 func TestCompileCache(t *testing.T) {
 	src := `var cache_probe_xyzzy = 1; cache_probe_xyzzy + 41;`
 	h0, m0 := CompileCacheStats()

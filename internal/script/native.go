@@ -7,7 +7,9 @@ import (
 
 // Ctx is the call context handed to a CtxFunc. It carries the invoking
 // interpreter, so callbacks into script (Call) share the caller's step
-// budget instead of running unmetered.
+// budget instead of running unmetered. An interpreter hands every
+// native the same Ctx, holding the line of the call in flight, so a
+// native must not keep it past its return.
 type Ctx struct {
 	ip   *Interp
 	line int
@@ -46,12 +48,50 @@ func Func(name string, fn func(*Ctx, []Value) (Value, error)) CtxFunc {
 	return func(ctx *Ctx, args []Value) (Value, error) {
 		v, err := fn(ctx, args)
 		if err != nil {
-			var re *RuntimeError
-			if errors.As(err, &re) {
-				return nil, err
-			}
-			return nil, &RuntimeError{Line: ctx.line, Msg: name, Err: err}
+			return nil, ctx.named(name, err)
 		}
 		return v, nil
 	}
+}
+
+// named turns a native's failure into a script exception named after
+// the native, unless it already is one.
+func (c *Ctx) named(name string, err error) error {
+	var re *RuntimeError
+	if errors.As(err, &re) {
+		return err
+	}
+	return &RuntimeError{Line: c.line, Msg: name, Err: err}
+}
+
+// NativeMethod is a host object's method, called with its receiver.
+type NativeMethod func(recv HostObject, ctx *Ctx, args []Value) (Value, error)
+
+// HostMethods is implemented by a host object whose methods live in a
+// static table. A call x.m(args) on such an object looks m up with
+// HostMethod, before the arguments are evaluated, and calls it with x
+// as the receiver, so the call builds no function value. A nil method
+// falls back to HostGet.
+type HostMethods interface {
+	HostObject
+	HostMethod(name string) NativeMethod
+}
+
+// Method wraps fn, written for receivers of type R, as a named
+// NativeMethod with Func's error bridging. Build a method table once,
+// at package level.
+func Method[R HostObject](name string, fn func(recv R, ctx *Ctx, args []Value) (Value, error)) NativeMethod {
+	return func(recv HostObject, ctx *Ctx, args []Value) (Value, error) {
+		v, err := fn(recv.(R), ctx, args)
+		if err != nil {
+			return nil, ctx.named(name, err)
+		}
+		return v, nil
+	}
+}
+
+// Bind returns m bound to recv as a function value, for a script that
+// reads a method instead of calling it.
+func (m NativeMethod) Bind(recv HostObject) CtxFunc {
+	return func(ctx *Ctx, args []Value) (Value, error) { return m(recv, ctx, args) }
 }
