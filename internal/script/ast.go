@@ -95,19 +95,11 @@ func (*ContinueStmt) stmtNode() {}
 func (*BlockStmt) stmtNode()    {}
 func (*FuncDeclStmt) stmtNode() {}
 
-// NumberLit is a numeric literal. The parser boxes Value once into
-// boxed; programs are cached and never written, so every run of one
-// returns the same boxed value instead of boxing it again.
-type NumberLit struct {
-	Value float64
-	boxed Value
-}
-
-// StringLit is a string literal, boxed once like NumberLit.
-type StringLit struct {
-	Value string
-	boxed Value
-}
+// litValue is an expression of an already-computed value: a number or
+// string literal, which the parser boxes once into the program
+// (programs are cached and never written, so every run shares the
+// boxed value), or an operand of a desugared compound assignment.
+type litValue struct{ v Value }
 
 // BoolLit is true/false.
 type BoolLit struct{ Value bool }
@@ -197,8 +189,7 @@ type FuncLit struct {
 	Line   int
 }
 
-func (*NumberLit) exprNode()  {}
-func (*StringLit) exprNode()  {}
+func (*litValue) exprNode()   {}
 func (*BoolLit) exprNode()    {}
 func (*NullLit) exprNode()    {}
 func (*Ident) exprNode()      {}

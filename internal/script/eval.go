@@ -131,6 +131,21 @@ func (e *Env) ScopeIn(top *Env, host Globals) *Env {
 // child opens a nested scope.
 func (e *Env) child() *Env { return &Env{parent: e} }
 
+// blockScope is the scope a block runs in: a child of env if the block
+// declares a name, else env itself. Nothing else binds in a block's
+// scope (undeclared assignments land in the top scope), so a child
+// would stay empty, and an if branch or loop body that declares
+// nothing opens no scope.
+func blockScope(body []Stmt, env *Env) *Env {
+	for _, s := range body {
+		switch s.(type) {
+		case *VarStmt, *VarListStmt, *FuncDeclStmt:
+			return env.child()
+		}
+	}
+	return env
+}
+
 // lookup reads name from this scope alone.
 func (e *Env) lookup(name string) (Value, bool) {
 	for i := range e.n {
@@ -326,10 +341,10 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 			return nil, err
 		}
 		if Truthy(cond) {
-			return ip.execBlock(st.Then, env.child())
+			return ip.execBlock(st.Then, blockScope(st.Then, env))
 		}
 		if st.Else != nil {
-			return ip.execBlock(st.Else, env.child())
+			return ip.execBlock(st.Else, blockScope(st.Else, env))
 		}
 		return nil, nil
 	case *WhileStmt:
@@ -344,7 +359,7 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 			if !Truthy(cond) {
 				return nil, nil
 			}
-			if _, err := ip.execBlock(st.Body, env.child()); err != nil {
+			if _, err := ip.execBlock(st.Body, blockScope(st.Body, env)); err != nil {
 				if errors.As(err, &breakSignal{}) {
 					return nil, nil
 				}
@@ -374,7 +389,7 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 					return nil, nil
 				}
 			}
-			if _, err := ip.execBlock(st.Body, scope.child()); err != nil {
+			if _, err := ip.execBlock(st.Body, blockScope(st.Body, scope)); err != nil {
 				if errors.As(err, &breakSignal{}) {
 					return nil, nil
 				}
@@ -403,7 +418,7 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 	case *ContinueStmt:
 		return nil, continueSignal{}
 	case *BlockStmt:
-		return ip.execBlock(st.Body, env.child())
+		return ip.execBlock(st.Body, blockScope(st.Body, env))
 	default:
 		return nil, fmt.Errorf("script: unknown statement %T", s)
 	}
@@ -414,16 +429,6 @@ func (ip *Interp) eval(x Expr, env *Env) (Value, error) {
 	switch e := x.(type) {
 	case *litValue:
 		return e.v, nil
-	case *NumberLit:
-		if e.boxed != nil {
-			return e.boxed, nil
-		}
-		return e.Value, nil
-	case *StringLit:
-		if e.boxed != nil {
-			return e.boxed, nil
-		}
-		return e.Value, nil
 	case *BoolLit:
 		return e.Value, nil
 	case *NullLit:
@@ -712,12 +717,6 @@ func (ip *Interp) evalAssign(e *AssignExpr, env *Env) (Value, error) {
 	}
 	return nil, &RuntimeError{Line: e.Line, Msg: "bad assignment target"}
 }
-
-// litValue is an internal expression wrapping an already-computed
-// value, used to desugar compound assignment.
-type litValue struct{ v Value }
-
-func (*litValue) exprNode() {}
 
 // evalCall evaluates a function or method call. A method call on a
 // host object with a static method table (HostMethods) calls the

@@ -517,7 +517,7 @@ func (p *parser) postfix() (Expr, error) {
 			}
 			switch x.(type) {
 			case *Ident, *MemberExpr, *IndexExpr:
-				x = &AssignExpr{Op: op, Target: x, Value: &NumberLit{Value: 1, boxed: 1.0}, Line: t.line}
+				x = &AssignExpr{Op: op, Target: x, Value: &litValue{v: 1.0}, Line: t.line}
 			default:
 				return nil, &SyntaxError{Line: t.line, Msg: "invalid increment target"}
 			}
@@ -538,10 +538,10 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, &SyntaxError{Line: t.line, Msg: "bad number " + t.text}
 		}
-		return &NumberLit{Value: v, boxed: v}, nil
+		return &litValue{v: v}, nil
 	case t.kind == tokString:
 		p.advance()
-		return &StringLit{Value: t.text, boxed: t.text}, nil
+		return &litValue{v: t.text}, nil
 	case t.kind == tokKeyword && (t.text == "true" || t.text == "false"):
 		p.advance()
 		return &BoolLit{Value: t.text == "true"}, nil

@@ -2,9 +2,12 @@ package script
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
 
 // run executes source on the interpreter, fails the test on any
@@ -54,22 +57,62 @@ func TestArithmetic(t *testing.T) {
 }
 
 func TestVariablesAndScope(t *testing.T) {
-	if got := run(t, "var x = 1; var y = x + 2; y;"); !Equals(got, float64(3)) {
-		t.Errorf("got %v", got)
+	tests := []struct {
+		src  string
+		want Value
+	}{
+		{"var x = 1; var y = x + 2; y;", float64(3)},
+		// Multiple declarators.
+		{"var a = 1, b = 2; a + b;", float64(3)},
+		// Block scoping for var (simplified lexical semantics): the
+		// inner var shadows.
+		{`var x = 1; if (true) { var x = 2; } x;`, float64(1)},
+		// Assignment reaches the outer variable.
+		{`var x = 1; if (true) { x = 2; } x;`, float64(2)},
+		// A block opens a scope only if it declares a name, which
+		// scripts cannot tell. A loop body that declares gets a fresh
+		// scope on every pass, so each closure keeps its own v.
+		{`var fs = []; for (var i = 0; i < 3; i++) { var v = i; fs.push(function() { return v; }); }
+		  fs[0]() + fs[1]() * 10 + fs[2]() * 100;`, float64(210)},
+		// A closure made in a body that declares nothing reads the
+		// enclosing scope.
+		{`var fs = []; var n = 0; while (n < 3) { fs.push(function() { return n; }); n = n + 1; } fs[0]();`, float64(3)},
+		// A declaration in a nested block stays in that block.
+		{`var x = 1; if (true) { x = 2; { var x = 3; } } x;`, float64(2)},
+		// An undeclared assignment in a block lands in the top scope.
+		{`if (true) { y = 5; } y;`, float64(5)},
+		// A function declared in a branch is local to it.
+		{`var f = 1; if (true) { function f() { return 2; } } f;`, float64(1)},
 	}
-	// Multiple declarators.
-	if got := run(t, "var a = 1, b = 2; a + b;"); !Equals(got, float64(3)) {
-		t.Errorf("got %v", got)
+	for _, tt := range tests {
+		if got := run(t, tt.src); !Equals(got, tt.want) {
+			t.Errorf("%s = %v, want %v", tt.src, got, tt.want)
+		}
 	}
-	// Block scoping for var (simplified lexical semantics).
-	got := run(t, `var x = 1; if (true) { var x = 2; } x;`)
-	if !Equals(got, float64(1)) {
-		t.Errorf("inner var must shadow, got %v", got)
+}
+
+// TestBlockScopeAllocs pins that a loop body or if branch declaring
+// nothing opens no scope: a pass of this loop allocates only the boxed
+// sum n + 1.
+func TestBlockScopeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// Assignment reaches the outer variable.
-	got = run(t, `var x = 1; if (true) { x = 2; } x;`)
-	if !Equals(got, float64(2)) {
-		t.Errorf("assignment must mutate outer, got %v", got)
+	lib := Library(&Console{})
+	allocs := func(passes int) float64 {
+		prog, err := Parse(`var n = 0; while (n < ` + strconv.Itoa(passes) + `) { if (n >= 0) { n = n + 1; } }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ip Interp
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ip.Run(prog, lib.Scope(nil)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if per := (allocs(40) - allocs(20)) / 20; per > 1 {
+		t.Errorf("a loop pass allocates %.2f times, want <= 1 (the boxed sum)", per)
 	}
 }
 
