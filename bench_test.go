@@ -352,7 +352,7 @@ func BenchmarkMashupAuthorize(b *testing.B) {
 	guest := origin.MustParse("http://widget.example")
 	pol := NewDelegationPolicy()
 	pol.Delegate(Delegation{Host: host, Guest: guest, Floor: 2})
-	m := &MashupMonitor{Policy: pol}
+	m := Compose(&ERM{}, DelegationLayer(pol))
 	p := core.Principal(guest, 0, "widget")
 	o := core.Object(host, 2, core.UniformACL(2), "slot")
 	b.ReportAllocs()

@@ -221,33 +221,6 @@ func WithoutRender() Option {
 	return func(c *newConfig) error { c.opts.DisableRender = true; return nil }
 }
 
-// WithoutScripts skips script execution.
-func WithoutScripts() Option {
-	return func(c *newConfig) error { c.opts.DisableScripts = true; return nil }
-}
-
-// WithViewportWidth sets the layout width.
-func WithViewportWidth(w int) Option {
-	return func(c *newConfig) error {
-		if w <= 0 {
-			return errors.New("escudo: viewport width must be positive")
-		}
-		c.opts.ViewportWidth = w
-		return nil
-	}
-}
-
-// WithMaxFrameDepth bounds nested iframe loading.
-func WithMaxFrameDepth(d int) Option {
-	return func(c *newConfig) error {
-		if d <= 0 {
-			return errors.New("escudo: frame depth must be positive")
-		}
-		c.opts.MaxFrameDepth = d
-		return nil
-	}
-}
-
 // New builds a browsing session on the transport with functional
 // options over the monitor pipeline — the facade's one constructor.
 // With no options it is an ESCUDO-mode browser with the default
@@ -391,8 +364,6 @@ type (
 	Delegation = mashup.Delegation
 	// DelegationPolicy is a set of delegations.
 	DelegationPolicy = mashup.Policy
-	// MashupMonitor is the delegation-aware reference monitor.
-	MashupMonitor = mashup.Monitor
 )
 
 // NewDelegationPolicy returns an empty delegation policy.

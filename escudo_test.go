@@ -80,7 +80,7 @@ func TestFacadeMashup(t *testing.T) {
 	guest := MustParseOrigin("http://widget.example")
 	pol := NewDelegationPolicy()
 	pol.Delegate(Delegation{Host: host, Guest: guest, Floor: 2})
-	m := &MashupMonitor{Policy: pol}
+	m := Compose(&ERM{}, DelegationLayer(pol))
 
 	slot := Object(host, 2, UniformACL(2), "slot")
 	if d := m.Authorize(Principal(guest, 0, "w"), OpWrite, slot); !d.Allowed {

@@ -79,7 +79,7 @@ func ExampleDelegation() {
 
 	pol := escudo.NewDelegationPolicy()
 	pol.Delegate(escudo.Delegation{Host: portal, Guest: widget, Floor: 2})
-	m := &escudo.MashupMonitor{Policy: pol}
+	m := escudo.Compose(&escudo.ERM{}, escudo.DelegationLayer(pol))
 
 	slot := escudo.Object(portal, 2, escudo.UniformACL(2), "ad slot")
 	chrome := escudo.Object(portal, 1, escudo.UniformACL(1), "portal chrome")

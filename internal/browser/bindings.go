@@ -61,7 +61,7 @@ func (r *scriptRun) element(n *html.Node) *elementHost { return &elementHost{run
 // documentHost exposes the document object.
 type documentHost struct{ run *scriptRun }
 
-var _ script.HostMethods = (*documentHost)(nil)
+var _ script.HostObject = (*documentHost)(nil)
 
 // documentMethods are document's methods, called with the document as
 // receiver.
@@ -91,9 +91,6 @@ func (d *documentHost) HostGet(name string) (script.Value, error) {
 			return r.element(body), nil
 		}
 		return nil, nil
-	}
-	if m := documentMethods[name]; m != nil {
-		return m.Bind(d), nil
 	}
 	return nil, nil
 }
@@ -230,7 +227,7 @@ type xhrHost struct {
 	opened   bool
 }
 
-var _ script.HostMethods = (*xhrHost)(nil)
+var _ script.HostObject = (*xhrHost)(nil)
 
 var xhrMethods = map[string]script.NativeMethod{
 	"open": script.Method("XMLHttpRequest.open", (*xhrHost).open),
@@ -254,9 +251,6 @@ func (x *xhrHost) HostGet(name string) (script.Value, error) {
 		return x.status, nil
 	case "responseText":
 		return x.response, nil
-	}
-	if m := xhrMethods[name]; m != nil {
-		return m.Bind(x), nil
 	}
 	return nil, nil
 }
@@ -343,6 +337,8 @@ func (w *windowHost) HostGet(name string) (script.Value, error) {
 	return nil, nil
 }
 
+func (w *windowHost) HostMethod(string) script.NativeMethod { return nil }
+
 func (w *windowHost) HostSet(name string, v script.Value) error {
 	if name == "location" {
 		p := w.run.page
@@ -360,7 +356,7 @@ func (w *windowHost) HostSet(name string, v script.Value) error {
 // rule: ring 0 only, not configurable.
 type historyHost struct{ run *scriptRun }
 
-var _ script.HostMethods = (*historyHost)(nil)
+var _ script.HostObject = (*historyHost)(nil)
 
 var historyMethods = map[string]script.NativeMethod{
 	"back":    script.Method("history.back", (*historyHost).back),
@@ -385,9 +381,6 @@ func (h *historyHost) HostGet(name string) (script.Value, error) {
 			return nil, err
 		}
 		return float64(h.run.page.browser.history.Len()), nil
-	}
-	if m := historyMethods[name]; m != nil {
-		return m.Bind(h), nil
 	}
 	return nil, nil
 }
@@ -427,7 +420,7 @@ type elementHost struct {
 	node *html.Node
 }
 
-var _ script.HostMethods = (*elementHost)(nil)
+var _ script.HostObject = (*elementHost)(nil)
 
 // elementMethods are an element's methods, called with the element as
 // receiver.
@@ -460,9 +453,6 @@ func (e *elementHost) HostGet(name string) (script.Value, error) {
 			return nil, nil
 		}
 		return e.run.element(e.node.Parent), nil
-	}
-	if m := elementMethods[name]; m != nil {
-		return m.Bind(e), nil
 	}
 	return nil, nil
 }

@@ -57,20 +57,9 @@ func (m Mode) String() string {
 type Options struct {
 	// Mode selects the protection model (default ModeEscudo).
 	Mode Mode
-	// ViewportWidth is the layout width (default 80).
-	ViewportWidth int
-	// MaxScriptSteps bounds each script run (default 1e6).
-	MaxScriptSteps int
 	// DisableRender skips the layout pass (used by parse-only
 	// benchmarks).
 	DisableRender bool
-	// DisableScripts skips script execution (used by benchmarks and
-	// the inspect tool).
-	DisableScripts bool
-	// MaxFrameDepth bounds nested iframe loading (default 3; the
-	// browser "can simultaneously host multiple systems", §4, and
-	// each frame is its own per-page ring system).
-	MaxFrameDepth int
 	// AblateNonceDefense and AblateScopingRule disable the §5
 	// defenses FOR ABLATION EXPERIMENTS ONLY; see html.Options.
 	AblateNonceDefense bool
@@ -87,8 +76,8 @@ type Options struct {
 	// audit, provenance, generation pinning, stage timing) around
 	// whatever the factory returns, so complete mediation stays
 	// recorded whatever the stack — a factory returning a delegation-
-	// aware pipeline (core.Compose with core.WithDelegations, or a
-	// *mashup.Monitor) runs the §7 model inside real sessions.
+	// aware pipeline (core.Compose with core.WithDelegations) runs the
+	// §7 model inside real sessions.
 	//
 	// The factory must return a monitor consistent with Mode: the mode
 	// still governs configuration parsing and cookie attachment
@@ -110,6 +99,15 @@ type Options struct {
 	// tap stamps the pinned value; nil stamps no generation at all.
 	PolicyGen func() uint64
 }
+
+// maxScriptSteps is each script run's step budget. maxFrameDepth
+// bounds nested iframe loading: the browser "can simultaneously host
+// multiple systems" (§4), and each frame is its own per-page ring
+// system.
+const (
+	maxScriptSteps = 1_000_000
+	maxFrameDepth  = 3
+)
 
 // PageRef identifies what a monitor is being built for: a page load
 // (URL and page origin) or a request-scoped mediation such as cookie
@@ -175,15 +173,6 @@ var pageIDs atomic.Uint64
 func New(t web.Transport, opts Options) *Browser {
 	if opts.Mode == 0 {
 		opts.Mode = ModeEscudo
-	}
-	if opts.ViewportWidth == 0 {
-		opts.ViewportWidth = layout.DefaultViewportWidth
-	}
-	if opts.MaxScriptSteps == 0 {
-		opts.MaxScriptSteps = 1_000_000
-	}
-	if opts.MaxFrameDepth == 0 {
-		opts.MaxFrameDepth = 3
 	}
 	b := &Browser{
 		transport: t,
@@ -401,13 +390,11 @@ func (b *Browser) loadDepth(rawURL string, initiator core.Context, label string,
 	page.buildStyles()
 	if !b.opts.DisableRender {
 		renderStart := time.Now()
-		page.Layout = layout.LayoutHidden(page.Doc.Root, b.opts.ViewportWidth, page.renderHidden())
+		page.Layout = layout.LayoutHidden(page.Doc.Root, layout.DefaultViewportWidth, page.renderHidden())
 		b.stageClock.Load().Add(obs.StageRender, time.Since(renderStart))
 	}
-	if !b.opts.DisableScripts {
-		page.runStyleExpressions()
-		page.runScripts()
-	}
+	page.runStyleExpressions()
+	page.runScripts()
 	return page, nil
 }
 
@@ -633,7 +620,7 @@ func (b *Browser) loadSubresources(page *Page) {
 				ACL:    n.ACL,
 				Label:  n.Tag,
 			}
-			if n.Tag == "iframe" && page.depth < b.opts.MaxFrameDepth {
+			if n.Tag == "iframe" && page.depth < maxFrameDepth {
 				// Frames load as full nested pages — independent
 				// ring systems hosted in the same browser (§4).
 				// Load failures leave a nil-page frame; the fetch
@@ -686,7 +673,7 @@ func (p *Page) runScripts() {
 // page's monitor. The body is parsed once through the process-wide
 // parse cache (repeat executions of a hot <script> across pages and
 // sessions skip the parse) and run by a fresh interpreter whose fuel
-// budget is MaxScriptSteps, in its own scope over the browser's
+// budget is maxScriptSteps, in its own scope over the browser's
 // library. The interpreter, the scope and the bindings share one
 // record (scriptRun), so a run allocates once before the script does
 // anything.
@@ -698,7 +685,7 @@ func (p *Page) RunScriptAs(principal core.Context, src string) error {
 		return err
 	}
 	run := &scriptRun{page: p, principal: principal}
-	run.ip.MaxSteps = p.browser.opts.MaxScriptSteps
+	run.ip.MaxSteps = maxScriptSteps
 	run.api.Bind(p.Doc, principal, p.Monitor)
 	run.doc.run = run
 	_, err = run.ip.Run(prog, p.browser.lib.ScopeIn(&run.env, run))
@@ -813,8 +800,8 @@ func (p *Page) DispatchEvent(target *html.Node, event string, principal *core.Co
 func (p *Page) RenderText() string {
 	start := time.Now()
 	p.buildStyles()
-	p.Layout = layout.LayoutHidden(p.Doc.Root, p.browser.opts.ViewportWidth, p.renderHidden())
-	out := layout.RenderText(p.Layout, p.browser.opts.ViewportWidth)
+	p.Layout = layout.LayoutHidden(p.Doc.Root, layout.DefaultViewportWidth, p.renderHidden())
+	out := layout.RenderText(p.Layout, layout.DefaultViewportWidth)
 	p.browser.stageClock.Load().Add(obs.StageRender, time.Since(start))
 	return out
 }

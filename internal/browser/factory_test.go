@@ -29,10 +29,11 @@ func newPortalNetwork(portal origin.Origin) *web.Network {
 	return net
 }
 
-// TestMonitorFactoryMountsMashupMonitor is the tentpole wiring test:
-// a MashupMonitor built by Options.MonitorFactory mediates a REAL
-// browsing session — the §7 delegation model runs inside the page
-// pipeline, not just against a hand-built DOM.
+// TestMonitorFactoryMountsMashupMonitor is the wiring test for §7: a
+// delegation-aware stack (the ERM under core.WithDelegations) built by
+// Options.MonitorFactory mediates a REAL browsing session — the
+// delegation model runs inside the page pipeline, not just against a
+// hand-built DOM.
 func TestMonitorFactoryMountsMashupMonitor(t *testing.T) {
 	portal := origin.MustParse("http://portal.example")
 	widget := origin.MustParse("http://widget.example")
@@ -46,7 +47,7 @@ func TestMonitorFactoryMountsMashupMonitor(t *testing.T) {
 		Mode: ModeEscudo,
 		MonitorFactory: func(ref PageRef) core.Monitor {
 			refs = append(refs, ref)
-			return &mashup.Monitor{Policy: pol}
+			return core.Compose(&core.ERM{}, core.WithDelegations(pol))
 		},
 	})
 	p, err := b.Navigate(portal.URL("/"))

@@ -113,7 +113,7 @@ func TestFrameCrossOriginIsolated(t *testing.T) {
 }
 
 func TestFrameDepthBounded(t *testing.T) {
-	b := New(frameNetwork(), Options{Mode: ModeEscudo, MaxFrameDepth: 2})
+	b := New(frameNetwork(), Options{Mode: ModeEscudo})
 	p, err := b.Navigate(site.URL("/recurse"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestFrameDepthBounded(t *testing.T) {
 			t.Fatal("frame recursion not bounded")
 		}
 	}
-	if depth != 2 {
-		t.Errorf("nested depth = %d, want 2", depth)
+	if depth != maxFrameDepth {
+		t.Errorf("nested depth = %d, want %d", depth, maxFrameDepth)
 	}
 }

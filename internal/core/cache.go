@@ -13,10 +13,11 @@ import (
 // labels. That makes verdicts memoizable, and a browser serving many
 // pages of the same application repeats a tiny set of distinct keys
 // (every cookie attachment on every phpBB page asks the same
-// question). DecisionCache exploits that: a sharded map from packed
-// decision keys to verdicts, with per-shard RWMutexes so concurrent
-// sessions authorize in parallel, and a generation counter so a policy
-// change invalidates every cached verdict in O(1).
+// question). DecisionCache exploits that: one map from packed decision
+// keys to verdicts under one RWMutex, and a generation counter so a
+// policy change invalidates every cached verdict in O(1). One lock is
+// enough: an engine pool's sessions share the cache, but they probe it
+// a few thousand times per phase and ask the same few dozen questions.
 
 // cacheKey packs every input the Origin, Ring, and ACL rules read.
 // Origins are interned to compact IDs so the key is a small comparable
@@ -38,20 +39,12 @@ type verdict struct {
 	allowed bool
 }
 
-// cacheShardCount must be a power of two (the shard index is a mask).
-const cacheShardCount = 64
-
-// maxShardEntries bounds each shard; on overflow the shard is rebuilt
-// keeping only current-generation entries, and cleared outright if
-// still over the bound. The workload's distinct-key population is tiny
-// (rings × ops × a handful of origins and ACLs), so this is a backstop
-// against pathological key churn, not a working-set limit.
-const maxShardEntries = 4096
-
-type cacheShard struct {
-	mu sync.RWMutex
-	m  map[cacheKey]verdict
-}
+// maxEntries bounds the cache; on overflow the map is rebuilt keeping
+// only current-generation entries, and cleared outright if still over
+// the bound. The workload's distinct-key population is tiny (rings ×
+// ops × a handful of origins and ACLs), so this is a backstop against
+// pathological key churn, not a working-set limit.
+const maxEntries = 4096
 
 // DecisionCache memoizes reference-monitor verdicts. It is safe for
 // concurrent use and is designed to be shared: one cache can back
@@ -66,7 +59,8 @@ type DecisionCache struct {
 	gen    atomic.Uint64
 	hits   atomic.Uint64
 	misses atomic.Uint64
-	shards [cacheShardCount]cacheShard
+	mu     sync.RWMutex
+	m      map[cacheKey]verdict
 }
 
 // NewDecisionCache returns an empty cache.
@@ -92,29 +86,17 @@ func key(p Context, op Op, o Context) cacheKey {
 	}
 }
 
-// shardIndex mixes the key fields into a shard index. The multipliers
-// are odd primes; origins and rings carry most of the entropy.
-func shardIndex(k cacheKey) uint64 {
-	h := uint64(k.pOrigin)*0x9e3779b1 ^ uint64(k.oOrigin)*0x85ebca77
-	h ^= uint64(k.pRing)<<16 ^ uint64(k.oRing)<<24 ^ uint64(k.op)<<32
-	h ^= uint64(k.acl.Read)<<40 ^ uint64(k.acl.Write)<<48 ^ uint64(k.acl.Use)<<56
-	h ^= h >> 33
-	return h & (cacheShardCount - 1)
-}
-
 // lookup returns the cached verdict for the key, if one from the
 // current generation exists, along with the generation observed — a
 // miss's verdict must be stored under that generation, not the one
 // current at store time, or a verdict computed just before a
 // concurrent Invalidate would be cached as fresh. The read path takes
-// only the shard's read lock, so parallel sessions with disjoint or
-// even identical keys proceed without serializing.
+// only the read lock, so parallel hits proceed without serializing.
 func (c *DecisionCache) lookup(k cacheKey) (verdict, uint64, bool) {
 	gen := c.gen.Load()
-	s := &c.shards[shardIndex(k)]
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
 	if !ok || v.gen != gen {
 		c.misses.Add(1)
 		return verdict{}, gen, false
@@ -128,33 +110,32 @@ func (c *DecisionCache) lookup(k cacheKey) (verdict, uint64, bool) {
 // the entry is dead on arrival — correct, since the verdict was
 // computed under the old policy.
 func (c *DecisionCache) store(k cacheKey, d Decision, gen uint64) {
-	s := &c.shards[shardIndex(k)]
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[cacheKey]verdict)
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[cacheKey]verdict)
 	}
-	if len(s.m) >= maxShardEntries {
+	if len(c.m) >= maxEntries {
 		cur := c.gen.Load()
-		live := make(map[cacheKey]verdict, len(s.m)/2)
-		for ek, ev := range s.m {
+		live := make(map[cacheKey]verdict, len(c.m)/2)
+		for ek, ev := range c.m {
 			if ev.gen == cur {
 				live[ek] = ev
 			}
 		}
-		if len(live) >= maxShardEntries {
+		if len(live) >= maxEntries {
 			live = make(map[cacheKey]verdict)
 		}
-		s.m = live
+		c.m = live
 	}
-	s.m[k] = verdict{gen: gen, rule: d.Rule, allowed: d.Allowed}
-	s.mu.Unlock()
+	c.m[k] = verdict{gen: gen, rule: d.Rule, allowed: d.Allowed}
+	c.mu.Unlock()
 }
 
 // Invalidate advances the cache generation, atomically making every
 // cached verdict stale. Call it whenever the policy a monitor enforces
 // changes out from under the cache (a page reconfigured in place, a
 // monitor swapped for one with different semantics). Entries are
-// evicted lazily as shards fill.
+// evicted lazily when the map fills.
 func (c *DecisionCache) Invalidate() {
 	c.gen.Add(1)
 }
@@ -203,17 +184,13 @@ func (c *DecisionCache) Stats() CacheStats {
 		Misses:     c.misses.Load(),
 		Generation: c.gen.Load(),
 	}
-	gen := st.Generation
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for _, v := range s.m {
-			if v.gen == gen {
-				st.Entries++
-			}
+	c.mu.RLock()
+	for _, v := range c.m {
+		if v.gen == st.Generation {
+			st.Entries++
 		}
-		s.mu.RUnlock()
 	}
+	c.mu.RUnlock()
 	return st
 }
 

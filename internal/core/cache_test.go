@@ -164,15 +164,15 @@ func TestStoreDuringInvalidateStaysStale(t *testing.T) {
 	}
 }
 
-// TestCacheShardOverflow drives one run of distinct keys well past the
-// per-shard bound and checks the cache stays correct (never serves a
+// TestCacheOverflow drives one run of distinct keys well past the
+// cache's bound and checks the cache stays correct (never serves a
 // wrong verdict) while bounding its population.
-func TestCacheShardOverflow(t *testing.T) {
+func TestCacheOverflow(t *testing.T) {
 	c := NewDecisionCache()
 	m := Compose(&ERM{}, WithCache(c))
 	app := origin.MustParse("http://forum.example")
-	// Vary the ACL to generate maxShardEntries*3 distinct keys.
-	for i := 0; i < maxShardEntries*3; i++ {
+	// Vary the ACL to generate maxEntries*3 distinct keys.
+	for i := 0; i < maxEntries*3; i++ {
 		o := Object(app, 3, ACL{Read: Ring(i), Write: Ring(i), Use: Ring(i)}, "obj")
 		d := m.Authorize(Principal(app, 0, "p"), OpRead, o)
 		if !d.Allowed {
@@ -180,7 +180,7 @@ func TestCacheShardOverflow(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Entries > cacheShardCount*maxShardEntries {
+	if st.Entries > maxEntries {
 		t.Fatalf("cache unbounded: %d entries", st.Entries)
 	}
 }
@@ -229,8 +229,8 @@ func TestCacheConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestAuditLogConcurrentHammer checks the sharded audit log under
-// parallel writers: no records lost, ordered merge, filtered denials.
+// TestAuditLogConcurrentHammer checks the audit log under parallel
+// writers: no records lost, filtered denials.
 func TestAuditLogConcurrentHammer(t *testing.T) {
 	const goroutines = 8
 	const perG = 1000

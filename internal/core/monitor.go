@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // RuleID identifies which of the model's rules produced a decision.
@@ -141,108 +139,80 @@ func (m *SOPMonitor) Authorize(p Context, op Op, o Context) Decision {
 	return d
 }
 
-// auditShardCount must be a power of two (records shard by sequence
-// number). Sixteen shards keeps write contention negligible at the
-// session counts the engine targets while reads stay cheap.
-const auditShardCount = 16
-
-// auditRecord is one decision stamped with its global sequence number,
-// so the per-shard streams can be merged back into arrival order.
-type auditRecord struct {
-	seq uint64
-	d   Decision
-}
-
-// auditBatch is one batched region of decisions: consecutive tickets
-// start..start+len(ds)-1. The slice is stored as-is (callers hand over
+// auditBatch is one batched region of decisions, recorded after the
+// first at singles. The slice is stored as-is (callers hand over
 // ownership), so recording a region costs one header append, not n
 // record copies.
 type auditBatch struct {
-	start uint64
-	ds    []Decision
-}
-
-// auditShard is one independently locked slice of the log.
-type auditShard struct {
-	mu      sync.RWMutex
-	recs    []auditRecord
-	batches []auditBatch
+	at int
+	ds []Decision
 }
 
 // AuditLog is a concurrency-safe decision recorder, fed by the
 // pipeline's tap (WithAudit, or WithTap with Log set). The attack
 // harness uses it to explain which rule neutralized each attack.
 //
-// Every decision on the hot path flows through Record, so the log is
-// sharded: writers take a global atomic ticket and append under one of
-// several shard locks, instead of serializing on a single mutex.
-// Readers (rare, post-hoc) merge the shards back into ticket order.
+// Each browser records into its own log from the one goroutine driving
+// it, so a single mutex is uncontended; it orders those writes against
+// readers on other goroutines (engine stats, the open-loop trimmer).
 type AuditLog struct {
-	seq    atomic.Uint64
-	shards [auditShardCount]auditShard
+	mu      sync.Mutex
+	singles []Decision
+	batches []auditBatch
+	n       int
 }
 
 // Record appends a decision; it is safe for concurrent use.
 func (l *AuditLog) Record(d Decision) {
-	seq := l.seq.Add(1)
-	s := &l.shards[seq&(auditShardCount-1)]
-	s.mu.Lock()
-	s.recs = append(s.recs, auditRecord{seq: seq, d: d})
-	s.mu.Unlock()
+	l.mu.Lock()
+	l.singles = append(l.singles, d)
+	l.n++
+	l.mu.Unlock()
 }
 
-// RecordAll appends a batch of decisions: it reserves a contiguous
-// ticket range with a single atomic add, then stores the slice itself
-// (with its start ticket) under one shard lock — no per-record copy,
-// no per-record lock. The caller hands over ownership: the slice must
-// not be mutated after the call. Ordering is unaffected — readers
-// merge singles and batches by ticket — and concurrent batches land in
-// different shards (the range start rotates), so sessions still don't
-// serialize.
+// RecordAll appends a batch of decisions in one step: it stores the
+// slice itself, with its position among the singles, so a region
+// costs one header append and no per-record copy. The caller hands
+// over ownership: the slice must not be mutated after the call.
 func (l *AuditLog) RecordAll(ds []Decision) {
-	n := uint64(len(ds))
-	if n == 0 {
+	if len(ds) == 0 {
 		return
 	}
-	start := l.seq.Add(n) - n + 1
-	s := &l.shards[start&(auditShardCount-1)]
-	s.mu.Lock()
-	s.batches = append(s.batches, auditBatch{start: start, ds: ds})
-	s.mu.Unlock()
+	l.mu.Lock()
+	l.batches = append(l.batches, auditBatch{at: len(l.singles), ds: ds})
+	l.n += len(ds)
+	l.mu.Unlock()
 }
 
-// merged snapshots every shard — singles and batched regions — and
-// returns the records in recording order, optionally filtered.
-func (l *AuditLog) merged(keep func(Decision) bool) []Decision {
-	var recs []auditRecord
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.RLock()
-		for _, r := range s.recs {
-			if keep == nil || keep(r.d) {
-				recs = append(recs, r)
+// collect returns a copy of the recorded decisions that pass keep (all
+// of them when keep is nil), in recording order.
+func (l *AuditLog) collect(keep func(Decision) bool) []Decision {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []Decision
+	if keep == nil {
+		out = make([]Decision, 0, l.n)
+	}
+	add := func(ds []Decision) {
+		for _, d := range ds {
+			if keep == nil || keep(d) {
+				out = append(out, d)
 			}
 		}
-		for _, b := range s.batches {
-			for j, d := range b.ds {
-				if keep == nil || keep(d) {
-					recs = append(recs, auditRecord{seq: b.start + uint64(j), d: d})
-				}
-			}
-		}
-		s.mu.RUnlock()
 	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
-	out := make([]Decision, len(recs))
-	for i, r := range recs {
-		out[i] = r.d
+	s := 0
+	for _, b := range l.batches {
+		add(l.singles[s:b.at])
+		add(b.ds)
+		s = b.at
 	}
+	add(l.singles[s:])
 	return out
 }
 
 // Denials returns a copy of all denied decisions recorded so far.
 func (l *AuditLog) Denials() []Decision {
-	out := l.merged(func(d Decision) bool { return !d.Allowed })
+	out := l.collect(func(d Decision) bool { return !d.Allowed })
 	if len(out) == 0 {
 		return nil
 	}
@@ -251,18 +221,14 @@ func (l *AuditLog) Denials() []Decision {
 
 // All returns a copy of every recorded decision.
 func (l *AuditLog) All() []Decision {
-	return l.merged(nil)
+	return l.collect(nil)
 }
 
 // Reset clears the log.
 func (l *AuditLog) Reset() {
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		s.recs = nil
-		s.batches = nil
-		s.mu.Unlock()
-	}
+	l.mu.Lock()
+	l.singles, l.batches, l.n = nil, nil, 0
+	l.mu.Unlock()
 }
 
 // GenerationMix summarizes how policy generations were observed across
@@ -297,7 +263,7 @@ func (l *AuditLog) GenerationMix() GenerationMix {
 	firstGen := map[uint64]uint64{}
 	mixed := map[uint64]bool{}
 	gens := map[uint64]bool{}
-	for _, d := range l.merged(nil) {
+	for _, d := range l.All() {
 		if d.PageID == 0 {
 			continue
 		}
@@ -313,15 +279,7 @@ func (l *AuditLog) GenerationMix() GenerationMix {
 
 // Len returns the number of recorded decisions.
 func (l *AuditLog) Len() int {
-	n := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.RLock()
-		n += len(s.recs)
-		for _, b := range s.batches {
-			n += len(b.ds)
-		}
-		s.mu.RUnlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
 }

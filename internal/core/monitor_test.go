@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -263,6 +264,40 @@ func TestAuditLog(t *testing.T) {
 	log.Reset()
 	if log.Len() != 0 {
 		t.Error("Reset must clear the log")
+	}
+
+	// Singles and batches interleave: readers return them in recording
+	// order. Span numbers each decision; even spans are denials.
+	d := func(span uint64) Decision { return Decision{Allowed: span%2 == 1, Span: span} }
+	spans := func(ds []Decision) []uint64 {
+		out := make([]uint64, len(ds))
+		for i, d := range ds {
+			out[i] = d.Span
+		}
+		return out
+	}
+	log.Record(d(1))
+	log.RecordAll([]Decision{d(2), d(3)})
+	log.Record(d(4))
+	log.RecordAll([]Decision{d(5)})
+	log.Record(d(6))
+	if got := log.Len(); got != 6 {
+		t.Errorf("interleaved Len() = %d, want 6", got)
+	}
+	if got := spans(log.All()); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6}) {
+		t.Errorf("interleaved All() spans = %v, want 1..6 in order", got)
+	}
+	if got := spans(log.Denials()); !slices.Equal(got, []uint64{2, 4, 6}) {
+		t.Errorf("interleaved Denials() spans = %v, want [2 4 6]", got)
+	}
+	log.Reset()
+	if log.Len() != 0 || len(log.All()) != 0 || log.Denials() != nil {
+		t.Error("Reset must clear singles and batches")
+	}
+	log.Record(d(7))
+	log.RecordAll([]Decision{d(8)})
+	if got := spans(log.All()); !slices.Equal(got, []uint64{7, 8}) || log.Len() != 2 {
+		t.Errorf("after Reset All() spans = %v (Len %d), want [7 8]", got, log.Len())
 	}
 }
 

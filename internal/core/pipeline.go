@@ -63,8 +63,8 @@ type DelegationSource interface {
 // the object's origin with its ring floored at the delegated ring —
 // and then decided by the inner stack. Accesses with no delegation
 // pass through unchanged (the inner monitor's Origin rule denies them
-// exactly as before), so composing this layer over a plain ERM
-// reproduces mashup.Monitor. Mount it outside WithCache: the rewrite
+// exactly as before), so this layer over a plain ERM is the §7
+// delegation-aware monitor. Mount it outside WithCache: the rewrite
 // happens before the cache probe, so cached verdicts remain pure
 // same-origin rule verdicts, shareable with undelegated monitors. A
 // nil source yields a pass-through layer.

@@ -574,7 +574,7 @@ func buildPortalSubstrate() (*web.Network, origin.Origin, origin.Origin) {
 }
 
 // runDelegatedSession drives one deterministic §7 session over the
-// given transport: the MashupMonitor is mounted through
+// given transport: the delegation-aware stack is mounted through
 // browser.Options.MonitorFactory, the delegated widget renders into
 // its slot, overreaches into ring-1 chrome (denied), and an
 // undelegated rogue origin is denied by the origin rule. It returns
@@ -586,7 +586,7 @@ func runDelegatedSession(t *testing.T, transport web.Transport, portal, widget o
 	b := browser.New(transport, browser.Options{
 		Mode: browser.ModeEscudo,
 		MonitorFactory: func(browser.PageRef) core.Monitor {
-			return &mashup.Monitor{Policy: pol}
+			return core.Compose(&core.ERM{}, core.WithDelegations(pol))
 		},
 	})
 	p, err := b.Navigate(portal.URL("/"))

@@ -6,12 +6,14 @@
 //
 // A mashup host declares delegations: for a named guest origin, guest
 // principals may act on the host's objects, but never more privileged
-// than a declared floor ring. The delegated monitor relaxes only the
-// Origin rule — and only for declared pairs — while the Ring and ACL
-// rules run against the floored ring, so a guest can be granted, say,
-// ring-2 authority inside the host page without any path to the
-// host's ring-0/1 resources. Without a delegation the monitor is
-// exactly the ESCUDO Reference Monitor.
+// than a declared floor ring. A Policy plugs into the monitor pipeline
+// as core.Compose(&core.ERM{}, core.WithDelegations(policy)): the
+// delegation layer relaxes only the Origin rule — and only for
+// declared pairs — while the Ring and ACL rules run against the
+// floored ring, so a guest can be granted, say, ring-2 authority
+// inside the host page without any path to the host's ring-0/1
+// resources. Without a delegation the stack is exactly the ESCUDO
+// Reference Monitor.
 package mashup
 
 import (
@@ -94,50 +96,4 @@ func (p *Policy) All() []Delegation {
 		out = append(out, d)
 	}
 	return out
-}
-
-// Monitor is the delegation-aware reference monitor. Same-origin
-// accesses follow the plain ESCUDO rules; cross-origin accesses are
-// admitted only under a declared delegation, with the guest's ring
-// floored. It is a pre-composed pipeline —
-// core.Compose(&core.ERM{}, core.WithDelegations(policy)) — kept as a
-// named type so it can be handed to browser.Options.MonitorFactory
-// directly; the browser mounts its tap around it, and other callers
-// observe it with core.Compose(m, core.WithAudit(log)). Like every
-// pipeline layer it implements core.BatchAuthorizer, so region reads
-// inside a real browser session keep their per-class dedup and
-// per-node audit semantics.
-type Monitor struct {
-	// Policy holds the delegations; nil behaves like an empty
-	// policy (plain ERM). Read on every call, so it may be assigned
-	// between calls.
-	Policy *Policy
-}
-
-var (
-	_ core.Monitor         = (*Monitor)(nil)
-	_ core.BatchAuthorizer = (*Monitor)(nil)
-)
-
-// monitor builds the underlying pipeline. It is rebuilt per call —
-// the layer is one small struct — so Policy keeps its historical
-// read-on-every-call semantics.
-func (m *Monitor) monitor() core.Monitor {
-	var src core.DelegationSource
-	if m.Policy != nil {
-		src = m.Policy
-	}
-	return core.Compose(&core.ERM{}, core.WithDelegations(src))
-}
-
-// Authorize implements core.Monitor.
-func (m *Monitor) Authorize(p core.Context, op core.Op, o core.Context) core.Decision {
-	return m.monitor().Authorize(p, op, o)
-}
-
-// AuthorizeBatch implements core.BatchAuthorizer: one decision
-// computation per (origin, ring, ACL) equivalence class after the
-// delegation rewrite, one decision per node.
-func (m *Monitor) AuthorizeBatch(p core.Context, op core.Op, objects []core.Context) []core.Decision {
-	return core.AuthorizeBatch(m.monitor(), p, op, objects)
 }

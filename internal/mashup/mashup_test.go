@@ -14,8 +14,13 @@ var (
 	other  = origin.MustParse("http://other.example")
 )
 
+// delegated is the §7 monitor: the ERM under the policy's delegations.
+func delegated(p *Policy) core.Monitor {
+	return core.Compose(&core.ERM{}, core.WithDelegations(p))
+}
+
 func TestNoDelegationIsPlainERM(t *testing.T) {
-	m := &Monitor{Policy: NewPolicy()}
+	m := delegated(NewPolicy())
 	erm := &core.ERM{}
 	cases := []struct {
 		p core.Context
@@ -34,18 +39,18 @@ func TestNoDelegationIsPlainERM(t *testing.T) {
 			}
 		}
 	}
-	// Nil policy too.
-	m = &Monitor{}
+	// No policy at all: the bare ERM.
+	m = &core.ERM{}
 	d := m.Authorize(core.Principal(widget, 0, "p"), core.OpRead, core.Object(portal, 3, core.PermissiveACL(3), "o"))
 	if d.Allowed {
-		t.Error("nil policy must not delegate")
+		t.Error("no policy must not delegate")
 	}
 }
 
 func TestDelegationGrantsFlooredAccess(t *testing.T) {
 	pol := NewPolicy()
 	pol.Delegate(Delegation{Host: portal, Guest: widget, Floor: 2})
-	m := &Monitor{Policy: pol}
+	m := delegated(pol)
 
 	slot := core.Object(portal, 2, core.UniformACL(2), "widget slot")
 	appContent := core.Object(portal, 1, core.UniformACL(1), "app content")
@@ -74,7 +79,7 @@ func TestDelegationGrantsFlooredAccess(t *testing.T) {
 func TestDelegationIsDirectional(t *testing.T) {
 	pol := NewPolicy()
 	pol.Delegate(Delegation{Host: portal, Guest: widget, Floor: 2})
-	m := &Monitor{Policy: pol}
+	m := delegated(pol)
 	// The reverse direction (portal principal on widget objects) has
 	// no delegation.
 	d := m.Authorize(core.Principal(portal, 0, "p"), core.OpRead,
@@ -126,7 +131,7 @@ func TestDelegationUpperBound(t *testing.T) {
 		pol := NewPolicy()
 		fl := core.Ring(floor % 4)
 		pol.Delegate(Delegation{Host: portal, Guest: widget, Floor: fl})
-		m := &Monitor{Policy: pol}
+		m := delegated(pol)
 		op := []core.Op{core.OpRead, core.OpWrite, core.OpUse}[opSel%3]
 		g := core.Ring(guestRing % 4)
 		obj := core.Object(portal, core.Ring(oRing%4),
@@ -144,7 +149,7 @@ func TestTraceHook(t *testing.T) {
 	log := &core.AuditLog{}
 	pol := NewPolicy()
 	pol.Delegate(Delegation{Host: portal, Guest: widget, Floor: 2})
-	m := core.Compose(&Monitor{Policy: pol}, core.WithAudit(log))
+	m := core.Compose(delegated(pol), core.WithAudit(log))
 	m.Authorize(core.Principal(widget, 0, "w"), core.OpRead, core.Object(portal, 3, core.PermissiveACL(3), "o"))
 	m.Authorize(core.Principal(portal, 0, "p"), core.OpRead, core.Object(portal, 0, core.UniformACL(0), "o"))
 	m.Authorize(core.Principal(other, 0, "x"), core.OpRead, core.Object(portal, 3, core.PermissiveACL(3), "o"))
@@ -154,32 +159,5 @@ func TestTraceHook(t *testing.T) {
 	// The decision reports the original guest principal.
 	if all := log.All(); all[0].Principal.Origin != widget {
 		t.Errorf("decision principal = %v, want original guest", all[0].Principal)
-	}
-}
-
-// TestMonitorFieldsReadPerCall pins the historical semantics: a Policy
-// assigned after a first Authorize is honored by later calls (the
-// pipeline is rebuilt per call, not latched), including calls through
-// a tap composed around the monitor before the assignment.
-func TestMonitorFieldsReadPerCall(t *testing.T) {
-	host := origin.MustParse("http://portal.example")
-	guest := origin.MustParse("http://widget.example")
-	slot := core.Object(host, 2, core.UniformACL(2), "slot")
-	gp := core.Principal(guest, 0, "widget")
-
-	m := &Monitor{}
-	log := &core.AuditLog{}
-	tapped := core.Compose(m, core.WithAudit(log))
-	if d := m.Authorize(gp, core.OpWrite, slot); d.Allowed {
-		t.Fatalf("empty monitor allowed a cross-origin write: %v", d)
-	}
-	pol := NewPolicy()
-	pol.Delegate(Delegation{Host: host, Guest: guest, Floor: 2})
-	m.Policy = pol
-	if d := tapped.Authorize(gp, core.OpWrite, slot); !d.Allowed {
-		t.Fatalf("late-assigned policy ignored: %v", d)
-	}
-	if traced := log.Len(); traced != 1 {
-		t.Fatalf("tap around the monitor recorded %d calls, want 1", traced)
 	}
 }

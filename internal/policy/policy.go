@@ -261,8 +261,8 @@ func (p Policy) PageConfig() core.PageConfig {
 }
 
 // DelegationPolicy compiles the document's delegations into the
-// runtime mashup policy consumed by core.WithDelegations and
-// mashup.Monitor. The document must be valid.
+// runtime mashup policy consumed by core.WithDelegations. The document
+// must be valid.
 func (p Policy) DelegationPolicy() (*mashup.Policy, error) {
 	host, err := origin.Parse(p.Origin)
 	if err != nil {

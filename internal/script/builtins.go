@@ -54,6 +54,8 @@ func (h *consoleHost) HostGet(name string) (Value, error) {
 	return nil, nil
 }
 
+func (h *consoleHost) HostMethod(string) NativeMethod { return nil }
+
 func (h *consoleHost) HostSet(name string, v Value) error {
 	return errors.New("console is read-only")
 }

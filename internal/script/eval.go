@@ -38,8 +38,15 @@ type Closure struct {
 // writes, and method calls run native Go code — this is where DOM,
 // cookie, and XHR mediation hooks in.
 type HostObject interface {
-	// HostGet reads a property; it may return a CtxFunc for methods.
+	// HostGet reads a property; it may return a CtxFunc. A nil value
+	// with no error means the object has no such property, and a read
+	// then yields the method of that name, bound to the object.
 	HostGet(name string) (Value, error)
+	// HostMethod returns the object's method of that name, or nil. A
+	// call x.m(args) looks m up here first, before evaluating the
+	// arguments, and calls it with x as the receiver, so the call
+	// builds no function value; a nil method falls back to HostGet.
+	HostMethod(name string) NativeMethod
 	// HostSet writes a property.
 	HostSet(name string, v Value) error
 	// HostName names the object for error messages and typeof.
@@ -719,10 +726,9 @@ func (ip *Interp) evalAssign(e *AssignExpr, env *Env) (Value, error) {
 }
 
 // evalCall evaluates a function or method call. A method call on a
-// host object with a static method table (HostMethods) calls the
-// method with its receiver, building no function value; any other
-// method resolves through getMember, which for host objects is
-// HostGet.
+// host object with a method of that name (HostMethod) calls it with
+// its receiver, building no function value; any other method resolves
+// through getMember.
 func (ip *Interp) evalCall(e *CallExpr, env *Env) (Value, error) {
 	if err := ip.tick(e.Line); err != nil {
 		return nil, err
@@ -737,7 +743,7 @@ func (ip *Interp) evalCall(e *CallExpr, env *Env) (Value, error) {
 		if recv, err = ip.eval(m.X, env); err != nil {
 			return nil, err
 		}
-		if h, ok := recv.(HostMethods); ok {
+		if h, ok := recv.(HostObject); ok {
 			if method := h.HostMethod(m.Name); method != nil {
 				args, err := ip.evalArgs(e.Args, env)
 				if err != nil {
@@ -826,6 +832,11 @@ func (ip *Interp) getMember(recv Value, name string, line int) (Value, error) {
 		v, err := r.HostGet(name)
 		if err != nil {
 			return nil, &RuntimeError{Line: line, Msg: fmt.Sprintf("%s.%s", r.HostName(), name), Err: err}
+		}
+		if v == nil {
+			if m := r.HostMethod(name); m != nil {
+				return m.Bind(r), nil
+			}
 		}
 		return v, nil
 	case *Object:

@@ -67,16 +67,6 @@ func (c *Ctx) named(name string, err error) error {
 // NativeMethod is a host object's method, called with its receiver.
 type NativeMethod func(recv HostObject, ctx *Ctx, args []Value) (Value, error)
 
-// HostMethods is implemented by a host object whose methods live in a
-// static table. A call x.m(args) on such an object looks m up with
-// HostMethod, before the arguments are evaluated, and calls it with x
-// as the receiver, so the call builds no function value. A nil method
-// falls back to HostGet.
-type HostMethods interface {
-	HostObject
-	HostMethod(name string) NativeMethod
-}
-
 // Method wraps fn, written for receivers of type R, as a named
 // NativeMethod with Func's error bridging. Build a method table once,
 // at package level.

@@ -484,6 +484,8 @@ func (h *testHost) HostGet(name string) (Value, error) {
 	return h.props[name], nil
 }
 
+func (h *testHost) HostMethod(string) NativeMethod { return nil }
+
 func (h *testHost) HostSet(name string, v Value) error {
 	if name == "forbidden" {
 		return errors.New("nope")

@@ -11,10 +11,8 @@ import (
 	"repro/internal/origin"
 )
 
-// TestLogTicketOrder asserts Log() returns entries in issue order:
-// sequential tickets land in different shards, and the merge must
-// reassemble the original sequence.
-func TestLogTicketOrder(t *testing.T) {
+// TestLogOrder asserts Log() returns entries in issue order.
+func TestLogOrder(t *testing.T) {
 	n := NewNetwork()
 	n.Register(forum, HandlerFunc(func(req *Request) *Response { return HTML("ok") }))
 	const reqs = 100
@@ -29,15 +27,15 @@ func TestLogTicketOrder(t *testing.T) {
 	}
 	for i, e := range log {
 		if want := fmt.Sprintf("/p%03d", i); e.Path != want {
-			t.Fatalf("log[%d].Path = %q, want %q (merge out of ticket order)", i, e.Path, want)
+			t.Fatalf("log[%d].Path = %q, want %q (out of issue order)", i, e.Path, want)
 		}
 	}
 }
 
-// TestLogTicketOrderConcurrent checks the per-issuer ordering
-// guarantee under parallel load: each worker's own requests must
-// appear in the merged log in the order that worker issued them.
-func TestLogTicketOrderConcurrent(t *testing.T) {
+// TestLogOrderConcurrent checks the per-issuer ordering guarantee
+// under parallel load: each worker's own requests must appear in the
+// log in the order that worker issued them.
+func TestLogOrderConcurrent(t *testing.T) {
 	n := NewNetwork()
 	n.Register(forum, HandlerFunc(func(req *Request) *Response { return HTML("ok") }))
 	const workers, reqs = 8, 60
@@ -70,7 +68,7 @@ func TestLogTicketOrderConcurrent(t *testing.T) {
 		w, _ := strconv.Atoi(parts[0])
 		i, _ := strconv.Atoi(parts[1])
 		if i <= last[w] {
-			t.Fatalf("worker %d request %d merged after request %d", w, i, last[w])
+			t.Fatalf("worker %d request %d logged after request %d", w, i, last[w])
 		}
 		last[w] = i
 	}
@@ -126,7 +124,7 @@ func TestRoundTripLogsSetCookieNames(t *testing.T) {
 
 // TestNetworkRaceHammer drives every Network operation from parallel
 // goroutines — RoundTrip, Register, Log, FindRequests, ResetLog,
-// LogLen — to verify the sharded log and copy-on-write server table
+// LogLen — to verify the locked log and copy-on-write server table
 // under the race detector (make race).
 func TestNetworkRaceHammer(t *testing.T) {
 	n := NewNetwork()

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -348,42 +349,21 @@ type LogEntry struct {
 	Status         int
 }
 
-// logShardCount must be a power of two (records shard by ticket).
-// Mirrors core.AuditLog: enough shards that concurrent sessions'
-// request logging doesn't serialize, few enough that merges stay
-// cheap.
-const logShardCount = 16
-
-// logRecord is one entry stamped with its global ticket, so per-shard
-// streams merge back into issue order.
-type logRecord struct {
-	seq uint64
-	e   LogEntry
-}
-
-// logShard is one independently locked slice of the request log.
-type logShard struct {
-	mu   sync.RWMutex
-	recs []logRecord
-}
-
 // serverTable is the immutable origin→handler map the hot path reads.
 type serverTable map[origin.Origin]Handler
 
 // Network routes requests to servers by origin and records a log. It
-// is safe for concurrent use and concurrent-first: the server table is
-// an immutable copy-on-write map behind an atomic pointer
-// (registrations happen at setup, lookups on every request, so reads
-// take no lock at all), and the request log is sharded with a global
-// atomic ticket so writers from many sessions don't serialize on one
-// mutex — readers merge the shards back into ticket order.
+// is safe for concurrent use: the server table is an immutable
+// copy-on-write map behind an atomic pointer (registrations happen at
+// setup, lookups on every request, so reads take no lock at all), and
+// the request log is one slice under one mutex.
 type Network struct {
 	servers atomic.Pointer[serverTable]
 	// regMu serializes Register's copy-on-write swaps; lookups never
 	// take it.
-	regMu  sync.Mutex
-	seq    atomic.Uint64
-	shards [logShardCount]logShard
+	regMu sync.Mutex
+	logMu sync.Mutex
+	log   []LogEntry
 }
 
 // NewNetwork returns an empty network.
@@ -459,41 +439,17 @@ func (n *Network) RoundTrip(req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// appendLog takes a global ticket and appends under one shard lock.
 func (n *Network) appendLog(e LogEntry) {
-	seq := n.seq.Add(1)
-	s := &n.shards[seq&(logShardCount-1)]
-	s.mu.Lock()
-	s.recs = append(s.recs, logRecord{seq: seq, e: e})
-	s.mu.Unlock()
-}
-
-// collect snapshots every shard, keeping entries that pass keep, and
-// returns them in ticket (issue) order. Filtering happens under the
-// shard read locks, so post-hoc queries never copy the whole log.
-func (n *Network) collect(keep func(LogEntry) bool) []LogEntry {
-	var recs []logRecord
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.RLock()
-		for _, r := range s.recs {
-			if keep == nil || keep(r.e) {
-				recs = append(recs, r)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
-	out := make([]LogEntry, len(recs))
-	for i, r := range recs {
-		out[i] = r.e
-	}
-	return out
+	n.logMu.Lock()
+	n.log = append(n.log, e)
+	n.logMu.Unlock()
 }
 
 // Log returns a copy of the request log in issue order.
 func (n *Network) Log() []LogEntry {
-	return n.collect(nil)
+	n.logMu.Lock()
+	defer n.logMu.Unlock()
+	return slices.Clone(n.log)
 }
 
 // LogLines renders the request log one line per entry in issue order,
@@ -513,28 +469,18 @@ func (n *Network) LogLines() []string {
 	return out
 }
 
-// ResetLog clears the request log (between attack trials). The ticket
-// counter keeps running, so entries logged before and after a
-// concurrent reset still merge in a consistent order.
+// ResetLog clears the request log (between attack trials).
 func (n *Network) ResetLog() {
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.Lock()
-		s.recs = nil
-		s.mu.Unlock()
-	}
+	n.logMu.Lock()
+	n.log = nil
+	n.logMu.Unlock()
 }
 
 // LogLen returns the number of logged requests without copying them.
 func (n *Network) LogLen() int {
-	total := 0
-	for i := range n.shards {
-		s := &n.shards[i]
-		s.mu.RLock()
-		total += len(s.recs)
-		s.mu.RUnlock()
-	}
-	return total
+	n.logMu.Lock()
+	defer n.logMu.Unlock()
+	return len(n.log)
 }
 
 // HasCookie reports whether entry carried the named cookie.
@@ -558,10 +504,17 @@ func (e LogEntry) HasSetCookie(name string) bool {
 }
 
 // FindRequests returns log entries matching the target origin and path
-// predicate, in issue order. The filter runs under the shard locks:
-// only matching entries are ever copied.
+// predicate, in issue order. The filter runs under the log's lock, so
+// only matching entries are copied; match must not call back into the
+// network.
 func (n *Network) FindRequests(target origin.Origin, match func(LogEntry) bool) []LogEntry {
-	return n.collect(func(e LogEntry) bool {
-		return e.Target == target && (match == nil || match(e))
-	})
+	n.logMu.Lock()
+	defer n.logMu.Unlock()
+	var out []LogEntry
+	for _, e := range n.log {
+		if e.Target == target && (match == nil || match(e)) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
