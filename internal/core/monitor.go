@@ -185,7 +185,8 @@ func (l *AuditLog) RecordAll(ds []Decision) {
 }
 
 // collect returns a copy of the recorded decisions that pass keep (all
-// of them when keep is nil), in recording order.
+// of them when keep is nil), in recording order; nil when keep passes
+// none.
 func (l *AuditLog) collect(keep func(Decision) bool) []Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -210,13 +211,10 @@ func (l *AuditLog) collect(keep func(Decision) bool) []Decision {
 	return out
 }
 
-// Denials returns a copy of all denied decisions recorded so far.
+// Denials returns a copy of all denied decisions recorded so far, or
+// nil if there are none.
 func (l *AuditLog) Denials() []Decision {
-	out := l.collect(func(d Decision) bool { return !d.Allowed })
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return l.collect(func(d Decision) bool { return !d.Allowed })
 }
 
 // All returns a copy of every recorded decision.
