@@ -271,8 +271,8 @@ func TestAuditLog(t *testing.T) {
 	d := func(span uint64) Decision { return Decision{Allowed: span%2 == 1, Span: span} }
 	spans := func(ds []Decision) []uint64 {
 		out := make([]uint64, len(ds))
-		for i, d := range ds {
-			out[i] = d.Span
+		for i, x := range ds {
+			out[i] = x.Span
 		}
 		return out
 	}
