@@ -162,20 +162,19 @@ func (a *API) authorize(op core.Op, obj core.Context) error {
 }
 
 // authorizeSubtree batch-authorizes op on every node of the region
-// rooted at n, returning the nodes in document order with their
-// decisions. The nodes collapse into (origin, ring, ACL) equivalence
-// classes so a region of m nodes costs k ≤ m distinct decision
-// computations, but every node is still individually audited — §4.2
-// complete mediation is unchanged, only the decision computation is
-// deduplicated.
-func (a *API) authorizeSubtree(n *html.Node, op core.Op) ([]*html.Node, []core.Decision) {
+// rooted at n, returning the decisions in document order. The nodes
+// collapse into (origin, ring, ACL) equivalence classes so a region of
+// m nodes costs k ≤ m distinct decision computations, but every node
+// is still individually audited — §4.2 complete mediation is
+// unchanged, only the decision computation is deduplicated.
+func (a *API) authorizeSubtree(n *html.Node, op core.Op) []core.Decision {
 	return a.authorizeSubtreeFiltered(n, op, nil)
 }
 
 // authorizeSubtreeFiltered is authorizeSubtree restricted to nodes
 // passing keep (nil keeps every node). Skipped nodes are not
-// authorized, not audited, and absent from the result.
-func (a *API) authorizeSubtreeFiltered(n *html.Node, op core.Op, keep func(*html.Node) bool) ([]*html.Node, []core.Decision) {
+// authorized, not audited, and have no decision.
+func (a *API) authorizeSubtreeFiltered(n *html.Node, op core.Op, keep func(*html.Node) bool) []core.Decision {
 	count := 0
 	html.Walk(n, func(x *html.Node) bool {
 		if keep == nil || keep(x) {
@@ -183,16 +182,14 @@ func (a *API) authorizeSubtreeFiltered(n *html.Node, op core.Op, keep func(*html
 		}
 		return true
 	})
-	nodes := make([]*html.Node, 0, count)
 	ctxs := make([]core.Context, 0, count)
 	html.Walk(n, func(x *html.Node) bool {
 		if keep == nil || keep(x) {
-			nodes = append(nodes, x)
 			ctxs = append(ctxs, a.doc.NodeContext(x))
 		}
 		return true
 	})
-	return nodes, core.AuthorizeBatch(a.monitor, a.principal, op, ctxs)
+	return core.AuthorizeBatch(a.monitor, a.principal, op, ctxs)
 }
 
 // AuthorizeRenderRegion mediates a render/layout traversal of the
@@ -205,29 +202,43 @@ func (a *API) authorizeSubtreeFiltered(n *html.Node, op core.Op, keep func(*html
 // hides the element's whole subtree); a denied region root returns
 // the root's DeniedError.
 func (a *API) AuthorizeRenderRegion(n *html.Node) (denied map[*html.Node]bool, err error) {
-	nodes, decisions := a.authorizeSubtreeFiltered(n, core.OpRead, func(x *html.Node) bool {
+	keep := func(x *html.Node) bool {
 		return x.Type == html.ElementNode || x.Type == html.DocumentNode
-	})
-	return deniedSet(n, nodes, decisions)
+	}
+	return deniedSet(n, keep, a.authorizeSubtreeFiltered(n, core.OpRead, keep))
 }
 
-// deniedSet converts a region's (nodes, decisions) into the denied
-// descendants, or the root's DeniedError if the root itself was
-// denied.
-func deniedSet(root *html.Node, nodes []*html.Node, decisions []core.Decision) (map[*html.Node]bool, error) {
-	var denied map[*html.Node]bool
-	for i, d := range decisions {
-		if d.Allowed {
-			continue
+// deniedSet converts the decisions of the region rooted at root,
+// filtered by keep, into the denied descendants, or the root's
+// DeniedError if the root itself was denied. The decisions are in
+// document order, so a kept root is decision 0, and only when a
+// descendant is denied does it walk the region again to pair decision
+// i with kept node i.
+func deniedSet(root *html.Node, keep func(*html.Node) bool, decisions []core.Decision) (map[*html.Node]bool, error) {
+	n, last := 0, -1
+	for i := range decisions {
+		if !decisions[i].Allowed {
+			n, last = n+1, i
 		}
-		if nodes[i] == root {
-			return nil, &DeniedError{Decision: d}
-		}
-		if denied == nil {
-			denied = make(map[*html.Node]bool)
-		}
-		denied[nodes[i]] = true
 	}
+	if n == 0 {
+		return nil, nil
+	}
+	if !decisions[0].Allowed && (keep == nil || keep(root)) {
+		return nil, &DeniedError{Decision: decisions[0]}
+	}
+	denied := make(map[*html.Node]bool, n)
+	i := 0
+	html.Walk(root, func(x *html.Node) bool {
+		if keep != nil && !keep(x) {
+			return true
+		}
+		if !decisions[i].Allowed {
+			denied[x] = true
+		}
+		i++
+		return i <= last
+	})
 	return denied, nil
 }
 
@@ -240,8 +251,7 @@ func deniedSet(root *html.Node, nodes []*html.Node, decisions []core.Decision) (
 // region is accessible); readers elide those subtrees, the way a real
 // ESCUDO browser would hide inner-ring content.
 func (a *API) AuthorizeSubtree(n *html.Node, op core.Op) (denied map[*html.Node]bool, err error) {
-	nodes, decisions := a.authorizeSubtree(n, op)
-	return deniedSet(n, nodes, decisions)
+	return deniedSet(n, nil, a.authorizeSubtree(n, op))
 }
 
 // authorizeRegionWrite authorizes a write over the whole region rooted
@@ -249,8 +259,7 @@ func (a *API) AuthorizeSubtree(n *html.Node, op core.Op) (denied map[*html.Node]
 // Unlike reads, a region write cannot elide: any denial fails the
 // whole operation with that node's decision.
 func (a *API) authorizeRegionWrite(n *html.Node) error {
-	_, decisions := a.authorizeSubtree(n, core.OpWrite)
-	for _, d := range decisions {
+	for _, d := range a.authorizeSubtree(n, core.OpWrite) {
 		if !d.Allowed {
 			return &DeniedError{Decision: d}
 		}

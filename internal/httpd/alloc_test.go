@@ -2,9 +2,13 @@ package httpd
 
 import (
 	"net/http"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/apps/phpbb"
+	"repro/internal/nonce"
 	"repro/internal/origin"
 	"repro/internal/raceflag"
 	"repro/internal/web"
@@ -54,6 +58,63 @@ func TestTranslateResponseAllocs(t *testing.T) {
 	}
 	if resp.Header.Get("Content-Type") != "text/html" {
 		t.Fatalf("Content-Type lost: %+v", resp.Header)
+	}
+}
+
+// headerSink is a ResponseWriter whose header map outlives each
+// response, so an allocation count sees only writeHeader's own work.
+type headerSink struct {
+	h      http.Header
+	status int
+}
+
+func (s *headerSink) Header() http.Header         { return s.h }
+func (s *headerSink) Write(b []byte) (int, error) { return len(b), nil }
+func (s *headerSink) WriteHeader(status int)      { s.status = status }
+
+// TestWriteHeaderAllocs bounds the gateway's response-header copy on a
+// phpBB login response (two Set-Cookie values, two cookie labels, the
+// API and ring headers, the redirect's Location): the value slices are
+// handed over, so only the X-Escudo-Orig-Keys list costs allocations
+// (its key slice, the joined string and Set's one-value slice).
+func TestWriteHeaderAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	o := origin.MustParse("http://forum.example")
+	app := phpbb.New(phpbb.Config{Origin: o, Escudo: true, Nonces: nonce.NewSeqSource(1)})
+	app.AddUser("alice", "pw")
+	req := web.NewRequest("POST", o.URL("/login"))
+	req.Form = url.Values{"username": {"alice"}, "password": {"pw"}}
+	resp := app.Serve(req)
+	if len(resp.Header.Values("Set-Cookie")) != 2 {
+		t.Fatalf("login response header %v, want two Set-Cookie values", resp.Header)
+	}
+
+	sink := &headerSink{h: http.Header{}}
+	allocs := testing.AllocsPerRun(100, func() {
+		clear(sink.h)
+		writeHeader(sink, resp)
+	})
+	if allocs > 3 {
+		t.Errorf("writeHeader allocates %.0f times per phpBB response, want <= 3", allocs)
+	}
+
+	// The wire header is what adding every value one at a time built.
+	want := http.Header{}
+	for k, vs := range resp.Header {
+		for _, v := range vs {
+			want.Add(k, v)
+		}
+	}
+	want.Set(HeaderOrigKeys, origKeysValue(resp.Header))
+	if sink.status != resp.Status || len(sink.h) != len(want) {
+		t.Fatalf("status %d header %v, want %d %v", sink.status, sink.h, resp.Status, want)
+	}
+	for k, vs := range want {
+		if !slices.Equal(sink.h[k], vs) {
+			t.Errorf("%s = %q, want %q", k, sink.h[k], vs)
+		}
 	}
 }
 

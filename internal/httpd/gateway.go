@@ -459,14 +459,15 @@ func origKeysValue(h web.Header) string {
 
 // writeHeader translates a web.Response's status and header onto w,
 // advertising the origin's own header-key set so the client side can
-// reconstruct it exactly.
+// reconstruct it exactly. web.Header keys are already canonical, so
+// each value slice is handed over as it is: net/http clones the header
+// map and its values at WriteHeader, on both h1 and h2.
 func writeHeader(w http.ResponseWriter, resp *web.Response) {
+	h := w.Header()
 	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
+		h[k] = vs
 	}
-	w.Header().Set(HeaderOrigKeys, origKeysValue(resp.Header))
+	h.Set(HeaderOrigKeys, origKeysValue(resp.Header))
 	w.WriteHeader(resp.Status)
 }
 

@@ -34,11 +34,12 @@ type Box struct {
 	Text string
 }
 
-// slot is one 24-byte entry of the display list. A word box is one
-// slot {word, X, Y}: its width is len(word), since layout clips an
-// overlong word to the viewport, and its height is 1. An element box
-// is two slots, {"", X, Y} then {tag, W, H}. nextField never yields
-// an empty word, so an empty string can only open an element box.
+// slot is one 24-byte entry of the display list. A text node that
+// holds a word is one slot {text, X, Y}: (X, Y) is the pen before its
+// first word, and Boxes places the words from there through wrap, as
+// layout did. An element box is two slots, {"", X, Y} then {tag, W, H}.
+// A text slot's string holds a word, so an empty string can only open
+// an element box.
 type slot struct {
 	s    string
 	a, b int32
@@ -48,6 +49,8 @@ type slot struct {
 type Result struct {
 	// slots is the display list in paint order (see slot).
 	slots []slot
+	// width is the viewport width the text slots wrap at.
+	width int
 	// Height is the total document height in lines.
 	Height int
 	// Words and Lines count layout work done (for sanity checks and
@@ -58,10 +61,13 @@ type Result struct {
 
 // Len returns the number of boxes in the display list.
 func (r *Result) Len() int {
-	n := len(r.slots)
-	for _, s := range r.slots {
-		if s.s == "" {
-			n-- // an element box's opening slot
+	n := 0
+	for i := 0; i < len(r.slots); i++ {
+		if s := r.slots[i].s; s != "" {
+			n += countFields(s)
+		} else {
+			n++
+			i++ // an element box's second slot
 		}
 	}
 	return n
@@ -70,15 +76,23 @@ func (r *Result) Len() int {
 // Boxes returns the display list's boxes in paint order.
 func (r *Result) Boxes() iter.Seq[Box] {
 	return func(yield func(Box) bool) {
+		stopped := false
+		place := func(word string, x, y int) bool {
+			stopped = !yield(Box{X: int32(x), Y: int32(y), W: int32(len(word)), H: 1, Text: word})
+			return !stopped
+		}
 		for i := 0; i < len(r.slots); i++ {
 			s := r.slots[i]
-			b := Box{X: s.a, Y: s.b, W: int32(len(s.s)), H: 1, Text: s.s}
-			if s.s == "" {
-				i++
-				t := r.slots[i]
-				b = Box{Tag: t.s, X: s.a, Y: s.b, W: t.a, H: t.b}
+			if s.s != "" {
+				wrap(s.s, int(s.a), int(s.b), r.width, place)
+				if stopped {
+					return
+				}
+				continue
 			}
-			if !yield(b) {
+			i++
+			t := r.slots[i]
+			if !yield(Box{Tag: t.s, X: s.a, Y: s.b, W: t.a, H: t.b}) {
 				return
 			}
 		}
@@ -134,6 +148,7 @@ func LayoutHidden(root *html.Node, width int, hidden map[*html.Node]bool) *Resul
 	}
 	width = min(width, math.MaxInt32)
 	e := &engine{width: width, hidden: hidden}
+	e.result.width = width
 	e.result.slots = make([]slot, 0, e.count(root))
 	e.node(root)
 	if e.x > 0 {
@@ -152,7 +167,10 @@ func (e *engine) count(n *html.Node) int {
 	c := 0
 	switch n.Type {
 	case html.TextNode:
-		return countFields(n.Data)
+		if skip(n.Data, 0, true) < len(n.Data) {
+			return 1
+		}
+		return 0
 	case html.ElementNode:
 		switch kind(n.Tag) {
 		case skipped, lineBreak:
@@ -223,34 +241,54 @@ func (e *engine) node(n *html.Node) {
 	}
 }
 
-// text splits a run into words and wraps them.
+// text places a text node's words: one slot holding the run and the
+// pen before its first word, which Boxes replays through wrap.
 func (e *engine) text(s string) {
-	for word, rest := nextField(s); word != ""; word, rest = nextField(rest) {
-		e.result.Words++
-		w := len(word)
-		if w > e.width {
-			w = e.width
-			word = word[:w]
-		}
-		if e.x+w > e.width {
-			e.newline()
-		}
-		e.result.slots = append(e.result.slots, slot{s: word, a: int32(e.x), b: int32(e.y)})
-		e.x += w + 1
-		if e.x >= e.width {
-			e.newline()
-		}
+	i := skip(s, 0, true)
+	if i == len(s) {
+		return // no word, no slot
 	}
+	// A placeBox can leave the pen past the viewport, where the first
+	// word wraps whatever it is; clamping keeps the pen in int32.
+	e.result.slots = append(e.result.slots, slot{s: s, a: int32(min(e.x, e.width)), b: int32(e.y)})
+	x, y, words := wrap(s[i:], e.x, e.y, e.width, nil)
+	e.result.Words += words
+	e.result.Lines += y - e.y // inside a text run only newlines move y
+	e.x, e.y = x, y
 }
 
-// nextField returns the first word of s and what follows it. Words
-// are split exactly as strings.Fields splits them, at runs of
-// unicode.IsSpace runes, but in place: word is a substring of s, and
-// empty when s holds no more words.
-func nextField(s string) (word, rest string) {
-	start := skip(s, 0, true)
-	end := skip(s, start, false)
-	return s[start:end], s[end:]
+// wrap lays the words of s out from the pen (x, y) in a viewport width
+// cells wide and returns the pen after the last word with the number
+// of words. Words are split exactly as strings.Fields splits them, at
+// runs of unicode.IsSpace runes, but in place. A word wider than the
+// viewport is clipped to it; a word that does not fit starts a new
+// line, and one that fills the line ends it. place, when not nil,
+// receives each word as placed, and wrap stops early when it returns
+// false.
+func wrap(s string, x, y, width int, place func(word string, x, y int) bool) (int, int, int) {
+	words := 0
+	for i := skip(s, 0, true); i < len(s); i = skip(s, i, true) {
+		end := skip(s, i, false)
+		word := s[i:end]
+		i = end
+		words++
+		w := len(word)
+		if w > width {
+			w = width
+			word = word[:w]
+		}
+		if x+w > width {
+			x, y = 0, y+1
+		}
+		if place != nil && !place(word, x, y) {
+			return x, y, words
+		}
+		x += w + 1
+		if x >= width {
+			x, y = 0, y+1
+		}
+	}
+	return x, y, words
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -278,7 +316,7 @@ func skip(s string, i int, space bool) int {
 }
 
 // countFields returns len(strings.Fields(s)): it walks the words
-// nextField would yield, by index, without cutting them out of s.
+// wrap would place, by index, without cutting them out of s.
 func countFields(s string) int {
 	n := 0
 	for i := skip(s, 0, true); i < len(s); i = skip(s, skip(s, i, false), true) {

@@ -164,20 +164,21 @@ func TestLayoutInvariants(t *testing.T) {
 	}
 }
 
-// A display-list slot is 24 bytes: a word's box is one slot, an
-// element's two.
+// A display-list slot is 24 bytes: a text node's words are one slot,
+// an element's box two.
 func TestSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 24 {
 		t.Errorf("slot is %d bytes, want 24", got)
 	}
 }
 
-// fields collects nextField's words of s.
+// fields collects the words wrap places from s on one unbounded line.
 func fields(s string) []string {
 	var out []string
-	for word, rest := nextField(s); word != ""; word, rest = nextField(rest) {
+	wrap(s, 0, 0, math.MaxInt32, func(word string, _, _ int) bool {
 		out = append(out, word)
-	}
+		return true
+	})
 	return out
 }
 

@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/browser"
@@ -27,6 +28,14 @@ const (
 	// A host method call allocates its argument slice and its result;
 	// the method itself comes from a static table.
 	maxAllocsPerMethodCall = 2
+	// A denied host-method write allocates the run's record, the
+	// argument slice, the denial and the script exception wrapping it.
+	maxDeniedMethodAllocs = 4
+	// A render region's authorization allocates its contexts and its
+	// decisions; a principal denied S8's inner-ring sections adds the
+	// denied set, sized once to its entries (6 in all).
+	maxRenderRegionAllocs       = 2
+	maxDeniedRenderRegionAllocs = 6
 )
 
 func s8(t *testing.T) Scenario {
@@ -129,5 +138,52 @@ func TestNodeContextAllocs(t *testing.T) {
 	}
 	if got := contextSink.Name(); got != "p#p0" {
 		t.Errorf("rendered label = %q, want p#p0", got)
+	}
+}
+
+func TestRenderRegionAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// Every ring may read the page's base region, so a ring-3
+	// principal is denied only the inner-ring sections.
+	o := origin.MustParse("http://bench.example")
+	doc := dom.NewDocument(o, s8(t).Markup, html.Options{Escudo: true, MaxRing: 3, BaseRing: 3, BaseACL: core.PermissiveACL(3)})
+	for _, c := range []struct {
+		ring      core.Ring
+		maxAllocs int
+	}{{0, maxRenderRegionAllocs}, {3, maxDeniedRenderRegionAllocs}} {
+		api := dom.NewAPI(doc, core.Principal(o, c.ring, "render"), &core.ERM{})
+		var denied map[*html.Node]bool
+		var err error
+		n := testing.AllocsPerRun(20, func() { denied, err = api.AuthorizeRenderRegion(doc.Root) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (len(denied) > 0) != (c.ring == 3) {
+			t.Fatalf("ring %d: %d denied elements, want some only at ring 3", c.ring, len(denied))
+		}
+		if n > float64(c.maxAllocs) {
+			t.Errorf("AuthorizeRenderRegion of S8 at ring %d allocates %.0f times, want <= %d", c.ring, n, c.maxAllocs)
+		}
+	}
+}
+
+func TestDeniedHostMethodAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// S3's body sits in the page's base region, which only ring 0 may
+	// write.
+	p := bench(t, "/s3")
+	principal := core.Principal(p.Origin, 1, "script")
+	var err error
+	n := testing.AllocsPerRun(20, func() { err = p.RunScriptAs(principal, `document.write("x");`) })
+	var denied *dom.DeniedError
+	if !errors.As(err, &denied) {
+		t.Fatalf("document.write at ring 1: err = %v, want a denial", err)
+	}
+	if n > maxDeniedMethodAllocs {
+		t.Errorf("a denied document.write allocates %.0f times, want <= %d", n, maxDeniedMethodAllocs)
 	}
 }

@@ -86,6 +86,34 @@ func (returnSignal) Error() string   { return "return outside function" }
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
+// as finds the first error of type T in err's chain, following
+// Unwrap() error and Unwrap() []error as errors.As does. It matches by
+// type assertion, so unlike errors.As no target escapes to the heap;
+// it does not consult As methods, which no error the interpreter
+// matches defines.
+func as[T error](err error) (T, bool) {
+	for err != nil {
+		if t, ok := err.(T); ok {
+			return t, true
+		}
+		switch u := err.(type) {
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if t, ok := as[T](e); ok {
+					return t, true
+				}
+			}
+			err = nil
+		default:
+			err = nil
+		}
+	}
+	var zero T
+	return zero, false
+}
+
 // Env is a lexical scope. A script runs in its own top scope (Scope)
 // over a frozen library root (Library) that many scripts share: the
 // script reads the library but never writes it. Declarations,
@@ -267,8 +295,7 @@ func (ip *Interp) Run(prog *Program, env *Env) (Value, error) {
 	ip.ctx.ip = ip
 	v, err := ip.execBlock(prog.Body, env)
 	if err != nil {
-		var rs returnSignal
-		if errors.As(err, &rs) {
+		if rs, ok := as[returnSignal](err); ok {
 			return rs.v, nil // top-level return is tolerated
 		}
 		return nil, err
@@ -367,10 +394,10 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 				return nil, nil
 			}
 			if _, err := ip.execBlock(st.Body, blockScope(st.Body, env)); err != nil {
-				if errors.As(err, &breakSignal{}) {
+				if _, ok := as[breakSignal](err); ok {
 					return nil, nil
 				}
-				if errors.As(err, &continueSignal{}) {
+				if _, ok := as[continueSignal](err); ok {
 					continue
 				}
 				return nil, err
@@ -397,10 +424,10 @@ func (ip *Interp) exec(s Stmt, env *Env) (Value, error) {
 				}
 			}
 			if _, err := ip.execBlock(st.Body, blockScope(st.Body, scope)); err != nil {
-				if errors.As(err, &breakSignal{}) {
+				if _, ok := as[breakSignal](err); ok {
 					return nil, nil
 				}
-				if !errors.As(err, &continueSignal{}) {
+				if _, ok := as[continueSignal](err); !ok {
 					return nil, err
 				}
 			}
@@ -793,8 +820,7 @@ func (ip *Interp) callValue(fn Value, args []Value, line int) (Value, error) {
 		scope.Define("arguments", &Array{Elems: args})
 		_, err := ip.execBlock(f.Fn.Body, scope)
 		if err != nil {
-			var rs returnSignal
-			if errors.As(err, &rs) {
+			if rs, ok := as[returnSignal](err); ok {
 				return rs.v, nil
 			}
 			return nil, err
@@ -816,8 +842,7 @@ func (ip *Interp) callNative(line int, call func(*Ctx) (Value, error)) (Value, e
 	v, err := call(&ip.ctx)
 	ip.ctx.line = caller
 	if err != nil {
-		var re *RuntimeError
-		if errors.As(err, &re) {
+		if _, ok := as[*RuntimeError](err); ok {
 			return nil, err
 		}
 		return nil, &RuntimeError{Line: line, Msg: "native call failed", Err: err}

@@ -2,6 +2,7 @@ package script
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -90,6 +91,44 @@ func TestNestedNativeErrorLines(t *testing.T) {
 		var re *RuntimeError
 		if !errors.As(c.err, &re) || re.Msg != c.msg || re.Line != c.line {
 			t.Errorf("%s: err = %v, want the exception %q at line %d", c.msg, c.err, c.msg, c.line)
+		}
+	}
+}
+
+// A native failing with a script exception, wrapped with %w or inside
+// errors.Join, passes it through unchanged, as errors.As finds it; any
+// other failure becomes an exception named after the native.
+func TestWrappedRuntimeErrorPassesThrough(t *testing.T) {
+	thrown := &RuntimeError{Line: 9, Msg: "thrown"}
+	plain := errors.New("plain")
+	for _, c := range []struct {
+		name string
+		err  error
+		pass bool
+	}{
+		{"bare", thrown, true},
+		{"%w", fmt.Errorf("ctx: %w", thrown), true},
+		{"join", errors.Join(plain, thrown), true},
+		{"%w of join", fmt.Errorf("outer: %w", errors.Join(plain, fmt.Errorf("inner: %w", thrown))), true},
+		{"plain", plain, false},
+		{"%v", fmt.Errorf("ctx: %v", thrown), false},
+		{"join of others", errors.Join(plain, errors.New("other")), false},
+	} {
+		var re *RuntimeError
+		if _, ok := as[*RuntimeError](c.err); ok != c.pass || errors.As(c.err, &re) != c.pass {
+			t.Errorf("%s: as finds a RuntimeError %v, errors.As %v, want %v", c.name, ok, errors.As(c.err, &re), c.pass)
+		}
+		env := StdEnv(&Console{})
+		env.Define("fail", Func("fail", func(*Ctx, []Value) (Value, error) { return nil, c.err }))
+		_, err := (&Interp{}).RunSource("\nfail();", env)
+		if c.pass {
+			if err != c.err {
+				t.Errorf("%s: err = %v, want the native's error unchanged", c.name, err)
+			}
+			continue
+		}
+		if !errors.As(err, &re) || re.Msg != "fail" || re.Line != 2 || re.Err != c.err {
+			t.Errorf("%s: err = %v, want the exception fail at line 2 wrapping the native's error", c.name, err)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package script
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Ctx is the call context handed to a CtxFunc. It carries the invoking
 // interpreter, so callbacks into script (Call) share the caller's step
@@ -57,8 +54,7 @@ func Func(name string, fn func(*Ctx, []Value) (Value, error)) CtxFunc {
 // named turns a native's failure into a script exception named after
 // the native, unless it already is one.
 func (c *Ctx) named(name string, err error) error {
-	var re *RuntimeError
-	if errors.As(err, &re) {
+	if _, ok := as[*RuntimeError](err); ok {
 		return err
 	}
 	return &RuntimeError{Line: c.line, Msg: name, Err: err}
