@@ -106,19 +106,25 @@ type App struct {
 	pms      []*PrivateMessage
 	nextID   int
 	builder  *template.ACBuilder
+	// maxRingHeader, cookieHeaders and apiHeaders are Policy's
+	// X-Escudo header values, lowered once.
+	maxRingHeader             string
+	cookieHeaders, apiHeaders []string
 }
 
 var _ web.Handler = (*App)(nil)
 
 // New creates an app with the given configuration.
 func New(cfg Config) *App {
-	return &App{
+	a := &App{
 		cfg:      cfg,
 		users:    map[string]string{},
 		sessions: map[string]string{},
 		tokens:   map[string]string{},
 		builder:  template.NewACBuilder(cfg.Nonces),
 	}
+	a.maxRingHeader, a.cookieHeaders, a.apiHeaders = a.Policy().PageConfig().HeaderValues()
+	return a
 }
 
 // AddUser registers a user.
@@ -412,20 +418,24 @@ func (a *App) pmSend(req *web.Request) *web.Response {
 	return resp
 }
 
-// decorate attaches the Table 3 ESCUDO headers.
+// decorate attaches the Table 3 ESCUDO headers, as Policy states
+// them.
 func (a *App) decorate(resp *web.Response) {
 	if !a.cfg.Escudo {
 		return
 	}
-	resp.Header.Set(core.HeaderMaxRing, "3")
-	resp.Header.Add(core.HeaderCookie, CookieData+"; ring=1; r=1; w=1; x=1")
-	resp.Header.Add(core.HeaderCookie, CookieSID+"; ring=1; r=1; w=1; x=1")
-	resp.Header.Add(core.HeaderAPI, "xmlhttprequest; ring=1")
+	resp.Header.Set(core.HeaderMaxRing, a.maxRingHeader)
+	for _, v := range a.cookieHeaders {
+		resp.Header.Add(core.HeaderCookie, v)
+	}
+	for _, v := range a.apiHeaders {
+		resp.Header.Add(core.HeaderAPI, v)
+	}
 }
 
 // Policy returns the app's unified policy document — the Table 3
-// configuration (the same assignments decorate attaches as headers) as
-// one serializable, validated artifact a gateway can mount and serve.
+// configuration, which decorate attaches as headers — as one
+// serializable, validated artifact a gateway can mount and serve.
 func (a *App) Policy() policy.Policy {
 	p := policy.New(a.cfg.Origin, core.DefaultMaxRing)
 	p.Cookies[CookieData] = policy.Uniform(RingApp)

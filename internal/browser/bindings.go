@@ -58,6 +58,15 @@ func (r *scriptRun) Global(name string) (script.Value, bool) {
 // element wraps a node for the run's script.
 func (r *scriptRun) element(n *html.Node) *elementHost { return &elementHost{run: r, node: n} }
 
+// node hands the script a node that passed its read decision (see
+// dom.API.Node): its wrapper, null for no node, or the denial.
+func (r *scriptRun) node(n *html.Node, err error) (script.Value, error) {
+	if err != nil || n == nil {
+		return nil, err
+	}
+	return r.element(n), nil
+}
+
 // documentHost exposes the document object.
 type documentHost struct{ run *scriptRun }
 
@@ -87,10 +96,7 @@ func (d *documentHost) HostGet(name string) (script.Value, error) {
 	case "URL", "location":
 		return r.page.URL, nil
 	case "body":
-		if body := r.page.body(); body != nil {
-			return r.element(body), nil
-		}
-		return nil, nil
+		return r.node(r.api.Node(r.page.body()))
 	}
 	return nil, nil
 }
@@ -99,14 +105,7 @@ func (d *documentHost) getElementByID(_ *script.Ctx, args []script.Value) (scrip
 	if len(args) == 0 {
 		return nil, nil
 	}
-	n, err := d.run.api.GetElementByID(script.ToString(args[0]))
-	if err != nil {
-		return nil, err
-	}
-	if n == nil {
-		return nil, nil
-	}
-	return d.run.element(n), nil
+	return d.run.node(d.run.api.GetElementByID(script.ToString(args[0])))
 }
 
 func (d *documentHost) getElementsByTagName(_ *script.Ctx, args []script.Value) (script.Value, error) {
@@ -449,10 +448,7 @@ func (e *elementHost) HostGet(name string) (script.Value, error) {
 	case "innerText", "textContent":
 		return e.run.api.InnerText(e.node)
 	case "parentNode":
-		if e.node.Parent == nil {
-			return nil, nil
-		}
-		return e.run.element(e.node.Parent), nil
+		return e.run.node(e.run.api.Node(e.node.Parent))
 	}
 	return nil, nil
 }

@@ -56,9 +56,14 @@ func TestBindingDocumentProperties(t *testing.T) {
 	err := p.RunScriptRing(1, "s", `
 log(document.origin);
 log(document.URL);
-log(window.origin);
-log(document.body.tagName);`)
+log(window.origin);`)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// document.body hands out a node handle, so it takes a read
+	// decision: the body sits in the page's base region (ring 3, the
+	// fail-safe ACL r=0), which only ring 0 may read.
+	if err := p.RunScriptRing(0, "s", `log(document.body.tagName);`); err != nil {
 		t.Fatal(err)
 	}
 	lines := b.Console.Lines()
@@ -67,6 +72,13 @@ log(document.body.tagName);`)
 		if lines[i] != w {
 			t.Errorf("line %d = %q, want %q", i, lines[i], w)
 		}
+	}
+	var denied *dom.DeniedError
+	if err := p.RunScriptRing(1, "s", `log(document.body.tagName);`); !errors.As(err, &denied) {
+		t.Errorf("ring-1 document.body: err = %v, want a DeniedError", err)
+	}
+	if got := len(b.Console.Lines()); got != len(want) {
+		t.Errorf("the denied read logged: %v", b.Console.Lines())
 	}
 }
 

@@ -41,6 +41,12 @@ func AuthorizeBatch(m Monitor, p Context, op Op, objects []Context) []Decision {
 	if ba, ok := m.(BatchAuthorizer); ok {
 		return ba.AuthorizeBatch(p, op, objects)
 	}
+	return authorizeEach(m, p, op, objects)
+}
+
+// authorizeEach decides every object on its own through m: the path for
+// a stack with no batching to pass through.
+func authorizeEach(m Monitor, p Context, op Op, objects []Context) []Decision {
 	out := make([]Decision, len(objects))
 	for i, o := range objects {
 		out[i] = m.Authorize(p, op, o)

@@ -20,11 +20,9 @@ import (
 // a few thousand times per phase and ask the same few dozen questions.
 
 // cacheKey packs every input the Origin, Ring, and ACL rules read.
-// Origins are interned to compact IDs so the key is a small comparable
-// value with no strings to hash or compare.
 type cacheKey struct {
-	pOrigin origin.ID
-	oOrigin origin.ID
+	pOrigin origin.Origin
+	oOrigin origin.Origin
 	pRing   Ring
 	oRing   Ring
 	op      Op
@@ -68,17 +66,11 @@ func NewDecisionCache() *DecisionCache {
 	return &DecisionCache{}
 }
 
-// key builds the packed cache key for a query. Same-origin queries —
-// the overwhelmingly common case — intern once.
+// key builds the packed cache key for a query.
 func key(p Context, op Op, o Context) cacheKey {
-	pID := origin.Intern(p.Origin)
-	oID := pID
-	if o.Origin != p.Origin {
-		oID = origin.Intern(o.Origin)
-	}
 	return cacheKey{
-		pOrigin: pID,
-		oOrigin: oID,
+		pOrigin: p.Origin,
+		oOrigin: o.Origin,
 		pRing:   p.Ring,
 		oRing:   o.Ring,
 		op:      op,

@@ -6,67 +6,6 @@ import (
 	"repro/internal/origin"
 )
 
-// PrincipalKind classifies the action-inducing entities of Table 1.
-type PrincipalKind int
-
-// Principal kinds (Table 1, left column). HTTP-request-issuing
-// principals are HTML constructs that make the browser issue a
-// request; script-invoking principals reach the JavaScript
-// interpreter; plugins are out of scope for web-application control
-// but are represented so the taxonomy is complete.
-const (
-	PrincipalHTTPRequest  PrincipalKind = iota + 1 // a, img, form, embed, iframe
-	PrincipalScript                                // script tags, CSS expressions
-	PrincipalEventHandler                          // onload, onmouseover, ...
-	PrincipalPlugin                                // Flash, Silverlight, PDF (uncontrolled)
-	PrincipalBrowser                               // the browser itself (ring 0 actor)
-)
-
-// String returns the taxonomy name of the principal kind.
-func (k PrincipalKind) String() string {
-	switch k {
-	case PrincipalHTTPRequest:
-		return "http-request-issuing"
-	case PrincipalScript:
-		return "script-invoking"
-	case PrincipalEventHandler:
-		return "ui-event-handler"
-	case PrincipalPlugin:
-		return "plugin"
-	case PrincipalBrowser:
-		return "browser"
-	default:
-		return fmt.Sprintf("principal(%d)", int(k))
-	}
-}
-
-// ObjectKind classifies the resources of Table 1.
-type ObjectKind int
-
-// Object kinds (Table 1, right column).
-const (
-	ObjectDOM ObjectKind = iota + 1 // DOM elements and their content
-	ObjectCookie
-	ObjectNativeAPI    // XMLHttpRequest API, DOM API
-	ObjectBrowserState // history, visited-link information
-)
-
-// String returns the taxonomy name of the object kind.
-func (k ObjectKind) String() string {
-	switch k {
-	case ObjectDOM:
-		return "dom"
-	case ObjectCookie:
-		return "cookie"
-	case ObjectNativeAPI:
-		return "native-api"
-	case ObjectBrowserState:
-		return "browser-state"
-	default:
-		return fmt.Sprintf("object(%d)", int(k))
-	}
-}
-
 // Context is the security context ESCUDO maintains for every principal
 // and object inside the browser (§6.1: "internally maintained data
 // such as the ring assignments, domain, and ACL"). DOM elements act as

@@ -324,31 +324,3 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
-
-// TestTaxonomy pins the Table 1 taxonomy names so the inventory is
-// stable and self-describing.
-func TestTaxonomy(t *testing.T) {
-	principals := map[PrincipalKind]string{
-		PrincipalHTTPRequest:  "http-request-issuing",
-		PrincipalScript:       "script-invoking",
-		PrincipalEventHandler: "ui-event-handler",
-		PrincipalPlugin:       "plugin",
-		PrincipalBrowser:      "browser",
-	}
-	for k, want := range principals {
-		if got := k.String(); got != want {
-			t.Errorf("PrincipalKind(%d).String() = %q, want %q", k, got, want)
-		}
-	}
-	objects := map[ObjectKind]string{
-		ObjectDOM:          "dom",
-		ObjectCookie:       "cookie",
-		ObjectNativeAPI:    "native-api",
-		ObjectBrowserState: "browser-state",
-	}
-	for k, want := range objects {
-		if got := k.String(); got != want {
-			t.Errorf("ObjectKind(%d).String() = %q, want %q", k, got, want)
-		}
-	}
-}

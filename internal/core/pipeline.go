@@ -116,41 +116,15 @@ func (m *delegationLayer) Authorize(p Context, op Op, o Context) Decision {
 	return d
 }
 
-// AuthorizeBatch implements BatchAuthorizer. The rewrite depends on
-// each object's origin, and the inner batch call carries a single
-// principal, so the region is split into maximal runs of objects
-// sharing one effective principal; each run batches through the inner
-// stack (keeping the per-class dedup), and the runs are reassembled in
-// input order. The delegation is resolved once per change of object
-// origin, not per object. DOM regions are almost always single-origin,
-// so the common case is one resolution and one inner batch call.
+// AuthorizeBatch implements BatchAuthorizer. The rewrite reads only
+// the principal's and the object's origins, and the object's origin is
+// part of its equivalence class, so the layer batches like any other:
+// one rewrite and one inner decision per class, one decision per
+// object reporting the original principal. An inner stack that does
+// not batch still decides every object, as it would without the layer.
 func (m *delegationLayer) AuthorizeBatch(p Context, op Op, objects []Context) []Decision {
-	if len(objects) == 0 {
-		return nil
+	if _, ok := m.inner.(BatchAuthorizer); !ok {
+		return authorizeEach(m, p, op, objects)
 	}
-	var out []Decision
-	for i := 0; i < len(objects); {
-		fp, rehomed := m.rehome(p, objects[i])
-		j := i + 1
-		for ; j < len(objects); j++ {
-			if objects[j].Origin == objects[j-1].Origin {
-				continue
-			}
-			if np, nr := m.rehome(p, objects[j]); nr != rehomed || np != fp {
-				break
-			}
-		}
-		run := AuthorizeBatch(m.inner, fp, op, objects[i:j])
-		if rehomed {
-			for k := range run {
-				run[k].Principal = p
-			}
-		}
-		if i == 0 && j == len(objects) {
-			return run
-		}
-		out = append(out, run...)
-		i = j
-	}
-	return out
+	return batchDecide(m, p, op, objects)
 }

@@ -148,7 +148,8 @@ func (f floorMap) DelegationFloor(host, guest origin.Origin) (Ring, bool) {
 
 // TestDelegationLayer checks the rewrite: floored ring inside the
 // host, original principal reported, undeclared pairs denied by the
-// origin rule, and batches split into per-principal runs.
+// origin rule, and a mixed-origin batch decided per object class, each
+// class re-homed on its own.
 func TestDelegationLayer(t *testing.T) {
 	host := origin.MustParse("http://portal.example")
 	guest := origin.MustParse("http://widget.example")

@@ -122,6 +122,11 @@ var ErrConfigAttribute = errors.New("dom: escudo configuration attributes are no
 // got a detached one.
 var ErrDetached = errors.New("dom: node is not attached to the document")
 
+// ErrHierarchy is returned when an insertion would make a node its own
+// ancestor (the DOM standard's HierarchyRequestError): the DOM stays a
+// tree.
+var ErrHierarchy = errors.New("dom: the new child is the parent or one of its ancestors")
+
 // API is the DOM API as seen by one principal: the paper's "Native
 // Code API" object binding. All methods authorize against the
 // document's monitor before touching the tree.
@@ -277,10 +282,9 @@ func includeFunc(denied map[*html.Node]bool) func(*html.Node) bool {
 	return func(n *html.Node) bool { return !denied[n] }
 }
 
-// GetElementByID returns the element with the given id if the
-// principal may read it.
-func (a *API) GetElementByID(id string) (*html.Node, error) {
-	n := a.doc.ByID(id)
+// Node returns n if the principal may read it: the one read decision
+// every node handle passes before a script holds it (nil stays nil).
+func (a *API) Node(n *html.Node) (*html.Node, error) {
 	if n == nil {
 		return nil, nil
 	}
@@ -288,6 +292,12 @@ func (a *API) GetElementByID(id string) (*html.Node, error) {
 		return nil, err
 	}
 	return n, nil
+}
+
+// GetElementByID returns the element with the given id if the
+// principal may read it.
+func (a *API) GetElementByID(id string) (*html.Node, error) {
+	return a.Node(a.doc.ByID(id))
 }
 
 // GetElementsByTagName returns the elements with the given tag that
@@ -358,7 +368,7 @@ func (a *API) SetInnerHTML(n *html.Node, markup string) error {
 	}
 	base := n.Ring.Outermost(a.principal.Ring)
 	kids := html.ParseFragment(markup, html.Options{Escudo: a.doc.Escudo, MaxRing: a.doc.MaxRing}, base, n.ACL)
-	n.Kids = nil
+	unlinkKids(n)
 	for _, k := range kids {
 		n.AppendChild(k)
 	}
@@ -405,10 +415,25 @@ func (a *API) CreateTextNode(text string) *html.Node {
 
 // AppendChild attaches child under parent. The principal needs write
 // on the parent; the scoping rule then clamps the whole inserted
-// subtree to rings no more privileged than the parent's.
+// subtree to rings no more privileged than the parent's. A child that
+// is the parent or one of its ancestors is refused with ErrHierarchy.
+// A child still attached elsewhere is moved: a move destroys the region
+// where it stood, so it is first removed through RemoveChild's
+// mediation. Every decision comes before any change to the tree, so a
+// denied move changes nothing.
 func (a *API) AppendChild(parent, child *html.Node) error {
 	if err := a.authorize(core.OpWrite, a.doc.NodeContext(parent)); err != nil {
 		return err
+	}
+	for p := parent; p != nil; p = p.Parent {
+		if p == child {
+			return ErrHierarchy
+		}
+	}
+	if old := child.Parent; old != nil {
+		if err := a.RemoveChild(old, child); err != nil {
+			return err
+		}
 	}
 	clampSubtree(child, parent.Ring.Outermost(a.principal.Ring))
 	parent.AppendChild(child)
@@ -434,6 +459,15 @@ func (a *API) RemoveChild(parent, child *html.Node) error {
 		}
 	}
 	return ErrDetached
+}
+
+// unlinkKids empties n's kids and unlinks each, so a handle a script
+// kept to a replaced kid names no parent.
+func unlinkKids(n *html.Node) {
+	for _, k := range n.Kids {
+		k.Parent = nil
+	}
+	n.Kids = nil
 }
 
 // GetAttribute reads an attribute. ESCUDO configuration attributes
@@ -478,7 +512,7 @@ func (a *API) SetText(n *html.Node, text string) error {
 	if err := a.authorizeRegionWrite(n); err != nil {
 		return err
 	}
-	n.Kids = nil
+	unlinkKids(n)
 	n.AppendChild(&html.Node{Type: html.TextNode, Data: text, Ring: n.Ring, ACL: n.ACL})
 	return nil
 }

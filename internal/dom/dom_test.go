@@ -328,3 +328,34 @@ func TestScopingInvariantUnderRandomMutations(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A region write that replaces a node's kids unlinks them, so a handle
+// a script kept to a replaced kid names no parent, and appending it
+// elsewhere is an insertion, not a move out of a region it left.
+func TestReplacedKidsUnlinked(t *testing.T) {
+	d := blogDoc()
+	a := api(d, 0)
+	for _, replace := range []func(*html.Node) error{
+		func(n *html.Node) error { return a.SetInnerHTML(n, "<b>new</b>") },
+		func(n *html.Node) error { return a.SetText(n, "new") },
+	} {
+		post := d.ByID("post")
+		old := post.Kids
+		if err := replace(post); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range old {
+			if k.Parent != nil {
+				t.Errorf("replaced kid %q still names a parent", k.Tag)
+			}
+		}
+		if err := a.AppendChild(d.ByID("comment1"), old[0]); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range post.Kids {
+			if k == old[0] || k.Parent != post {
+				t.Error("the replaced kid came back under its old parent")
+			}
+		}
+	}
+}

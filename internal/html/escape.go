@@ -98,9 +98,9 @@ var escapeAttrReplacer = strings.NewReplacer(
 )
 
 // EscapeText encodes s for inclusion as HTML text content. This is the
-// sanitization primitive the template engine's auto-escaping uses —
-// the "first line of defense" of §1 that ESCUDO does not rely on but
-// applications still deploy.
+// sanitization primitive of the hardened apps — the "first line of
+// defense" of §1 that ESCUDO does not rely on but applications still
+// deploy.
 func EscapeText(s string) string { return escapeTextReplacer.Replace(s) }
 
 // AppendEscapeText appends s encoded as EscapeText encodes it, for

@@ -250,6 +250,38 @@ func TestEscapeTextNeutralizesMarkup(t *testing.T) {
 	}
 }
 
+// Property: any user-supplied string, written through AppendEscapeText
+// (what the hardened apps' sanitizers write through) inside a host div,
+// parses back to text equal to the input — no markup injection through
+// the escaping path.
+func TestEscapingPreventsInjection(t *testing.T) {
+	f := func(s string) bool {
+		// The parser normalizes CR and control chars; restrict to the
+		// printable set for the equality check while still covering
+		// every markup-significant character.
+		clean := strings.Map(func(r rune) rune {
+			if r < 32 || r == 127 {
+				return -1
+			}
+			return r
+		}, s)
+		out := append(AppendEscapeText([]byte("<div id=host>"), clean), "</div>"...)
+		doc := Parse(string(out), LegacyOptions())
+		// Exactly one element (the host div) may exist.
+		elems := 0
+		Walk(doc, func(n *Node) bool {
+			if n.Type == ElementNode {
+				elems++
+			}
+			return true
+		})
+		return elems == 1 && InnerText(doc) == clean
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestIsVoid(t *testing.T) {
 	for _, tag := range []string{"img", "br", "input", "meta", "link", "hr"} {
 		if !IsVoid(tag) {

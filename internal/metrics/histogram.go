@@ -140,13 +140,3 @@ func (h Histogram) Quantile(p float64) time.Duration {
 	}
 	return bucketUpper(len(h.Counts) - 1)
 }
-
-// Histogram folds the sample into bucketed form for merging across
-// processes.
-func (s *Sample) Histogram() Histogram {
-	var h Histogram
-	for _, d := range s.durations {
-		h.Observe(d)
-	}
-	return h
-}

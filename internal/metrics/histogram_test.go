@@ -77,11 +77,10 @@ func TestHistogramMerge(t *testing.T) {
 }
 
 func TestHistogramJSONRoundTrip(t *testing.T) {
-	s := &Sample{}
+	var h Histogram
 	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 40 * time.Microsecond} {
-		s.Add(d)
+		h.Observe(d)
 	}
-	h := s.Histogram()
 	data, err := json.Marshal(h)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

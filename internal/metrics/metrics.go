@@ -1,7 +1,7 @@
 // Package metrics provides the measurement utilities the benchmark
-// harnesses use to regenerate the paper's Figure 4: repeated timing,
-// summary statistics, relative-overhead computation, and fixed-width
-// result tables.
+// harnesses use to regenerate the paper's Figure 4: duration samples
+// and their percentiles, a mergeable latency histogram,
+// relative-overhead computation, and fixed-width result tables.
 package metrics
 
 import (
@@ -19,68 +19,6 @@ type Sample struct {
 
 // Add appends one measurement.
 func (s *Sample) Add(d time.Duration) { s.durations = append(s.durations, d) }
-
-// N returns the number of measurements.
-func (s *Sample) N() int { return len(s.durations) }
-
-// Durations exposes the raw measurements, in insertion order, for
-// merging samples. Callers must not modify the returned slice.
-func (s *Sample) Durations() []time.Duration { return s.durations }
-
-// Mean returns the arithmetic mean.
-func (s *Sample) Mean() time.Duration {
-	if len(s.durations) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range s.durations {
-		total += d
-	}
-	return total / time.Duration(len(s.durations))
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() time.Duration {
-	n := len(s.durations)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var sq float64
-	for _, d := range s.durations {
-		diff := float64(d) - mean
-		sq += diff * diff
-	}
-	return time.Duration(math.Sqrt(sq / float64(n)))
-}
-
-// Min returns the smallest measurement.
-func (s *Sample) Min() time.Duration {
-	if len(s.durations) == 0 {
-		return 0
-	}
-	min := s.durations[0]
-	for _, d := range s.durations[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// Max returns the largest measurement.
-func (s *Sample) Max() time.Duration {
-	if len(s.durations) == 0 {
-		return 0
-	}
-	max := s.durations[0]
-	for _, d := range s.durations[1:] {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
 
 // Percentile returns the p-th percentile (0..100) by
 // nearest-rank on a sorted copy.
@@ -101,21 +39,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// Measure runs fn reps times, timing each run, after warmup untimed
-// runs.
-func Measure(reps, warmup int, fn func()) *Sample {
-	for i := 0; i < warmup; i++ {
-		fn()
-	}
-	s := &Sample{}
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		s.Add(time.Since(start))
-	}
-	return s
 }
 
 // OverheadPercent returns how much slower with is than without, in

@@ -97,9 +97,7 @@ func (o Origin) SameOrigin(other Origin) bool {
 
 // String renders the origin in serialized form, e.g.
 // "http://forum.example:8080". Default ports are elided, matching the
-// common browser serialization. It avoids fmt on the hot path; callers
-// that serialize the same origin repeatedly should go through Intern,
-// which caches the result.
+// common browser serialization. It avoids fmt on the hot path.
 func (o Origin) String() string {
 	if o.IsNull() {
 		return "null"
